@@ -47,8 +47,6 @@ struct SliderConfig {
   // split counts of the initial window; overrides bucket_width grouping.
   std::vector<std::size_t> initial_bucket_sizes;
   double boundary_probability = 0.5;  // randomized folding tree
-  // Folding tree: §3.2 rebalancing factor (0 = never rebuild).
-  std::size_t rebalance_factor = 0;
   bool run_gc = true;
   SchedulePolicy reduce_policy = SchedulePolicy::kHybrid;
   // Straggler speculation threshold, forwarded to HybridOptions (§6 /

@@ -218,7 +218,7 @@ void MemoStore::enforce_entry_budget() {
     if (it->second.durable) durable_victims.push_back(victim);
     drop_memory(shard, it->second);
     total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    account_erase(it->second.tenant, it->second.bytes);
+    account_erase(victim, it->second);
     shard.index.erase(it);
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
     // Remember the id so a later miss on it is classified as
@@ -265,36 +265,28 @@ void MemoStore::enforce_tenant_quota(std::uint64_t tenant) {
   // registered in the evicted set (later misses on them classify as
   // eviction-forced and recompute — never a wrong answer) and their
   // durable copies are tombstoned. Other tenants' entries are untouched.
+  // Each victim is the first non-pinned id of the tenant's write-order
+  // index: O(log k) in the tenant's k entries, plus one step per pinned
+  // entry older than it.
   while (over()) {
-    NodeId victim = 0;
-    std::size_t victim_shard = kShards;
-    std::uint64_t victim_seq = 0;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s].mutex);
-      for (const auto& [id, entry] : shards_[s].index) {
-        if (entry.tenant != tenant) continue;
-        if (pinned != nullptr && pinned->count(id) != 0) continue;
-        if (victim_shard == kShards || entry.write_seq < victim_seq) {
-          victim = id;
-          victim_shard = s;
-          victim_seq = entry.write_seq;
-        }
-      }
-    }
-    if (victim_shard == kShards) break;  // only pinned entries remain
+    const std::optional<NodeId> victim = oldest_unpinned(cell, pinned.get());
+    if (!victim.has_value()) break;  // only pinned entries remain
 
-    Shard& shard = shards_[victim_shard];
+    // The order mutex is released before the shard mutex is taken (lock
+    // order). An entry erased in between has also left the index, so the
+    // next pick moves on.
+    Shard& shard = shard_of(*victim);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(victim);
+    const auto it = shard.index.find(*victim);
     if (it == shard.index.end()) continue;
-    if (it->second.durable) durable_victims.push_back(victim);
+    if (it->second.durable) durable_victims.push_back(*victim);
     drop_memory(shard, it->second);
     total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    account_erase(tenant, it->second.bytes);
+    account_erase(*victim, it->second);
     shard.index.erase(it);
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
     if (shard.evicted.size() >= kEvictedSetCap) shard.evicted.clear();
-    shard.evicted.insert(victim);
+    shard.evicted.insert(*victim);
     cell.quota_evictions.fetch_add(1, std::memory_order_relaxed);
     stats_.quota_evictions.fetch_add(1, std::memory_order_relaxed);
     obs::WorkLedger::global().note_quota_eviction();
@@ -318,11 +310,38 @@ MemoStore::TenantCell& MemoStore::tenant_cell(std::uint64_t tenant) const {
   return *cell;
 }
 
-void MemoStore::account_erase(std::uint64_t tenant, std::uint64_t bytes) {
-  if (tenant == 0) return;
-  TenantCell& cell = tenant_cell(tenant);
-  cell.bytes.fetch_sub(bytes, std::memory_order_relaxed);
+void MemoStore::account_insert(NodeId id, const Entry& entry) {
+  if (entry.tenant == 0) return;
+  TenantCell& cell = tenant_cell(entry.tenant);
+  cell.bytes.fetch_add(entry.bytes, std::memory_order_relaxed);
+  cell.entries.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(cell.order_mutex);
+  cell.order.emplace(entry.write_seq, id);
+}
+
+void MemoStore::account_erase(NodeId id, const Entry& entry) {
+  if (entry.tenant == 0) return;
+  TenantCell& cell = tenant_cell(entry.tenant);
+  cell.bytes.fetch_sub(entry.bytes, std::memory_order_relaxed);
   cell.entries.fetch_sub(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(cell.order_mutex);
+  cell.order.erase(std::pair(entry.write_seq, id));
+}
+
+std::optional<NodeId> MemoStore::oldest_unpinned(
+    TenantCell& cell, const std::unordered_set<NodeId>* pinned) {
+  std::lock_guard<std::mutex> lock(cell.order_mutex);
+  for (const auto& [seq, id] : cell.order) {
+    if (pinned == nullptr || pinned->count(id) == 0) return id;
+  }
+  return std::nullopt;
+}
+
+std::size_t MemoStore::debug_tenant_index_size(std::uint64_t tenant) const {
+  if (tenant == 0) return 0;
+  TenantCell& cell = tenant_cell(tenant);
+  std::lock_guard<std::mutex> lock(cell.order_mutex);
+  return cell.order.size();
 }
 
 bool MemoStore::tenant_over_byte_quota(std::uint64_t tenant) const {
@@ -415,9 +434,9 @@ MemoWriteResult MemoStore::put(NodeId id, std::shared_ptr<const KVTable> table,
       if (entry.tenant == 0 && tenant != 0) {
         // Adoption: the entry predates tenant attribution (recovered from
         // the durable log, or written untenanted); the first tenanted
-        // re-put claims it for quota accounting.
+        // re-put claims it for quota accounting, at its original age.
         entry.tenant = tenant;
-        account_insert(tenant_cell(tenant), entry.bytes);
+        account_insert(id, entry);
       }
       // Content-addressed: a re-put of the same id pays no persistent
       // write. It refreshes the memory tier on the entry's home machine:
@@ -441,9 +460,9 @@ MemoWriteResult MemoStore::put(NodeId id, std::shared_ptr<const KVTable> table,
       entry.payload_crc = crc32c(entry.persistent);
       entry.bytes = entry.persistent.size();
       entry.tenant = tenant;
-      if (tenant != 0) account_insert(tenant_cell(tenant), entry.bytes);
       entry.home = home_of(id);
       entry.write_seq = next_write_seq_.fetch_add(1, std::memory_order_relaxed);
+      account_insert(id, entry);
       for (int r = 0; r < kReplicas; ++r) {
         entry.replica_homes[r] = static_cast<MachineId>(
             (entry.home + 1 + r) % cluster_->num_machines());
@@ -635,7 +654,7 @@ void MemoStore::erase(NodeId id) {
     was_durable = it->second.durable;
     drop_memory(shard, it->second);
     total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    account_erase(it->second.tenant, it->second.bytes);
+    account_erase(id, it->second);
     shard.index.erase(it);
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -654,7 +673,7 @@ std::size_t MemoStore::retain_only(const std::unordered_set<NodeId>& live) {
       if (live.count(it->first) == 0) {
         drop_memory(shard, it->second);
         total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-        account_erase(it->second.tenant, it->second.bytes);
+        account_erase(it->first, it->second);
         it = shard.index.erase(it);
         entry_count_.fetch_sub(1, std::memory_order_relaxed);
         ++collected;

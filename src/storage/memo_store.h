@@ -19,8 +19,9 @@
 // (exact LRU when single-threaded, LRU up to in-flight races otherwise).
 // Locking discipline: public methods take at most one shard mutex at a
 // time and never call the eviction policies while holding it; the eviction
-// policies take evict_mutex_ first and then shard mutexes one at a time —
-// see docs/threading.md.
+// policies take evict_mutex_ first and then shard mutexes one at a time.
+// A tenant's write-order mutex nests inside a shard mutex, never the
+// reverse — see docs/threading.md.
 #pragma once
 
 #include <array>
@@ -30,6 +31,8 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -297,6 +300,10 @@ class MemoStore {
   bool debug_corrupt_persistent(NodeId id);
   bool debug_swap_memory(NodeId id, std::shared_ptr<const KVTable> table);
 
+  // Test hook: entries in `tenant`'s quota-victim index. Always equals
+  // tenant_usage(tenant).entries once concurrent writers are quiescent.
+  std::size_t debug_tenant_index_size(std::uint64_t tenant) const;
+
   // Opportunistic recovery probe, called at slide boundaries (and safe
   // from any cold path): when degraded, attempts a drain immediately,
   // ignoring the write-driven backoff countdown. Without this, a store
@@ -378,14 +385,21 @@ class MemoStore {
     std::atomic<std::uint64_t> quota_evictions{0};
     std::atomic<std::uint64_t> quota_bytes{0};    // 0 = unbounded
     std::atomic<std::uint64_t> quota_entries{0};  // 0 = unbounded
+    // The tenant's entries as (write_seq, id), oldest first: the quota
+    // policy's victim order. Updated with the counters above, under the
+    // entry's shard mutex; lock order is shard mutex, then order_mutex.
+    std::mutex order_mutex;
+    std::set<std::pair<std::uint64_t, NodeId>> order;
   };
   TenantCell& tenant_cell(std::uint64_t tenant) const;
-  static void account_insert(TenantCell& cell, std::uint64_t bytes) {
-    cell.bytes.fetch_add(bytes, std::memory_order_relaxed);
-    cell.entries.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Called with the erased entry's tenant/bytes (no-op for tenant 0).
-  void account_erase(std::uint64_t tenant, std::uint64_t bytes);
+  // Attribute / release `entry` (stored under `id`) to its tenant's cell:
+  // counters and write-order index. No-op for tenant 0. Require the
+  // entry's shard mutex held.
+  void account_insert(NodeId id, const Entry& entry);
+  void account_erase(NodeId id, const Entry& entry);
+  // The tenant's oldest-written entry not in `pinned`, if any.
+  static std::optional<NodeId> oldest_unpinned(
+      TenantCell& cell, const std::unordered_set<NodeId>* pinned);
   bool tenant_over_byte_quota(std::uint64_t tenant) const;
   std::shared_ptr<const std::unordered_set<NodeId>> pinned_snapshot() const;
 

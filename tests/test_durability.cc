@@ -6,16 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "apps/microbench.h"
 #include "common/crc32c.h"
+#include "common/rng.h"
 #include "data/serde.h"
 #include "durability/checkpoint.h"
 #include "durability/durable_tier.h"
@@ -70,22 +74,71 @@ std::vector<LogRecord> scan_all(const std::string& dir, LogScanStats* stats,
 
 // --- crc32c ----------------------------------------------------------------
 
+// Both paths: crc32c() (the SSE4.2 path where the host and build have it)
+// and the portable table loop it must agree with bit for bit.
+using Crc32cFn = std::uint32_t (*)(std::string_view, std::uint32_t);
+constexpr std::pair<const char*, Crc32cFn> kCrcPaths[] = {
+    {"crc32c", &crc32c}, {"crc32c_portable", &crc32c_portable}};
+
 TEST(Crc32c, KnownAnswers) {
-  // RFC 3720 §B.4 test vectors.
-  EXPECT_EQ(crc32c(std::string(32, '\0')), 0x8A9136AAu);
-  EXPECT_EQ(crc32c(std::string(32, '\xff')), 0x62A8AB43u);
-  std::string ascending(32, '\0');
-  for (int i = 0; i < 32; ++i) ascending[static_cast<std::size_t>(i)] =
-      static_cast<char>(i);
-  EXPECT_EQ(crc32c(ascending), 0x46DD794Eu);
-  EXPECT_EQ(crc32c("123456789"), 0xE3069283u);
+  for (const auto& [name, crc] : kCrcPaths) {
+    SCOPED_TRACE(name);
+    // RFC 3720 §B.4 test vectors.
+    EXPECT_EQ(crc(std::string(32, '\0'), 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(std::string(32, '\xff'), 0), 0x62A8AB43u);
+    std::string ascending(32, '\0');
+    for (int i = 0; i < 32; ++i) ascending[static_cast<std::size_t>(i)] =
+        static_cast<char>(i);
+    EXPECT_EQ(crc(ascending, 0), 0x46DD794Eu);
+    EXPECT_EQ(crc("123456789", 0), 0xE3069283u);
+  }
 }
 
 TEST(Crc32c, IncrementalMatchesOneShot) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
-  for (std::size_t split = 0; split <= data.size(); ++split) {
-    const std::uint32_t partial = crc32c(data.substr(0, split));
-    EXPECT_EQ(crc32c(data.substr(split), partial), crc32c(data));
+  for (const auto& [name, crc] : kCrcPaths) {
+    SCOPED_TRACE(name);
+    for (std::size_t split = 0; split <= data.size(); ++split) {
+      const std::uint32_t partial = crc(data.substr(0, split), 0);
+      EXPECT_EQ(crc(data.substr(split), partial), crc(data, 0));
+    }
+  }
+}
+
+std::string random_bytes(Rng& rng, std::size_t n) {
+  std::string bytes(n, '\0');
+  for (char& byte : bytes) byte = static_cast<char>(rng.next_u64());
+  return bytes;
+}
+
+// Under -DSLIDER_DISABLE_SIMD, or on a host without SSE4.2, this compares
+// the portable path with itself, which keeps the scalar CI leg meaningful.
+TEST(Crc32c, HardwareMatchesPortable) {
+  // Every length 0..1024 at 8 start offsets: the 8-byte main loop, the
+  // byte tail and unaligned loads all meet the reference.
+  Rng rng(3720);
+  const std::string buffer = random_bytes(rng, 1024 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 1024; ++length) {
+      const std::string_view view(buffer.data() + offset, length);
+      ASSERT_EQ(crc32c(view), crc32c_portable(view))
+          << "offset " << offset << " length " << length;
+    }
+  }
+
+  // 64 KiB buffers fed in random pieces, seeded from a running crc.
+  for (int round = 0; round < 8; ++round) {
+    const std::string data = random_bytes(rng, 64 * 1024);
+    const std::string_view all(data);
+    std::uint32_t running = 0;
+    std::size_t at = 0;
+    while (at < all.size()) {
+      const std::size_t piece = std::min<std::size_t>(
+          all.size() - at, rng.next_below(4096) + 1);
+      running = crc32c(all.substr(at, piece), running);
+      at += piece;
+    }
+    EXPECT_EQ(running, crc32c_portable(all)) << "round " << round;
   }
 }
 

@@ -1,14 +1,22 @@
 // Unit tests for the storage layer: input store locality, memoization
-// tiers, replication-backed failure handling, and garbage collection.
+// tiers, replication-backed failure handling, garbage collection, and the
+// order in which per-tenant quotas pick their victims.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
+#include <deque>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <system_error>
+#include <thread>
+#include <unordered_set>
 
+#include "common/rng.h"
+#include "data/serde.h"
 #include "durability/durable_tier.h"
 #include "durability/fault_injector.h"
 #include "storage/input_store.h"
@@ -293,6 +301,238 @@ TEST(MemoStore, DegradedBufferedEntriesSurviveRestoreAfterDrain) {
   const MemoReadResult r = memo2.get(33, 0);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(*r.table, *t);
+}
+
+// --- per-tenant quota victims ------------------------------------------------
+
+constexpr std::uint64_t kTenantA = 0xA1;
+constexpr std::uint64_t kTenantB = 0xB2;
+constexpr std::uint64_t kTenantC = 0xC3;
+
+std::shared_ptr<const KVTable> sized_table(NodeId id, std::size_t value_size) {
+  return table_of({{"k" + std::to_string(id), std::string(value_size, 'v')}});
+}
+
+// Each tenant's quota-victim index must hold exactly its accounted entries.
+::testing::AssertionResult index_matches_usage(
+    const MemoStore& memo, std::initializer_list<std::uint64_t> tenants) {
+  for (const std::uint64_t tenant : tenants) {
+    const std::size_t indexed = memo.debug_tenant_index_size(tenant);
+    const std::uint64_t entries = memo.tenant_usage(tenant).entries;
+    if (indexed != entries) {
+      return ::testing::AssertionFailure()
+             << "tenant " << tenant << ": " << indexed << " indexed, "
+             << entries << " accounted";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Three tenants interleave puts under entry and byte quotas. A reference
+// model keeps each tenant's entries in write order and predicts every
+// victim: the over-quota tenant's oldest entry that is not pinned. The
+// store must evict exactly those ids, put by put, and no other tenant's.
+TEST(MemoStoreQuotaVictims, EvictsOldestNonPinnedInWriteOrder) {
+  StorageHarness h;
+  struct ModelEntry {
+    NodeId id;
+    std::uint64_t bytes;
+  };
+  struct Model {
+    TenantQuota quota;
+    std::deque<ModelEntry> entries;  // write order, oldest first
+    std::uint64_t bytes = 0;
+    std::uint64_t evictions = 0;
+    bool over() const {
+      return (quota.max_entries != 0 && entries.size() > quota.max_entries) ||
+             (quota.max_bytes != 0 && bytes > quota.max_bytes);
+    }
+  };
+  std::map<std::uint64_t, Model> model;
+  model[kTenantA].quota = TenantQuota{.max_entries = 3};
+  model[kTenantB].quota = TenantQuota{.max_bytes = 400};
+  model[kTenantC].quota = TenantQuota{.max_bytes = 600, .max_entries = 5};
+  for (const auto& [tenant, m] : model) {
+    h.memo.set_tenant_quota(tenant, m.quota);
+  }
+
+  std::unordered_set<NodeId> pinned;
+  const auto pin = [&](std::unordered_set<NodeId> ids) {
+    pinned = std::move(ids);
+    h.memo.set_pinned_ids(
+        std::make_shared<const std::unordered_set<NodeId>>(pinned));
+  };
+
+  Rng rng(2014);
+  const std::uint64_t order[] = {kTenantA, kTenantB, kTenantC};
+  NodeId next_id = 1;
+  std::size_t victims = 0;
+  std::size_t pinned_skips = 0;  // evictions that passed over a pinned id
+  bool pinned_once = false;
+  for (int step = 0; step < 90; ++step) {
+    if (!pinned_once && !model[kTenantA].entries.empty() &&
+        !model[kTenantB].entries.empty()) {
+      // Pin A's and B's oldest entries: later evictions must skip them.
+      pin({model[kTenantA].entries.front().id,
+           model[kTenantB].entries.front().id});
+      pinned_once = true;
+    }
+    if (step == 60) pin({});  // unpinned, they are the oldest again
+    const std::uint64_t tenant = order[rng.next_below(3)];
+    const NodeId id = next_id++;
+    const auto table = sized_table(id, 20 + rng.next_below(100));
+    h.memo.put(id, table, tenant);
+
+    Model& m = model[tenant];
+    m.entries.push_back({id, serialize_table(*table).size()});
+    m.bytes += m.entries.back().bytes;
+    while (m.over()) {
+      auto victim = m.entries.begin();
+      while (victim != m.entries.end() && pinned.count(victim->id) != 0) {
+        ++victim;
+      }
+      if (victim == m.entries.end()) break;
+      if (victim != m.entries.begin()) ++pinned_skips;
+      ASSERT_FALSE(h.memo.contains(victim->id))
+          << "step " << step << ": expected victim " << victim->id;
+      m.bytes -= victim->bytes;
+      ++m.evictions;
+      ++victims;
+      m.entries.erase(victim);
+    }
+
+    // Nothing else left the store: not the tenant's newer entries, not a
+    // pinned one, not a neighbour's.
+    for (const auto& [owner, om] : model) {
+      for (const ModelEntry& e : om.entries) {
+        ASSERT_TRUE(h.memo.contains(e.id))
+            << "step " << step << ": tenant " << owner << " lost " << e.id;
+      }
+    }
+    for (const auto& [owner, om] : model) {
+      const TenantUsage usage = h.memo.tenant_usage(owner);
+      EXPECT_EQ(usage.entries, om.entries.size()) << "step " << step;
+      EXPECT_EQ(usage.bytes, om.bytes) << "step " << step;
+      EXPECT_EQ(usage.quota_evictions, om.evictions) << "step " << step;
+    }
+  }
+  for (const auto& [tenant, m] : model) EXPECT_GT(m.evictions, 0u) << tenant;
+  EXPECT_EQ(h.memo.stats().quota_evictions, victims);
+  EXPECT_GT(pinned_skips, 0u);
+  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB, kTenantC}));
+}
+
+// An entry recovered from the durable log comes back untenanted; the first
+// tenanted re-put adopts it. It keeps its original write_seq, so it is
+// older than every entry the tenant wrote after the restart and goes first.
+TEST(MemoStoreQuotaVictims, AdoptedRecoveredEntryKeepsItsAge) {
+  DurableHarness h;
+  for (NodeId id = 1; id <= 3; ++id) {
+    h.memo.put(id, sized_table(id, 16), kTenantA);
+  }
+  h.memo.flush_durable();
+
+  Cluster cluster2(ClusterConfig{.num_machines = 3, .slots_per_machine = 1});
+  CostModel cost2;
+  durability::DurableTier tier2(h.dir.string());
+  MemoStore memo2(cluster2, cost2);
+  memo2.attach_durable_tier(&tier2);
+  ASSERT_EQ(memo2.restore_from_durable(), 3u);
+  EXPECT_EQ(memo2.tenant_usage(kTenantA).entries, 0u);
+
+  memo2.put(10, sized_table(10, 16), kTenantA);
+  memo2.put(11, sized_table(11, 16), kTenantA);
+  memo2.put(2, sized_table(2, 16), kTenantA);  // adopts recovered id 2
+  EXPECT_EQ(memo2.tenant_usage(kTenantA).entries, 3u);
+  ASSERT_TRUE(index_matches_usage(memo2, {kTenantA}));
+
+  memo2.set_tenant_quota(kTenantA, TenantQuota{.max_entries = 2});
+  EXPECT_FALSE(memo2.contains(2)) << "adopted entry keeps its pre-crash age";
+  EXPECT_TRUE(memo2.contains(10));
+  EXPECT_TRUE(memo2.contains(11));
+  memo2.set_tenant_quota(kTenantA, TenantQuota{.max_entries = 1});
+  EXPECT_FALSE(memo2.contains(10));
+  EXPECT_TRUE(memo2.contains(11));
+  // Recovered ids nobody re-put stay untenanted and untouched.
+  EXPECT_TRUE(memo2.contains(1));
+  EXPECT_TRUE(memo2.contains(3));
+  EXPECT_EQ(memo2.tenant_usage(kTenantA).quota_evictions, 2u);
+  ASSERT_TRUE(index_matches_usage(memo2, {kTenantA}));
+}
+
+// Every path that drops an entry releases it from its tenant's index.
+TEST(MemoStoreQuotaVictims, IndexTracksUsageAcrossEraseRetainAndBudget) {
+  StorageHarness h;
+  const std::uint64_t tenants[] = {kTenantA, kTenantB, kTenantC, 0};
+  for (NodeId id = 1; id <= 40; ++id) {
+    h.memo.put(id, sized_table(id, 24), tenants[id % 4]);
+  }
+  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB, kTenantC}));
+  EXPECT_EQ(h.memo.tenant_usage(kTenantA).entries, 10u);
+
+  for (NodeId id = 1; id <= 8; ++id) h.memo.erase(id);
+  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB, kTenantC}));
+  EXPECT_EQ(h.memo.tenant_usage(kTenantA).entries, 8u);
+
+  std::unordered_set<NodeId> live;
+  for (NodeId id = 1; id <= 40; ++id) {
+    if (id % 3 != 0) live.insert(id);
+  }
+  h.memo.retain_only(live);
+  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB, kTenantC}));
+
+  h.memo.set_entry_budget(10);
+  EXPECT_EQ(h.memo.size(), 10u);
+  EXPECT_GT(h.memo.stats().budget_evictions, 0u);
+  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB, kTenantC}));
+
+  // The index still serves the quota policy after all of the above.
+  h.memo.set_entry_budget(0);
+  h.memo.set_tenant_quota(kTenantB, TenantQuota{.max_entries = 1});
+  EXPECT_LE(h.memo.tenant_usage(kTenantB).entries, 1u);
+  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB, kTenantC}));
+}
+
+// Two tenants put under quotas while a third thread garbage-collects with
+// retain_only. Lock order is shard mutex, then a tenant's order mutex, on
+// every path; afterwards the counters and indexes must agree exactly.
+TEST(MemoStoreQuotaConcurrency, QuotaPutsRaceRetainOnly) {
+  StorageHarness h;
+  h.memo.set_tenant_quota(kTenantA, TenantQuota{.max_entries = 12});
+  h.memo.set_tenant_quota(kTenantB, TenantQuota{.max_bytes = 1500});
+  constexpr NodeId kPerTenant = 300;
+
+  std::atomic<bool> done{false};
+  const auto writer = [&](std::uint64_t tenant, NodeId base) {
+    for (NodeId i = 0; i < kPerTenant; ++i) {
+      h.memo.put(base + i, sized_table(base + i, 8 + i % 50), tenant);
+    }
+  };
+  std::unordered_set<NodeId> live;
+  for (NodeId i = 0; i < kPerTenant; ++i) {
+    if (i % 4 != 0) {
+      live.insert(1000 + i);
+      live.insert(5000 + i);
+    }
+  }
+  std::thread a(writer, kTenantA, 1000);
+  std::thread b(writer, kTenantB, 5000);
+  std::thread gc([&] {
+    while (!done.load()) h.memo.retain_only(live);
+  });
+  a.join();
+  b.join();
+  done.store(true);
+  gc.join();
+
+  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB}));
+  const TenantUsage usage_a = h.memo.tenant_usage(kTenantA);
+  const TenantUsage usage_b = h.memo.tenant_usage(kTenantB);
+  EXPECT_LE(usage_a.entries, 12u);
+  EXPECT_LE(usage_b.bytes, 1500u);
+  EXPECT_EQ(usage_a.entries + usage_b.entries, h.memo.size());
+  EXPECT_EQ(usage_a.bytes + usage_b.bytes, h.memo.total_bytes());
+  EXPECT_GT(usage_a.quota_evictions + usage_b.quota_evictions, 0u);
 }
 
 }  // namespace
