@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "apps/codecs.h"
 #include "common/thread_pool.h"
 #include "contraction/coalescing_tree.h"
 #include "contraction/flat_aggregator.h"
@@ -54,6 +55,30 @@ void BM_KVTableMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KVTableMerge)->Arg(16)->Arg(256)->Arg(4096);
+
+// One HCT combiner call on 8-bucket values like its root rows: Arg(0) is
+// the decode/add/encode reference, Arg(1) the kernel the app calls.
+void BM_HistogramCombine(benchmark::State& state) {
+  apps::Histogram ha;
+  apps::Histogram hb;
+  for (std::uint32_t bucket = 0; bucket < 8; ++bucket) {
+    ha.emplace_back(bucket, 1000 + 37 * bucket);
+    hb.emplace_back(bucket, 20 + 3 * bucket);
+  }
+  const std::string a = apps::encode_histogram(ha);
+  const std::string b = apps::encode_histogram(hb);
+  const bool kernel = state.range(0) == 1;
+  state.SetLabel(kernel ? "kernel" : "reference");
+  for (auto _ : state) {
+    if (kernel) {
+      benchmark::DoNotOptimize(apps::add_encoded_histograms(a, b));
+    } else {
+      benchmark::DoNotOptimize(apps::encode_histogram(apps::add_histograms(
+          apps::decode_histogram(a), apps::decode_histogram(b))));
+    }
+  }
+}
+BENCHMARK(BM_HistogramCombine)->Arg(0)->Arg(1);
 
 template <typename TreeT, typename... Args>
 void build_bench(benchmark::State& state, Args... args) {

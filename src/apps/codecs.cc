@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -20,6 +21,65 @@ std::string format_compact_double(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
+}
+
+// Walks "bucket:count,..." one entry at a time, accepting exactly what
+// decode_histogram accepts and truncating buckets to uint32_t as it does:
+// each number is a non-empty run of digits that fits in 64 bits (as for
+// parse_u64), followed by the separator the format expects there.
+class HistogramCursor {
+ public:
+  explicit HistogramCursor(std::string_view text)
+      : pos_(text.data()), end_(text.data() + text.size()),
+        done_(text.empty()) {}
+
+  // Moves to the next entry; false once every entry has been read.
+  bool next() {
+    if (done_) return false;
+    std::uint64_t bucket = 0;
+    const auto [colon, bucket_ec] = std::from_chars(pos_, end_, bucket);
+    SLIDER_CHECK(bucket_ec == std::errc() && colon != end_ && *colon == ':')
+        << "bad histogram entry";
+    const auto [comma, count_ec] = std::from_chars(colon + 1, end_, count_);
+    SLIDER_CHECK(count_ec == std::errc() && (comma == end_ || *comma == ','))
+        << "bad histogram entry";
+    done_ = comma == end_;
+    pos_ = done_ ? end_ : comma + 1;
+    bucket_ = static_cast<std::uint32_t>(bucket);
+    return true;
+  }
+
+  std::uint32_t bucket() const { return bucket_; }
+  std::uint64_t count() const { return count_; }
+
+ private:
+  const char* pos_;
+  const char* end_;
+  bool done_;
+  std::uint32_t bucket_ = 0;
+  std::uint64_t count_ = 0;
+};
+
+// floor(quantile * total), the count a quantile's bucket must exceed.
+// Clamped to uint64_t: converting a double outside its range (a product
+// that rounds up to 2^64, a negative quantile, NaN) is undefined.
+std::uint64_t quantile_target(double quantile, std::uint64_t total) {
+  const double target = quantile * static_cast<double>(total);
+  if (!(target > 0)) return 0;
+  if (target >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(target);
+}
+
+// Appends one entry as encode_histogram writes it.
+void append_histogram_entry(std::string& out, std::uint32_t bucket,
+                            std::uint64_t count) {
+  char buf[32];  // ',' + up to 10 digits + ':' + up to 20 digits
+  char* end = buf;
+  if (!out.empty()) *end++ = ',';
+  end = std::to_chars(end, end + 10, bucket).ptr;
+  *end++ = ':';
+  end = std::to_chars(end, end + 20, count).ptr;
+  out.append(buf, end);
 }
 
 }  // namespace
@@ -129,14 +189,59 @@ std::uint32_t histogram_quantile(const Histogram& h, double quantile) {
   std::uint64_t total = 0;
   for (const auto& [bucket, count] : h) total += count;
   if (total == 0) return 0;
-  const auto target =
-      static_cast<std::uint64_t>(quantile * static_cast<double>(total));
+  const std::uint64_t target = quantile_target(quantile, total);
   std::uint64_t seen = 0;
   for (const auto& [bucket, count] : h) {
     seen += count;
     if (seen > target) return bucket;
   }
   return h.back().first;
+}
+
+std::string add_encoded_histograms(std::string_view a, std::string_view b) {
+  // The sum is built in a per-thread buffer and returned as an exact-size
+  // copy: merged values live on in memoized tables, where spare capacity
+  // would be resident for as long as the table is.
+  thread_local std::string scratch;
+  scratch.clear();
+  HistogramCursor x(a);
+  HistogramCursor y(b);
+  bool more_x = x.next();
+  bool more_y = y.next();
+  while (more_x && more_y) {
+    if (x.bucket() < y.bucket()) {
+      append_histogram_entry(scratch, x.bucket(), x.count());
+      more_x = x.next();
+    } else if (y.bucket() < x.bucket()) {
+      append_histogram_entry(scratch, y.bucket(), y.count());
+      more_y = y.next();
+    } else {
+      append_histogram_entry(scratch, x.bucket(), x.count() + y.count());
+      more_x = x.next();
+      more_y = y.next();
+    }
+  }
+  for (; more_x; more_x = x.next()) {
+    append_histogram_entry(scratch, x.bucket(), x.count());
+  }
+  for (; more_y; more_y = y.next()) {
+    append_histogram_entry(scratch, y.bucket(), y.count());
+  }
+  return std::string(scratch);
+}
+
+HistogramSummary summarize_encoded_histogram(std::string_view value,
+                                             double quantile) {
+  // Parsed into per-thread storage, so a reducer call allocates nothing.
+  thread_local Histogram entries;
+  entries.clear();
+  HistogramSummary summary;
+  for (HistogramCursor cursor(value); cursor.next();) {
+    entries.emplace_back(cursor.bucket(), cursor.count());
+    summary.total += cursor.count();
+  }
+  summary.quantile_bucket = histogram_quantile(entries, quantile);
+  return summary;
 }
 
 std::string encode_topk(const std::vector<ScoredTag>& entries) {

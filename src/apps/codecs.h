@@ -2,13 +2,20 @@
 //
 // Map/Combine/Reduce exchange string values; the apps encode structured
 // aggregates (vectors, histograms, top-k lists, counters) in compact text
-// forms. Codecs live here so combiner associativity/commutativity can be
-// tested independently of the apps.
+// forms. Those text forms are what the contraction trees store, memoize
+// and merge. Codecs live here so combiner associativity/commutativity can
+// be tested independently of the apps.
+//
+// The histogram kernels (add_encoded_histograms, summarize_encoded_histogram)
+// work on the text directly, so the apps' combiners never build a
+// Histogram. The decode/add/encode trio declared just before them is their
+// reference: the kernels must match it byte for byte.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace slider::apps {
@@ -45,6 +52,22 @@ Histogram decode_histogram(const std::string& value);
 Histogram add_histograms(const Histogram& a, const Histogram& b);
 // Value at the given cumulative quantile (0.5 = median), by bucket index.
 std::uint32_t histogram_quantile(const Histogram& h, double quantile);
+
+// encode_histogram(add_histograms(decode_histogram(a), decode_histogram(b)))
+// in one pass over both texts, with no spare capacity in the result.
+// SLIDER_CHECK-fails on every input decode_histogram rejects.
+std::string add_encoded_histograms(std::string_view a, std::string_view b);
+
+struct HistogramSummary {
+  std::uint64_t total = 0;  // summed counts, wrapping like add_histograms
+  std::uint32_t quantile_bucket = 0;  // histogram_quantile's result
+};
+
+// The total and histogram_quantile(decode_histogram(value), quantile) from
+// one parse of the text, with no per-call allocation. SLIDER_CHECK-fails
+// where decode_histogram does.
+HistogramSummary summarize_encoded_histogram(std::string_view value,
+                                             double quantile);
 
 // --- bounded top-k list of (score, tag), smallest scores kept (KNN) ----------
 

@@ -42,8 +42,7 @@ JobSpec make_glasnost_job(const GlasnostOptions& options) {
   job.mapper = std::make_shared<GlasnostMapper>(options.bucket_ms);
   job.combiner = [](const std::string&, const std::string& a,
                     const std::string& b) {
-    return encode_histogram(
-        add_histograms(decode_histogram(a), decode_histogram(b)));
+    return add_encoded_histograms(a, b);
   };
   // Bucket-wise integer addition; multi-bucket encoding, no flat kernel.
   job.traits.commutative = true;
@@ -53,14 +52,12 @@ JobSpec make_glasnost_job(const GlasnostOptions& options) {
   job.reducer = [bucket_ms](
                     const std::string&,
                     const std::string& combined) -> std::optional<std::string> {
-    const Histogram h = decode_histogram(combined);
-    std::uint64_t tests = 0;
-    for (const auto& [bucket, count] : h) tests += count;
+    const HistogramSummary h = summarize_encoded_histogram(combined, 0.5);
     const double median_ms =
-        (static_cast<double>(histogram_quantile(h, 0.5)) + 0.5) * bucket_ms;
+        (static_cast<double>(h.quantile_bucket) + 0.5) * bucket_ms;
     char buf[64];
     std::snprintf(buf, sizeof(buf), "median_min_rtt_ms=%.1f,tests=%llu",
-                  median_ms, static_cast<unsigned long long>(tests));
+                  median_ms, static_cast<unsigned long long>(h.total));
     return std::string(buf);
   };
   job.num_partitions = options.num_partitions;

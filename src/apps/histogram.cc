@@ -38,8 +38,7 @@ JobSpec make_histogram_job(const HistogramOptions& options) {
   job.mapper = std::make_shared<HistogramMapper>(options.buckets);
   job.combiner = [](const std::string&, const std::string& a,
                     const std::string& b) {
-    return encode_histogram(
-        add_histograms(decode_histogram(a), decode_histogram(b)));
+    return add_encoded_histograms(a, b);
   };
   // Bucket-wise integer addition: exact algebra, but the multi-bucket
   // encoding has no single fixed-width lane, so no flat kernel.
@@ -48,11 +47,9 @@ JobSpec make_histogram_job(const HistogramOptions& options) {
   job.traits.exactly_associative = true;
   job.reducer = [](const std::string&,
                    const std::string& combined) -> std::optional<std::string> {
-    const Histogram h = decode_histogram(combined);
-    std::uint64_t total = 0;
-    for (const auto& [len, count] : h) total += count;
-    return "total=" + std::to_string(total) +
-           ",median_len=" + std::to_string(histogram_quantile(h, 0.5));
+    const HistogramSummary h = summarize_encoded_histogram(combined, 0.5);
+    return "total=" + std::to_string(h.total) +
+           ",median_len=" + std::to_string(h.quantile_bucket);
   };
   job.num_partitions = options.num_partitions;
   // Data-intensive profile: cheap per-record map, costs dominated by the

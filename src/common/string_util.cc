@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <charconv>
 #include <cstdio>
 
 namespace slider {
@@ -26,12 +27,10 @@ std::string zero_pad(std::uint64_t value, int width) {
 }
 
 bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
+  const char* end = text.data() + text.size();
   std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
   *out = value;
   return true;
 }

@@ -14,7 +14,8 @@ std::vector<std::string_view> split_view(std::string_view text, char sep);
 // "00042". Used to build sortable record keys.
 std::string zero_pad(std::uint64_t value, int width);
 
-// Parses a non-negative integer; returns false on any malformed input.
+// Parses a non-negative decimal integer that fits in 64 bits (leading zeros
+// allowed); returns false on any other input, including an empty one.
 bool parse_u64(std::string_view text, std::uint64_t* out);
 
 // "12.3%"-style formatting used by the bench table printers.

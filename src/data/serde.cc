@@ -110,20 +110,13 @@ std::optional<KVTable> deserialize_table(std::string_view bytes) {
     rows.push_back(std::move(r));
   }
   if (!bytes.empty()) return std::nullopt;  // trailing garbage
-  // Rows were serialized from a sorted, unique, already-combined table;
-  // re-running from_records with a "never called" combiner restores it.
-  // The combiner must not fire: duplicate keys in the wire form indicate
-  // corruption, which we surface as a parse failure.
-  bool duplicate = false;
+  // Rows were serialized from a sorted, unique, already-combined table.
+  // Keys out of order or repeated indicate corruption, which we surface as
+  // a parse failure.
   for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i - 1].key >= rows[i].key) duplicate = true;
+    if (rows[i - 1].key >= rows[i].key) return std::nullopt;
   }
-  if (duplicate) return std::nullopt;
-  return KVTable::from_records(
-      std::move(rows),
-      [](const std::string&, const std::string& a, const std::string&) {
-        return a;  // unreachable: keys verified strictly increasing
-      });
+  return KVTable::from_sorted_unique(std::move(rows));
 }
 
 }  // namespace slider

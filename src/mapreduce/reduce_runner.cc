@@ -37,8 +37,10 @@ ReduceOutput run_reduce(const JobSpec& job, const KVTable& combined) {
     }
   }
   out.keys_out = rows.size();
-  // Rows are already sorted and unique; from_records will not combine.
-  out.table = KVTable::from_records(std::move(rows), job.combiner);
+  // The reducer may drop keys; the table lives on, so drop the spare
+  // capacity before adopting rows drawn in order from a sorted table.
+  rows.shrink_to_fit();
+  out.table = KVTable::from_sorted_unique(std::move(rows));
   out.cpu_cost =
       job.costs.reduce_cpu_per_row * static_cast<double>(out.keys_in);
   return out;

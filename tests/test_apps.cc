@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "apps/codecs.h"
 #include "apps/glasnost.h"
 #include "apps/microbench.h"
@@ -38,6 +40,9 @@ TEST(Codecs, HistogramRoundTripAddQuantile) {
   EXPECT_EQ(sum.size(), 4u);
   EXPECT_EQ(histogram_quantile(h, 0.5), 4u);
   EXPECT_EQ(histogram_quantile({}, 0.5), 0u);
+  // quantile * total rounds up to 2^64 here; the target clamps, so the
+  // last bucket is the answer.
+  EXPECT_EQ(histogram_quantile({{0, 1}, {1, UINT64_MAX - 1}}, 1.0), 1u);
 }
 
 TEST(Codecs, TopKRoundTripAndBound) {
@@ -69,6 +74,133 @@ TEST(Codecs, AuditRoundTripAndAdd) {
   const AuditCounters sum = add_audit(c, *back);
   EXPECT_EQ(sum.bytes_up, 4096u);
   EXPECT_FALSE(decode_audit("1,2,3").has_value());
+}
+
+// --- histogram kernels ------------------------------------------------------
+
+// What add_encoded_histograms replaces.
+std::string reference_add(const std::string& a, const std::string& b) {
+  return encode_histogram(
+      add_histograms(decode_histogram(a), decode_histogram(b)));
+}
+
+void expect_summary_matches_reference(const std::string& value,
+                                      double quantile) {
+  const Histogram h = decode_histogram(value);
+  std::uint64_t total = 0;
+  for (const auto& [bucket, count] : h) total += count;
+  const HistogramSummary summary = summarize_encoded_histogram(value, quantile);
+  EXPECT_EQ(summary.total, total) << value;
+  EXPECT_EQ(summary.quantile_bucket, histogram_quantile(h, quantile))
+      << value << " at " << quantile;
+}
+
+constexpr double kQuantiles[] = {0.0, 0.25, 0.5, 0.9, 1.0};
+
+// Folds each key's mapper outputs with the kernel and the reference, then
+// merges the folded values of neighbouring keys: every step must agree
+// byte for byte, in both argument orders.
+void expect_kernels_match_on(const std::vector<Record>& emitted) {
+  std::map<std::string, std::vector<std::string>> by_key;
+  for (const Record& r : emitted) by_key[r.key].push_back(r.value);
+  ASSERT_GE(by_key.size(), 2u);
+  std::vector<std::string> folded;
+  for (const auto& [key, values] : by_key) {
+    std::string acc;
+    for (const std::string& v : values) {
+      const std::string next = reference_add(acc, v);
+      EXPECT_EQ(add_encoded_histograms(acc, v), next);
+      EXPECT_EQ(add_encoded_histograms(v, acc), reference_add(v, acc));
+      acc = next;
+    }
+    for (const double q : kQuantiles) expect_summary_matches_reference(acc, q);
+    folded.push_back(std::move(acc));
+  }
+  for (std::size_t i = 1; i < folded.size(); ++i) {
+    const std::string merged = add_encoded_histograms(folded[i - 1], folded[i]);
+    EXPECT_EQ(merged, reference_add(folded[i - 1], folded[i]));
+    for (const double q : kQuantiles) {
+      expect_summary_matches_reference(merged, q);
+    }
+  }
+}
+
+TEST(HistogramKernels, MatchReferenceOnHctMapperOutput) {
+  const MicroBenchmark bench = make_microbenchmark(MicroApp::kHct);
+  Rng rng(11);
+  Emitter emitter;
+  for (const Record& r : generate_input(MicroApp::kHct, 200, rng)) {
+    bench.job.mapper->map(r, emitter);
+  }
+  expect_kernels_match_on(emitter.take());
+}
+
+TEST(HistogramKernels, MatchReferenceOnGlasnostMapperOutput) {
+  const JobSpec job = make_glasnost_job();
+  GlasnostGenerator gen;
+  Emitter emitter;
+  for (const Record& r : gen.next_month(400)) job.mapper->map(r, emitter);
+  expect_kernels_match_on(emitter.take());
+}
+
+// A text decode_histogram accepts, drawn to reach every case the kernels
+// must reproduce: the empty value, leading zeros, unsorted and repeated
+// buckets, buckets past 2^32 (truncated to uint32_t) and counts near 2^64
+// (whose sums wrap). Half the values have strictly increasing buckets, the
+// shape the apps produce.
+std::string random_encoded_histogram(Rng& rng) {
+  const bool sorted = rng.next_bool(0.5);
+  const std::uint64_t entries = rng.next_below(9);
+  std::uint64_t bucket = 0;
+  std::string out;
+  for (std::uint64_t i = 0; i < entries; ++i) {
+    bucket = sorted ? bucket + 1 + rng.next_below(3) : rng.next_below(12);
+    std::uint64_t written = bucket;
+    if (rng.next_bool(0.1)) written += (1 + rng.next_below(4)) << 32;
+    if (rng.next_bool(0.02)) written = rng.next_u64();
+    std::uint64_t count = 1 + rng.next_below(100);
+    if (rng.next_bool(0.1)) count = UINT64_MAX - rng.next_below(100);
+    if (rng.next_bool(0.05)) count = 0;
+    if (!out.empty()) out += ',';
+    out.append(rng.next_bool(0.1) ? 1 + rng.next_below(3) : 0, '0');
+    out += std::to_string(written);
+    out += ':';
+    out.append(rng.next_bool(0.1) ? 1 + rng.next_below(3) : 0, '0');
+    out += std::to_string(count);
+  }
+  return out;
+}
+
+TEST(HistogramKernels, MatchReferenceOnRandomPairs) {
+  Rng rng(13);
+  for (int i = 0; i < 100'000; ++i) {
+    const std::string a = random_encoded_histogram(rng);
+    const std::string b = random_encoded_histogram(rng);
+    ASSERT_EQ(add_encoded_histograms(a, b), reference_add(a, b))
+        << "pair " << i << ": \"" << a << "\" + \"" << b << "\"";
+    expect_summary_matches_reference(a, kQuantiles[i % std::size(kQuantiles)]);
+  }
+}
+
+TEST(HistogramKernels, ResultCarriesNoSpareCapacity) {
+  const std::string sum = add_encoded_histograms(
+      "0:1,1:2,2:3,3:4,4:5,5:6,6:7,7:8", "0:10,2:20,4:30,6:40,8:50");
+  EXPECT_EQ(sum, "0:11,1:2,2:23,3:4,4:35,5:6,6:47,7:8,8:50");
+  // No more capacity than an exact-size copy of the same text.
+  EXPECT_EQ(sum.capacity(), std::string(sum).capacity());
+}
+
+TEST(HistogramKernelDeathTest, RejectWhatDecodeRejects) {
+  for (const char* bad :
+       {"1", "1:", ":1", "1:2,", ",", "a:1", "1:2,,3:4", "+1:2", "1: 2",
+        "1;2", "1:2;3:4", "1:18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    const std::string text = bad;
+    EXPECT_DEATH(decode_histogram(text), "bad histogram");
+    EXPECT_DEATH(add_encoded_histograms(text, ""), "bad histogram");
+    EXPECT_DEATH(add_encoded_histograms("0:1", text), "bad histogram");
+    EXPECT_DEATH(summarize_encoded_histogram(text, 0.5), "bad histogram");
+  }
 }
 
 // --- combiner algebra --------------------------------------------------------
@@ -255,6 +387,29 @@ TEST(GlasnostCaseStudy, MedianTracksServerDistance) {
     }
   }
   EXPECT_EQ(servers, 8u);
+}
+
+// CombinerAlgebra covers the micro-apps only; Glasnost shares HCT's
+// histogram kernel, checked here on multi-bucket partials of real output.
+TEST(GlasnostCaseStudy, CombinerIsAssociativeAndCommutative) {
+  const JobSpec job = make_glasnost_job();
+  GlasnostGenerator gen;
+  Emitter emitter;
+  for (const Record& r : gen.next_month(300)) job.mapper->map(r, emitter);
+  std::map<std::string, std::vector<std::string>> by_key;
+  for (Record& r : emitter.take()) by_key[r.key].push_back(std::move(r.value));
+  ASSERT_EQ(by_key.size(), 8u);
+
+  const auto& c = job.combiner;
+  for (const auto& [key, values] : by_key) {
+    std::string parts[3];
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      parts[i % 3] = c(key, parts[i % 3], values[i]);
+    }
+    const auto& [x, y, z] = parts;
+    EXPECT_EQ(c(key, c(key, x, y), z), c(key, x, c(key, y, z))) << key;
+    EXPECT_EQ(c(key, x, y), c(key, y, x)) << key;
+  }
 }
 
 TEST(NetSessionCaseStudy, FlagsViolatorsOnly) {

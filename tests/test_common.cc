@@ -100,6 +100,14 @@ TEST(StringUtil, ParseU64) {
   EXPECT_FALSE(parse_u64("", &v));
   EXPECT_FALSE(parse_u64("12a", &v));
   EXPECT_FALSE(parse_u64("-3", &v));
+  EXPECT_TRUE(parse_u64("007", &v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  // Out of range: rejected, not wrapped, and the output is left alone.
+  EXPECT_FALSE(parse_u64("18446744073709551616", &v));
+  EXPECT_FALSE(parse_u64("100000000000000000000", &v));
+  EXPECT_EQ(v, UINT64_MAX);
 }
 
 TEST(StringUtil, Formatting) {

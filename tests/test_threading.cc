@@ -218,6 +218,18 @@ TEST(ParallelDeterminism, FoldingTreeMatchesSerial) {
   expect_scenarios_identical(serial, parallel);
 }
 
+// The hct-fold-w800 benchmark's shape at test size: HCT's histogram
+// kernel keeps per-thread scratch state, merged here by pool threads.
+TEST(ParallelDeterminism, HctFoldingTreeMatchesSerial) {
+  const auto serial =
+      run_scenario(1, MicroApp::kHct, WindowMode::kVariableWidth,
+                   TreeKind::kFolding, /*split_processing=*/false);
+  const auto parallel =
+      run_scenario(4, MicroApp::kHct, WindowMode::kVariableWidth,
+                   TreeKind::kFolding, /*split_processing=*/false);
+  expect_scenarios_identical(serial, parallel);
+}
+
 TEST(ParallelDeterminism, RandomizedFoldingTreeMatchesSerial) {
   const auto serial =
       run_scenario(1, MicroApp::kSubStr, WindowMode::kVariableWidth,
