@@ -266,7 +266,6 @@ int main(int argc, char** argv) {
       "latency percentiles pooled from per-tenant time-series sinks, "
       "quota-eviction counters cross-checked store-cells == store-stats == "
       "work-ledger");
-  report.set_counters(MetricsRegistry::global().snapshot());
   report.merge_stats(obs::StatsRegistry::global().snapshot());
   const std::string path = report.write();
   std::filesystem::remove_all(tier_dir);

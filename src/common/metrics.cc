@@ -30,49 +30,4 @@ RunMetrics& RunMetrics::operator+=(const RunMetrics& other) {
   return *this;
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-void MetricsRegistry::add(const std::string& name, double delta) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_[name] += delta;
-}
-
-double MetricsRegistry::increment(const std::string& name, double delta) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_[name] += delta;
-}
-
-double MetricsRegistry::get(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0.0 : it->second;
-}
-
-std::optional<double> MetricsRegistry::find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = counters_.find(name);
-  if (it == counters_.end()) return std::nullopt;
-  return it->second;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-}
-
-std::map<std::string, double> MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
-}
-
-std::map<std::string, double> MetricsRegistry::snapshot_and_reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, double> out;
-  out.swap(counters_);
-  return out;
-}
-
 }  // namespace slider

@@ -9,15 +9,10 @@
 //
 // RunMetrics is the per-run record every engine entry point returns; the
 // breakdown fields feed Fig 9 (work breakdown) and Fig 11 (split
-// processing). MetricsRegistry is a process-wide named-counter sink used by
-// the storage layer for cache hit/miss accounting (Table 2).
+// processing). Named counters live in observability/stats.h.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
-#include <string>
 
 namespace slider {
 
@@ -72,35 +67,6 @@ struct RunMetrics {
   }
 
   RunMetrics& operator+=(const RunMetrics& other);
-};
-
-// Thread-safe named counters (monotonic doubles). For typed instruments
-// (counters/gauges/histograms with percentiles) see observability/stats.h;
-// this registry stays as the zero-dependency sink for ad-hoc accounting.
-class MetricsRegistry {
- public:
-  static MetricsRegistry& global();
-
-  void add(const std::string& name, double delta);
-  // Adds `delta` and returns the post-add value, atomically w.r.t. other
-  // registry operations (one lock, no read-modify-write race).
-  double increment(const std::string& name, double delta = 1.0);
-
-  // Returns the counter's value, or 0.0 when it was never added to —
-  // convenient but silent. Use find() when absence must be
-  // distinguishable from a zero-valued counter.
-  double get(const std::string& name) const;
-  std::optional<double> find(const std::string& name) const;
-
-  void reset();
-  std::map<std::string, double> snapshot() const;
-  // Atomically returns the current counters and clears them — the pattern
-  // every per-run report wants (read the interval, start the next one).
-  std::map<std::string, double> snapshot_and_reset();
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, double> counters_;
 };
 
 }  // namespace slider

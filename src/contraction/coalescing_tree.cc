@@ -1,66 +1,14 @@
 #include "contraction/coalescing_tree.h"
 
-#include <deque>
-
 #include "common/logging.h"
-#include "contraction/tree_common.h"
 #include "data/serde.h"
 
 namespace slider {
 
-// Deliberately serial: the coalescing tree's work per run is one
-// queue-fold over the freshly appended batch plus a single spine merge —
-// a dependency chain, not a level of independent nodes. Parallelism comes
+// Deliberately serial: the coalescing tree's work per run is one batch
+// fold over the freshly appended leaves plus a single spine merge — a
+// dependency chain, not a level of independent nodes. Parallelism comes
 // from the session's per-partition loop (see docs/threading.md).
-CoalescingTree::Node CoalescingTree::fold_leaves(std::vector<Leaf> leaves,
-                                                 TreeUpdateStats* stats) {
-  SLIDER_CHECK(!leaves.empty()) << "empty append batch";
-  // The node's identity is the order-sensitive chain over the leaf ids
-  // (stable regardless of merge order); the payload is merged in balanced
-  // order so the batch combine costs O(rows · log n), like the single
-  // large Combiner invocation of Fig 5, not a quadratic left-fold.
-  // Batch fold is leaf-level work.
-  if (stats != nullptr) stats->level = 0;
-  Node node;
-  node.id = leaf_node_id(ctx_, leaves[0].split_id, *leaves[0].table);
-  std::deque<std::shared_ptr<const KVTable>> queue;
-  queue.push_back(leaves[0].table);
-  for (std::size_t i = 1; i < leaves.size(); ++i) {
-    node.id = internal_node_id(
-        ctx_, node.id, leaf_node_id(ctx_, leaves[i].split_id, *leaves[i].table));
-    queue.push_back(leaves[i].table);
-  }
-  std::uint64_t fold_rows = 0;
-  while (queue.size() > 1) {
-    auto a = std::move(queue.front());
-    queue.pop_front();
-    auto b = std::move(queue.front());
-    queue.pop_front();
-    MergeStats merge_stats;
-    queue.push_back(std::make_shared<const KVTable>(
-        KVTable::merge(*a, *b, combiner_, &merge_stats)));
-    if (stats != nullptr) {
-      stats->charge_invocation(merge_stats.rows_scanned);
-      fold_rows += merge_stats.rows_scanned;
-    }
-  }
-  node.table = std::move(queue.front());
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx_, node.id, node.table, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    // One fold record per append batch: the tree's reuse granularity.
-    record_lineage_node(ctx_, stats, node.id,
-                        leaves.size() > 1 ? obs::LineageOp::kMerge
-                                          : obs::LineageOp::kLeaf,
-                        stats->cause,
-                        static_cast<std::uint32_t>(leaves.size() - 1),
-                        *node.table, fold_rows,
-                        stats->memo_write_cost - write_before, {});
-  }
-  return node;
-}
-
 void CoalescingTree::initial_build(std::vector<Leaf> leaves,
                                    TreeUpdateStats* stats) {
   leaf_count_ = leaves.size();
@@ -68,10 +16,10 @@ void CoalescingTree::initial_build(std::vector<Leaf> leaves,
   pending_delta_.reset();
   root_override_.reset();
   if (leaves.empty()) {
-    root_node_ = Node{0, std::make_shared<const KVTable>()};
+    root_node_ = MemoNode{0, std::make_shared<const KVTable>()};
     return;
   }
-  root_node_ = fold_leaves(std::move(leaves), stats);
+  root_node_ = fold_batch(ctx_, combiner_, leaves, stats);
 }
 
 void CoalescingTree::coalesce_pending(TreeUpdateStats* stats) {
@@ -102,25 +50,14 @@ void CoalescingTree::apply_delta(std::size_t remove_front,
 
   // A skipped background phase leaves a pending delta: coalesce it now in
   // the foreground before accepting the new batch.
-  if (pending_delta_ != nullptr) coalesce_pending(stats);
+  coalesce_pending(stats);
 
   leaf_count_ += added.size();
-  Node delta = fold_leaves(std::move(added), stats);
-
-  if (split_processing_) {
-    pending_delta_ = std::move(delta.table);
-    pending_delta_id_ = delta.id;
-    return;
-  }
-  if (stats != nullptr) stats->level = static_cast<std::uint16_t>(height_);
-  auto prev = fetch_reused(ctx_, root_node_.id, root_node_.table, stats);
-  const NodeId id = internal_node_id(ctx_, root_node_.id, delta.id);
-  root_node_.table =
-      combine_and_memoize(ctx_, combiner_, id, *prev, *delta.table, stats,
-                          root_node_.id, delta.id);
-  root_node_.id = id;
-  ++height_;
-  if (stats != nullptr) stats->level = 0;
+  MemoNode delta = fold_batch(ctx_, combiner_, added, stats);
+  pending_delta_ = std::move(delta.table);
+  pending_delta_id_ = delta.id;
+  // Split processing leaves the coalesce to the background phase.
+  if (!split_processing_) coalesce_pending(stats);
 }
 
 void CoalescingTree::background_preprocess(TreeUpdateStats* stats) {
@@ -160,7 +97,7 @@ void CoalescingTree::serialize(durability::CheckpointWriter& writer) const {
 bool CoalescingTree::restore(durability::CheckpointReader& reader) {
   std::uint64_t leaf_count = 0;
   std::uint32_t height = 0;
-  Node root_node;
+  MemoNode root_node;
   std::uint8_t has_pending = 0;
   if (!reader.get_u64(&leaf_count) || !reader.get_u32(&height) ||
       !reader.get_node(&root_node.id, &root_node.table) ||

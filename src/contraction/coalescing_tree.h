@@ -8,9 +8,7 @@
 // for the next run (Fig 5b).
 #pragma once
 
-#include <optional>
-
-#include "contraction/tree.h"
+#include "contraction/tree_common.h"
 
 namespace slider {
 
@@ -39,20 +37,13 @@ class CoalescingTree final : public ContractionTree {
   bool has_pending_coalesce() const { return pending_delta_ != nullptr; }
 
  private:
-  struct Node {
-    NodeId id = 0;
-    std::shared_ptr<const KVTable> table;
-  };
-
-  // Left-fold of a batch of leaves into one node (the C' of Fig 5).
-  Node fold_leaves(std::vector<Leaf> leaves, TreeUpdateStats* stats);
   void coalesce_pending(TreeUpdateStats* stats);
 
   MemoContext ctx_;
   CombineFn combiner_;
   bool split_processing_;
 
-  Node root_node_;  // C_k: combined history up to the last coalesce
+  MemoNode root_node_;  // C_k: combined history up to the last coalesce
   // Split-processing state: delta C' not yet folded into root_node_.
   std::shared_ptr<const KVTable> pending_delta_;
   NodeId pending_delta_id_ = 0;

@@ -1,38 +1,23 @@
 #include "contraction/folding_tree.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
-#include "contraction/tree_common.h"
 #include "data/serde.h"
 
 namespace slider {
-namespace {
-
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
 
 void FoldingTree::initial_build(std::vector<Leaf> leaves,
                                 TreeUpdateStats* stats) {
-  reset_to(std::move(leaves), stats);
-}
-
-void FoldingTree::reset_to(std::vector<Leaf> leaves, TreeUpdateStats* stats) {
   levels_.clear();
   first_ = 0;
   end_ = leaves.size();
-  const std::size_t capacity = pow2_at_least(std::max<std::size_t>(1, end_));
+  const std::size_t capacity = std::bit_ceil(end_);
   levels_.emplace_back(capacity);
   std::vector<std::size_t> dirty;
   dirty.reserve(leaves.size());
   for (std::size_t i = 0; i < leaves.size(); ++i) {
-    Slot& slot = levels_[0][i];
+    LevelSlot& slot = levels_[0][i];
     slot.id = leaf_node_id(ctx_, leaves[i].split_id, *leaves[i].table);
     slot.table = std::move(leaves[i].table);
     slot.recomputed_this_run = true;
@@ -42,7 +27,7 @@ void FoldingTree::reset_to(std::vector<Leaf> leaves, TreeUpdateStats* stats) {
   for (std::size_t size = capacity >> 1; size >= 1; size >>= 1) {
     levels_.emplace_back(size);
   }
-  recompute_paths(std::move(dirty), stats);
+  recompute_paths(ctx_, combiner_, levels_, std::move(dirty), stats);
 }
 
 void FoldingTree::grow() {
@@ -89,8 +74,7 @@ void FoldingTree::apply_delta(std::size_t remove_front,
 
   // Drop old items: void the leftmost occupied slots.
   for (std::size_t i = 0; i < remove_front; ++i) {
-    Slot& slot = levels_[0][first_];
-    slot = Slot{};
+    levels_[0][first_] = LevelSlot{};
     dirty.push_back(first_);
     ++first_;
   }
@@ -105,7 +89,7 @@ void FoldingTree::apply_delta(std::size_t remove_front,
   // Insert new items into void slots on the right, unfolding as needed.
   for (Leaf& leaf : added) {
     if (end_ == levels_[0].size()) grow();
-    Slot& slot = levels_[0][end_];
+    LevelSlot& slot = levels_[0][end_];
     slot.id = leaf_node_id(ctx_, leaf.split_id, *leaf.table);
     slot.table = std::move(leaf.table);
     slot.recomputed_this_run = true;
@@ -114,117 +98,12 @@ void FoldingTree::apply_delta(std::size_t remove_front,
     ++end_;
   }
 
-  // Optional §3.2 rebalancing strategy: garbage-collect void slots with a
-  // fresh initial run when the window got far smaller than the leaf level.
-  if (rebalance_factor_ > 0 && leaf_count() > 0 &&
-      levels_[0].size() > rebalance_factor_ * leaf_count()) {
-    std::vector<Leaf> survivors;
-    survivors.reserve(leaf_count());
-    for (std::size_t i = first_; i < end_; ++i) {
-      // Split ids are not tracked per slot; reuse the node id as a stand-in
-      // (leaf ids are content-stable, so memoized payloads still hit).
-      survivors.push_back(Leaf{/*split_id=*/levels_[0][i].id,
-                               levels_[0][i].table});
-    }
-    // Rebuilding re-registers leaves under ids derived from `split_id`,
-    // which we just set to the old node id — stable across rebuilds.
-    reset_to(std::move(survivors), stats);
-    return;
-  }
-
-  recompute_paths(std::move(dirty), stats);
-}
-
-void FoldingTree::recompute_paths(std::vector<std::size_t> dirty_leaves,
-                                  TreeUpdateStats* stats) {
-  // Clear last run's recompute marks on the levels above the leaves; leaf
-  // marks were set by the caller for inserted leaves only.
-  std::sort(dirty_leaves.begin(), dirty_leaves.end());
-  dirty_leaves.erase(std::unique(dirty_leaves.begin(), dirty_leaves.end()),
-                     dirty_leaves.end());
-
-  std::vector<std::size_t> dirty = std::move(dirty_leaves);
-  for (std::size_t k = 1; k < levels_.size(); ++k) {
-    std::vector<std::size_t> next;
-    next.reserve(dirty.size() / 2 + 1);
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-      const std::size_t parent = dirty[i] / 2;
-      if (next.empty() || next.back() != parent) next.push_back(parent);
-    }
-    // Nodes within a level are independent: node j reads only its two
-    // children (levels_[k-1][2j], [2j+1], untouched at this level) and
-    // writes only levels_[k][j]. Run them on the shared pool. Per-node
-    // stats land in `local[idx]` (seeded with the caller's charge context
-    // at this level) and are folded in `next` order below, so the
-    // accumulated totals are bit-identical for any thread count.
-    std::vector<TreeUpdateStats> local(
-        stats != nullptr ? next.size() : 0,
-        stats != nullptr ? stats->at_level(static_cast<std::uint16_t>(k))
-                         : TreeUpdateStats{});
-    auto process = [&](std::size_t idx) {
-      const std::size_t j = next[idx];
-      TreeUpdateStats* node_stats = stats != nullptr ? &local[idx] : nullptr;
-      if (node_stats != nullptr) node_stats->charge_visits();
-      Slot& left = levels_[k - 1][2 * j];
-      Slot& right = levels_[k - 1][2 * j + 1];
-      Slot& node = levels_[k][j];
-      if (left.table == nullptr && right.table == nullptr) {
-        node = Slot{};
-      } else if (left.table == nullptr || right.table == nullptr) {
-        // Passthrough: a combiner invocation over one live input. It is
-        // charged like a re-execution (Fig 2 recomputes these after
-        // removals); this is what makes an unbalanced tree genuinely cost
-        // extra and motivates §3.2's randomized variant.
-        const Slot& live = left.table != nullptr ? left : right;
-        if (node.id != live.id) {
-          charge_passthrough(ctx_, *live.table, node_stats, live.id, live.id);
-        }
-        node.id = live.id;
-        node.table = live.table;
-        node.recomputed_this_run = live.recomputed_this_run;
-      } else {
-        const NodeId id = internal_node_id(ctx_, left.id, right.id);
-        if (id == node.id && node.table != nullptr) {
-          // Content unchanged (e.g. dirt from a sibling void that was
-          // already void): nothing to do.
-          node.recomputed_this_run = false;
-          return;
-        }
-        auto left_table =
-            left.recomputed_this_run
-                ? left.table
-                : fetch_reused(ctx_, left.id, left.table, node_stats);
-        auto right_table =
-            right.recomputed_this_run
-                ? right.table
-                : fetch_reused(ctx_, right.id, right.table, node_stats);
-        node.id = id;
-        node.table = combine_and_memoize(ctx_, combiner_, id, *left_table,
-                                         *right_table, node_stats, left.id,
-                                         right.id);
-        node.recomputed_this_run = true;
-      }
-    };
-    if (next.size() >= kParallelLevelThreshold) {
-      parallel_for(next.size(), process);
-    } else {
-      for (std::size_t idx = 0; idx < next.size(); ++idx) process(idx);
-    }
-    if (stats != nullptr) {
-      for (const TreeUpdateStats& node_stats : local) *stats += node_stats;
-    }
-    dirty = std::move(next);
-  }
-
-  // Reset recompute marks for the next run.
-  for (auto& level : levels_) {
-    for (Slot& slot : level) slot.recomputed_this_run = false;
-  }
+  recompute_paths(ctx_, combiner_, levels_, std::move(dirty), stats);
 }
 
 std::shared_ptr<const KVTable> FoldingTree::root() const {
   SLIDER_CHECK(!levels_.empty()) << "root() before build";
-  const Slot& top = levels_.back()[0];
+  const LevelSlot& top = levels_.back()[0];
   if (top.table == nullptr) return std::make_shared<const KVTable>();
   return top.table;
 }
@@ -238,7 +117,7 @@ void FoldingTree::serialize(durability::CheckpointWriter& writer) const {
   // serialize as by-ref to the already-encoded child payload.
   for (const auto& level : levels_) {
     wire::put_u32(blob, static_cast<std::uint32_t>(level.size()));
-    for (const Slot& slot : level) {
+    for (const LevelSlot& slot : level) {
       writer.put_node(slot.id, slot.table.get());
     }
   }
@@ -252,13 +131,13 @@ bool FoldingTree::restore(durability::CheckpointReader& reader) {
       !reader.get_u32(&level_count) || level_count == 0) {
     return false;
   }
-  std::vector<std::vector<Slot>> levels;
+  Levels levels;
   levels.reserve(level_count);
   for (std::uint32_t k = 0; k < level_count; ++k) {
     std::uint32_t slot_count = 0;
     if (!reader.get_u32(&slot_count)) return false;
-    std::vector<Slot> level(slot_count);
-    for (Slot& slot : level) {
+    std::vector<LevelSlot> level(slot_count);
+    for (LevelSlot& slot : level) {
       // recomputed_this_run stays false: a checkpoint captures post-run
       // state, where every mark has been reset.
       if (!reader.get_node(&slot.id, &slot.table)) return false;
@@ -276,45 +155,11 @@ bool FoldingTree::restore(durability::CheckpointReader& reader) {
 }
 
 TreeDescription FoldingTree::describe() const {
-  TreeDescription desc;
-  desc.kind = std::string(kind());
-  desc.height = height();
-  desc.leaf_count = leaf_count();
-  if (!levels_.empty() && levels_.back()[0].table != nullptr) {
-    desc.root_id = levels_.back()[0].id;
-  }
-  for (std::size_t k = 0; k < levels_.size(); ++k) {
-    for (std::size_t j = 0; j < levels_[k].size(); ++j) {
-      const Slot& slot = levels_[k][j];
-      if (slot.table == nullptr) continue;  // void slots are omitted
-      TreeNodeDescription node;
-      node.id = slot.id;
-      node.level = static_cast<int>(k);
-      node.index = j;
-      node.rows = slot.table->size();
-      node.bytes = slot.table->byte_size();
-      node.materialized = true;
-      if (k == 0) {
-        node.role = "leaf";
-      } else {
-        node.role = k + 1 == levels_.size() ? "root" : "internal";
-        const Slot& left = levels_[k - 1][2 * j];
-        const Slot& right = levels_[k - 1][2 * j + 1];
-        if (left.table != nullptr) node.children.push_back(left.id);
-        if (right.table != nullptr) node.children.push_back(right.id);
-      }
-      desc.nodes.push_back(std::move(node));
-    }
-  }
-  return desc;
+  return describe_levels(*this, levels_);
 }
 
 void FoldingTree::collect_live_ids(std::unordered_set<NodeId>& live) const {
-  for (const auto& level : levels_) {
-    for (const Slot& slot : level) {
-      if (slot.table != nullptr) live.insert(slot.id);
-    }
-  }
+  collect_level_ids(levels_, live);
 }
 
 }  // namespace slider

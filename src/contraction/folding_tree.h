@@ -11,21 +11,14 @@
 // other child.
 #pragma once
 
-#include <optional>
-
-#include "contraction/tree.h"
+#include "contraction/tree_common.h"
 
 namespace slider {
 
 class FoldingTree final : public ContractionTree {
  public:
-  // rebalance_factor > 0 enables the "initial run when the window is more
-  // than this factor smaller than the leaf level" strategy from §3.2.
-  FoldingTree(MemoContext ctx, CombineFn combiner,
-              std::size_t rebalance_factor = 0)
-      : ctx_(ctx),
-        combiner_(std::move(combiner)),
-        rebalance_factor_(rebalance_factor) {}
+  FoldingTree(MemoContext ctx, CombineFn combiner)
+      : ctx_(ctx), combiner_(std::move(combiner)) {}
 
   void initial_build(std::vector<Leaf> leaves,
                      TreeUpdateStats* stats) override;
@@ -47,26 +40,13 @@ class FoldingTree final : public ContractionTree {
   std::size_t first_occupied() const { return first_; }
 
  private:
-  // Void slots have a null table (and id 0).
-  struct Slot {
-    NodeId id = 0;
-    std::shared_ptr<const KVTable> table;
-    bool recomputed_this_run = false;
-  };
-
-  void reset_to(std::vector<Leaf> leaves, TreeUpdateStats* stats);
   void grow();
   void shrink(std::vector<std::size_t>& dirty_leaves);
-  void recompute_paths(std::vector<std::size_t> dirty_leaves,
-                       TreeUpdateStats* stats);
 
   MemoContext ctx_;
   CombineFn combiner_;
-  std::size_t rebalance_factor_;
 
-  // levels_[0] = leaf slots (size = capacity, a power of two);
-  // levels_[k] has capacity >> k slots; levels_.back() is the root.
-  std::vector<std::vector<Slot>> levels_;
+  Levels levels_;
   std::size_t first_ = 0;  // index of oldest occupied leaf slot
   std::size_t end_ = 0;    // one past newest occupied leaf slot
 };

@@ -1,10 +1,7 @@
 #include "contraction/randomized_tree.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "contraction/tree_common.h"
 #include "data/serde.h"
 
 namespace slider {
@@ -139,7 +136,7 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
         }
       } else if (members.size() == 1) {
         // Singleton group: a passthrough combiner re-execution when its
-        // member changed (see folding_tree.cc).
+        // member changed (see recompute_paths).
         if (members[0].recomputed) {
           charge_passthrough(ctx_, *members[0].table, group_stats,
                              members[0].id, members[0].id);
@@ -251,10 +248,7 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
   root_ = level[0].table;
   root_id_ = level[0].id;
 
-  // Prune the memo to live nodes (mirrors the master-side GC).
-  for (auto it = memo_.begin(); it != memo_.end();) {
-    it = live_.count(it->first) == 0 ? memo_.erase(it) : std::next(it);
-  }
+  prune_to_live(memo_, live_);
 }
 
 std::shared_ptr<const KVTable> RandomizedFoldingTree::root() const {
@@ -330,14 +324,8 @@ void RandomizedFoldingTree::collect_live_ids(
 void RandomizedFoldingTree::serialize(
     durability::CheckpointWriter& writer) const {
   std::string& blob = writer.blob();
-  // Memo entries first (sorted for a deterministic blob); the root
-  // reference below then encodes as by-ref.
-  std::vector<NodeId> ids;
-  ids.reserve(memo_.size());
-  for (const auto& [id, table] : memo_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  wire::put_u32(blob, static_cast<std::uint32_t>(ids.size()));
-  for (const NodeId id : ids) writer.put_node(id, memo_.at(id).get());
+  // Memo entries first; the root reference below then encodes as by-ref.
+  put_memo_map(writer, memo_);
 
   wire::put_u32(blob, static_cast<std::uint32_t>(leaf_ids_.size()));
   for (const NodeId id : leaf_ids_) wire::put_u64(blob, id);
@@ -346,16 +334,8 @@ void RandomizedFoldingTree::serialize(
 }
 
 bool RandomizedFoldingTree::restore(durability::CheckpointReader& reader) {
-  std::uint32_t memo_count = 0;
-  if (!reader.get_u32(&memo_count)) return false;
-  std::unordered_map<NodeId, std::shared_ptr<const KVTable>> memo;
-  memo.reserve(memo_count);
-  for (std::uint32_t i = 0; i < memo_count; ++i) {
-    NodeId id = 0;
-    std::shared_ptr<const KVTable> table;
-    if (!reader.get_node(&id, &table) || table == nullptr) return false;
-    memo.emplace(id, std::move(table));
-  }
+  std::optional<MemoMap> memo = get_memo_map(reader);
+  if (!memo.has_value()) return false;
   std::uint32_t leaf_count = 0;
   if (!reader.get_u32(&leaf_count)) return false;
   std::vector<NodeId> leaf_ids;
@@ -364,7 +344,7 @@ bool RandomizedFoldingTree::restore(durability::CheckpointReader& reader) {
     NodeId id = 0;
     if (!reader.get_u64(&id)) return false;
     // apply_delta resolves every surviving leaf through memo_.
-    if (memo.count(id) == 0) return false;
+    if (!memo->contains(id)) return false;
     leaf_ids.push_back(id);
   }
   std::uint32_t height = 0;
@@ -374,7 +354,7 @@ bool RandomizedFoldingTree::restore(durability::CheckpointReader& reader) {
       root == nullptr) {
     return false;
   }
-  memo_ = std::move(memo);
+  memo_ = std::move(*memo);
   live_.clear();
   for (const auto& [id, table] : memo_) live_.insert(id);  // memo == live
   leaf_ids_ = std::move(leaf_ids);

@@ -11,9 +11,7 @@
 // plain folding tree, whose height only shrinks when a whole half empties.
 #pragma once
 
-#include <unordered_map>
-
-#include "contraction/tree.h"
+#include "contraction/tree_common.h"
 
 namespace slider {
 
@@ -57,7 +55,7 @@ class RandomizedFoldingTree final : public ContractionTree {
   double boundary_probability_;
 
   std::vector<NodeId> leaf_ids_;  // current window's leaf node ids
-  std::unordered_map<NodeId, std::shared_ptr<const KVTable>> memo_;
+  MemoMap memo_;
   std::unordered_set<NodeId> live_;
   std::shared_ptr<const KVTable> root_;
   NodeId root_id_ = 0;  // 0 for the empty window's empty root

@@ -1,71 +1,13 @@
 #include "contraction/rotating_tree.h"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "contraction/tree_common.h"
 #include "data/serde.h"
 
 namespace slider {
-namespace {
-
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-RotatingTree::Bucket RotatingTree::build_bucket(std::span<Leaf> leaves,
-                                                TreeUpdateStats* stats) {
-  SLIDER_CHECK(!leaves.empty()) << "empty bucket";
-  // Identity: order-sensitive chain over the leaf ids; payload: balanced
-  // merge, O(rows · log w) instead of a quadratic left-fold.
-  Bucket bucket;
-  bucket.split_count = leaves.size();
-  if (stats != nullptr) stats->level = 0;  // bucket build is leaf-level work
-  bucket.id = leaf_node_id(ctx_, leaves[0].split_id, *leaves[0].table);
-  std::deque<std::shared_ptr<const KVTable>> queue;
-  queue.push_back(leaves[0].table);
-  for (std::size_t i = 1; i < leaves.size(); ++i) {
-    bucket.id = internal_node_id(
-        ctx_, bucket.id, leaf_node_id(ctx_, leaves[i].split_id, *leaves[i].table));
-    queue.push_back(leaves[i].table);
-  }
-  std::uint64_t fold_rows = 0;
-  while (queue.size() > 1) {
-    auto a = std::move(queue.front());
-    queue.pop_front();
-    auto b = std::move(queue.front());
-    queue.pop_front();
-    MergeStats merge_stats;
-    queue.push_back(std::make_shared<const KVTable>(
-        KVTable::merge(*a, *b, combiner_, &merge_stats)));
-    if (stats != nullptr) {
-      stats->charge_invocation(merge_stats.rows_scanned);
-      fold_rows += merge_stats.rows_scanned;
-    }
-  }
-  bucket.table = std::move(queue.front());
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx_, bucket.id, bucket.table, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    // One fold record for the whole bucket: the rotating tree's reuse
-    // granularity is the bucket, so its lineage granularity is too.
-    record_lineage_node(ctx_, stats, bucket.id,
-                        leaves.size() > 1 ? obs::LineageOp::kMerge
-                                          : obs::LineageOp::kLeaf,
-                        stats->cause,
-                        static_cast<std::uint32_t>(leaves.size() - 1),
-                        *bucket.table, fold_rows,
-                        stats->memo_write_cost - write_before, {});
-  }
-  return bucket;
-}
 
 void RotatingTree::initial_build(std::vector<Leaf> leaves,
                                  TreeUpdateStats* stats) {
@@ -91,14 +33,15 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
   fresh_bucket_table_.reset();
   root_override_.reset();
 
-  const std::size_t capacity = pow2_at_least(std::max<std::size_t>(1, buckets_));
-  levels_.assign(1, std::vector<Slot>(capacity));
+  const std::size_t capacity = std::bit_ceil(buckets_);
+  levels_.assign(1, std::vector<LevelSlot>(capacity));
   for (std::size_t size = capacity >> 1; size >= 1; size >>= 1) {
     levels_.emplace_back(size);
   }
+  bucket_splits_.assign(capacity, 0);
 
   // Buckets are independent (each reads its own leaf span and writes its
-  // own leaf slot): build them on the shared pool. Per-bucket stats are
+  // own leaf slot): fold them on the shared pool. Per-bucket stats are
   // folded in bucket order below for thread-count-invariant totals.
   std::vector<std::size_t> offsets(buckets_);
   std::size_t offset = 0;
@@ -111,14 +54,15 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
       stats != nullptr ? stats->at_level(0) : TreeUpdateStats{});
   std::vector<std::size_t> dirty(buckets_);
   auto build_one = [&](std::size_t b) {
-    Bucket bucket =
-        build_bucket(std::span<Leaf>(leaves.data() + offsets[b], sizes[b]),
-                     stats != nullptr ? &bucket_stats[b] : nullptr);
-    Slot& slot = levels_[0][b];
+    MemoNode bucket =
+        fold_batch(ctx_, combiner_,
+                   std::span<const Leaf>(leaves).subspan(offsets[b], sizes[b]),
+                   stats != nullptr ? &bucket_stats[b] : nullptr);
+    LevelSlot& slot = levels_[0][b];
     slot.id = bucket.id;
     slot.table = std::move(bucket.table);
-    slot.split_count = bucket.split_count;
     slot.recomputed_this_run = true;
+    bucket_splits_[b] = sizes[b];
     dirty[b] = b;
   };
   if (buckets_ >= kParallelLevelThreshold) {
@@ -129,122 +73,17 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
   if (stats != nullptr) {
     for (const TreeUpdateStats& bs : bucket_stats) *stats += bs;
   }
-
-  // Recompute all internal levels (same passthrough/void rules as the
-  // folding tree, but the shape is static).
-  std::vector<std::size_t> level_dirty = std::move(dirty);
-  for (std::size_t k = 1; k < levels_.size(); ++k) {
-    std::vector<std::size_t> next;
-    for (std::size_t i = 0; i < level_dirty.size(); ++i) {
-      const std::size_t parent = level_dirty[i] / 2;
-      if (next.empty() || next.back() != parent) next.push_back(parent);
-    }
-    // Same-level nodes are independent (node j reads its two children,
-    // writes levels_[k][j]): run the level on the shared pool, folding
-    // per-node stats in `next` order (see folding_tree.cc).
-    std::vector<TreeUpdateStats> local(
-        stats != nullptr ? next.size() : 0,
-        stats != nullptr ? stats->at_level(static_cast<std::uint16_t>(k))
-                         : TreeUpdateStats{});
-    auto process = [&](std::size_t idx) {
-      const std::size_t j = next[idx];
-      TreeUpdateStats* node_stats = stats != nullptr ? &local[idx] : nullptr;
-      if (node_stats != nullptr) node_stats->charge_visits();
-      Slot& left = levels_[k - 1][2 * j];
-      Slot& right = levels_[k - 1][2 * j + 1];
-      Slot& node = levels_[k][j];
-      if (left.table == nullptr && right.table == nullptr) {
-        node = Slot{};
-      } else if (left.table == nullptr || right.table == nullptr) {
-        // Recomputed passthrough: priced as a combiner re-execution
-        // (see folding_tree.cc).
-        const Slot& live = left.table != nullptr ? left : right;
-        if (node.id != live.id) {
-          charge_passthrough(ctx_, *live.table, node_stats, live.id, live.id);
-        }
-        node.id = live.id;
-        node.table = live.table;
-        node.recomputed_this_run = live.recomputed_this_run;
-      } else {
-        const NodeId id = internal_node_id(ctx_, left.id, right.id);
-        if (id == node.id && node.table != nullptr) {
-          node.recomputed_this_run = false;
-          return;
-        }
-        auto left_table =
-            left.recomputed_this_run
-                ? left.table
-                : fetch_reused(ctx_, left.id, left.table, node_stats);
-        auto right_table =
-            right.recomputed_this_run
-                ? right.table
-                : fetch_reused(ctx_, right.id, right.table, node_stats);
-        node.id = id;
-        node.table = combine_and_memoize(ctx_, combiner_, id, *left_table,
-                                         *right_table, node_stats, left.id,
-                                         right.id);
-        node.recomputed_this_run = true;
-      }
-    };
-    if (next.size() >= kParallelLevelThreshold) {
-      parallel_for(next.size(), process);
-    } else {
-      for (std::size_t idx = 0; idx < next.size(); ++idx) process(idx);
-    }
-    if (stats != nullptr) {
-      for (const TreeUpdateStats& node_stats : local) *stats += node_stats;
-    }
-    level_dirty = std::move(next);
-  }
-  for (auto& level : levels_) {
-    for (Slot& slot : level) slot.recomputed_this_run = false;
-  }
+  recompute_paths(ctx_, combiner_, levels_, std::move(dirty), stats);
 }
 
 void RotatingTree::install_bucket(std::size_t slot_index, Bucket bucket,
                                   TreeUpdateStats* stats) {
-  Slot& leaf = levels_[0][slot_index];
+  LevelSlot& leaf = levels_[0][slot_index];
   leaf.id = bucket.id;
   leaf.table = std::move(bucket.table);
-  leaf.split_count = bucket.split_count;
   leaf.recomputed_this_run = true;
-
-  std::size_t index = slot_index;
-  for (std::size_t k = 1; k < levels_.size(); ++k) {
-    index /= 2;
-    if (stats != nullptr) {
-      stats->level = static_cast<std::uint16_t>(k);
-      stats->charge_visits();
-    }
-    Slot& left = levels_[k - 1][2 * index];
-    Slot& right = levels_[k - 1][2 * index + 1];
-    Slot& node = levels_[k][index];
-    if (left.table == nullptr || right.table == nullptr) {
-      const Slot& live = left.table != nullptr ? left : right;
-      if (node.id != live.id) {
-        charge_passthrough(ctx_, *live.table, stats, live.id, live.id);
-      }
-      node.id = live.id;
-      node.table = live.table;
-      node.recomputed_this_run = live.recomputed_this_run;
-      continue;
-    }
-    const NodeId id = internal_node_id(ctx_, left.id, right.id);
-    auto left_table = left.recomputed_this_run
-                          ? left.table
-                          : fetch_reused(ctx_, left.id, left.table, stats);
-    auto right_table = right.recomputed_this_run
-                           ? right.table
-                           : fetch_reused(ctx_, right.id, right.table, stats);
-    node.id = id;
-    node.table = combine_and_memoize(ctx_, combiner_, id, *left_table,
-                                     *right_table, stats, left.id, right.id);
-    node.recomputed_this_run = true;
-  }
-  if (stats != nullptr) stats->level = 0;  // leave the context at leaf level
-  for (auto& level : levels_) {
-    for (Slot& slot : level) slot.recomputed_this_run = false;
-  }
+  bucket_splits_[slot_index] = bucket.split_count;
+  recompute_paths(ctx_, combiner_, levels_, {slot_index}, stats);
 }
 
 void RotatingTree::apply_delta(std::size_t remove_front,
@@ -264,15 +103,16 @@ void RotatingTree::apply_delta(std::size_t remove_front,
     intermediate_.reset();
   }
 
-  const Slot& victim = levels_[0][next_victim_];
-  SLIDER_CHECK(victim.table != nullptr) << "victim bucket is void";
-  SLIDER_CHECK(remove_front == victim.split_count)
+  SLIDER_CHECK(levels_[0][next_victim_].table != nullptr)
+      << "victim bucket is void";
+  SLIDER_CHECK(remove_front == bucket_splits_[next_victim_])
       << "fixed-width slide must drop exactly the oldest bucket ("
-      << victim.split_count << " splits), got " << remove_front;
+      << bucket_splits_[next_victim_] << " splits), got " << remove_front;
   SLIDER_CHECK(!added.empty()) << "fixed-width slide must add a bucket";
 
   window_splits_ += added.size() - remove_front;
-  Bucket bucket = build_bucket(std::span<Leaf>(added), stats);
+  MemoNode folded = fold_batch(ctx_, combiner_, added, stats);
+  Bucket bucket{folded.id, std::move(folded.table), added.size()};
   fresh_bucket_table_ = bucket.table;
 
   const bool can_use_intermediate =
@@ -296,7 +136,7 @@ void RotatingTree::compute_intermediate(TreeUpdateStats* stats) {
   std::size_t index = next_victim_;
   for (std::size_t k = 0; k + 1 < levels_.size(); ++k) {
     const std::size_t sibling_index = index ^ 1;
-    const Slot& sibling = levels_[k][sibling_index];
+    const LevelSlot& sibling = levels_[k][sibling_index];
     index /= 2;
     if (sibling.table == nullptr) continue;  // void padding
     if (stats != nullptr) stats->level = static_cast<std::uint16_t>(k);
@@ -338,7 +178,7 @@ std::shared_ptr<const KVTable> RotatingTree::root() const {
     }
     return root_override_;
   }
-  const Slot& top = levels_.back()[0];
+  const LevelSlot& top = levels_.back()[0];
   if (top.table == nullptr) return std::make_shared<const KVTable>();
   return top.table;
 }
@@ -359,11 +199,12 @@ void RotatingTree::serialize(durability::CheckpointWriter& writer) const {
   wire::put_u64(blob, next_victim_);
   wire::put_u64(blob, window_splits_);
   wire::put_u32(blob, static_cast<std::uint32_t>(levels_.size()));
-  for (const auto& level : levels_) {
-    wire::put_u32(blob, static_cast<std::uint32_t>(level.size()));
-    for (const Slot& slot : level) {
-      writer.put_node(slot.id, slot.table.get());
-      wire::put_u64(blob, slot.split_count);
+  for (std::size_t k = 0; k < levels_.size(); ++k) {
+    wire::put_u32(blob, static_cast<std::uint32_t>(levels_[k].size()));
+    for (std::size_t j = 0; j < levels_[k].size(); ++j) {
+      writer.put_node(levels_[k][j].id, levels_[k][j].table.get());
+      // One split count per slot: the bucket's at the leaf level, 0 above.
+      wire::put_u64(blob, k == 0 ? bucket_splits_[j] : 0);
     }
   }
   // Split-processing residue. fresh_bucket_table_ is only meaningful
@@ -394,19 +235,20 @@ bool RotatingTree::restore(durability::CheckpointReader& reader) {
       level_count == 0) {
     return false;
   }
-  std::vector<std::vector<Slot>> levels;
+  Levels levels;
   levels.reserve(level_count);
+  std::vector<std::size_t> bucket_splits;
   for (std::uint32_t k = 0; k < level_count; ++k) {
     std::uint32_t slot_count = 0;
     if (!reader.get_u32(&slot_count)) return false;
-    std::vector<Slot> level(slot_count);
-    for (Slot& slot : level) {
+    std::vector<LevelSlot> level(slot_count);
+    for (LevelSlot& slot : level) {
       std::uint64_t split_count = 0;
       if (!reader.get_node(&slot.id, &slot.table) ||
           !reader.get_u64(&split_count)) {
         return false;
       }
-      slot.split_count = static_cast<std::size_t>(split_count);
+      if (k == 0) bucket_splits.push_back(split_count);
     }
     levels.push_back(std::move(level));
   }
@@ -447,6 +289,7 @@ bool RotatingTree::restore(durability::CheckpointReader& reader) {
   if (pending.has_value() && !intermediate.has_value()) return false;
 
   levels_ = std::move(levels);
+  bucket_splits_ = std::move(bucket_splits);
   buckets_ = static_cast<std::size_t>(buckets);
   next_victim_ = static_cast<std::size_t>(next_victim);
   window_splits_ = static_cast<std::size_t>(window_splits);
@@ -460,34 +303,10 @@ bool RotatingTree::restore(durability::CheckpointReader& reader) {
 }
 
 TreeDescription RotatingTree::describe() const {
-  TreeDescription desc;
-  desc.kind = std::string(kind());
-  desc.height = height();
-  desc.leaf_count = leaf_count();
-  if (!levels_.empty() && levels_.back()[0].table != nullptr) {
-    desc.root_id = levels_.back()[0].id;
-  }
-  for (std::size_t k = 0; k < levels_.size(); ++k) {
-    for (std::size_t j = 0; j < levels_[k].size(); ++j) {
-      const Slot& slot = levels_[k][j];
-      if (slot.table == nullptr) continue;
-      TreeNodeDescription node;
-      node.id = slot.id;
-      node.level = static_cast<int>(k);
-      node.index = j;
-      node.rows = slot.table->size();
-      node.bytes = slot.table->byte_size();
-      node.materialized = true;
-      if (k == 0) {
-        node.role = j == next_victim_ ? "leaf:next_victim" : "leaf";
-      } else {
-        node.role = k + 1 == levels_.size() ? "root" : "internal";
-        const Slot& left = levels_[k - 1][2 * j];
-        const Slot& right = levels_[k - 1][2 * j + 1];
-        if (left.table != nullptr) node.children.push_back(left.id);
-        if (right.table != nullptr) node.children.push_back(right.id);
-      }
-      desc.nodes.push_back(std::move(node));
+  TreeDescription desc = describe_levels(*this, levels_);
+  for (TreeNodeDescription& node : desc.nodes) {
+    if (node.level == 0 && node.index == next_victim_) {
+      node.role = "leaf:next_victim";
     }
   }
   if (pending_install_.has_value()) {
@@ -516,11 +335,7 @@ TreeDescription RotatingTree::describe() const {
 }
 
 void RotatingTree::collect_live_ids(std::unordered_set<NodeId>& live) const {
-  for (const auto& level : levels_) {
-    for (const Slot& slot : level) {
-      if (slot.table != nullptr) live.insert(slot.id);
-    }
-  }
+  collect_level_ids(levels_, live);
   // Split-processing state must survive GC until the background phase
   // folds it into the tree.
   if (pending_install_.has_value()) live.insert(pending_install_->second.id);

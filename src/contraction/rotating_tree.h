@@ -15,10 +15,9 @@
 // straight to Reduce — no tree path work on the critical path.
 #pragma once
 
-#include <deque>
 #include <optional>
 
-#include "contraction/tree.h"
+#include "contraction/tree_common.h"
 
 namespace slider {
 
@@ -58,20 +57,12 @@ class RotatingTree final : public ContractionTree {
   bool has_precomputed_intermediate() const { return intermediate_.has_value(); }
 
  private:
-  struct Slot {
-    NodeId id = 0;
-    std::shared_ptr<const KVTable> table;
-    std::size_t split_count = 0;  // leaf level only
-    bool recomputed_this_run = false;
-  };
-
   struct Bucket {
     NodeId id = 0;
     std::shared_ptr<const KVTable> table;
     std::size_t split_count = 0;
   };
 
-  Bucket build_bucket(std::span<Leaf> leaves, TreeUpdateStats* stats);
   void install_bucket(std::size_t slot_index, Bucket bucket,
                       TreeUpdateStats* stats);
   void compute_intermediate(TreeUpdateStats* stats);
@@ -83,7 +74,8 @@ class RotatingTree final : public ContractionTree {
   std::vector<std::size_t> initial_bucket_sizes_;
 
   // levels_[0] = bucket slots padded with voids to a power of two.
-  std::vector<std::vector<Slot>> levels_;
+  Levels levels_;
+  std::vector<std::size_t> bucket_splits_;  // split count per leaf slot
   std::size_t buckets_ = 0;        // live bucket count N
   std::size_t next_victim_ = 0;    // circular rotation pointer
   std::size_t window_splits_ = 0;

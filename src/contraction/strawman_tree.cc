@@ -1,12 +1,10 @@
 #include "contraction/strawman_tree.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <map>
 
 #include "common/logging.h"
-#include "contraction/tree_common.h"
 #include "data/serde.h"
 
 namespace slider {
@@ -115,11 +113,8 @@ void StrawmanTree::rebuild(TreeUpdateStats* stats) {
   height_ = static_cast<int>(
       std::ceil(std::log2(static_cast<double>(leaves_.size()))));
 
-  // Prune the memo to live nodes: anything unreachable from the current
-  // window is garbage (mirrors the master-side GC).
-  for (auto it = memo_.begin(); it != memo_.end();) {
-    it = live_.count(it->first) == 0 ? memo_.erase(it) : std::next(it);
-  }
+  // Anything unreachable from the current window is garbage.
+  prune_to_live(memo_, live_);
 }
 
 TreeDescription StrawmanTree::describe() const {
@@ -179,14 +174,9 @@ void StrawmanTree::collect_live_ids(std::unordered_set<NodeId>& live) const {
 
 void StrawmanTree::serialize(durability::CheckpointWriter& writer) const {
   std::string& blob = writer.blob();
-  // Memo entries first (sorted for a deterministic blob); the leaf and
-  // root references below then mostly encode as by-ref to these.
-  std::vector<NodeId> ids;
-  ids.reserve(memo_.size());
-  for (const auto& [id, table] : memo_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  wire::put_u32(blob, static_cast<std::uint32_t>(ids.size()));
-  for (const NodeId id : ids) writer.put_node(id, memo_.at(id).get());
+  // Memo entries first; the leaf and root references below then mostly
+  // encode as by-ref to these.
+  put_memo_map(writer, memo_);
 
   wire::put_u32(blob, static_cast<std::uint32_t>(leaves_.size()));
   for (const Leaf& leaf : leaves_) {
@@ -199,16 +189,8 @@ void StrawmanTree::serialize(durability::CheckpointWriter& writer) const {
 }
 
 bool StrawmanTree::restore(durability::CheckpointReader& reader) {
-  std::uint32_t memo_count = 0;
-  if (!reader.get_u32(&memo_count)) return false;
-  std::unordered_map<NodeId, std::shared_ptr<const KVTable>> memo;
-  memo.reserve(memo_count);
-  for (std::uint32_t i = 0; i < memo_count; ++i) {
-    NodeId id = 0;
-    std::shared_ptr<const KVTable> table;
-    if (!reader.get_node(&id, &table) || table == nullptr) return false;
-    memo.emplace(id, std::move(table));
-  }
+  std::optional<MemoMap> memo = get_memo_map(reader);
+  if (!memo.has_value()) return false;
   std::uint32_t leaf_count = 0;
   if (!reader.get_u32(&leaf_count)) return false;
   std::vector<Leaf> leaves;
@@ -229,7 +211,7 @@ bool StrawmanTree::restore(durability::CheckpointReader& reader) {
       root == nullptr) {
     return false;
   }
-  memo_ = std::move(memo);
+  memo_ = std::move(*memo);
   live_.clear();
   for (const auto& [id, table] : memo_) live_.insert(id);  // memo == live
   leaves_ = std::move(leaves);

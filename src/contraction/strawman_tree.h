@@ -11,9 +11,7 @@
 // query pipelines (§5), where changes land at arbitrary positions.
 #pragma once
 
-#include <unordered_map>
-
-#include "contraction/tree.h"
+#include "contraction/tree_common.h"
 
 namespace slider {
 
@@ -54,7 +52,7 @@ class StrawmanTree final : public ContractionTree {
 
   // Cross-run memo of node payloads (the in-process view of what the memo
   // layer holds); pruned to the live tree after every rebuild.
-  std::unordered_map<NodeId, std::shared_ptr<const KVTable>> memo_;
+  MemoMap memo_;
   std::unordered_set<NodeId> live_;
 };
 

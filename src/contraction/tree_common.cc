@@ -1,7 +1,12 @@
 #include "contraction/tree_common.h"
 
+#include <algorithm>
+#include <deque>
+
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
+#include "data/serde.h"
 #include "observability/trace.h"
 
 namespace slider {
@@ -202,6 +207,210 @@ std::shared_ptr<const KVTable> fetch_reused(
                         stats->memo_write_cost - write_before, {});
   }
   return fallback;
+}
+
+
+void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
+                     Levels& levels, std::vector<std::size_t> dirty_leaves,
+                     TreeUpdateStats* stats) {
+  // Leaf marks were set by the caller for fresh leaves only.
+  std::sort(dirty_leaves.begin(), dirty_leaves.end());
+  dirty_leaves.erase(std::unique(dirty_leaves.begin(), dirty_leaves.end()),
+                     dirty_leaves.end());
+
+  std::vector<std::size_t> dirty = std::move(dirty_leaves);
+  for (std::size_t k = 1; k < levels.size(); ++k) {
+    std::vector<std::size_t> next;
+    next.reserve(dirty.size() / 2 + 1);
+    for (std::size_t i = 0; i < dirty.size(); ++i) {
+      const std::size_t parent = dirty[i] / 2;
+      if (next.empty() || next.back() != parent) next.push_back(parent);
+    }
+    // Nodes within a level are independent: node j reads only its two
+    // children (levels[k-1][2j], [2j+1], untouched at this level) and
+    // writes only levels[k][j]. Run them on the shared pool. Per-node
+    // stats land in `local[idx]` (seeded with the caller's charge context
+    // at this level) and are folded in `next` order below, so the
+    // accumulated totals are bit-identical for any thread count.
+    std::vector<TreeUpdateStats> local(
+        stats != nullptr ? next.size() : 0,
+        stats != nullptr ? stats->at_level(static_cast<std::uint16_t>(k))
+                         : TreeUpdateStats{});
+    auto process = [&](std::size_t idx) {
+      const std::size_t j = next[idx];
+      TreeUpdateStats* node_stats = stats != nullptr ? &local[idx] : nullptr;
+      if (node_stats != nullptr) node_stats->charge_visits();
+      LevelSlot& left = levels[k - 1][2 * j];
+      LevelSlot& right = levels[k - 1][2 * j + 1];
+      LevelSlot& node = levels[k][j];
+      if (left.table == nullptr && right.table == nullptr) {
+        node = LevelSlot{};
+      } else if (left.table == nullptr || right.table == nullptr) {
+        // Passthrough: a combiner invocation over one live input. It is
+        // charged like a re-execution (Fig 2 recomputes these after
+        // removals); this is what makes an unbalanced tree genuinely cost
+        // extra and motivates §3.2's randomized variant.
+        const LevelSlot& live = left.table != nullptr ? left : right;
+        if (node.id != live.id) {
+          charge_passthrough(ctx, *live.table, node_stats, live.id, live.id);
+        }
+        node.id = live.id;
+        node.table = live.table;
+        node.recomputed_this_run = live.recomputed_this_run;
+      } else {
+        const NodeId id = internal_node_id(ctx, left.id, right.id);
+        if (id == node.id && node.table != nullptr) {
+          // Content unchanged (e.g. dirt from a sibling void that was
+          // already void): nothing to do.
+          node.recomputed_this_run = false;
+          return;
+        }
+        auto left_table =
+            left.recomputed_this_run
+                ? left.table
+                : fetch_reused(ctx, left.id, left.table, node_stats);
+        auto right_table =
+            right.recomputed_this_run
+                ? right.table
+                : fetch_reused(ctx, right.id, right.table, node_stats);
+        node.id = id;
+        node.table = combine_and_memoize(ctx, combiner, id, *left_table,
+                                         *right_table, node_stats, left.id,
+                                         right.id);
+        node.recomputed_this_run = true;
+      }
+    };
+    if (next.size() >= kParallelLevelThreshold) {
+      parallel_for(next.size(), process);
+    } else {
+      for (std::size_t idx = 0; idx < next.size(); ++idx) process(idx);
+    }
+    if (stats != nullptr) {
+      for (const TreeUpdateStats& node_stats : local) *stats += node_stats;
+    }
+    dirty = std::move(next);
+  }
+
+  // Reset recompute marks for the next run.
+  for (auto& level : levels) {
+    for (LevelSlot& slot : level) slot.recomputed_this_run = false;
+  }
+}
+
+TreeDescription describe_levels(const ContractionTree& tree,
+                                const Levels& levels) {
+  TreeDescription desc;
+  desc.kind = std::string(tree.kind());
+  desc.height = tree.height();
+  desc.leaf_count = tree.leaf_count();
+  if (!levels.empty() && levels.back()[0].table != nullptr) {
+    desc.root_id = levels.back()[0].id;
+  }
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    for (std::size_t j = 0; j < levels[k].size(); ++j) {
+      const LevelSlot& slot = levels[k][j];
+      if (slot.table == nullptr) continue;  // void slots are omitted
+      TreeNodeDescription node;
+      node.id = slot.id;
+      node.level = static_cast<int>(k);
+      node.index = j;
+      node.rows = slot.table->size();
+      node.bytes = slot.table->byte_size();
+      node.materialized = true;
+      if (k == 0) {
+        node.role = "leaf";
+      } else {
+        node.role = k + 1 == levels.size() ? "root" : "internal";
+        const LevelSlot& left = levels[k - 1][2 * j];
+        const LevelSlot& right = levels[k - 1][2 * j + 1];
+        if (left.table != nullptr) node.children.push_back(left.id);
+        if (right.table != nullptr) node.children.push_back(right.id);
+      }
+      desc.nodes.push_back(std::move(node));
+    }
+  }
+  return desc;
+}
+
+void collect_level_ids(const Levels& levels,
+                       std::unordered_set<NodeId>& live) {
+  for (const auto& level : levels) {
+    for (const LevelSlot& slot : level) {
+      if (slot.table != nullptr) live.insert(slot.id);
+    }
+  }
+}
+
+MemoNode fold_batch(const MemoContext& ctx, const CombineFn& combiner,
+                    std::span<const Leaf> leaves, TreeUpdateStats* stats) {
+  SLIDER_CHECK(!leaves.empty()) << "empty leaf batch";
+  if (stats != nullptr) stats->level = 0;
+  MemoNode node;
+  node.id = leaf_node_id(ctx, leaves[0].split_id, *leaves[0].table);
+  std::deque<std::shared_ptr<const KVTable>> queue;
+  queue.push_back(leaves[0].table);
+  for (std::size_t i = 1; i < leaves.size(); ++i) {
+    node.id = internal_node_id(
+        ctx, node.id, leaf_node_id(ctx, leaves[i].split_id, *leaves[i].table));
+    queue.push_back(leaves[i].table);
+  }
+  std::uint64_t fold_rows = 0;
+  while (queue.size() > 1) {
+    auto a = std::move(queue.front());
+    queue.pop_front();
+    auto b = std::move(queue.front());
+    queue.pop_front();
+    MergeStats merge_stats;
+    queue.push_back(std::make_shared<const KVTable>(
+        KVTable::merge(*a, *b, combiner, &merge_stats)));
+    if (stats != nullptr) {
+      stats->charge_invocation(merge_stats.rows_scanned);
+      fold_rows += merge_stats.rows_scanned;
+    }
+  }
+  node.table = std::move(queue.front());
+  const SimDuration write_before =
+      stats != nullptr ? stats->memo_write_cost : 0;
+  memoize_payload(ctx, node.id, node.table, stats);
+  if (stats != nullptr && stats->record_lineage) {
+    record_lineage_node(ctx, stats, node.id,
+                        leaves.size() > 1 ? obs::LineageOp::kMerge
+                                          : obs::LineageOp::kLeaf,
+                        stats->cause,
+                        static_cast<std::uint32_t>(leaves.size() - 1),
+                        *node.table, fold_rows,
+                        stats->memo_write_cost - write_before, {});
+  }
+  return node;
+}
+
+void put_memo_map(durability::CheckpointWriter& writer, const MemoMap& memo) {
+  std::vector<NodeId> ids;
+  ids.reserve(memo.size());
+  for (const auto& [id, table] : memo) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  wire::put_u32(writer.blob(), static_cast<std::uint32_t>(ids.size()));
+  for (const NodeId id : ids) writer.put_node(id, memo.at(id).get());
+}
+
+std::optional<MemoMap> get_memo_map(durability::CheckpointReader& reader) {
+  std::uint32_t count = 0;
+  if (!reader.get_u32(&count)) return std::nullopt;
+  MemoMap memo;
+  memo.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    NodeId id = 0;
+    std::shared_ptr<const KVTable> table;
+    if (!reader.get_node(&id, &table) || table == nullptr) return std::nullopt;
+    memo.emplace(id, std::move(table));
+  }
+  return memo;
+}
+
+void prune_to_live(MemoMap& memo, const std::unordered_set<NodeId>& live) {
+  std::erase_if(memo, [&live](const auto& entry) {
+    return !live.contains(entry.first);
+  });
 }
 
 }  // namespace slider

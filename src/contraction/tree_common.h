@@ -1,8 +1,14 @@
 // Shared plumbing for contraction-tree implementations: stable node ids,
-// priced merge execution, and priced reuse of memoized payloads.
+// priced merge execution, priced reuse of memoized payloads, and the
+// mechanisms several trees share — the level-array path recompute, the
+// batch fold and the tree-local memo-map checkpoint codec.
 #pragma once
 
+#include <optional>
 #include <span>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "contraction/tree.h"
 
@@ -76,5 +82,67 @@ void record_lineage_node(const MemoContext& ctx, TreeUpdateStats* stats,
 std::shared_ptr<const KVTable> fetch_reused(
     const MemoContext& ctx, NodeId id,
     const std::shared_ptr<const KVTable>& fallback, TreeUpdateStats* stats);
+
+// --- level arrays (FoldingTree, RotatingTree) ------------------------------
+
+// One node slot. Void slots have a null table (and id 0).
+struct LevelSlot {
+  NodeId id = 0;
+  std::shared_ptr<const KVTable> table;
+  bool recomputed_this_run = false;
+};
+
+// levels[0] = leaf slots (size = capacity, a power of two); levels[k] has
+// capacity >> k slots; levels.back() is the root.
+using Levels = std::vector<std::vector<LevelSlot>>;
+
+// Change propagation (§3.1): recomputes the nodes on the paths from
+// `dirty_leaves` to the root, reusing memoized off-path siblings. A node
+// with one void child is a passthrough of the other; a node whose child
+// ids are unchanged keeps its payload. Callers mark fresh leaves
+// recomputed_this_run; every mark is cleared on return.
+void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
+                     Levels& levels, std::vector<std::size_t> dirty_leaves,
+                     TreeUpdateStats* stats);
+
+// describe() over a level array: kind/height/leaf_count from `tree`, then
+// every non-void slot bottom-up with role leaf/internal/root.
+TreeDescription describe_levels(const ContractionTree& tree,
+                                const Levels& levels);
+
+// Inserts the id of every non-void slot.
+void collect_level_ids(const Levels& levels, std::unordered_set<NodeId>& live);
+
+// --- batch fold (RotatingTree buckets, CoalescingTree deltas) --------------
+
+// A memoized node: stable id plus payload.
+struct MemoNode {
+  NodeId id = 0;
+  std::shared_ptr<const KVTable> table;
+};
+
+// Folds a non-empty batch of consecutive leaves into one memoized node,
+// charged as leaf-level work (stats->level is left at 0). The id is the
+// order-sensitive chain over the leaf ids (stable regardless of merge
+// order); the payload merges in balanced order, O(rows · log n) instead of
+// a quadratic left-fold. One lineage record covers the batch: the trees
+// reuse it as a unit.
+MemoNode fold_batch(const MemoContext& ctx, const CombineFn& combiner,
+                    std::span<const Leaf> leaves, TreeUpdateStats* stats);
+
+// --- tree-local memo maps (StrawmanTree, RandomizedFoldingTree) ------------
+
+// Cross-run node payloads a tree keeps in process (its view of what the
+// memo layer holds).
+using MemoMap = std::unordered_map<NodeId, std::shared_ptr<const KVTable>>;
+
+// Checkpoint codec: a count, then every entry sorted by id so the blob is
+// deterministic. get_memo_map returns nullopt on a malformed blob or an
+// entry without a payload.
+void put_memo_map(durability::CheckpointWriter& writer, const MemoMap& memo);
+std::optional<MemoMap> get_memo_map(durability::CheckpointReader& reader);
+
+// Drops every entry not in `live` (mirrors the master-side GC).
+void prune_to_live(MemoMap& memo, const std::unordered_set<NodeId>& live);
 
 }  // namespace slider

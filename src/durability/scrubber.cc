@@ -9,31 +9,12 @@
 #include "common/logging.h"
 #include "data/serde.h"
 #include "observability/flight_recorder.h"
-#include "observability/stats.h"
 #include "observability/work_ledger.h"
 
 namespace slider::durability {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct ScrubInstruments {
-  obs::Counter& records_verified;
-  obs::Counter& corruptions_detected;
-  obs::Counter& repairs;
-  obs::Counter& quarantines;
-};
-
-ScrubInstruments& instruments() {
-  auto& reg = obs::StatsRegistry::global();
-  static ScrubInstruments inst{
-      reg.counter("scrub.records_verified"),
-      reg.counter("scrub.corruptions_detected"),
-      reg.counter("scrub.repairs"),
-      reg.counter("scrub.quarantines"),
-  };
-  return inst;
-}
 
 // Reads and re-verifies one frame at `offset`. nullopt when the frame is
 // unreadable or fails its CRC — callers treat that as "donor lost", never
@@ -259,8 +240,6 @@ void IntegrityScrubber::finish_segment(ScrubStats& slice) {
           seg.path = quarantine_path;  // winner locators keep resolving
           ++slice.corruptions_detected;
           ++slice.quarantines;
-          instruments().corruptions_detected.add();
-          instruments().quarantines.add();
           obs::FlightRecorder::global().note_fault(
               "scrub_quarantine", quarantine_path);
         }
@@ -301,8 +280,6 @@ void IntegrityScrubber::cross_check(ScrubStats& slice) {
       ++slice.corruptions_detected;
       ++slice.repairs;
       slice.repair_bytes_written += frame_bytes(*donor);
-      instruments().corruptions_detected.add();
-      instruments().repairs.add();
       obs::FlightRecorder::global().note_fault(
           "scrub_divergence",
           "replica " + std::to_string(r) + " healed for key " +
@@ -338,9 +315,6 @@ ScrubStats IntegrityScrubber::scrub_slice(std::uint64_t record_budget) {
       break;
     }
     if (scan_segment_slice(slice, budget)) finish_segment(slice);
-  }
-  if (slice.records_verified > 0) {
-    instruments().records_verified.add(slice.records_verified);
   }
   obs::WorkLedger::global().note_scrub(
       slice.records_verified, slice.corruptions_detected, slice.repairs,

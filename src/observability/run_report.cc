@@ -59,11 +59,6 @@ RunReport& RunReport::add_note(std::string note) {
   return *this;
 }
 
-RunReport& RunReport::set_counters(std::map<std::string, double> counters) {
-  counters_ = std::move(counters);
-  return *this;
-}
-
 RunReport& RunReport::merge_stats(const StatsSnapshot& stats) {
   for (const auto& [name, value] : stats.counters) {
     counters_[name] = static_cast<double>(value);

@@ -9,7 +9,7 @@
 //     "schema_version": 1,
 //     "params":  { ... experiment knobs ... },
 //     "rows":    [ { "app": "K-Means", "normalized_runtime": 0.91, ... } ],
-//     "counters": { ... MetricsRegistry / StatsRegistry values ... },
+//     "counters": { ... StatsRegistry values ... },
 //     "notes":   [ "paper: ..." ]
 //   }
 //
@@ -88,8 +88,6 @@ class RunReport {
     return set_param(std::move(key), ReportValue(std::string(value)));
   }
   RunReport& add_note(std::string note);
-  // Attaches a flat counter map (e.g. MetricsRegistry::snapshot()).
-  RunReport& set_counters(std::map<std::string, double> counters);
   // Flattens a typed-stats snapshot into the counter map: counters and
   // gauges keep their names; each histogram `h` contributes
   // h.count/.sum/.min/.max/.p50/.p95/.p99 plus h.underflow/.overflow so

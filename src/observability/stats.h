@@ -1,11 +1,9 @@
 // Typed metrics: counters, gauges, and fixed-bucket histograms with
 // percentile estimation, plus a process-wide named registry.
 //
-// This upgrades the flat double-valued MetricsRegistry
-// (src/common/metrics.h, kept for lightweight ad-hoc accounting): storage
-// and scheduling report into typed instruments here, and the bench
-// RunReport embeds a registry snapshot so every BENCH_*.json carries the
-// same counter set. Histograms use fixed bucket bounds (linear or
+// Storage and scheduling report into typed instruments here, and the
+// bench RunReport embeds a registry snapshot so every BENCH_*.json carries
+// the same counter set. Histograms use fixed bucket bounds (linear or
 // exponential) so p50/p95/p99 are O(buckets) to read and the memory
 // footprint is constant — the same design Prometheus client libraries
 // settled on.

@@ -163,7 +163,6 @@ void WorkLedger::commit_run(RunKind kind, std::size_t window_splits,
     }
   }
   ++runs_committed_;
-  if (history_limit_ == 0) return;
   SlideRecord record;
   record.sequence = next_sequence_++;
   record.kind = kind;
@@ -173,13 +172,7 @@ void WorkLedger::commit_run(RunKind kind, std::size_t window_splits,
   record.added = added;
   record.partitions = partitions;
   history_.push_back(std::move(record));
-  while (history_.size() > history_limit_) history_.pop_front();
-}
-
-void WorkLedger::set_history_limit(std::size_t limit) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  history_limit_ = limit;
-  while (history_.size() > history_limit_) history_.pop_front();
+  while (history_.size() > kHistoryLimit) history_.pop_front();
 }
 
 LedgerSnapshot WorkLedger::snapshot() const {

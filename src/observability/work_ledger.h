@@ -269,10 +269,6 @@ class WorkLedger {
   void note_scrub(std::uint64_t verified, std::uint64_t detected,
                   std::uint64_t repairs, std::uint64_t quarantines);
 
-  // How many SlideRecords snapshot() retains (default 64; 0 disables the
-  // per-run history and keeps only the totals).
-  void set_history_limit(std::size_t limit);
-
   LedgerSnapshot snapshot() const;
   std::string to_json() const { return ledger_to_json(snapshot()); }
 
@@ -290,7 +286,8 @@ class WorkLedger {
   std::map<std::string, TenantWork, std::less<>> tenant_totals_;
   std::uint64_t runs_committed_ = 0;
   std::uint64_t next_sequence_ = 0;
-  std::size_t history_limit_ = 64;
+  // snapshot() retains the most recent kHistoryLimit SlideRecords.
+  static constexpr std::size_t kHistoryLimit = 64;
   std::deque<SlideRecord> history_;
   // Sharded event cells: one per thread that ever noted an event. Cells
   // are owned here and never freed (bounded by peak thread count), so a

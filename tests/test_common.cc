@@ -130,15 +130,5 @@ TEST(RunMetrics, AccumulatesAllFields) {
   EXPECT_DOUBLE_EQ(a.work(), 1 + 2 + 3);
 }
 
-TEST(MetricsRegistry, AddGetReset) {
-  MetricsRegistry registry;
-  registry.add("reads", 2);
-  registry.add("reads", 3);
-  EXPECT_DOUBLE_EQ(registry.get("reads"), 5);
-  EXPECT_DOUBLE_EQ(registry.get("absent"), 0);
-  registry.reset();
-  EXPECT_DOUBLE_EQ(registry.get("reads"), 0);
-}
-
 }  // namespace
 }  // namespace slider

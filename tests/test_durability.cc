@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -27,6 +28,9 @@
 #include "durability/recovery.h"
 #include "durability/scrubber.h"
 #include "durability/segment_log.h"
+#include "observability/introspection_server.h"
+#include "observability/stats.h"
+#include "observability/work_ledger.h"
 #include "slider/session.h"
 #include "tests/test_util.h"
 
@@ -567,6 +571,30 @@ TEST_F(DurabilityTest, ScrubberAbandonsPassWhenTierMutates) {
   EXPECT_EQ(scrubber.stats().passes_abandoned, 1u);
   EXPECT_EQ(scrubber.stats().corruptions_detected, 0u);
   EXPECT_TRUE(scrubber.stats().conserved());
+}
+
+// The Prometheus text format allows one TYPE line per family; a scraper
+// rejects the whole page otherwise. The scrub families come from the work
+// ledger, so a scrub must not also surface them as registry instruments.
+TEST_F(DurabilityTest, MetricsExposeEachFamilyOnce) {
+  DurableTier tier(path());
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    ASSERT_EQ(tier.put(k, k, "pppppppp"), 2u);
+  }
+  IntegrityScrubber scrubber(tier);
+  ASSERT_EQ(scrubber.scrub_slice(1000).records_verified, 8u);
+
+  std::istringstream text(
+      obs::prometheus_text(obs::StatsRegistry::global().snapshot(),
+                           obs::WorkLedger::global().snapshot()));
+  std::unordered_set<std::string> families;
+  std::string line;
+  while (std::getline(text, line)) {
+    if (!line.starts_with("# TYPE ")) continue;
+    const std::string name = line.substr(7, line.find(' ', 7) - 7);
+    EXPECT_TRUE(families.insert(name).second) << "duplicate family " << name;
+  }
+  EXPECT_TRUE(families.contains("slider_scrub_records_verified_total"));
 }
 
 // --- memo payload checksums ------------------------------------------------

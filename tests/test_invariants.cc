@@ -12,6 +12,9 @@
 
 #include <cmath>
 #include <deque>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "contraction/tree.h"
 #include "tests/test_util.h"
@@ -28,6 +31,7 @@ struct TreeCase {
   // Fixed-width variants cannot shrink/grow arbitrarily.
   bool fixed_slide = false;
   bool append_only = false;
+  bool split_processing = false;
 };
 
 std::string case_name(const ::testing::TestParamInfo<
@@ -41,6 +45,7 @@ std::string case_name(const ::testing::TestParamInfo<
     case TreeKind::kRotating: name = "rotating"; break;
     case TreeKind::kCoalescing: name = "coalescing"; break;
   }
+  if (c.split_processing) name += "_split";
   return name + "_seed" + std::to_string(std::get<1>(info.param));
 }
 
@@ -64,6 +69,7 @@ TEST_P(TreeInvariants, HoldAcrossRandomHistoryWithFailures) {
   TreeOptions options;
   options.kind = c.kind;
   options.bucket_width = 4;
+  options.split_processing = c.split_processing;
   auto tree = make_tree(options, ctx, combiner);
 
   std::deque<Leaf> window;
@@ -151,14 +157,50 @@ INSTANTIATE_TEST_SUITE_P(
                           TreeCase{TreeKind::kRandomizedFolding},
                           TreeCase{TreeKind::kRotating, /*fixed_slide=*/true},
                           TreeCase{TreeKind::kCoalescing, false,
-                                   /*append_only=*/true}),
+                                   /*append_only=*/true},
+                          // Background runs only every third step, so the
+                          // others catch up in the foreground.
+                          TreeCase{TreeKind::kRotating, true, false,
+                                   /*split_processing=*/true},
+                          TreeCase{TreeKind::kCoalescing, false, true,
+                                   /*split_processing=*/true}),
         ::testing::Values(1u, 2u, 3u, 4u)),
     case_name);
 
+// Everything a run charged, as comparable values: the aggregates, the
+// non-empty per-(cause, level) cells in charge order, and the lineage.
+auto charged_work(const TreeUpdateStats& s) {
+  std::vector<std::tuple<obs::WorkCause, std::uint16_t, std::uint64_t,
+                         std::uint64_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t, std::uint64_t>>
+      cells;
+  for (const obs::AttributedCell& c : s.attributed.cells()) {
+    if (c.work.empty()) continue;
+    cells.emplace_back(c.cause, c.level, c.work.combiner_invocations,
+                       c.work.combiner_reused, c.work.nodes_visited,
+                       c.work.rows_scanned, c.work.memo_bytes_read,
+                       c.work.memo_bytes_written);
+  }
+  std::vector<std::tuple<NodeId, obs::LineageOp, obs::WorkCause,
+                         std::uint16_t, std::uint32_t, std::uint64_t,
+                         std::uint64_t, double, std::vector<NodeId>>>
+      lineage;
+  for (const obs::NodeLineage& n : s.lineage) {
+    lineage.emplace_back(n.id, n.op, n.cause, n.level, n.invocations, n.rows,
+                         n.rows_scanned, n.memo_cost, n.children);
+  }
+  return std::tuple{s.combiner_invocations, s.combiner_reused,
+                    s.nodes_visited,        s.rows_scanned,
+                    s.memo_reads,           s.memo_read_cost,
+                    s.memo_bytes_read,      s.memo_bytes_written,
+                    s.memo_write_cost,      cells,
+                    lineage};
+}
+
 // I5: determinism — identical seeds must give identical outputs AND
-// identical charged work across separate universes.
+// identical charged work across separate universes, for every variant.
 TEST(TreeInvariants, DeterministicCostsAndOutputs) {
-  auto run_universe = [](std::uint64_t seed) {
+  auto run_universe = [](const TreeCase& c, std::uint64_t seed) {
     const CombineFn combiner = sum_combiner();
     CostModel cost;
     Cluster cluster(ClusterConfig{.num_machines = 4, .slots_per_machine = 2});
@@ -168,25 +210,43 @@ TEST(TreeInvariants, DeterministicCostsAndOutputs) {
     ctx.job_hash = 0xD00D;
     Rng rng(seed);
 
-    auto tree = make_tree(TreeOptions{.kind = TreeKind::kFolding}, ctx,
-                          combiner);
+    TreeOptions options;
+    options.kind = c.kind;
+    options.split_processing = c.split_processing;
+    auto tree = make_tree(options, ctx, combiner);
     std::vector<Leaf> initial;
     SplitId next_id = 0;
     for (int i = 0; i < 12; ++i) {
       initial.push_back(random_leaf(next_id++, rng, combiner));
     }
     TreeUpdateStats total;
+    total.record_lineage = true;
     tree->initial_build(std::move(initial), &total);
     for (int step = 0; step < 10; ++step) {
+      total.cause = obs::WorkCause::kWindowAdd;
+      total.passthrough_cause = obs::WorkCause::kWindowRemove;
       std::vector<Leaf> added = {random_leaf(next_id++, rng, combiner)};
-      tree->apply_delta(1, std::move(added), &total);
+      tree->apply_delta(c.append_only ? 0 : 1, std::move(added), &total);
+      if (step % 3 == 0) {
+        total.cause = obs::WorkCause::kBackgroundPreprocess;
+        tree->background_preprocess(&total);
+      }
     }
-    return std::tuple{tree->root()->content_hash(), total.rows_scanned,
-                      total.memo_read_cost, total.memo_write_cost};
+    return std::pair{tree->root()->content_hash(), charged_work(total)};
   };
 
-  EXPECT_EQ(run_universe(42), run_universe(42));
-  EXPECT_NE(std::get<0>(run_universe(42)), std::get<0>(run_universe(43)));
+  for (const TreeCase& c :
+       {TreeCase{TreeKind::kStrawman}, TreeCase{TreeKind::kFolding},
+        TreeCase{TreeKind::kRandomizedFolding},
+        TreeCase{TreeKind::kRotating, true, false, /*split_processing=*/true},
+        TreeCase{TreeKind::kCoalescing, false, true,
+                 /*split_processing=*/true}}) {
+    SCOPED_TRACE(static_cast<int>(c.kind));
+    const auto first = run_universe(c, 42);
+    EXPECT_EQ(first, run_universe(c, 42));
+    EXPECT_FALSE(std::get<10>(first.second).empty());
+    EXPECT_NE(first.first, run_universe(c, 43).first);
+  }
 }
 
 // The headline asymptotic claim as a measurable property: for fixed-width

@@ -326,7 +326,7 @@ TEST(Stats, CountersAreThreadSafe) {
             static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
-// --- RunMetrics / MetricsRegistry -------------------------------------------
+// --- RunMetrics --------------------------------------------------------------
 
 TEST(Metrics, RunMetricsAggregatesEveryField) {
   RunMetrics a;
@@ -366,36 +366,6 @@ TEST(Metrics, RunMetricsAggregatesEveryField) {
   EXPECT_DOUBLE_EQ(b.work(), 2 + 4 + 6 + 8 + 10);
 }
 
-TEST(Metrics, RegistryIncrementFindAndDrain) {
-  MetricsRegistry registry;
-  EXPECT_FALSE(registry.find("absent").has_value());
-  EXPECT_DOUBLE_EQ(registry.get("absent"), 0.0);
-  EXPECT_DOUBLE_EQ(registry.increment("x"), 1.0);
-  EXPECT_DOUBLE_EQ(registry.increment("x", 2.5), 3.5);
-  ASSERT_TRUE(registry.find("x").has_value());
-  EXPECT_DOUBLE_EQ(*registry.find("x"), 3.5);
-
-  const auto drained = registry.snapshot_and_reset();
-  EXPECT_DOUBLE_EQ(drained.at("x"), 3.5);
-  EXPECT_FALSE(registry.find("x").has_value());
-  EXPECT_TRUE(registry.snapshot().empty());
-}
-
-TEST(Metrics, RegistryIncrementIsAtomicAcrossThreads) {
-  MetricsRegistry registry;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry] {
-      for (int i = 0; i < kPerThread; ++i) registry.increment("shared");
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_DOUBLE_EQ(registry.get("shared"),
-                   static_cast<double>(kThreads * kPerThread));
-}
-
 // --- RunReport ---------------------------------------------------------------
 
 TEST(RunReport, JsonCarriesParamsRowsAndNotes) {
@@ -403,7 +373,9 @@ TEST(RunReport, JsonCarriesParamsRowsAndNotes) {
   report.set_param("machines", std::uint64_t{24});
   report.set_param("label", "fixed \"width\"");
   report.add_note("paper: baseline = 1.0");
-  report.set_counters({{"memo.hits", 3.0}});
+  obs::StatsSnapshot stats;
+  stats.counters["memo.hits"] = 3;
+  report.merge_stats(stats);
 
   RunMetrics metrics;
   metrics.map_work = 1.5;

@@ -250,6 +250,18 @@ TEST(ParallelDeterminism, RotatingTreeWithBackgroundMatchesSerial) {
   expect_scenarios_identical(serial, parallel);
 }
 
+// Append-only with split processing: each slide folds its batch through
+// the shared batch fold, and the background phase coalesces it.
+TEST(ParallelDeterminism, CoalescingTreeWithBackgroundMatchesSerial) {
+  const auto serial =
+      run_scenario(1, MicroApp::kHct, WindowMode::kAppendOnly,
+                   TreeKind::kCoalescing, /*split_processing=*/true);
+  const auto parallel =
+      run_scenario(4, MicroApp::kHct, WindowMode::kAppendOnly,
+                   TreeKind::kCoalescing, /*split_processing=*/true);
+  expect_scenarios_identical(serial, parallel);
+}
+
 // substr's combiner is flat-eligible and tree_kind is unset, so this
 // scenario runs on the flat aggregation tier — same bit-identical
 // contract as the tree variants above, at any thread count.

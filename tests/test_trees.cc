@@ -140,19 +140,19 @@ TEST(FoldingTree, IncrementalWorkIsSublinear) {
             build_stats.combiner_invocations / 10);
 }
 
-TEST(FoldingTree, RebalanceFactorTriggersFreshRun) {
+TEST(FoldingTree, FoldsCapacityDownAfterDrasticShrink) {
   const CombineFn combiner = sum_combiner();
-  FoldingTree tree(no_store_ctx(), combiner, /*rebalance_factor=*/4);
+  FoldingTree tree(no_store_ctx(), combiner);
   TreeUpdateStats stats;
   auto leaves = sequential_leaves(0, 64, combiner);
   tree.initial_build(leaves, &stats);
-  // Shrink drastically but keep leaves on both sides of the root so plain
-  // folding cannot halve: drop 60 of 64.
+  // Drop 60 of 64: each emptied left half folds away, 64 -> 32 -> 16 -> 8
+  // -> 4, leaving the 4 survivors in a full leaf level.
   tree.apply_delta(60, {}, &stats);
   const std::vector<Leaf> rest(leaves.begin() + 60, leaves.end());
   EXPECT_EQ(*tree.root(), fold_leaves(rest, combiner));
-  // 4 leaves with factor 4: capacity must be at most 16 after rebuild.
-  EXPECT_LE(tree.capacity(), 16u);
+  EXPECT_EQ(tree.capacity(), 4u);
+  EXPECT_EQ(tree.first_occupied(), 0u);
 }
 
 // Property sweep: random slide histories must match from-scratch folds.

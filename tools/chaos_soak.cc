@@ -878,7 +878,6 @@ int main(int argc, char** argv) {
 
   if (opt.report) {
     report.set_robustness(totals);
-    report.set_counters(MetricsRegistry::global().snapshot());
     report.merge_stats(obs::StatsRegistry::global().snapshot());
     report.add_note(
         "chaos soak: every variant x seed run under seeded mid-run machine "

@@ -425,7 +425,6 @@ int main(int argc, char** argv) {
         "chaos; per-tenant outputs byte-identical to isolated controls, "
         "nappers checkpoint-idle and re-hydrate, burst tenant shed at the "
         "watermark, quota-eviction counters conserved");
-    report.set_counters(MetricsRegistry::global().snapshot());
     const std::string path = report.write();
     if (!path.empty() && !opt.quiet) {
       std::printf("bench report: %s\n", path.c_str());
