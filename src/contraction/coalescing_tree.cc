@@ -11,6 +11,7 @@ namespace slider {
 // from the session's per-partition loop (see docs/threading.md).
 void CoalescingTree::initial_build(std::vector<Leaf> leaves,
                                    TreeUpdateStats* stats) {
+  held_.drop_all();
   leaf_count_ = leaves.size();
   height_ = 1;
   pending_delta_.reset();
@@ -20,6 +21,7 @@ void CoalescingTree::initial_build(std::vector<Leaf> leaves,
     return;
   }
   root_node_ = fold_batch(ctx_, combiner_, leaves, stats);
+  held_.hold(root_node_.id);
 }
 
 void CoalescingTree::coalesce_pending(TreeUpdateStats* stats) {
@@ -33,6 +35,9 @@ void CoalescingTree::coalesce_pending(TreeUpdateStats* stats) {
   root_node_.table =
       combine_and_memoize(ctx_, combiner_, id, *prev, *pending_delta_, stats,
                           root_node_.id, pending_delta_id_);
+  held_.hold(id);
+  held_.drop(root_node_.id);
+  held_.drop(pending_delta_id_);
   root_node_.id = id;
   pending_delta_.reset();
   root_override_.reset();
@@ -54,6 +59,7 @@ void CoalescingTree::apply_delta(std::size_t remove_front,
 
   leaf_count_ += added.size();
   MemoNode delta = fold_batch(ctx_, combiner_, added, stats);
+  held_.hold(delta.id);
   pending_delta_ = std::move(delta.table);
   pending_delta_id_ = delta.id;
   // Split processing leaves the coalesce to the background phase.
@@ -117,6 +123,9 @@ bool CoalescingTree::restore(durability::CheckpointReader& reader) {
   pending_delta_ = std::move(pending);
   pending_delta_id_ = pending_id;
   root_override_.reset();  // lazy cache; rebuilt on demand, uncharged
+  held_.reset();
+  held_.hold(root_node_.id);
+  held_.hold(pending_delta_id_);
   return true;
 }
 

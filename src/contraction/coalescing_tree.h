@@ -31,6 +31,9 @@ class CoalescingTree final : public ContractionTree {
   std::string_view kind() const override { return "coalescing"; }
   TreeDescription describe() const override;
   void collect_live_ids(std::unordered_set<NodeId>& live) const override;
+  void take_released_ids(std::vector<NodeId>& released) override {
+    held_.take(released);
+  }
   void serialize(durability::CheckpointWriter& writer) const override;
   bool restore(durability::CheckpointReader& reader) override;
 
@@ -50,6 +53,7 @@ class CoalescingTree final : public ContractionTree {
   // Lazily materialized C_k ⊕ C'; a cache, hence mutable (root() is
   // logically const and uncharged — see the comment there).
   mutable std::shared_ptr<const KVTable> root_override_;
+  HeldIds held_;  // the root's id and the pending delta's
 
   std::size_t leaf_count_ = 0;
   int height_ = 0;

@@ -6,7 +6,6 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "contraction/simd_kernels.h"
-#include "contraction/tree_common.h"
 #include "data/serde.h"
 
 namespace slider {
@@ -156,6 +155,7 @@ void FlatAggregator::add_element(Element element, TreeUpdateStats* stats) {
   stats->charge_invocation(element.table->size());
   const SimDuration write_before = stats->memo_write_cost;
   memoize_payload(ctx_, element.id, element.table, stats);
+  held_.hold(element.id);
   if (stats->record_lineage) {
     // One invocation per inserted element: the lane update is the flat
     // tier's analogue of a leaf-level combine over the element's rows.
@@ -236,6 +236,7 @@ void FlatAggregator::evict_front(TreeUpdateStats* stats) {
   for (const std::uint32_t k : elements_.front().key_idx) {
     if (--counts_[k] == 0) root_order_dirty_ = true;
   }
+  held_.drop(elements_.front().id);
   elements_.pop_front();
 }
 
@@ -509,6 +510,14 @@ void FlatAggregator::collect_live_ids(
   for (const Element& e : elements_) live.insert(element_id(e));
 }
 
+void FlatAggregator::take_released_ids(std::vector<NodeId>& released) {
+  held_.take(released);
+  if (fallback_ != nullptr) {
+    held_.reset();
+    fallback_->take_released_ids(released);
+  }
+}
+
 void FlatAggregator::serialize(durability::CheckpointWriter& writer) const {
   std::string& blob = writer.blob();
   wire::put_u8(blob, fallback_ != nullptr ? 1 : 0);
@@ -575,6 +584,7 @@ bool FlatAggregator::restore(durability::CheckpointReader& reader) {
       e.key_idx.push_back(idx);
       e.values.push_back(lane);
     }
+    held_.hold(e.id);
     elements_.push_back(std::move(e));
   }
 

@@ -45,7 +45,7 @@
 #include <string>
 #include <vector>
 
-#include "contraction/tree.h"
+#include "contraction/tree_common.h"
 #include "data/combiner_traits.h"
 
 namespace slider {
@@ -68,6 +68,7 @@ class FlatAggregator : public ContractionTree {
   std::string_view kind() const override;
   TreeDescription describe() const override;
   void collect_live_ids(std::unordered_set<NodeId>& live) const override;
+  void take_released_ids(std::vector<NodeId>& released) override;
   void serialize(durability::CheckpointWriter& writer) const override;
   bool restore(durability::CheckpointReader& reader) override;
 
@@ -169,6 +170,11 @@ class FlatAggregator : public ContractionTree {
   // key set or the directory layout changes.
   std::vector<std::uint32_t> root_order_;
   bool root_order_dirty_ = true;
+
+  // Element ids (memoized ones; ids are 0 without a store). A demotion
+  // leaves the window it hands to the fallback counted here until the
+  // next take, so ids the fallback took over are never reported.
+  HeldIds held_;
 
   // Non-null once poisoned; every call delegates to it.
   std::unique_ptr<ContractionTree> fallback_;

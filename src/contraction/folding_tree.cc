@@ -9,6 +9,7 @@ namespace slider {
 
 void FoldingTree::initial_build(std::vector<Leaf> leaves,
                                 TreeUpdateStats* stats) {
+  held_.drop_all();
   levels_.clear();
   first_ = 0;
   end_ = leaves.size();
@@ -22,12 +23,13 @@ void FoldingTree::initial_build(std::vector<Leaf> leaves,
     slot.table = std::move(leaves[i].table);
     slot.recomputed_this_run = true;
     memoize_leaf(ctx_, slot.id, slot.table, stats);
+    held_.hold(slot.id);
     dirty.push_back(i);
   }
   for (std::size_t size = capacity >> 1; size >= 1; size >>= 1) {
     levels_.emplace_back(size);
   }
-  recompute_paths(ctx_, combiner_, levels_, std::move(dirty), stats);
+  recompute_paths(ctx_, combiner_, levels_, std::move(dirty), held_, stats);
 }
 
 void FoldingTree::grow() {
@@ -52,10 +54,12 @@ void FoldingTree::shrink(std::vector<std::size_t>& dirty_leaves) {
   std::size_t level_half = half;
   for (auto& level : levels_) {
     if (level.size() == 1) break;  // root level handled by pop below
-    level.erase(level.begin(),
-                level.begin() + static_cast<std::ptrdiff_t>(level_half));
+    const auto cut = level.begin() + static_cast<std::ptrdiff_t>(level_half);
+    for (auto it = level.begin(); it != cut; ++it) held_.drop(it->id);
+    level.erase(level.begin(), cut);
     level_half /= 2;
   }
+  held_.drop(levels_.back()[0].id);
   levels_.pop_back();
   first_ -= half;
   end_ -= half;
@@ -74,6 +78,7 @@ void FoldingTree::apply_delta(std::size_t remove_front,
 
   // Drop old items: void the leftmost occupied slots.
   for (std::size_t i = 0; i < remove_front; ++i) {
+    held_.drop(levels_[0][first_].id);
     levels_[0][first_] = LevelSlot{};
     dirty.push_back(first_);
     ++first_;
@@ -94,11 +99,12 @@ void FoldingTree::apply_delta(std::size_t remove_front,
     slot.table = std::move(leaf.table);
     slot.recomputed_this_run = true;
     memoize_leaf(ctx_, slot.id, slot.table, stats);
+    held_.hold(slot.id);
     dirty.push_back(end_);
     ++end_;
   }
 
-  recompute_paths(ctx_, combiner_, levels_, std::move(dirty), stats);
+  recompute_paths(ctx_, combiner_, levels_, std::move(dirty), held_, stats);
 }
 
 std::shared_ptr<const KVTable> FoldingTree::root() const {
@@ -149,6 +155,8 @@ bool FoldingTree::restore(durability::CheckpointReader& reader) {
     return false;
   }
   levels_ = std::move(levels);
+  held_.reset();
+  hold_level_ids(levels_, held_);
   first_ = static_cast<std::size_t>(first);
   end_ = static_cast<std::size_t>(end);
   return true;

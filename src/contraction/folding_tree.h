@@ -30,6 +30,9 @@ class FoldingTree final : public ContractionTree {
   std::string_view kind() const override { return "folding"; }
   TreeDescription describe() const override;
   void collect_live_ids(std::unordered_set<NodeId>& live) const override;
+  void take_released_ids(std::vector<NodeId>& released) override {
+    held_.take(released);
+  }
   void serialize(durability::CheckpointWriter& writer) const override;
   bool restore(durability::CheckpointReader& reader) override;
 
@@ -47,6 +50,7 @@ class FoldingTree final : public ContractionTree {
   CombineFn combiner_;
 
   Levels levels_;
+  HeldIds held_;           // every slot's id
   std::size_t first_ = 0;  // index of oldest occupied leaf slot
   std::size_t end_ = 0;    // one past newest occupied leaf slot
 };

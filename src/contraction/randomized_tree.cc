@@ -69,6 +69,7 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
   if (level.empty()) {
     root_ = std::make_shared<const KVTable>();
     root_id_ = 0;
+    prune_to_live(memo_, live_, released_);
     return;
   }
 
@@ -248,7 +249,7 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
   root_ = level[0].table;
   root_id_ = level[0].id;
 
-  prune_to_live(memo_, live_);
+  prune_to_live(memo_, live_, released_);
 }
 
 std::shared_ptr<const KVTable> RandomizedFoldingTree::root() const {

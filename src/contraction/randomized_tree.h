@@ -33,6 +33,9 @@ class RandomizedFoldingTree final : public ContractionTree {
   std::string_view kind() const override { return "randomized-folding"; }
   TreeDescription describe() const override;
   void collect_live_ids(std::unordered_set<NodeId>& live) const override;
+  void take_released_ids(std::vector<NodeId>& released) override {
+    take_unless_live(released_, live_, released);
+  }
   void serialize(durability::CheckpointWriter& writer) const override;
   bool restore(durability::CheckpointReader& reader) override;
 
@@ -55,8 +58,9 @@ class RandomizedFoldingTree final : public ContractionTree {
   double boundary_probability_;
 
   std::vector<NodeId> leaf_ids_;  // current window's leaf node ids
-  MemoMap memo_;
+  MemoMap memo_;  // pruned to live_ after every run, into released_
   std::unordered_set<NodeId> live_;
+  std::vector<NodeId> released_;
   std::shared_ptr<const KVTable> root_;
   NodeId root_id_ = 0;  // 0 for the empty window's empty root
   int height_ = 0;

@@ -25,6 +25,7 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
       << "bucket sizes (" << total << ") must cover all leaves ("
       << leaves.size() << ")";
 
+  held_.drop_all();
   buckets_ = sizes.size();
   window_splits_ = leaves.size();
   next_victim_ = 0;
@@ -73,17 +74,33 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
   if (stats != nullptr) {
     for (const TreeUpdateStats& bs : bucket_stats) *stats += bs;
   }
-  recompute_paths(ctx_, combiner_, levels_, std::move(dirty), stats);
+  for (std::size_t b = 0; b < buckets_; ++b) held_.hold(levels_[0][b].id);
+  recompute_paths(ctx_, combiner_, levels_, std::move(dirty), held_, stats);
 }
 
 void RotatingTree::install_bucket(std::size_t slot_index, Bucket bucket,
                                   TreeUpdateStats* stats) {
   LevelSlot& leaf = levels_[0][slot_index];
+  held_.hold(bucket.id);
+  held_.drop(leaf.id);
   leaf.id = bucket.id;
   leaf.table = std::move(bucket.table);
   leaf.recomputed_this_run = true;
   bucket_splits_[slot_index] = bucket.split_count;
-  recompute_paths(ctx_, combiner_, levels_, {slot_index}, stats);
+  recompute_paths(ctx_, combiner_, levels_, {slot_index}, held_, stats);
+}
+
+void RotatingTree::install_pending(TreeUpdateStats* stats) {
+  const NodeId id = pending_install_->second.id;
+  install_bucket(pending_install_->first, std::move(pending_install_->second),
+                 stats);
+  pending_install_.reset();
+  held_.drop(id);
+}
+
+void RotatingTree::reset_intermediate() {
+  if (intermediate_.has_value()) held_.drop(intermediate_->id);
+  intermediate_.reset();
 }
 
 void RotatingTree::apply_delta(std::size_t remove_front,
@@ -97,10 +114,8 @@ void RotatingTree::apply_delta(std::size_t remove_front,
   // A best-effort background phase may have been skipped: catch up in the
   // foreground before handling this slide.
   if (pending_install_.has_value()) {
-    install_bucket(pending_install_->first, std::move(pending_install_->second),
-                   stats);
-    pending_install_.reset();
-    intermediate_.reset();
+    install_pending(stats);
+    reset_intermediate();
   }
 
   SLIDER_CHECK(levels_[0][next_victim_].table != nullptr)
@@ -121,9 +136,10 @@ void RotatingTree::apply_delta(std::size_t remove_front,
   if (can_use_intermediate) {
     // Foreground: Reduce will stream over {I, fresh bucket}. The tree
     // itself is updated in the next background phase.
+    held_.hold(bucket.id);
     pending_install_ = {next_victim_, std::move(bucket)};
   } else {
-    intermediate_.reset();
+    reset_intermediate();
     install_bucket(next_victim_, std::move(bucket), stats);
   }
   next_victim_ = (next_victim_ + 1) % buckets_;
@@ -144,25 +160,26 @@ void RotatingTree::compute_intermediate(TreeUpdateStats* stats) {
     if (acc == nullptr) {
       acc = std::move(sibling_table);
       acc_id = sibling.id;
+      held_.hold(acc_id);
       continue;
     }
     const NodeId prev_id = acc_id;
     acc_id = internal_node_id(ctx_, acc_id, sibling.id);
     acc = combine_and_memoize(ctx_, combiner_, acc_id, *acc, *sibling_table,
                               stats, prev_id, sibling.id);
+    // Each partial fold is memoized, then superseded by the next.
+    held_.hold(acc_id);
+    held_.drop(prev_id);
   }
   if (stats != nullptr) stats->level = 0;
   if (acc == nullptr) acc = std::make_shared<const KVTable>();  // N == 1
+  reset_intermediate();
   intermediate_ = Intermediate{next_victim_, acc_id, std::move(acc)};
 }
 
 void RotatingTree::background_preprocess(TreeUpdateStats* stats) {
   if (!split_processing_) return;
-  if (pending_install_.has_value()) {
-    install_bucket(pending_install_->first, std::move(pending_install_->second),
-                   stats);
-    pending_install_.reset();
-  }
+  if (pending_install_.has_value()) install_pending(stats);
   compute_intermediate(stats);
 }
 
@@ -269,6 +286,9 @@ bool RotatingTree::restore(durability::CheckpointReader& reader) {
         !reader.get_u64(&split_count) || bucket.table == nullptr) {
       return false;
     }
+    // The next apply_delta or background phase installs the bucket into
+    // this slot: it must be a live bucket slot.
+    if (slot_index >= buckets) return false;
     bucket.split_count = static_cast<std::size_t>(split_count);
     pending = {static_cast<std::size_t>(slot_index), std::move(bucket)};
   }
@@ -299,6 +319,10 @@ bool RotatingTree::restore(durability::CheckpointReader& reader) {
                             ? pending_install_->second.table
                             : nullptr;
   root_override_.reset();  // lazy cache; rebuilt on demand, uncharged
+  held_.reset();
+  hold_level_ids(levels_, held_);
+  if (pending_install_.has_value()) held_.hold(pending_install_->second.id);
+  if (intermediate_.has_value()) held_.hold(intermediate_->id);
   return true;
 }
 

@@ -49,6 +49,9 @@ class RotatingTree final : public ContractionTree {
   std::string_view kind() const override { return "rotating"; }
   TreeDescription describe() const override;
   void collect_live_ids(std::unordered_set<NodeId>& live) const override;
+  void take_released_ids(std::vector<NodeId>& released) override {
+    held_.take(released);
+  }
   void serialize(durability::CheckpointWriter& writer) const override;
   bool restore(durability::CheckpointReader& reader) override;
 
@@ -65,6 +68,9 @@ class RotatingTree final : public ContractionTree {
 
   void install_bucket(std::size_t slot_index, Bucket bucket,
                       TreeUpdateStats* stats);
+  // Installs the pending bucket (split processing's deferred tree update).
+  void install_pending(TreeUpdateStats* stats);
+  void reset_intermediate();
   void compute_intermediate(TreeUpdateStats* stats);
 
   MemoContext ctx_;
@@ -75,6 +81,8 @@ class RotatingTree final : public ContractionTree {
 
   // levels_[0] = bucket slots padded with voids to a power of two.
   Levels levels_;
+  // Every slot's id, the pending bucket's and the intermediate's.
+  HeldIds held_;
   std::vector<std::size_t> bucket_splits_;  // split count per leaf slot
   std::size_t buckets_ = 0;        // live bucket count N
   std::size_t next_victim_ = 0;    // circular rotation pointer

@@ -105,16 +105,15 @@ void StrawmanTree::rebuild(TreeUpdateStats* stats) {
     root_ = std::make_shared<const KVTable>();
     root_id_ = 0;
     height_ = 0;
-    return;
+  } else {
+    const Built top = build_range(0, leaves_.size(), stats);
+    root_ = top.table;
+    root_id_ = top.id;
+    height_ = static_cast<int>(
+        std::ceil(std::log2(static_cast<double>(leaves_.size()))));
   }
-  const Built top = build_range(0, leaves_.size(), stats);
-  root_ = top.table;
-  root_id_ = top.id;
-  height_ = static_cast<int>(
-      std::ceil(std::log2(static_cast<double>(leaves_.size()))));
-
   // Anything unreachable from the current window is garbage.
-  prune_to_live(memo_, live_);
+  prune_to_live(memo_, live_, released_);
 }
 
 TreeDescription StrawmanTree::describe() const {

@@ -30,6 +30,9 @@ class StrawmanTree final : public ContractionTree {
   std::string_view kind() const override { return "strawman"; }
   TreeDescription describe() const override;
   void collect_live_ids(std::unordered_set<NodeId>& live) const override;
+  void take_released_ids(std::vector<NodeId>& released) override {
+    take_unless_live(released_, live_, released);
+  }
   void serialize(durability::CheckpointWriter& writer) const override;
   bool restore(durability::CheckpointReader& reader) override;
 
@@ -51,9 +54,11 @@ class StrawmanTree final : public ContractionTree {
   int height_ = 0;
 
   // Cross-run memo of node payloads (the in-process view of what the memo
-  // layer holds); pruned to the live tree after every rebuild.
+  // layer holds); pruned to the live tree after every rebuild, the pruned
+  // ids queued in released_.
   MemoMap memo_;
   std::unordered_set<NodeId> live_;
+  std::vector<NodeId> released_;
 };
 
 }  // namespace slider

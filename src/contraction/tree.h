@@ -226,7 +226,18 @@ class ContractionTree {
   virtual TreeDescription describe() const = 0;
 
   // Node ids this tree still needs; everything else is garbage (§6 GC).
+  // O(tree): the full-sweep view, for checkpoint pinning, composite GC and
+  // cross-checks. The per-run GC uses take_released_ids() instead.
   virtual void collect_live_ids(std::unordered_set<NodeId>& live) const = 0;
+
+  // Appends the node ids this tree stopped holding since the previous
+  // call and forgets them: nodes a mutating call dropped, and nodes it
+  // memoized and dropped again within the call (e.g. the rotating tree's
+  // partial folds). An id the tree holds again by the time of the call is
+  // not reported. Erasing exactly these after every run keeps the memo
+  // store equal to collect_live_ids() at O(released) cost (§6 GC). The
+  // ids accumulate until taken.
+  virtual void take_released_ids(std::vector<NodeId>& released) = 0;
 
   // --- checkpoint/restore (§6; src/durability) -------------------------
   //

@@ -209,16 +209,48 @@ std::shared_ptr<const KVTable> fetch_reused(
   return fallback;
 }
 
+void HeldIds::hold(NodeId id) {
+  if (id != 0) ++counts_[id];
+}
+
+void HeldIds::drop(NodeId id) {
+  if (id == 0) return;
+  const auto it = counts_.find(id);
+  SLIDER_CHECK(it != counts_.end()) << "dropping node " << id
+                                    << " the tree does not hold";
+  if (--it->second == 0) {
+    counts_.erase(it);
+    released_.push_back(id);
+  }
+}
+
+void HeldIds::drop_all() {
+  for (const auto& [id, count] : counts_) released_.push_back(id);
+  counts_.clear();
+}
+
+void HeldIds::take(std::vector<NodeId>& released) {
+  for (const NodeId id : released_) {
+    if (!counts_.contains(id)) released.push_back(id);
+  }
+  released_.clear();
+}
+
+void HeldIds::reset() {
+  counts_.clear();
+  released_.clear();
+}
 
 void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
                      Levels& levels, std::vector<std::size_t> dirty_leaves,
-                     TreeUpdateStats* stats) {
+                     HeldIds& held, TreeUpdateStats* stats) {
   // Leaf marks were set by the caller for fresh leaves only.
   std::sort(dirty_leaves.begin(), dirty_leaves.end());
   dirty_leaves.erase(std::unique(dirty_leaves.begin(), dirty_leaves.end()),
                      dirty_leaves.end());
 
   std::vector<std::size_t> dirty = std::move(dirty_leaves);
+  std::vector<NodeId> old_ids;
   for (std::size_t k = 1; k < levels.size(); ++k) {
     std::vector<std::size_t> next;
     next.reserve(dirty.size() / 2 + 1);
@@ -226,6 +258,7 @@ void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
       const std::size_t parent = dirty[i] / 2;
       if (next.empty() || next.back() != parent) next.push_back(parent);
     }
+    old_ids.resize(next.size());
     // Nodes within a level are independent: node j reads only its two
     // children (levels[k-1][2j], [2j+1], untouched at this level) and
     // writes only levels[k][j]. Run them on the shared pool. Per-node
@@ -243,6 +276,7 @@ void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
       LevelSlot& left = levels[k - 1][2 * j];
       LevelSlot& right = levels[k - 1][2 * j + 1];
       LevelSlot& node = levels[k][j];
+      old_ids[idx] = node.id;
       if (left.table == nullptr && right.table == nullptr) {
         node = LevelSlot{};
       } else if (left.table == nullptr || right.table == nullptr) {
@@ -288,12 +322,20 @@ void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
     if (stats != nullptr) {
       for (const TreeUpdateStats& node_stats : local) *stats += node_stats;
     }
+    for (std::size_t idx = 0; idx < next.size(); ++idx) {
+      const NodeId id = levels[k][next[idx]].id;
+      if (id == old_ids[idx]) continue;
+      held.drop(old_ids[idx]);
+      held.hold(id);
+    }
+    // This level was the last reader of its children's marks.
+    for (const std::size_t i : dirty) {
+      levels[k - 1][i].recomputed_this_run = false;
+    }
     dirty = std::move(next);
   }
-
-  // Reset recompute marks for the next run.
-  for (auto& level : levels) {
-    for (LevelSlot& slot : level) slot.recomputed_this_run = false;
+  for (const std::size_t i : dirty) {
+    levels.back()[i].recomputed_this_run = false;
   }
 }
 
@@ -338,6 +380,12 @@ void collect_level_ids(const Levels& levels,
     for (const LevelSlot& slot : level) {
       if (slot.table != nullptr) live.insert(slot.id);
     }
+  }
+}
+
+void hold_level_ids(const Levels& levels, HeldIds& held) {
+  for (const auto& level : levels) {
+    for (const LevelSlot& slot : level) held.hold(slot.id);
   }
 }
 
@@ -407,10 +455,22 @@ std::optional<MemoMap> get_memo_map(durability::CheckpointReader& reader) {
   return memo;
 }
 
-void prune_to_live(MemoMap& memo, const std::unordered_set<NodeId>& live) {
-  std::erase_if(memo, [&live](const auto& entry) {
-    return !live.contains(entry.first);
+void prune_to_live(MemoMap& memo, const std::unordered_set<NodeId>& live,
+                   std::vector<NodeId>& released) {
+  std::erase_if(memo, [&](const auto& entry) {
+    if (live.contains(entry.first)) return false;
+    released.push_back(entry.first);
+    return true;
   });
+}
+
+void take_unless_live(std::vector<NodeId>& pending,
+                      const std::unordered_set<NodeId>& live,
+                      std::vector<NodeId>& released) {
+  for (const NodeId id : pending) {
+    if (!live.contains(id)) released.push_back(id);
+  }
+  pending.clear();
 }
 
 }  // namespace slider

@@ -1,9 +1,10 @@
 // Shared plumbing for contraction-tree implementations: stable node ids,
 // priced merge execution, priced reuse of memoized payloads, and the
-// mechanisms several trees share — the level-array path recompute, the
-// batch fold and the tree-local memo-map checkpoint codec.
+// mechanisms several trees share — release tracking, the level-array path
+// recompute, the batch fold and the tree-local memo-map checkpoint codec.
 #pragma once
 
+#include <memory_resource>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -83,6 +84,33 @@ std::shared_ptr<const KVTable> fetch_reused(
     const MemoContext& ctx, NodeId id,
     const std::shared_ptr<const KVTable>& fallback, TreeUpdateStats* stats);
 
+// --- release tracking (ContractionTree::take_released_ids) -----------------
+
+// The node ids a tree holds, counted per holder (a passthrough slot holds
+// its live child's id too), plus the ids whose last holder let go since
+// the last take(). Trees hold() every id they store and drop() every id
+// they overwrite or discard; an id memoized and superseded within one call
+// is held and dropped in turn. Id 0 (void or empty) is never counted.
+class HeldIds {
+ public:
+  void hold(NodeId id);
+  void drop(NodeId id);
+  // Drops every held id (the tree is rebuilt from scratch).
+  void drop_all();
+  // Appends the released ids that are not held again, and forgets them.
+  void take(std::vector<NodeId>& released);
+  // Forgets everything, held and released (restore rebuilds the counts).
+  void reset();
+
+ private:
+  // Every slide allocates and frees count nodes. From a pool of their own
+  // they do not interleave with the table rows that maps and merges
+  // allocate from the global heap; interleaved, both ran measurably slower.
+  std::pmr::unsynchronized_pool_resource pool_;
+  std::pmr::unordered_map<NodeId, std::uint32_t> counts_{&pool_};
+  std::vector<NodeId> released_;
+};
+
 // --- level arrays (FoldingTree, RotatingTree) ------------------------------
 
 // One node slot. Void slots have a null table (and id 0).
@@ -99,11 +127,13 @@ using Levels = std::vector<std::vector<LevelSlot>>;
 // Change propagation (§3.1): recomputes the nodes on the paths from
 // `dirty_leaves` to the root, reusing memoized off-path siblings. A node
 // with one void child is a passthrough of the other; a node whose child
-// ids are unchanged keeps its payload. Callers mark fresh leaves
-// recomputed_this_run; every mark is cleared on return.
+// ids are unchanged keeps its payload. Every internal slot it rewrites
+// drops its old id and holds its new one in `held` (callers do the same
+// for the leaves they set). Callers mark fresh leaves recomputed_this_run;
+// every mark is cleared on return, in O(path) — no level is swept.
 void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
                      Levels& levels, std::vector<std::size_t> dirty_leaves,
-                     TreeUpdateStats* stats);
+                     HeldIds& held, TreeUpdateStats* stats);
 
 // describe() over a level array: kind/height/leaf_count from `tree`, then
 // every non-void slot bottom-up with role leaf/internal/root.
@@ -112,6 +142,9 @@ TreeDescription describe_levels(const ContractionTree& tree,
 
 // Inserts the id of every non-void slot.
 void collect_level_ids(const Levels& levels, std::unordered_set<NodeId>& live);
+
+// Holds the id of every slot (restore rebuilds the counts this way).
+void hold_level_ids(const Levels& levels, HeldIds& held);
 
 // --- batch fold (RotatingTree buckets, CoalescingTree deltas) --------------
 
@@ -142,7 +175,15 @@ using MemoMap = std::unordered_map<NodeId, std::shared_ptr<const KVTable>>;
 void put_memo_map(durability::CheckpointWriter& writer, const MemoMap& memo);
 std::optional<MemoMap> get_memo_map(durability::CheckpointReader& reader);
 
-// Drops every entry not in `live` (mirrors the master-side GC).
-void prune_to_live(MemoMap& memo, const std::unordered_set<NodeId>& live);
+// Drops every entry not in `live` (mirrors the master-side GC) and
+// appends the dropped ids to `released`.
+void prune_to_live(MemoMap& memo, const std::unordered_set<NodeId>& live,
+                   std::vector<NodeId>& released);
+
+// take_released_ids for the memo-map trees: moves `pending` (their
+// prune_to_live output) into `released`, skipping ids `live` again.
+void take_unless_live(std::vector<NodeId>& pending,
+                      const std::unordered_set<NodeId>& live,
+                      std::vector<NodeId>& released);
 
 }  // namespace slider

@@ -81,10 +81,7 @@ std::size_t DurableTier::reopen_failed() {
 
 std::optional<SegmentLog::CompactionResult> DurableTier::maybe_compact(
     const std::unordered_set<LogKey>& live) {
-  if (options_.compact_after_bytes == 0 ||
-      bytes_since_compact_ < options_.compact_after_bytes) {
-    return std::nullopt;
-  }
+  if (!compaction_due()) return std::nullopt;
   return compact(live);
 }
 

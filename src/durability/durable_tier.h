@@ -10,9 +10,10 @@
 // numbers are assigned by the caller (MemoStore owns the sequence space);
 // recovery merges replicas by highest seq per key (recovery.h).
 //
-// Compaction piggybacks on the memo GC: MemoStore::retain_only already
-// computes the live-node set, and maybe_compact() rewrites the logs down
-// to it once enough garbage has accumulated.
+// Compaction piggybacks on the memo GC: once compaction_due(), the store
+// hands its live-node set to compact(), which rewrites the logs down to it
+// (MemoStore::retain_only passes its live set to maybe_compact(); the
+// batch erase builds one from the store's index).
 #pragma once
 
 #include <cstdint>
@@ -32,8 +33,8 @@ namespace slider::durability {
 struct DurableTierOptions {
   std::size_t replicas = 2;  // matches MemoStore::kReplicas
   SegmentLogOptions log;
-  // maybe_compact() rewrites the logs once this many bytes were appended
-  // since the last compaction. 0 disables automatic compaction.
+  // Compaction is due (compaction_due()) once this many bytes were
+  // appended since the last one. 0 disables automatic compaction.
   std::uint64_t compact_after_bytes = 256ull << 10;
 };
 
@@ -71,8 +72,14 @@ class DurableTier {
   // clears, reopen and resume). Returns how many logs were reopened.
   std::size_t reopen_failed();
 
-  // Compacts every replica down to `live` if compact_after_bytes of new
-  // records accumulated since the last compaction (nullopt otherwise).
+  // True once compact_after_bytes of new records accumulated since the
+  // last compaction (never with automatic compaction disabled).
+  bool compaction_due() const {
+    return options_.compact_after_bytes != 0 &&
+           bytes_since_compact_ >= options_.compact_after_bytes;
+  }
+  // Compacts every replica down to `live` if compaction_due() (nullopt
+  // otherwise).
   std::optional<SegmentLog::CompactionResult> maybe_compact(
       const std::unordered_set<LogKey>& live);
   // Unconditional compaction; result aggregates all replicas.

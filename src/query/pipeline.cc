@@ -33,9 +33,9 @@ QueryPipeline::QueryPipeline(const VanillaEngine& engine, MemoStore& memo,
                              PipelineConfig config)
     : engine_(&engine), memo_(&memo), config_(std::move(config)) {
   SLIDER_CHECK(!stages.empty()) << "pipeline needs at least one stage";
-  // The pipeline runs a global GC across all stages; the first-stage
-  // session must not collect on its own (it would free later stages'
-  // memoized nodes from the shared store).
+  // The pipeline runs one GC across all stages; the first-stage session
+  // must not collect on its own (its first GC sweeps the whole store and
+  // would free later stages' memoized nodes).
   config_.first_stage.run_gc = false;
   first_ = std::make_unique<SliderSession>(engine, memo, stages[0],
                                            config_.first_stage);
@@ -167,12 +167,12 @@ const std::vector<KVTable>& QueryPipeline::output() const {
 }
 
 void QueryPipeline::garbage_collect() {
-  std::unordered_set<NodeId> live;
-  first_->collect_live_ids(live);
-  for (const LaterStage& stage : later_stages_) {
-    for (const auto& tree : stage.trees) tree->collect_live_ids(live);
+  std::vector<NodeId> released;
+  first_->take_released_ids(released);
+  for (LaterStage& stage : later_stages_) {
+    for (const auto& tree : stage.trees) tree->take_released_ids(released);
   }
-  memo_->retain_only(live);
+  memo_->erase_released(released);
 }
 
 PipelineResult vanilla_pipeline_run(const VanillaEngine& engine,

@@ -102,8 +102,9 @@ bool SessionManager::add_tenant(TenantSpec spec,
     state->config.record_provenance = true;
     state->config.provenance = state->provenance.get();
   }
-  // GC over a shared store must see every tenant's live set at once; a
-  // single session's GC would collect its neighbours (garbage_collect()).
+  // GC over a shared store is the fleet's (garbage_collect()): a session
+  // owning its GC sweeps the whole store once and would collect its
+  // neighbours.
   state->config.run_gc = false;
   state->config.introspect_port = -1;  // the manager owns the fleet endpoint
   state->spool_dir =
@@ -208,6 +209,7 @@ void SessionManager::checkpoint_locked(TenantState& state) {
     cold_ids_[state.name] = std::move(live);
     refresh_pinned_locked();
   }
+  state.session->take_released_ids(state.released);
   state.session.reset();
   state.cold = true;
   state.idle_rounds = 0;
@@ -282,19 +284,32 @@ std::size_t SessionManager::run_pending() {
 
 std::size_t SessionManager::garbage_collect() {
   std::shared_lock<std::shared_mutex> registry(registry_mutex_);
-  if (tenants_.empty()) return 0;
-  std::unordered_set<NodeId> live;
+  std::vector<NodeId> released;
   for (const auto& [name, state] : tenants_) {
     std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->session != nullptr) state->session->collect_live_ids(live);
+    released.insert(released.end(), state->released.begin(),
+                    state->released.end());
+    state->released.clear();
+    if (state->session != nullptr) state->session->take_released_ids(released);
   }
-  {
-    std::lock_guard<std::mutex> cold(cold_mutex_);
-    for (const auto& [name, ids] : cold_ids_) {
-      live.insert(ids.begin(), ids.end());
-    }
+  return memo_->erase_released(released);
+}
+
+void SessionManager::collect_live_ids(const std::string& name,
+                                      std::unordered_set<NodeId>& live) const {
+  std::shared_lock<std::shared_mutex> registry(registry_mutex_);
+  const auto it = tenants_.find(name);
+  if (it == tenants_.end()) return;
+  std::lock_guard<std::mutex> lock(it->second->mutex);
+  if (it->second->session != nullptr) {
+    it->second->session->collect_live_ids(live);
+    return;
   }
-  return memo_->retain_only(live);
+  std::lock_guard<std::mutex> cold(cold_mutex_);
+  const auto pinned = cold_ids_.find(name);
+  if (pinned != cold_ids_.end()) {
+    live.insert(pinned->second.begin(), pinned->second.end());
+  }
 }
 
 std::size_t SessionManager::tenant_count() const {

@@ -172,11 +172,20 @@ class SessionManager {
   // number of runs executed.
   std::size_t run_pending();
 
-  // Fleet-global memo GC: retains exactly the union of every live
-  // session's live ids and every cold checkpoint's pinned ids. Called
+  // Fleet-global memo GC: erases the node ids each tenant's session
+  // released since the last call, plus those its session released before
+  // an idle checkpoint destroyed it. The store then holds exactly the live
+  // sessions' ids and the cold checkpoints' pinned ids, at a cost
+  // proportional to the released ids, not to the fleet's state. Called
   // automatically by run_pending() when options.auto_gc; callable
   // directly when driving sessions manually. Returns entries collected.
   std::size_t garbage_collect();
+
+  // Node ids tenant `name` still needs: its hot session's live ids, or its
+  // cold checkpoint's pinned ids. The full-sweep view, O(window), for
+  // cross-checking garbage_collect(); no-op for unknown names.
+  void collect_live_ids(const std::string& name,
+                        std::unordered_set<NodeId>& live) const;
 
   std::size_t tenant_count() const;
   std::size_t total_pending() const {
@@ -242,6 +251,9 @@ class SessionManager {
     std::size_t window_splits = 0;
     TenantCounters counters;
     std::vector<std::string> outputs;  // serialized, as of last run
+    // Ids the session released before checkpoint_locked destroyed it; the
+    // next garbage_collect() erases them.
+    std::vector<NodeId> released;
   };
 
   // Executes one request on a live session. Caller holds state.mutex.

@@ -1052,9 +1052,17 @@ bool SliderSession::restore(const std::string& dir) {
 
 void SliderSession::garbage_collect() {
   SLIDER_TRACE_SPAN("session", "session.gc");
-  std::unordered_set<NodeId> live;
-  collect_live_ids(live);
-  [[maybe_unused]] const std::size_t collected = memo_->retain_only(live);
+  std::vector<NodeId> released;
+  take_released_ids(released);
+  std::size_t collected = 0;
+  if (first_gc_) {
+    first_gc_ = false;
+    std::unordered_set<NodeId> live;
+    collect_live_ids(live);
+    collected = memo_->retain_only(live);
+  } else {
+    collected = memo_->erase_released(released);
+  }
   SLIDER_TRACE_EVENT("session", "gc.collected",
                      {{"entries", static_cast<double>(collected)}});
 }
@@ -1063,6 +1071,10 @@ void SliderSession::collect_live_ids(std::unordered_set<NodeId>& live) const {
   for (const PartitionState& p : partitions_) {
     p.tree->collect_live_ids(live);
   }
+}
+
+void SliderSession::take_released_ids(std::vector<NodeId>& released) {
+  for (PartitionState& p : partitions_) p.tree->take_released_ids(released);
 }
 
 int SliderSession::tree_height(int partition) const {

@@ -47,6 +47,9 @@ struct SliderConfig {
   // split counts of the initial window; overrides bucket_width grouping.
   std::vector<std::size_t> initial_bucket_sizes;
   double boundary_probability = 0.5;  // randomized folding tree
+  // Garbage-collect the memo store after every run (§6): erase the node
+  // ids the run released. Off when a composite runtime shares the store
+  // and collects for every session at once (take_released_ids()).
   bool run_gc = true;
   SchedulePolicy reduce_policy = SchedulePolicy::kHybrid;
   // Straggler speculation threshold, forwarded to HybridOptions (§6 /
@@ -179,10 +182,17 @@ class SliderSession {
   // validation failure.
   bool restore(const std::string& dir);
 
-  // Node ids the session's trees still need. Exposed so that a composite
-  // runtime (e.g. a multi-stage query pipeline sharing this MemoStore)
-  // can run a global GC instead of the session's own (set run_gc=false).
+  // Node ids the session's trees still need: the full-sweep view, O(w).
+  // Serves checkpoint pinning, a composite runtime's full-sweep GC
+  // (MemoStore::retain_only) and cross-checks of the per-run GC.
   void collect_live_ids(std::unordered_set<NodeId>& live) const;
+
+  // Appends the node ids the session's trees released since the last call
+  // (ContractionTree::take_released_ids). The session's own GC erases
+  // exactly these after every run. A composite runtime sharing this
+  // MemoStore (a query pipeline, the serving layer; run_gc=false) takes
+  // them instead and passes them to MemoStore::erase_released.
+  void take_released_ids(std::vector<NodeId>& released);
 
   // Structure dump of one partition's contraction tree (the /tree route).
   // Thread-safe against concurrent runs when the introspection server is
@@ -267,6 +277,11 @@ class SliderSession {
   std::vector<KVTable> output_;
   bool initialized_ = false;
   bool replaying_ = false;  // see recovery_replay_active()
+  // The first GC of a session that owns its GC sweeps the whole store
+  // once: the session adopts it, pruning entries no tree of this session
+  // holds — e.g. what restore_from_durable resurrected, since GC writes no
+  // tombstones. Every later GC erases only the released ids.
+  bool first_gc_ = true;
   SimDuration sim_clock_ = 0;  // see sim_clock()
 
   // Guards partitions_/window_/output_ between run mutations and the

@@ -119,6 +119,15 @@ void MemoStore::touch(Shard& shard, Entry& entry) {
   entry.touch_seq = next_touch_seq_.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::unordered_map<NodeId, MemoStore::Entry>::iterator MemoStore::remove_locked(
+    Shard& shard, std::unordered_map<NodeId, Entry>::iterator it) {
+  drop_memory(shard, it->second);
+  total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
+  account_erase(it->first, it->second);
+  entry_count_.fetch_sub(1, std::memory_order_relaxed);
+  return shard.index.erase(it);
+}
+
 void MemoStore::evict_to_capacity() {
   const std::uint64_t capacity =
       memory_capacity_bytes_.load(std::memory_order_relaxed);
@@ -216,11 +225,7 @@ void MemoStore::enforce_entry_budget() {
     const auto it = shard.index.find(victim);
     if (it == shard.index.end()) continue;
     if (it->second.durable) durable_victims.push_back(victim);
-    drop_memory(shard, it->second);
-    total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    account_erase(victim, it->second);
-    shard.index.erase(it);
-    entry_count_.fetch_sub(1, std::memory_order_relaxed);
+    remove_locked(shard, it);
     // Remember the id so a later miss on it is classified as
     // eviction-forced (bounded set; see Shard::evicted).
     if (shard.evicted.size() >= kEvictedSetCap) shard.evicted.clear();
@@ -280,11 +285,7 @@ void MemoStore::enforce_tenant_quota(std::uint64_t tenant) {
     const auto it = shard.index.find(*victim);
     if (it == shard.index.end()) continue;
     if (it->second.durable) durable_victims.push_back(*victim);
-    drop_memory(shard, it->second);
-    total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    account_erase(*victim, it->second);
-    shard.index.erase(it);
-    entry_count_.fetch_sub(1, std::memory_order_relaxed);
+    remove_locked(shard, it);
     if (shard.evicted.size() >= kEvictedSetCap) shard.evicted.clear();
     shard.evicted.insert(*victim);
     cell.quota_evictions.fetch_add(1, std::memory_order_relaxed);
@@ -652,11 +653,7 @@ void MemoStore::erase(NodeId id) {
     const auto it = shard.index.find(id);
     if (it == shard.index.end()) return;
     was_durable = it->second.durable;
-    drop_memory(shard, it->second);
-    total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    account_erase(id, it->second);
-    shard.index.erase(it);
-    entry_count_.fetch_sub(1, std::memory_order_relaxed);
+    remove_locked(shard, it);
   }
   if (was_durable && durable_ != nullptr) {
     durable_append(id, next_write_seq_.fetch_add(1, std::memory_order_relaxed),
@@ -665,28 +662,58 @@ void MemoStore::erase(NodeId id) {
   refresh_gauges();
 }
 
+std::size_t MemoStore::erase_released(std::span<const NodeId> ids) {
+  std::size_t collected = 0;
+  for (const NodeId id : ids) {
+    Shard& shard = shard_of(id);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.index.find(id);
+    if (it == shard.index.end()) continue;
+    remove_locked(shard, it);
+    ++collected;
+  }
+  stats_.gc_examined.fetch_add(ids.size(), std::memory_order_relaxed);
+  if (durable_ != nullptr) {
+    // No tombstones here either (see retain_only). Compaction needs the
+    // whole live set, which only the index holds: build it from there,
+    // and only when the tier says a compaction is due.
+    std::lock_guard<std::mutex> dlock(durable_mutex_);
+    if (durable_->compaction_due()) {
+      std::unordered_set<NodeId> live;
+      live.reserve(size());
+      for (Shard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        for (const auto& [id, entry] : shard.index) live.insert(id);
+      }
+      durable_->compact(live);
+    }
+  }
+  refresh_gauges();
+  return collected;
+}
+
 std::size_t MemoStore::retain_only(const std::unordered_set<NodeId>& live) {
   std::size_t collected = 0;
+  std::size_t examined = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
+    examined += shard.index.size();
     for (auto it = shard.index.begin(); it != shard.index.end();) {
       if (live.count(it->first) == 0) {
-        drop_memory(shard, it->second);
-        total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-        account_erase(it->first, it->second);
-        it = shard.index.erase(it);
-        entry_count_.fetch_sub(1, std::memory_order_relaxed);
+        it = remove_locked(shard, it);
         ++collected;
       } else {
         ++it;
       }
     }
   }
+  stats_.gc_examined.fetch_add(examined, std::memory_order_relaxed);
   if (durable_ != nullptr) {
     // GC does not tombstone (a tombstone per collected node would flood
     // the log every slide); instead the live set drives log compaction.
     // Consequence: recovery may resurrect entries the GC dropped — the
-    // first post-restore GC prunes them again (documented invariant).
+    // first GC of a session restored over them sweeps them again
+    // (docs/durability.md).
     std::lock_guard<std::mutex> dlock(durable_mutex_);
     durable_->maybe_compact(live);
   }
@@ -974,6 +1001,7 @@ MemoStoreStats MemoStore::stats() const {
       stats_.degraded_writes_buffered.load(std::memory_order_relaxed);
   snapshot.degraded_intervals =
       stats_.degraded_intervals.load(std::memory_order_relaxed);
+  snapshot.gc_examined = stats_.gc_examined.load(std::memory_order_relaxed);
   snapshot.read_time = stats_.read_time.load(std::memory_order_relaxed);
   snapshot.write_time = stats_.write_time.load(std::memory_order_relaxed);
   return snapshot;
@@ -994,6 +1022,7 @@ void MemoStore::reset_stats() {
   stats_.checksum_forced_misses.store(0, std::memory_order_relaxed);
   stats_.degraded_writes_buffered.store(0, std::memory_order_relaxed);
   stats_.degraded_intervals.store(0, std::memory_order_relaxed);
+  stats_.gc_examined.store(0, std::memory_order_relaxed);
   stats_.read_time.store(0, std::memory_order_relaxed);
   stats_.write_time.store(0, std::memory_order_relaxed);
 }

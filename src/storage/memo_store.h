@@ -33,6 +33,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -100,6 +101,11 @@ struct MemoStoreStats {
   // Reads whose stored payload checksum did not match the bytes (silent
   // corruption); each degraded to a failure miss, never a wrong answer.
   std::uint64_t checksum_forced_misses = 0;
+  // Index entries garbage collection examined: a retain_only sweep adds
+  // the index size, an erase_released batch its id count. The
+  // Δ-proportional GC claim is that this grows with the slide, not the
+  // window (tools/check_asymptotics gates it).
+  std::uint64_t gc_examined = 0;
   SimDuration read_time = 0;
   SimDuration write_time = 0;
 };
@@ -214,9 +220,19 @@ class MemoStore {
 
   void erase(NodeId id);
 
-  // Garbage collection: frees every entry not in `live`. Returns the
-  // number of entries collected. This is the master-side GC of §6 driven
-  // by the trees' live-node sets.
+  // Garbage collection (§6), Δ-proportional form: frees the entries of
+  // `ids` (absent ids are ignored) and returns how many it freed. The
+  // trees report exactly the node ids a run released
+  // (ContractionTree::take_released_ids), so the cost is O(|ids|), not
+  // O(index). Like retain_only it writes no tombstones; when the durable
+  // tier says compaction is due, the logs compact to the ids left in the
+  // index.
+  std::size_t erase_released(std::span<const NodeId> ids);
+
+  // Garbage collection, full-sweep form: frees every entry not in `live`
+  // and returns how many it freed. O(index): it serves the one-time sweep
+  // of a session's first GC (e.g. after a restore), composite runtimes
+  // that GC from live sets, and cross-checks against erase_released.
   std::size_t retain_only(const std::unordered_set<NodeId>& live);
 
   // Drops in-memory copies homed on failed machines (called after failure
@@ -369,6 +385,12 @@ class MemoStore {
   void drop_memory(Shard& shard, Entry& entry);
   void touch(Shard& shard, Entry& entry);
 
+  // Removes the entry at `it` from its shard (memory copy, byte and entry
+  // counts, tenant accounting) and returns the next iterator. Requires the
+  // shard mutex held.
+  std::unordered_map<NodeId, Entry>::iterator remove_locked(
+      Shard& shard, std::unordered_map<NodeId, Entry>::iterator it);
+
   // Eviction policies. Must be called WITHOUT any shard mutex held; they
   // serialize on evict_mutex_ and lock shards one at a time.
   void evict_to_capacity();
@@ -474,6 +496,7 @@ class MemoStore {
     std::atomic<std::uint64_t> checksum_forced_misses{0};
     std::atomic<std::uint64_t> degraded_writes_buffered{0};
     std::atomic<std::uint64_t> degraded_intervals{0};
+    std::atomic<std::uint64_t> gc_examined{0};
     std::atomic<double> read_time{0};
     std::atomic<double> write_time{0};
   };

@@ -861,6 +861,13 @@ TEST_P(SessionCheckpointRestore, ByteIdenticalOutputAndIncrementalSlide) {
   EXPECT_EQ(restored_metrics.combiner_invocations,
             control_final.combiner_invocations);
   EXPECT_EQ(restored_metrics.combiner_reused, control_final.combiner_reused);
+
+  // The restored session's first GC swept what recovery resurrected: the
+  // store holds its live set exactly.
+  std::unordered_set<NodeId> live;
+  restored.collect_live_ids(live);
+  EXPECT_EQ(memo.size(), live.size());
+  for (const NodeId id : live) EXPECT_TRUE(memo.contains(id)) << id;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -877,6 +884,124 @@ INSTANTIATE_TEST_SUITE_P(
         SessionCase{WindowMode::kVariableWidth, TreeKind::kFolding, false,
                     /*flat=*/true}),
     session_case_name);
+
+// GC writes no tombstones, so restore_from_durable resurrects every entry
+// a pre-crash GC dropped and compaction had not yet rewritten away. Only
+// the restored session's first GC — a one-time full sweep — prunes them;
+// every later GC erases released ids only.
+TEST_F(DurabilityTest, FirstGcAfterRestorePrunesResurrectedEntries) {
+  const auto bench = apps::make_microbenchmark(apps::MicroApp::kHct);
+  ClusterConfig cluster_config{.num_machines = 6, .slots_per_machine = 2};
+  CostModel cost;
+  Cluster cluster(cluster_config);
+  VanillaEngine engine(cluster, cost);
+  SliderConfig config;
+  config.mode = WindowMode::kVariableWidth;
+  config.tree_kind = TreeKind::kFolding;
+
+  auto batch = [](std::size_t count, SplitId first_id) {
+    Rng rng(40 + first_id);
+    auto records = apps::generate_input(apps::MicroApp::kHct, count * 20, rng,
+                                        first_id * 1'000'000);
+    return make_splits(std::move(records), 20, first_id);
+  };
+  const std::string ckpt_dir = path("checkpoint");
+  const std::string tier_dir = path("memo");
+  SplitId next_id = 10;
+  {
+    // No compaction: the log keeps every entry the GC dropped.
+    DurableTierOptions no_compaction;
+    no_compaction.compact_after_bytes = 0;
+    DurableTier tier(tier_dir, no_compaction);
+    MemoStore memo(cluster, cost);
+    memo.attach_durable_tier(&tier);
+    SliderSession session(engine, memo, bench.job, config);
+    session.initial_run(batch(next_id, 0));
+    for (int slide = 0; slide < 4; ++slide) {
+      session.slide(2, batch(2, next_id));
+      next_id += 2;
+    }
+    ASSERT_TRUE(session.checkpoint(ckpt_dir));
+    memo.flush_durable();
+    tier.close();
+  }
+
+  DurableTier tier(tier_dir);
+  MemoStore memo(cluster, cost);
+  memo.attach_durable_tier(&tier);
+  ASSERT_GT(memo.restore_from_durable(), 0u);
+  SliderSession restored(engine, memo, bench.job, config);
+  ASSERT_TRUE(restored.restore(ckpt_dir));
+  std::unordered_set<NodeId> live;
+  restored.collect_live_ids(live);
+  ASSERT_GT(memo.size(), live.size()) << "nothing resurrected to prune";
+
+  restored.slide(2, batch(2, next_id));
+  live.clear();
+  restored.collect_live_ids(live);
+  EXPECT_EQ(memo.size(), live.size());
+  for (const NodeId id : live) EXPECT_TRUE(memo.contains(id)) << id;
+}
+
+// A rotating-tree manifest whose pending install names bucket slot `slot`
+// of two: the split-processing residue a background phase would install.
+void write_rotating_manifest(const std::string& manifest, std::uint64_t slot) {
+  const CombineFn combiner = testing::sum_combiner();
+  Rng rng(3);
+  const auto a = testing::random_leaf(0, rng, combiner).table;
+  const auto b = testing::random_leaf(1, rng, combiner).table;
+  const auto fresh = testing::random_leaf(2, rng, combiner).table;
+  const auto root = std::make_shared<const KVTable>(
+      KVTable::merge(*a, *b, combiner));
+  durability::CheckpointWriter writer;
+  std::string& blob = writer.blob();
+  wire::put_u64(blob, 2);  // buckets
+  wire::put_u64(blob, 0);  // next victim
+  wire::put_u64(blob, 2);  // window splits
+  wire::put_u32(blob, 2);  // levels: two bucket slots, one root
+  wire::put_u32(blob, 2);
+  writer.put_node(11, a.get());
+  wire::put_u64(blob, 1);
+  writer.put_node(12, b.get());
+  wire::put_u64(blob, 1);
+  wire::put_u32(blob, 1);
+  writer.put_node(13, root.get());
+  wire::put_u64(blob, 0);
+  wire::put_u8(blob, 1);  // pending install
+  wire::put_u64(blob, slot);
+  writer.put_node(14, fresh.get());
+  wire::put_u64(blob, 1);
+  wire::put_u8(blob, 1);  // intermediate, computed for victim 1
+  wire::put_u64(blob, 1);
+  writer.put_node(11, a.get());
+  ASSERT_TRUE(writer.write_manifest(manifest));
+}
+
+// The next apply_delta or background phase installs the pending bucket at
+// its slot index: restore must reject an index past the live buckets
+// instead of letting that install write out of range.
+TEST_F(DurabilityTest, RotatingRestoreRejectsPendingInstallOutOfRange) {
+  MemoContext ctx;
+  ctx.job_hash = 0xB0B;
+  TreeOptions options;
+  options.kind = TreeKind::kRotating;
+  options.split_processing = true;
+  for (const std::uint64_t slot : {1u, 2u, 7u}) {
+    SCOPED_TRACE(slot);
+    const std::string manifest = path("rotating.slckpt");
+    write_rotating_manifest(manifest, slot);
+    auto reader = durability::CheckpointReader::open(manifest, nullptr);
+    ASSERT_NE(reader, nullptr);
+    auto tree = make_tree(options, ctx, testing::sum_combiner());
+    const bool restored = tree->restore(*reader);
+    EXPECT_EQ(restored, slot < 2);
+    if (restored) {
+      TreeUpdateStats stats;
+      tree->background_preprocess(&stats);  // installs into slot 1
+      EXPECT_EQ(tree->leaf_count(), 2u);
+    }
+  }
+}
 
 TEST_F(DurabilityTest, RestoreRejectsWrongJobOrMissingManifest) {
   const auto bench = apps::make_microbenchmark(apps::MicroApp::kHct);

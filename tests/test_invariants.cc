@@ -4,7 +4,8 @@
 //
 //   I1 (correctness)   root == from-scratch fold of the window
 //   I2 (balance)       height stays logarithmic in the window (+slack)
-//   I3 (GC safety)     collect_live_ids covers everything future runs read
+//   I3 (GC exactness)  erasing the released ids leaves the store equal to
+//                      collect_live_ids: nothing leaks, nothing live goes
 //   I4 (fault model)   failures change costs, never results
 //   I5 (determinism)   same seed -> same outputs and same charged work
 
@@ -140,12 +141,18 @@ TEST_P(TreeInvariants, HoldAcrossRandomHistoryWithFailures) {
           << "step " << step << " window " << window.size();
     }
 
-    // I3: GC to the live set; later steps must keep working (checked by
-    // the next loop iteration's I1).
+    // I3: erase exactly the released ids; the store must then hold the
+    // live set, no more (a leak) and no less (an over-release). Later
+    // steps must keep working (checked by the next iteration's I1).
+    std::vector<NodeId> released;
+    tree->take_released_ids(released);
+    memo.erase_released(released);
     std::unordered_set<NodeId> live;
     tree->collect_live_ids(live);
-    memo.retain_only(live);
-    ASSERT_LE(memo.size(), live.size());
+    ASSERT_EQ(memo.size(), live.size()) << "step " << step;
+    for (const NodeId id : live) {
+      ASSERT_TRUE(memo.contains(id)) << "step " << step << " lost " << id;
+    }
   }
 }
 

@@ -27,8 +27,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "apps/microbench.h"
@@ -388,6 +390,108 @@ TEST(SessionManagerIdleHydrate, ColdSessionRehydratesTransparently) {
   EXPECT_EQ(napper.counters.hydrations, 1u);
   EXPECT_EQ(napper.counters.hydrate_failures, 0u);
   EXPECT_EQ(manager.last_outputs("steady"), control[kRuns - 1]);
+}
+
+// --- fleet GC ----------------------------------------------------------------
+
+// Fleet GC erases the ids the tenants' sessions released, including those
+// a napper's session released before its idle checkpoint destroyed it,
+// under quota eviction and durable compaction. After every GC a full sweep
+// over the store must find nothing left to collect, and no uncapped tenant
+// may have lost a live id.
+TEST(SessionManagerGc, ReleasedIdsLeaveExactlyTheLiveAndPinnedSets) {
+  Harness h;
+  const fs::path tier_dir =
+      fs::temp_directory_path() /
+      ("slider_test_serving_gc_tier_" + std::to_string(::getpid()));
+  fs::remove_all(tier_dir);
+  fs::create_directories(tier_dir);
+  durability::DurableTierOptions tier_options;
+  tier_options.compact_after_bytes = 16 << 10;  // compact every few rounds
+  durability::DurableTier tier(tier_dir.string(), tier_options);
+  h.memo.attach_durable_tier(&tier);
+
+  SessionManagerOptions options;
+  options.idle_checkpoint_rounds = 2;
+  options.auto_gc = false;
+  SessionManager manager(h.engine, h.memo, options);
+
+  struct Tenant {
+    const char* name;
+    MicroApp app;
+    WindowMode mode;
+    std::optional<TreeKind> kind;  // unset: the flat tier
+    bool capped;
+    bool napper;
+  };
+  const Tenant tenants[] = {
+      {"fold", MicroApp::kHct, WindowMode::kVariableWidth, TreeKind::kFolding,
+       false, false},
+      {"flat", MicroApp::kSubStr, WindowMode::kVariableWidth, std::nullopt,
+       false, false},
+      {"rotating", MicroApp::kKMeans, WindowMode::kFixedWidth,
+       TreeKind::kRotating, false, false},
+      {"randomized", MicroApp::kMatrix, WindowMode::kVariableWidth,
+       TreeKind::kRandomizedFolding, false, true},
+      {"capped", MicroApp::kHct, WindowMode::kVariableWidth,
+       TreeKind::kFolding, true, false},
+      {"napper", MicroApp::kHct, WindowMode::kVariableWidth,
+       TreeKind::kFolding, false, true},
+  };
+  for (const Tenant& t : tenants) {
+    TenantSpec spec = make_spec(t.name, t.app);
+    spec.config.mode = t.mode;
+    spec.config.tree_kind = t.kind;
+    spec.config.split_processing = t.mode == WindowMode::kFixedWidth;
+    if (t.capped) spec.quota.max_entries = 6;
+    ASSERT_TRUE(manager.add_tenant(std::move(spec),
+                                   batch_for(t.app, kWindowSplits, 0)));
+  }
+
+  const auto check = [&](std::size_t round) {
+    std::unordered_set<NodeId> fleet_live;
+    for (const Tenant& t : tenants) {
+      std::unordered_set<NodeId> live;
+      manager.collect_live_ids(t.name, live);
+      if (!t.capped) {
+        for (const NodeId id : live) {
+          ASSERT_TRUE(h.memo.contains(id))
+              << t.name << " lost " << id << " in round " << round;
+        }
+      }
+      fleet_live.insert(live.begin(), live.end());
+    }
+    EXPECT_EQ(h.memo.retain_only(fleet_live), 0u) << "round " << round;
+  };
+
+  std::vector<SplitId> next_id(std::size(tenants), kWindowSplits);
+  std::size_t checkpoints = 0;
+  for (std::size_t round = 0; round < 12; ++round) {
+    if (round > 0) {
+      for (std::size_t i = 0; i < std::size(tenants); ++i) {
+        const Tenant& t = tenants[i];
+        // Nappers idle two rounds of four: checkpointed out, then
+        // hydrated by their next slide.
+        if (t.napper && round % 4 >= 2) continue;
+        ASSERT_NE(manager.submit(t.name, kSlide,
+                                 batch_for(t.app, kSlide, next_id[i])),
+                  AdmitResult::kShed);
+        next_id[i] += kSlide;
+      }
+    }
+    manager.run_pending();
+    // GC skips the drains in between, so released ids accumulate across
+    // runs, and a napper's pending ids ride through its idle checkpoint
+    // (taken in the drain of round 3, two rounds after its last slide).
+    if (round % 4 == 1 || round % 4 == 2) continue;
+    manager.garbage_collect();
+    check(round);
+    checkpoints = manager.status("napper").counters.checkpoints;
+  }
+  EXPECT_GT(checkpoints, 0u);
+  EXPECT_GT(manager.status("napper").counters.hydrations, 0u);
+  EXPECT_GT(h.memo.tenant_usage(hash_string("capped")).quota_evictions, 0u);
+  fs::remove_all(tier_dir);
 }
 
 // --- checkpoint identity ----------------------------------------------------

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "apps/microbench.h"
 #include "slider/session.h"
 
@@ -186,30 +188,132 @@ TEST(SliderSession, StrawmanDoesMoreContractionWorkThanSlider) {
             strawman_metrics.contraction_work);
 }
 
+// GC erases exactly the ids each run released, so after every run the
+// store must hold the session's live ids: no more (a leak), no fewer (an
+// over-release).
+void expect_store_holds_live_set(const SliderSession& session,
+                                 const MemoStore& memo) {
+  std::unordered_set<NodeId> live;
+  session.collect_live_ids(live);
+  ASSERT_EQ(memo.size(), live.size());
+  for (const NodeId id : live) ASSERT_TRUE(memo.contains(id)) << id;
+}
+
 TEST(SliderSession, GarbageCollectionBoundsMemoState) {
-  Harness h;
+  struct GcCase {
+    const char* name;
+    WindowMode mode;
+    TreeKind kind;
+    bool split_processing;
+  };
+  const GcCase cases[] = {
+      {"folding", WindowMode::kVariableWidth, TreeKind::kFolding, false},
+      {"randomized", WindowMode::kVariableWidth,
+       TreeKind::kRandomizedFolding, false},
+      {"strawman", WindowMode::kVariableWidth, TreeKind::kStrawman, false},
+      {"rotating", WindowMode::kFixedWidth, TreeKind::kRotating, false},
+      {"rotating_split", WindowMode::kFixedWidth, TreeKind::kRotating, true},
+      {"coalescing", WindowMode::kAppendOnly, TreeKind::kCoalescing, false},
+      {"coalescing_split", WindowMode::kAppendOnly, TreeKind::kCoalescing,
+       true},
+  };
   const auto bench = apps::make_microbenchmark(MicroApp::kHct);
-  Rng rng(3);
+  for (const GcCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Harness h;
+    Rng rng(3);
+    SliderConfig config;
+    config.mode = c.mode;
+    config.tree_kind = c.kind;
+    config.split_processing = c.split_processing;
+    config.bucket_width = 2;
+    SliderSession session(h.engine, h.memo, bench.job, config);
 
-  SliderConfig config;
-  config.mode = WindowMode::kFixedWidth;
-  config.bucket_width = 2;
-  SliderSession session(h.engine, h.memo, bench.job, config);
+    std::size_t window = 16;
+    session.initial_run(make_app_splits(MicroApp::kHct, rng, window, 30, 0));
+    expect_store_holds_live_set(session, h.memo);
+    const std::size_t entries_after_initial = h.memo.size();
+    const std::uint64_t bytes_after_initial = h.memo.total_bytes();
 
-  auto splits = make_app_splits(MicroApp::kHct, rng, 16, 30, 0);
-  session.initial_run(splits);
-  const std::size_t entries_after_initial = h.memo.size();
-  const std::uint64_t bytes_after_initial = h.memo.total_bytes();
-
-  SplitId next_id = 16;
-  for (int slide = 0; slide < 6; ++slide) {
-    auto added = make_app_splits(MicroApp::kHct, rng, 2, 30, next_id);
-    next_id += 2;
-    session.slide(2, added);
+    SplitId next_id = 16;
+    for (int slide = 0; slide < 10; ++slide) {
+      std::size_t remove = 2;
+      std::size_t add = 2;
+      if (c.mode == WindowMode::kAppendOnly) {
+        remove = 0;
+      } else if (c.mode == WindowMode::kVariableWidth) {
+        // Uneven slides fold and unfold the tree; the last one drops the
+        // whole window.
+        remove = slide == 9 ? window : 1 + slide % 4;
+        add = 1 + (slide * 3) % 4;
+      }
+      session.slide(remove,
+                    make_app_splits(MicroApp::kHct, rng, add, 30, next_id));
+      next_id += add;
+      window += add - remove;
+      expect_store_holds_live_set(session, h.memo);
+      if (c.split_processing && slide % 3 != 2) {
+        // Background every third slide skipped: the next slide catches up
+        // in the foreground.
+        session.run_background();
+        expect_store_holds_live_set(session, h.memo);
+      }
+    }
+    if (c.mode == WindowMode::kFixedWidth) {
+      // Steady state: one window's worth of nodes, not ten.
+      EXPECT_LT(h.memo.size(), entries_after_initial * 2);
+      EXPECT_LT(h.memo.total_bytes(), bytes_after_initial * 2);
+    }
   }
-  // Steady state: the memo holds one window's worth of nodes, not six.
-  EXPECT_LT(h.memo.size(), entries_after_initial * 2);
-  EXPECT_LT(h.memo.total_bytes(), bytes_after_initial * 2);
+}
+
+// Pass-through mapper: the poison test below needs the map output to carry
+// a value verbatim.
+class PassThroughMapper final : public Mapper {
+ public:
+  void map(const Record& input, Emitter& out) const override {
+    out.emit(input.key, input.value);
+  }
+};
+
+// The flat tier releases evicted elements; a mid-stream poison hands the
+// window to its fallback tree, which takes over the element ids without
+// releasing them. The store tracks the live set across the demotion.
+TEST(SliderSession, GarbageCollectionTracksFlatTierAcrossPoison) {
+  Harness h;
+  JobSpec job;
+  job.name = "gc-flat-poison";
+  job.mapper = std::make_shared<PassThroughMapper>();
+  job.combiner = [](const std::string&, const std::string& a,
+                    const std::string& b) {
+    return std::to_string(std::stoull(a) + std::stoull(b));
+  };
+  job.reducer = [](const std::string&,
+                   const std::string& v) -> std::optional<std::string> {
+    return v;
+  };
+  job.num_partitions = 2;
+  job.traits.commutative = true;
+  job.traits.exactly_associative = true;
+  job.traits.flat_kernel = FlatKernel::kSumU64;
+  SliderSession session(h.engine, h.memo, job, SliderConfig{});
+
+  const auto split = [](SplitId id, std::string value) {
+    return make_split(id, {{"k" + std::to_string(id % 5), std::move(value)},
+                           {"shared", "1"}});
+  };
+  std::vector<SplitPtr> initial;
+  for (SplitId id = 0; id < 8; ++id) initial.push_back(split(id, "3"));
+  session.initial_run(std::move(initial));
+  expect_store_holds_live_set(session, h.memo);
+  ASSERT_EQ(session.describe_tree(0).kind, "flat");
+
+  for (SplitId id = 8; id < 20; ++id) {
+    // "007" decodes as 7 but is not canonical: it demotes the tier.
+    session.slide(id % 3, {split(id, id == 12 ? "007" : "2")});
+    expect_store_holds_live_set(session, h.memo);
+  }
+  EXPECT_NE(session.describe_tree(0).kind, "flat");
 }
 
 TEST(SliderSession, SurvivesMachineFailureWithIdenticalOutput) {

@@ -192,6 +192,40 @@ TEST(MemoStore, EraseRemovesEntry) {
   h.memo.erase(77);  // idempotent
 }
 
+TEST(MemoStore, EraseReleasedErasesPresentIdsAndIgnoresAbsentOnes) {
+  StorageHarness h;
+  for (NodeId id = 0; id < 10; ++id) {
+    h.memo.put(id, table_of({{"k" + std::to_string(id), "1"}}));
+  }
+  const std::uint64_t bytes_before = h.memo.total_bytes();
+  const std::vector<NodeId> released = {2, 4, 99, 4, 7};
+  EXPECT_EQ(h.memo.erase_released(released), 3u);
+  EXPECT_EQ(h.memo.size(), 7u);
+  EXPECT_LT(h.memo.total_bytes(), bytes_before);
+  for (const NodeId id : {2, 4, 7}) EXPECT_FALSE(h.memo.contains(id)) << id;
+  for (const NodeId id : {0, 1, 3, 5, 6, 8, 9}) {
+    EXPECT_TRUE(h.memo.contains(id)) << id;
+  }
+  EXPECT_EQ(h.memo.erase_released({}), 0u);
+  EXPECT_EQ(h.memo.size(), 7u);
+}
+
+// GC examines what it is handed: the batch erase its ids, a full sweep the
+// whole index.
+TEST(MemoStore, GcExaminedCountsBatchIdsAndSweptIndex) {
+  StorageHarness h;
+  for (NodeId id = 0; id < 10; ++id) {
+    h.memo.put(id, table_of({{"k" + std::to_string(id), "1"}}));
+  }
+  const std::vector<NodeId> released = {1, 2, 50};
+  h.memo.erase_released(released);
+  EXPECT_EQ(h.memo.stats().gc_examined, 3u);
+  h.memo.retain_only({0, 3});
+  EXPECT_EQ(h.memo.stats().gc_examined, 3u + 8u);
+  h.memo.reset_stats();
+  EXPECT_EQ(h.memo.stats().gc_examined, 0u);
+}
+
 TEST(MemoStore, StatsAccumulateReadTime) {
   StorageHarness h;
   h.memo.put(5, table_of({{"a", "1"}}));
@@ -301,6 +335,35 @@ TEST(MemoStore, DegradedBufferedEntriesSurviveRestoreAfterDrain) {
   const MemoReadResult r = memo2.get(33, 0);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(*r.table, *t);
+}
+
+// GC never tombstones: a tombstone per released node would flood the log
+// every slide. The batch erase appends nothing (erase() does, for
+// contrast), so recovery may resurrect what it dropped.
+TEST(MemoStoreDurable, EraseReleasedAppendsNoTombstone) {
+  DurableHarness h;
+  for (NodeId id = 1; id <= 4; ++id) {
+    h.memo.put(id, table_of({{"k" + std::to_string(id), "1"}}));
+  }
+  const std::uint64_t appended = h.tier.records_appended();
+  ASSERT_GT(appended, 0u);
+  const std::vector<NodeId> released = {1, 2};
+  EXPECT_EQ(h.memo.erase_released(released), 2u);
+  EXPECT_EQ(h.tier.records_appended(), appended);
+  h.memo.erase(3);
+  EXPECT_GT(h.tier.records_appended(), appended);
+  h.memo.flush_durable();
+
+  Cluster cluster2(ClusterConfig{.num_machines = 3, .slots_per_machine = 1});
+  CostModel cost2;
+  durability::DurableTier tier2(h.dir.string());
+  MemoStore memo2(cluster2, cost2);
+  memo2.attach_durable_tier(&tier2);
+  memo2.restore_from_durable();
+  EXPECT_TRUE(memo2.contains(1)) << "GC'd entries resurrect on recovery";
+  EXPECT_TRUE(memo2.contains(2));
+  EXPECT_FALSE(memo2.contains(3)) << "erase() tombstoned its entry";
+  EXPECT_TRUE(memo2.contains(4));
 }
 
 // --- per-tenant quota victims ------------------------------------------------
@@ -481,6 +544,22 @@ TEST(MemoStoreQuotaVictims, IndexTracksUsageAcrossEraseRetainAndBudget) {
   h.memo.retain_only(live);
   ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB, kTenantC}));
 
+  std::vector<NodeId> released;
+  for (NodeId id = 1; id <= 40; id += 5) released.push_back(id);
+  released.push_back(1000);  // absent
+  const std::uint64_t entries_before = h.memo.size();
+  const std::size_t erased = h.memo.erase_released(released);
+  EXPECT_EQ(h.memo.size(), entries_before - erased);
+  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB, kTenantC}));
+  std::uint64_t accounted = 0;
+  std::uint64_t accounted_bytes = 0;
+  for (const std::uint64_t tenant : {kTenantA, kTenantB, kTenantC}) {
+    accounted += h.memo.tenant_usage(tenant).entries;
+    accounted_bytes += h.memo.tenant_usage(tenant).bytes;
+  }
+  EXPECT_LE(accounted, h.memo.size());  // the rest are untenanted
+  EXPECT_LE(accounted_bytes, h.memo.total_bytes());
+
   h.memo.set_entry_budget(10);
   EXPECT_EQ(h.memo.size(), 10u);
   EXPECT_GT(h.memo.stats().budget_evictions, 0u);
@@ -532,6 +611,47 @@ TEST(MemoStoreQuotaConcurrency, QuotaPutsRaceRetainOnly) {
   EXPECT_LE(usage_b.bytes, 1500u);
   EXPECT_EQ(usage_a.entries + usage_b.entries, h.memo.size());
   EXPECT_EQ(usage_a.bytes + usage_b.bytes, h.memo.total_bytes());
+  EXPECT_GT(usage_a.quota_evictions + usage_b.quota_evictions, 0u);
+}
+
+// The same race against the batch erase the per-run GC uses: it takes the
+// same shard-then-order-mutex path as the quota policy it races.
+TEST(MemoStoreQuotaConcurrency, QuotaPutsRaceBatchErase) {
+  StorageHarness h;
+  h.memo.set_tenant_quota(kTenantA, TenantQuota{.max_entries = 12});
+  h.memo.set_tenant_quota(kTenantB, TenantQuota{.max_bytes = 1500});
+  constexpr NodeId kPerTenant = 300;
+
+  std::atomic<bool> done{false};
+  const auto writer = [&](std::uint64_t tenant, NodeId base) {
+    for (NodeId i = 0; i < kPerTenant; ++i) {
+      h.memo.put(base + i, sized_table(base + i, 8 + i % 50), tenant);
+    }
+  };
+  std::vector<NodeId> released;
+  for (NodeId i = 0; i < kPerTenant; i += 4) {
+    released.push_back(1000 + i);
+    released.push_back(5000 + i);
+  }
+  std::thread a(writer, kTenantA, 1000);
+  std::thread b(writer, kTenantB, 5000);
+  std::thread gc([&] {
+    while (!done.load()) h.memo.erase_released(released);
+  });
+  a.join();
+  b.join();
+  done.store(true);
+  gc.join();
+  h.memo.erase_released(released);
+
+  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB}));
+  const TenantUsage usage_a = h.memo.tenant_usage(kTenantA);
+  const TenantUsage usage_b = h.memo.tenant_usage(kTenantB);
+  EXPECT_LE(usage_a.entries, 12u);
+  EXPECT_LE(usage_b.bytes, 1500u);
+  EXPECT_EQ(usage_a.entries + usage_b.entries, h.memo.size());
+  EXPECT_EQ(usage_a.bytes + usage_b.bytes, h.memo.total_bytes());
+  for (const NodeId id : released) EXPECT_FALSE(h.memo.contains(id)) << id;
   EXPECT_GT(usage_a.quota_evictions + usage_b.quota_evictions, 0u);
 }
 

@@ -503,6 +503,13 @@ TEST(MemoStoreGauges, StayFreshAcrossAllMutations) {
   expect_gauges_match("after budget eviction");
   EXPECT_EQ(h.memo.size(), 2u);
 
+  h.memo.put(7, table_of({{"b", "2"}}));  // the newest: the budget keeps it
+  const std::size_t before = h.memo.size();
+  const std::vector<NodeId> released = {7, 70};
+  h.memo.erase_released(released);
+  expect_gauges_match("after erase_released");
+  EXPECT_EQ(h.memo.size(), before - 1);
+
   h.memo.retain_only({});
   expect_gauges_match("after retain_only");
   EXPECT_EQ(h.memo.size(), 0u);

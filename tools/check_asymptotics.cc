@@ -16,20 +16,27 @@
 //   3. It compares c against the committed baseline
 //      (bench/baselines/asymptotics.json) and exits nonzero if any variant
 //      regressed by more than the baseline's tolerance (default 1.25×).
+//   4. It fits the memo-store index entries the slide's garbage collection
+//      examined (MemoStoreStats::gc_examined) against the same model and
+//      gates that constant against the baseline's "gc" section: GC erases
+//      the node ids the slide released, so it must scale with the delta
+//      too, not sweep the window.
 //
 // Modes:
 //   (default)          run the sweep, write the fit report, gate vs baseline
 //   --write-baseline   run the sweep and (re)write the baseline file
 //   --self-test        negative test: run the *strawman* tree — whose
 //                      per-slide work is window-proportional by design —
-//                      through the same fit + gate, and exit 0 only if the
-//                      gate correctly FAILS it. Proves the gate has teeth.
+//                      through the same fit + gate, and a folding session
+//                      whose GC sweeps the whole store after every slide
+//                      through the GC gate; exit 0 only if the gates
+//                      correctly FAIL them. Proves the gates have teeth.
 //
 // Flags: --baseline=PATH  --report=PATH  --quiet
 //
-// The gate deliberately measures invocation *counts*, not wall-clock or
-// simulated time: counts are deterministic and sanitizer-stable, so the
-// gate behaves identically under asan/tsan and across machines.
+// The gates deliberately measure *counts*, not wall-clock or simulated
+// time: counts are deterministic and sanitizer-stable, so the gates behave
+// identically under asan/tsan and across machines.
 
 #include <cctype>
 #include <cmath>
@@ -39,6 +46,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -52,14 +60,22 @@ struct SweepPoint {
   std::size_t window = 0;
   std::size_t delta = 0;
   std::uint64_t delta_invocations = 0;  // window_add + window_remove
+  std::uint64_t gc_examined = 0;        // index entries the slide's GC read
   double model_x = 0;                   // Δ · log2(w)
+};
+
+// Least-squares constant through the origin, c = Σ(x·y) / Σ(x²), and the
+// worst per-point ratio y/x, for one measured quantity.
+struct Fit {
+  double fit_constant = 0;
+  double max_point_ratio = 0;
 };
 
 struct VariantFit {
   std::string name;
   std::vector<SweepPoint> points;
-  double fit_constant = 0;   // least squares through the origin
-  double max_point_ratio = 0;  // max y/x over the sweep
+  Fit invocations;
+  Fit gc;
   bool linear_model = false;   // fitted against c·Δ, not c·Δ·log2(w)
 };
 
@@ -75,6 +91,9 @@ struct VariantSpec {
   // standalone by the self-test to prove tree-tier work cannot sneak
   // through the flat tier's linear gate.
   bool linear_model = false;
+  // Self-test: after every slide, also sweep the whole store from the
+  // session's live set (the O(w) GC the batch erase replaced).
+  bool full_sweep_gc = false;
 };
 
 // Delta-attributed invocations currently booked in the process ledger.
@@ -82,6 +101,21 @@ std::uint64_t delta_attributed_invocations() {
   const obs::LedgerSnapshot snap = obs::WorkLedger::global().snapshot();
   return snap.total_for(obs::WorkCause::kWindowAdd).combiner_invocations +
          snap.total_for(obs::WorkCause::kWindowRemove).combiner_invocations;
+}
+
+Fit fit_points(const std::vector<SweepPoint>& points,
+               std::uint64_t SweepPoint::*measure) {
+  Fit fit;
+  double xy = 0;
+  double xx = 0;
+  for (const SweepPoint& p : points) {
+    const double y = static_cast<double>(p.*measure);
+    xy += p.model_x * y;
+    xx += p.model_x * p.model_x;
+    fit.max_point_ratio = std::max(fit.max_point_ratio, y / p.model_x);
+  }
+  fit.fit_constant = xx > 0 ? xy / xx : 0;
+  return fit;
 }
 
 VariantFit run_sweep(const VariantSpec& spec, bool quiet) {
@@ -113,39 +147,39 @@ VariantFit run_sweep(const VariantSpec& spec, bool quiet) {
       driver.initial_run();
       for (int i = 0; i < kWarmSlides; ++i) driver.slide();
 
+      const std::uint64_t gc_before = env.memo.stats().gc_examined;
       const std::uint64_t before = delta_attributed_invocations();
       driver.slide();
       const std::uint64_t after = delta_attributed_invocations();
+      if (spec.full_sweep_gc) {
+        std::unordered_set<NodeId> live;
+        driver.session().collect_live_ids(live);
+        env.memo.retain_only(live);
+      }
 
       SweepPoint point;
       point.window = w;
       point.delta = delta;
       point.delta_invocations = after - before;
+      point.gc_examined = env.memo.stats().gc_examined - gc_before;
       point.model_x =
           (spec.flat || spec.linear_model)
               ? static_cast<double>(delta)
               : static_cast<double>(delta) * std::log2(static_cast<double>(w));
       fit.points.push_back(point);
       if (!quiet) {
-        std::printf("  %-10s w=%4zu delta=%2zu  delta_inv=%8llu  x=%7.2f  y/x=%7.2f\n",
-                    spec.name.c_str(), w, delta,
-                    static_cast<unsigned long long>(point.delta_invocations),
-                    point.model_x,
-                    static_cast<double>(point.delta_invocations) / point.model_x);
+        std::printf(
+            "  %-10s w=%4zu delta=%2zu  delta_inv=%8llu  gc=%6llu  x=%7.2f  "
+            "y/x=%7.2f\n",
+            spec.name.c_str(), w, delta,
+            static_cast<unsigned long long>(point.delta_invocations),
+            static_cast<unsigned long long>(point.gc_examined), point.model_x,
+            static_cast<double>(point.delta_invocations) / point.model_x);
       }
     }
   }
-
-  // Least squares through the origin: c = Σ(x·y) / Σ(x²).
-  double xy = 0;
-  double xx = 0;
-  for (const SweepPoint& p : fit.points) {
-    const double y = static_cast<double>(p.delta_invocations);
-    xy += p.model_x * y;
-    xx += p.model_x * p.model_x;
-    fit.max_point_ratio = std::max(fit.max_point_ratio, y / p.model_x);
-  }
-  fit.fit_constant = xx > 0 ? xy / xx : 0;
+  fit.invocations = fit_points(fit.points, &SweepPoint::delta_invocations);
+  fit.gc = fit_points(fit.points, &SweepPoint::gc_examined);
   return fit;
 }
 
@@ -178,6 +212,33 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
+// One section of the report: per variant, the model, the fit of
+// `measure` and the points.
+void section_to_json(obs::JsonWriter& json,
+                     const std::vector<VariantFit>& fits, const char* measure,
+                     Fit VariantFit::*fit_of,
+                     std::uint64_t SweepPoint::*value_of) {
+  for (const VariantFit& fit : fits) {
+    json.key(fit.name).begin_object();
+    json.key("model").value(std::string(measure) +
+                            (fit.linear_model ? " = c * delta"
+                                              : " = c * delta * log2(window)"));
+    json.key("fit_constant").value((fit.*fit_of).fit_constant);
+    json.key("max_point_ratio").value((fit.*fit_of).max_point_ratio);
+    json.key("points").begin_array();
+    for (const SweepPoint& p : fit.points) {
+      json.begin_object();
+      json.key("window").value(static_cast<std::uint64_t>(p.window));
+      json.key("delta").value(static_cast<std::uint64_t>(p.delta));
+      json.key(measure).value(p.*value_of);
+      json.key("model_x").value(p.model_x);
+      json.end_object();
+    }
+    json.end_array();
+    json.end_object();
+  }
+}
+
 std::string fits_to_json(const std::vector<VariantFit>& fits,
                          double tolerance) {
   obs::JsonWriter json;
@@ -189,25 +250,13 @@ std::string fits_to_json(const std::vector<VariantFit>& fits,
   json.key("fit").value(std::string("least_squares_through_origin"));
   json.key("tolerance").value(tolerance);
   json.key("variants").begin_object();
-  for (const VariantFit& fit : fits) {
-    json.key(fit.name).begin_object();
-    json.key("model").value(std::string(
-        fit.linear_model ? "delta_invocations = c * delta"
-                         : "delta_invocations = c * delta * log2(window)"));
-    json.key("fit_constant").value(fit.fit_constant);
-    json.key("max_point_ratio").value(fit.max_point_ratio);
-    json.key("points").begin_array();
-    for (const SweepPoint& p : fit.points) {
-      json.begin_object();
-      json.key("window").value(static_cast<std::uint64_t>(p.window));
-      json.key("delta").value(static_cast<std::uint64_t>(p.delta));
-      json.key("delta_invocations").value(p.delta_invocations);
-      json.key("model_x").value(p.model_x);
-      json.end_object();
-    }
-    json.end_array();
-    json.end_object();
-  }
+  section_to_json(json, fits, "delta_invocations", &VariantFit::invocations,
+                  &SweepPoint::delta_invocations);
+  json.end_object();
+  // Memo-store index entries the measured slide's GC examined.
+  json.key("gc").begin_object();
+  section_to_json(json, fits, "gc_examined", &VariantFit::gc,
+                  &SweepPoint::gc_examined);
   json.end_object();
   json.end_object();
   return json.take();
@@ -220,9 +269,17 @@ bool write_file(const std::string& path, const std::string& contents) {
   return static_cast<bool>(out);
 }
 
-// Gate one variant's fit against the baseline document. Returns true when
+// The baseline's GC fits, or an empty string when it has none.
+std::string gc_section(const std::string& baseline_doc) {
+  const std::size_t at = baseline_doc.find("\"gc\"");
+  return at == std::string::npos ? std::string() : baseline_doc.substr(at);
+}
+
+// Gate one variant's fit against a baseline section (the invocation fits
+// lead the document; gc_section() holds the GC fits). Returns true when
 // the variant passes.
-bool gate_variant(const VariantFit& fit, const std::string& baseline_doc,
+bool gate_variant(const std::string& label, const Fit& fit,
+                  const std::string& baseline_doc,
                   const std::string& baseline_key, double tolerance) {
   double baseline_c = 0;
   // The baseline nests fit_constant under the variant name; scan for the
@@ -241,8 +298,8 @@ bool gate_variant(const VariantFit& fit, const std::string& baseline_doc,
   }
   const double limit = baseline_c * tolerance;
   const bool pass = fit.fit_constant > 0 && fit.fit_constant <= limit;
-  std::printf("gate %-10s fit=%8.2f baseline=%8.2f limit=%8.2f  %s\n",
-              fit.name.c_str(), fit.fit_constant, baseline_c, limit,
+  std::printf("gate %-13s fit=%8.2f baseline=%8.2f limit=%8.2f  %s\n",
+              label.c_str(), fit.fit_constant, baseline_c, limit,
               pass ? "PASS" : "FAIL");
   return pass;
 }
@@ -288,8 +345,8 @@ int run(int argc, char** argv) {
     }
     double tolerance = 1.25;
     find_number(baseline_doc, "tolerance", &tolerance);
-    const bool passed_gate =
-        gate_variant(fit, baseline_doc, "folding", tolerance);
+    const bool passed_gate = gate_variant(fit.name, fit.invocations,
+                                          baseline_doc, "folding", tolerance);
     if (passed_gate) {
       std::fprintf(stderr,
                    "SELF-TEST FAILED: window-proportional work passed the "
@@ -307,17 +364,36 @@ int run(int argc, char** argv) {
                                          TreeKind::kStrawman, /*flat=*/false,
                                          /*linear_model=*/true},
                                         quiet);
-    linear_probe.name = "strawman_as_flat";
     const bool passed_linear_gate =
-        gate_variant(linear_probe, baseline_doc, "flat", tolerance);
+        gate_variant("strawman_as_flat", linear_probe.invocations,
+                     baseline_doc, "flat", tolerance);
     if (passed_linear_gate) {
       std::fprintf(stderr,
                    "SELF-TEST FAILED: window-proportional work passed the "
                    "flat tier's linear gate\n");
       return 1;
     }
+    // Third negative, for the GC gate: a folding session whose store is
+    // also swept whole after every slide examines the window, not the
+    // released ids, and must fail the folding GC baseline.
     std::printf(
-        "self-test OK: both gates correctly rejected out-of-model work\n");
+        "self-test: full-sweep GC (window-proportional) must fail the GC "
+        "gate\n");
+    const VariantFit sweep_probe =
+        run_sweep({"folding", WindowMode::kVariableWidth, TreeKind::kFolding,
+                   /*flat=*/false, /*linear_model=*/false,
+                   /*full_sweep_gc=*/true},
+                  quiet);
+    const bool passed_gc_gate =
+        gate_variant("full_sweep_gc", sweep_probe.gc, gc_section(baseline_doc),
+                     "folding", tolerance);
+    if (passed_gc_gate) {
+      std::fprintf(stderr,
+                   "SELF-TEST FAILED: a full-sweep GC passed the GC gate\n");
+      return 1;
+    }
+    std::printf(
+        "self-test OK: every gate correctly rejected out-of-model work\n");
     return 0;
   }
 
@@ -355,14 +431,20 @@ int run(int argc, char** argv) {
     std::printf("fit report: %s\n", report_path.c_str());
     bool all_pass = true;
     for (const VariantFit& fit : fits) {
-      all_pass &= gate_variant(fit, baseline_doc, fit.name, tolerance);
+      all_pass &= gate_variant(fit.name, fit.invocations, baseline_doc,
+                               fit.name, tolerance);
+    }
+    const std::string gc_doc = gc_section(baseline_doc);
+    for (const VariantFit& fit : fits) {
+      all_pass &= gate_variant(fit.name + " gc", fit.gc, gc_doc, fit.name,
+                               tolerance);
     }
     if (!all_pass) {
       std::fprintf(stderr,
-                   "\nASYMPTOTIC GATE FAILED: delta-attributed work regressed "
-                   ">%.0f%% vs %s.\nIf the regression is intended (e.g. an "
-                   "accounting change), re-baseline with --write-baseline and "
-                   "commit the new file.\n",
+                   "\nASYMPTOTIC GATE FAILED: delta-attributed work or GC "
+                   "regressed >%.0f%% vs %s.\nIf the regression is intended "
+                   "(e.g. an accounting change), re-baseline with "
+                   "--write-baseline and commit the new file.\n",
                    (tolerance - 1.0) * 100.0, baseline_path.c_str());
       return 1;
     }
