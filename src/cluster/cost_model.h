@@ -40,6 +40,13 @@ struct CostModel {
   }
 };
 
+// Cost of visiting one contraction node during change propagation: the
+// memo-index RPC + per-subtask dispatch that every visited node pays in
+// the distributed implementation. This is the strawman's "linear with a
+// small constant" — it visits every node every run, while the
+// self-adjusting trees only visit dirty paths.
+inline constexpr double kMemoLookupSec = 2.0e-6;
+
 // Per-application compute intensity. Filled in by each app in src/apps.
 struct AppCostProfile {
   double map_cpu_per_record = 1.0e-5;   // seconds per input record

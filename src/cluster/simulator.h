@@ -14,6 +14,10 @@
 //   * kHybrid        — Slider's scheduler (§6): prefer the memo machine,
 //                      but migrate (paying the remote-fetch penalty) when
 //                      that machine is backed up, e.g. by a straggler.
+// One scheduling loop serves every stage. It keeps running through
+// machine failures (§6): a StageFaultPlan scripts mid-stage crashes, dead
+// machines and injected task failures, and a null or empty plan is the
+// loop's failure-free case.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +97,10 @@ struct HybridOptions {
   // whose duration factor is >= this threshold, a backup copy is scheduled
   // on the earliest slot of another machine; whichever copy finishes first
   // wins and the loser is killed at that moment. 0 disables speculation.
-  // Every launched backup is a speculative re-execution in the causal work
-  // ledger (WorkCause::kSpeculativeReexec).
+  // A stage with a non-empty StageFaultPlan launches no backups: its
+  // retries take the backup copy's role. Every launched backup is a
+  // speculative re-execution in the causal work ledger
+  // (WorkCause::kSpeculativeReexec).
   double speculate_slowdown = 0;
 };
 
@@ -142,24 +148,19 @@ class StageSimulator {
  public:
   explicit StageSimulator(const Cluster& cluster) : cluster_(&cluster) {}
 
-  // `timeline`, when non-null, receives the placements (one per attempt).
-  // `faults`, when non-null and non-empty, switches the stage into the
-  // fault-aware scheduling path: mid-stage crashes kill running attempts,
+  // Schedules one stage. `timeline`, when non-null, receives the
+  // placements (one per attempt, plus any speculative backups). `faults`
+  // scripts the stage's failures: mid-stage crashes kill running attempts,
   // failed attempts are retried with backoff under a bounded cap, and
-  // repeat offenders are blacklisted. Straggler speculation is disabled
-  // for fault-injected stages (retries subsume the backup-copy role).
+  // repeat offenders are blacklisted. A null or empty plan is the
+  // failure-free case, the only one in which kHybrid launches speculative
+  // backups.
   StageResult run_stage(std::span<const SimTask> tasks, SchedulePolicy policy,
                         const HybridOptions& hybrid = {},
                         StageTimeline* timeline = nullptr,
                         const StageFaultPlan* faults = nullptr) const;
 
  private:
-  StageResult run_stage_faulty(std::span<const SimTask> tasks,
-                               SchedulePolicy policy,
-                               const HybridOptions& hybrid,
-                               StageTimeline* timeline,
-                               const StageFaultPlan& faults) const;
-
   const Cluster* cluster_;
 };
 

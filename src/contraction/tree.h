@@ -63,7 +63,6 @@ struct TreeUpdateStats {
   // node every run even when almost nothing recomputes.
   std::uint64_t nodes_visited = 0;
   std::uint64_t rows_scanned = 0;          // rows read by executed merges
-  std::uint64_t memo_reads = 0;
   SimDuration memo_read_cost = 0;
   std::uint64_t memo_bytes_read = 0;
   std::uint64_t memo_bytes_written = 0;
@@ -131,17 +130,20 @@ struct TreeUpdateStats {
     attributed.cell(cause, level).memo_bytes_written += bytes;
   }
 
-  TreeUpdateStats& operator+=(const TreeUpdateStats& o) {
+  // Folds in `o`'s counters and attributed cells, but not its lineage.
+  void add_counters(const TreeUpdateStats& o) {
     combiner_invocations += o.combiner_invocations;
     combiner_reused += o.combiner_reused;
     nodes_visited += o.nodes_visited;
     rows_scanned += o.rows_scanned;
-    memo_reads += o.memo_reads;
     memo_read_cost += o.memo_read_cost;
     memo_bytes_read += o.memo_bytes_read;
     memo_bytes_written += o.memo_bytes_written;
     memo_write_cost += o.memo_write_cost;
     attributed.merge(o.attributed);
+  }
+  TreeUpdateStats& operator+=(const TreeUpdateStats& o) {
+    add_counters(o);
     lineage.insert(lineage.end(), o.lineage.begin(), o.lineage.end());
     return *this;
   }

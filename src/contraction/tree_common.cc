@@ -173,7 +173,6 @@ std::shared_ptr<const KVTable> fetch_reused(
 
   const MemoReadResult read = ctx.store->get(id, ctx.reduce_home);
   if (stats != nullptr) {
-    ++stats->memo_reads;
     stats->memo_read_cost += read.cost;
     if (read.found) stats->charge_memo_bytes_read(read.table->byte_size());
     record_lineage_node(ctx, stats, id, obs::LineageOp::kReuse, stats->cause,

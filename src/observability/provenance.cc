@@ -386,78 +386,28 @@ ProvenanceRecorder::ProvenanceRecorder(Options options) { configure(options); }
 
 void ProvenanceRecorder::configure(Options options) {
   std::lock_guard<std::mutex> lock(mutex_);
-  options_ = options;
-  options_.raw_capacity = std::max<std::size_t>(1, options_.raw_capacity);
-  options_.aggregate_width =
-      std::max<std::size_t>(1, options_.aggregate_width);
-  options_.aggregate_capacity =
-      std::max<std::size_t>(1, options_.aggregate_capacity);
-  raw_.assign(options_.raw_capacity, SlideLineage{});
-  aggregates_.assign(options_.aggregate_capacity, LineageAggregate{});
-  raw_start_ = raw_size_ = 0;
-  agg_start_ = agg_size_ = 0;
-  open_bucket_ = LineageAggregate{};
-  open_bucket_active_ = false;
-  next_sequence_ = 0;
-  samples_dropped_ = 0;
+  ring_.configure(options);
 }
 
 void ProvenanceRecorder::reset() {
-  Options options;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    options = options_;
-  }
-  configure(options);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ring_.reset();
 }
 
 void ProvenanceRecorder::record(SlideLineage slide) {
   std::lock_guard<std::mutex> lock(mutex_);
-  slide.sequence = next_sequence_++;
-  if (raw_size_ == raw_.size()) {
-    // Oldest raw slide ages out: its DAG is dropped but its tallies fold
-    // into the open aggregation bucket (timeseries.cc discipline).
-    const SlideLineage& evicted = raw_[raw_start_];
-    open_bucket_.fold(evicted);
-    open_bucket_active_ = true;
-    if (open_bucket_.count >= options_.aggregate_width) {
-      if (agg_size_ == aggregates_.size()) {
-        samples_dropped_ += aggregates_[agg_start_].count;
-        agg_start_ = (agg_start_ + 1) % aggregates_.size();
-        --agg_size_;
-      }
-      aggregates_[(agg_start_ + agg_size_) % aggregates_.size()] = open_bucket_;
-      ++agg_size_;
-      open_bucket_ = LineageAggregate{};
-      open_bucket_active_ = false;
-    }
-    raw_[raw_start_] = SlideLineage{};  // free the evicted DAG eagerly
-    raw_start_ = (raw_start_ + 1) % raw_.size();
-    --raw_size_;
-  }
-  raw_[(raw_start_ + raw_size_) % raw_.size()] = std::move(slide);
-  ++raw_size_;
+  ring_.record(std::move(slide));
 }
 
 std::uint64_t ProvenanceRecorder::total_recorded() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return next_sequence_;
+  return ring_.total_recorded();
 }
 
 ProvenanceSnapshot ProvenanceRecorder::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   ProvenanceSnapshot snap;
-  snap.total_recorded = next_sequence_;
-  snap.samples_dropped = samples_dropped_;
-  snap.aggregates.reserve(agg_size_ + 1);
-  for (std::size_t i = 0; i < agg_size_; ++i) {
-    snap.aggregates.push_back(aggregates_[(agg_start_ + i) % aggregates_.size()]);
-  }
-  if (open_bucket_active_) snap.aggregates.push_back(open_bucket_);
-  snap.raw.reserve(raw_size_);
-  for (std::size_t i = 0; i < raw_size_; ++i) {
-    snap.raw.push_back(raw_[(raw_start_ + i) % raw_.size()]);
-  }
+  ring_.snapshot_into(snap);
   return snap;
 }
 
@@ -468,8 +418,8 @@ Explanation ProvenanceRecorder::explain(
   bool have = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = raw_size_; i-- > 0;) {
-      const SlideLineage& candidate = raw_[(raw_start_ + i) % raw_.size()];
+    for (std::size_t i = ring_.raw_size(); i-- > 0;) {
+      const SlideLineage& candidate = ring_.raw_at(i);
       if (sequence.has_value()) {
         if (candidate.sequence != *sequence) continue;
       } else if (partition < 0 ||

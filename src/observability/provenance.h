@@ -17,10 +17,10 @@
 //     of a slide as an actual node path (the per-level generalization of
 //     SliderSession::contraction_critical_path()).
 //
-// Slides are ring-buffered with the same tiered-downsampling discipline
-// as timeseries.{h,cc}: a raw ring of full per-node DAGs, evicting into
-// width-limited aggregate buckets that keep the per-cause tallies and
-// the worst critical path; conservation holds as
+// Slides are ring-buffered in the same tiered ring as the time series
+// (observability/tiered_ring.h): a raw ring of full per-node DAGs,
+// evicting into width-limited aggregate buckets that keep the per-cause
+// tallies and the worst critical path; conservation holds as
 //   total_recorded == raw + Σ aggregate counts + samples_dropped.
 //
 // Layering: this header must not depend on contraction/tree.h (the trees
@@ -37,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "observability/tiered_ring.h"
 #include "observability/work_ledger.h"
 
 namespace slider {
@@ -268,15 +269,7 @@ class ProvenanceRecorder {
 
  private:
   mutable std::mutex mutex_;
-  Options options_;
-  std::vector<SlideLineage> raw_;
-  std::size_t raw_start_ = 0, raw_size_ = 0;
-  std::vector<LineageAggregate> aggregates_;
-  std::size_t agg_start_ = 0, agg_size_ = 0;
-  LineageAggregate open_bucket_{};
-  bool open_bucket_active_ = false;
-  std::uint64_t next_sequence_ = 0;
-  std::uint64_t samples_dropped_ = 0;
+  TieredRing<SlideLineage, LineageAggregate, Options> ring_;
 };
 
 // --- serialization -----------------------------------------------------------

@@ -36,8 +36,8 @@ RunReport::Row& RunReport::Row::metrics(const std::string& prefix,
   col(prefix + "migrations", m.migrations);
   col(prefix + "memo_bytes_written", m.memo_bytes_written);
   // Fault-tolerance columns, only when any attempt bookkeeping happened
-  // (failure-free runs on the fast path record no attempts at all and keep
-  // their historical column set).
+  // (engine-only runs, which never schedule a session stage, record no
+  // attempts and keep their historical column set).
   if (m.task_attempts > 0 || m.failed_attempts > 0 || m.task_retries > 0) {
     col(prefix + "task_attempts", m.task_attempts);
     col(prefix + "failed_attempts", m.failed_attempts);

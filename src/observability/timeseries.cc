@@ -38,79 +38,28 @@ TimeSeries& TimeSeries::global() {
 
 void TimeSeries::configure(Options options) {
   std::lock_guard<std::mutex> lock(mutex_);
-  options_ = options;
-  options_.raw_capacity = std::max<std::size_t>(1, options_.raw_capacity);
-  options_.aggregate_width = std::max<std::size_t>(1, options_.aggregate_width);
-  options_.aggregate_capacity =
-      std::max<std::size_t>(1, options_.aggregate_capacity);
-  raw_.assign(options_.raw_capacity, SlideSample{});
-  aggregates_.assign(options_.aggregate_capacity, AggregateSample{});
-  raw_start_ = raw_size_ = 0;
-  agg_start_ = agg_size_ = 0;
-  open_bucket_ = AggregateSample{};
-  open_bucket_active_ = false;
-  next_sequence_ = 0;
-  samples_dropped_ = 0;
+  ring_.configure(options);
 }
 
 void TimeSeries::reset() {
-  Options options;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    options = options_;
-  }
-  configure(options);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ring_.reset();
 }
 
 void TimeSeries::record(SlideSample sample) {
   std::lock_guard<std::mutex> lock(mutex_);
-  sample.sequence = next_sequence_++;
-  if (raw_size_ == raw_.size()) {
-    // The oldest raw sample ages out: fold it into the open aggregation
-    // bucket, sealing the bucket into the aggregate ring once it spans
-    // aggregate_width slides.
-    const SlideSample& evicted = raw_[raw_start_];
-    open_bucket_.fold(evicted);
-    open_bucket_active_ = true;
-    if (open_bucket_.count >= options_.aggregate_width) {
-      if (agg_size_ == aggregates_.size()) {
-        samples_dropped_ += aggregates_[agg_start_].count;
-        agg_start_ = (agg_start_ + 1) % aggregates_.size();
-        --agg_size_;
-      }
-      aggregates_[(agg_start_ + agg_size_) % aggregates_.size()] = open_bucket_;
-      ++agg_size_;
-      open_bucket_ = AggregateSample{};
-      open_bucket_active_ = false;
-    }
-    raw_start_ = (raw_start_ + 1) % raw_.size();
-    --raw_size_;
-  }
-  raw_[(raw_start_ + raw_size_) % raw_.size()] = sample;
-  ++raw_size_;
+  ring_.record(sample);
 }
 
 std::uint64_t TimeSeries::total_recorded() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return next_sequence_;
+  return ring_.total_recorded();
 }
 
 TimeSeriesSnapshot TimeSeries::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   TimeSeriesSnapshot snap;
-  snap.total_recorded = next_sequence_;
-  snap.samples_dropped = samples_dropped_;
-  snap.aggregates.reserve(agg_size_ + 1);
-  for (std::size_t i = 0; i < agg_size_; ++i) {
-    snap.aggregates.push_back(aggregates_[(agg_start_ + i) % aggregates_.size()]);
-  }
-  // The partially-filled bucket is real history too: without it the slides
-  // between the sealed buckets and the raw window would vanish.
-  if (open_bucket_active_) snap.aggregates.push_back(open_bucket_);
-  snap.raw.reserve(raw_size_);
-  for (std::size_t i = 0; i < raw_size_; ++i) {
-    snap.raw.push_back(raw_[(raw_start_ + i) % raw_.size()]);
-  }
+  ring_.snapshot_into(snap);
   return snap;
 }
 

@@ -8,14 +8,14 @@
 // per-cause arrays, and the rings are preallocated, so record() never
 // allocates: the per-slide cost is one short mutex hold and a struct copy.
 //
-// Tiered downsampling keeps the memory footprint constant while the
-// history stays long: the most recent `raw_capacity` samples are kept
-// verbatim; when a raw sample ages out it is folded into an aggregation
-// bucket spanning `aggregate_width` consecutive slides (sums, maxima,
-// degraded counts), and the bucket ring in turn drops its oldest bucket
-// once `aggregate_capacity` is reached. With the defaults (512 raw, 256
-// buckets of 32) a session's last 8704 slides are always reconstructible,
-// the newest 512 of them exactly.
+// Tiered downsampling (observability/tiered_ring.h) keeps the memory
+// footprint constant while the history stays long: the most recent
+// `raw_capacity` samples are kept verbatim; when a raw sample ages out it
+// is folded into an aggregation bucket spanning `aggregate_width`
+// consecutive slides (sums, maxima, degraded counts), and the bucket ring
+// in turn drops its oldest bucket once `aggregate_capacity` is reached.
+// With the defaults (512 raw, 256 buckets of 32) a session's last 8704
+// slides are always reconstructible, the newest 512 of them exactly.
 //
 // Process-wide singleton, matching WorkLedger/StatsRegistry/TraceCollector:
 // this is the per-tenant metrics substrate the ROADMAP's session-manager
@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "observability/tiered_ring.h"
 #include "observability/work_ledger.h"
 
 namespace slider::obs {
@@ -129,7 +130,7 @@ class TimeSeries {
   // Reallocates the rings and clears history. Requires quiescent writers
   // (tests, tool startup).
   void configure(Options options);
-  const Options& options() const { return options_; }
+  const Options& options() const { return ring_.options(); }
 
   // Clears history, keeping the configured capacities.
   void reset();
@@ -137,20 +138,8 @@ class TimeSeries {
   static std::string timeseries_to_json(const TimeSeriesSnapshot& snapshot);
 
  private:
-  Options options_;
   mutable std::mutex mutex_;
-  std::uint64_t next_sequence_ = 0;
-  std::uint64_t samples_dropped_ = 0;
-  // Raw ring: samples [raw_start_, raw_start_ + raw_size_) mod capacity.
-  std::vector<SlideSample> raw_;
-  std::size_t raw_start_ = 0;
-  std::size_t raw_size_ = 0;
-  // Aggregate ring, same layout, plus the currently-filling bucket.
-  std::vector<AggregateSample> aggregates_;
-  std::size_t agg_start_ = 0;
-  std::size_t agg_size_ = 0;
-  AggregateSample open_bucket_;
-  bool open_bucket_active_ = false;
+  TieredRing<SlideSample, AggregateSample, Options> ring_;
 };
 
 }  // namespace slider::obs

@@ -132,12 +132,7 @@ RunMetrics QueryPipeline::run_later_stage(LaterStage& stage,
     TreeUpdateStats ts;
     stage.trees[p]->initial_build(std::move(leaves), &ts);
 
-    const SimDuration contraction =
-        stage.job.costs.combine_cpu_per_row *
-            static_cast<double>(ts.rows_scanned) +
-        config_.first_stage.memo_lookup_sec *
-            static_cast<double>(ts.nodes_visited) +
-        ts.memo_read_cost + ts.memo_write_cost;
+    const SimDuration contraction = contraction_cost(stage.job.costs, ts).work;
     ReduceOutput reduced = run_reduce(stage.job, *stage.trees[p]->root());
     stage.outputs[p] = std::move(reduced.table);
 

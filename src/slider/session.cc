@@ -60,26 +60,26 @@ TreeInstruments& tree_instruments() {
   return *instruments;
 }
 
-void record_tree_counters(const std::vector<TreeUpdateStats>& tree_stats) {
-  std::uint64_t visited = 0;
-  std::uint64_t invoked = 0;
-  std::uint64_t reused = 0;
-  for (const TreeUpdateStats& ts : tree_stats) {
-    visited += ts.nodes_visited;
-    invoked += ts.combiner_invocations;
-    reused += ts.combiner_reused;
-  }
+// Folds one run's per-partition tree stats into the run's totals
+// (counters and attributed cells, not lineage) and adds them to the
+// process-wide tree.* instruments.
+TreeUpdateStats record_tree_totals(
+    const std::vector<TreeUpdateStats>& tree_stats) {
+  TreeUpdateStats totals;
+  for (const TreeUpdateStats& ts : tree_stats) totals.add_counters(ts);
   TreeInstruments& instruments = tree_instruments();
-  [[maybe_unused]] const double visited_total =
-      static_cast<double>(instruments.nodes_visited.add(visited));
-  [[maybe_unused]] const double invoked_total =
-      static_cast<double>(instruments.combiner_invocations.add(invoked));
-  [[maybe_unused]] const double reused_total =
-      static_cast<double>(instruments.combiner_reused.add(reused));
-  instruments.run_invocations.observe(static_cast<double>(invoked));
+  [[maybe_unused]] const double visited_total = static_cast<double>(
+      instruments.nodes_visited.add(totals.nodes_visited));
+  [[maybe_unused]] const double invoked_total = static_cast<double>(
+      instruments.combiner_invocations.add(totals.combiner_invocations));
+  [[maybe_unused]] const double reused_total = static_cast<double>(
+      instruments.combiner_reused.add(totals.combiner_reused));
+  instruments.run_invocations.observe(
+      static_cast<double>(totals.combiner_invocations));
   SLIDER_TRACE_COUNTER("tree", "tree.nodes_visited", visited_total);
   SLIDER_TRACE_COUNTER("tree", "tree.combiner_invocations", invoked_total);
   SLIDER_TRACE_COUNTER("tree", "tree.combiner_reused", reused_total);
+  return totals;
 }
 
 // Commits one run's per-partition causal attribution to the process-wide
@@ -393,49 +393,23 @@ TreeDescription SliderSession::describe_tree(int partition) const {
   return partitions_[static_cast<std::size_t>(partition)].tree->describe();
 }
 
+ContractionCost contraction_cost(const AppCostProfile& costs,
+                                 const TreeUpdateStats& ts) {
+  ContractionCost cost;
+  cost.cpu = costs.combine_cpu_per_row * static_cast<double>(ts.rows_scanned) +
+             kMemoLookupSec * static_cast<double>(ts.nodes_visited);
+  cost.work = cost.cpu + ts.memo_read_cost + ts.memo_write_cost;
+  return cost;
+}
+
 RunMetrics SliderSession::initial_run(std::vector<SplitPtr> splits) {
   const auto wall_start = std::chrono::steady_clock::now();
   SLIDER_CHECK(!initialized_) << "initial_run called twice";
   SLIDER_TRACE_SPAN("session", "session.initial_run",
                     {{"splits", static_cast<double>(splits.size())}});
   initialized_ = true;
-  RunMetrics metrics;
-
-  const VanillaEngine::MapStage maps = engine_->run_map_stage(job_, splits);
-  metrics.map_work = maps.sim.work;
-  metrics.map_tasks = splits.size();
-  metrics.time = maps.sim.makespan;
-  metrics.map_time = maps.sim.makespan;
-
-  const auto state_lock = exclusive_state_lock();
-  std::vector<TreeUpdateStats> tree_stats(partitions_.size());
-  for (TreeUpdateStats& ts : tree_stats) {
-    ts.cause = obs::WorkCause::kInitialBuild;
-    ts.passthrough_cause = obs::WorkCause::kInitialBuild;
-    ts.record_lineage = provenance_ != nullptr;
-  }
-  std::vector<std::size_t> new_leaf_bytes(partitions_.size(), 0);
-  {
-    SLIDER_TRACE_SPAN("session", "session.tree_build");
-    // Partitions own disjoint trees and per-partition stats slots; the
-    // shared MemoStore is thread-safe, so the builds run in parallel.
-    parallel_for(partitions_.size(), [&](std::size_t p) {
-      std::vector<Leaf> leaves;
-      leaves.reserve(splits.size());
-      for (std::size_t i = 0; i < splits.size(); ++i) {
-        const auto& table = maps.outputs[i].partitions[p];
-        new_leaf_bytes[p] += table->byte_size();
-        leaves.push_back(Leaf{splits[i]->id, table});
-      }
-      partitions_[p].tree->initial_build(std::move(leaves), &tree_stats[p]);
-    });
-  }
-  const std::size_t added_count = splits.size();
-  for (SplitPtr& split : splits) window_.push_back(std::move(split));
-
-  contraction_and_reduce(tree_stats, new_leaf_bytes, obs::RunKind::kInitial,
-                         /*removed=*/0, added_count, metrics, wall_start);
-  return metrics;
+  return run_foreground(obs::RunKind::kInitial, /*remove_front=*/0,
+                        std::move(splits), wall_start);
 }
 
 RunMetrics SliderSession::slide(std::size_t remove_front,
@@ -449,6 +423,15 @@ RunMetrics SliderSession::slide(std::size_t remove_front,
   if (config_.mode == WindowMode::kAppendOnly) {
     SLIDER_CHECK(remove_front == 0) << "append-only window cannot drop";
   }
+  return run_foreground(obs::RunKind::kSlide, remove_front, std::move(added),
+                        wall_start);
+}
+
+RunMetrics SliderSession::run_foreground(
+    obs::RunKind run_kind, std::size_t remove_front,
+    std::vector<SplitPtr> added,
+    std::chrono::steady_clock::time_point wall_start) {
+  const bool initial = run_kind == obs::RunKind::kInitial;
   RunMetrics metrics;
 
   // Map only the appended splits; live splits' map outputs are reused
@@ -460,27 +443,32 @@ RunMetrics SliderSession::slide(std::size_t remove_front,
   metrics.map_time = maps.sim.makespan;
 
   const auto state_lock = exclusive_state_lock();
+  // An initial run bills everything to initial_build. Post-restore slides
+  // are re-executions of pre-crash work: everything bills to
+  // recovery_replay until the caller ends the replay. A normal slide
+  // attributes append-driven work to window_add and the voided-path
+  // passthroughs (Fig 2) to window_remove.
+  obs::WorkCause cause = obs::WorkCause::kInitialBuild;
+  obs::WorkCause passthrough_cause = obs::WorkCause::kInitialBuild;
+  if (!initial && replaying_) {
+    cause = passthrough_cause = obs::WorkCause::kRecoveryReplay;
+  } else if (!initial) {
+    cause = obs::WorkCause::kWindowAdd;
+    passthrough_cause = remove_front > 0 ? obs::WorkCause::kWindowRemove
+                                         : obs::WorkCause::kWindowAdd;
+  }
   std::vector<TreeUpdateStats> tree_stats(partitions_.size());
   for (TreeUpdateStats& ts : tree_stats) {
-    // Post-restore slides are re-executions of pre-crash work: everything
-    // bills to recovery_replay until the caller ends the replay. A normal
-    // slide attributes append-driven work to window_add and the voided-
-    // path passthroughs (Fig 2) to window_remove.
-    if (replaying_) {
-      ts.cause = obs::WorkCause::kRecoveryReplay;
-      ts.passthrough_cause = obs::WorkCause::kRecoveryReplay;
-    } else {
-      ts.cause = obs::WorkCause::kWindowAdd;
-      ts.passthrough_cause = remove_front > 0 ? obs::WorkCause::kWindowRemove
-                                              : obs::WorkCause::kWindowAdd;
-    }
+    ts.cause = cause;
+    ts.passthrough_cause = passthrough_cause;
     ts.record_lineage = provenance_ != nullptr;
   }
   std::vector<std::size_t> new_leaf_bytes(partitions_.size(), 0);
   {
-    SLIDER_TRACE_SPAN("session", "session.tree_delta");
-    // Per-partition delta propagation in parallel (disjoint trees,
-    // thread-safe MemoStore, per-partition stats slots).
+    SLIDER_TRACE_SPAN("session",
+                      initial ? "session.tree_build" : "session.tree_delta");
+    // Partitions own disjoint trees and per-partition stats slots; the
+    // shared MemoStore is thread-safe, so the updates run in parallel.
     parallel_for(partitions_.size(), [&](std::size_t p) {
       std::vector<Leaf> leaves;
       leaves.reserve(added.size());
@@ -489,16 +477,20 @@ RunMetrics SliderSession::slide(std::size_t remove_front,
         new_leaf_bytes[p] += table->byte_size();
         leaves.push_back(Leaf{added[i]->id, table});
       }
-      partitions_[p].tree->apply_delta(remove_front, std::move(leaves),
-                                       &tree_stats[p]);
+      ContractionTree& tree = *partitions_[p].tree;
+      if (initial) {
+        tree.initial_build(std::move(leaves), &tree_stats[p]);
+      } else {
+        tree.apply_delta(remove_front, std::move(leaves), &tree_stats[p]);
+      }
     });
   }
   const std::size_t added_count = added.size();
   for (std::size_t i = 0; i < remove_front; ++i) window_.pop_front();
   for (SplitPtr& split : added) window_.push_back(std::move(split));
 
-  contraction_and_reduce(tree_stats, new_leaf_bytes, obs::RunKind::kSlide,
-                         remove_front, added_count, metrics, wall_start);
+  contraction_and_reduce(tree_stats, new_leaf_bytes, run_kind, remove_front,
+                         added_count, metrics, wall_start);
   return metrics;
 }
 
@@ -509,7 +501,7 @@ void SliderSession::contraction_and_reduce(
     std::chrono::steady_clock::time_point wall_start) {
   SLIDER_TRACE_SPAN("session", "session.contraction_reduce");
   const double sim_start = sim_clock_;
-  record_tree_counters(tree_stats);
+  const TreeUpdateStats totals = record_tree_totals(tree_stats);
 
   // Slide-boundary integrity scrub slice (disarmed by default). The I/O it
   // performs is billed into this run's ledger commit under kScrubRepair so
@@ -550,29 +542,14 @@ void SliderSession::contraction_and_reduce(
     SimDuration contraction = 0;
     SimDuration shuffle = 0;
     SimDuration reduce_tail = 0;  // stream merge + final reduce CPU
-    SimDuration memo_read = 0;
-    std::uint64_t combiner_invocations = 0;
-    std::uint64_t combiner_reused = 0;
-    std::uint64_t memo_bytes_written = 0;
   };
   std::vector<PartitionShare> partials(partitions_.size());
   parallel_for(partitions_.size(), [&](std::size_t p) {
     const TreeUpdateStats& ts = tree_stats[p];
-
-    // Contraction phase: combiner merges + memo traffic + lookups.
-    const SimDuration merge_cpu =
-        job_.costs.combine_cpu_per_row * static_cast<double>(ts.rows_scanned);
-    const SimDuration lookup_cpu =
-        config_.memo_lookup_sec * static_cast<double>(ts.nodes_visited);
-    const SimDuration contraction = merge_cpu + lookup_cpu +
-                                    ts.memo_read_cost + ts.memo_write_cost;
-    // Critical path: combiner CPU parallelizes across the level's
-    // subtasks; memo I/O also spreads across machines' disks but loses
-    // half its parallelism to replication fan-out and store contention.
-    const SimDuration contraction_path =
-        contraction_critical_path(ts, merge_cpu + lookup_cpu, p) +
-        (ts.memo_read_cost + ts.memo_write_cost) /
-            std::max(1.0, contraction_breadth(ts, p) / 2.0);
+    const ContractionCost contraction = contraction_cost(job_.costs, ts);
+    const SimDuration path =
+        contraction_critical_path(ts, contraction.cpu, p) +
+        contraction_io_path(ts, p);
 
     // Shuffle: fresh map outputs travel to the reduce machine.
     const SimDuration shuffle = cost.net_transfer(new_leaf_bytes[p]);
@@ -595,22 +572,17 @@ void SliderSession::contraction_and_reduce(
     output_[p] = std::move(reduced.table);
 
     SimTask& task = tasks[p];
-    task.duration = cost.task_overhead_sec + contraction_path + shuffle +
+    task.duration = cost.task_overhead_sec + path + shuffle +
                     stream_merge_cpu + reduced.cpu_cost;
     task.preferred = partitions_[p].home;
     task.migration_penalty = cost.net_transfer(ts.memo_bytes_read);
 
-    PartitionShare& partial = partials[p];
-    partial.contraction = contraction;
-    partial.shuffle = shuffle;
-    partial.reduce_tail = stream_merge_cpu + reduced.cpu_cost;
-    partial.memo_read = ts.memo_read_cost;
-    partial.combiner_invocations = ts.combiner_invocations;
-    partial.combiner_reused = ts.combiner_reused;
-    partial.memo_bytes_written = ts.memo_bytes_written;
-
+    partials[p] = PartitionShare{.contraction = contraction.work,
+                                 .shuffle = shuffle,
+                                 .reduce_tail =
+                                     stream_merge_cpu + reduced.cpu_cost};
     if (tracing) {
-      shares[p].contraction_path = contraction_path;
+      shares[p].contraction_path = path;
       shares[p].tail = shuffle + stream_merge_cpu + reduced.cpu_cost;
       shares[p].levels = std::max(1, partitions_[p].tree->height());
     }
@@ -619,42 +591,19 @@ void SliderSession::contraction_and_reduce(
     metrics.contraction_work += partial.contraction;
     metrics.shuffle_work += partial.shuffle;
     metrics.reduce_work += partial.reduce_tail;
-    metrics.memo_read_work += partial.memo_read;
-    metrics.combiner_invocations += partial.combiner_invocations;
-    metrics.combiner_reused += partial.combiner_reused;
-    metrics.memo_bytes_written += partial.memo_bytes_written;
   }
+  metrics.memo_read_work += totals.memo_read_cost;
+  metrics.combiner_invocations += totals.combiner_invocations;
+  metrics.combiner_reused += totals.combiner_reused;
+  metrics.memo_bytes_written += totals.memo_bytes_written;
   metrics.reduce_tasks = partitions_.size();
 
+  // The stage starts after this run's map wave on the session clock.
   StageTimeline timeline;
-  HybridOptions hybrid;
-  hybrid.speculate_slowdown = config_.speculate_slowdown;
-  // Under fault injection the reduce stage runs with the chaos-provided
-  // plan: crashes kill in-flight attempts mid-stage and retries take over.
-  // Speculation is disabled for those stages — retries subsume backups,
-  // and the outputs never depend on scheduling anyway. The stage starts
-  // after this run's map wave on the session's simulated clock.
-  StageFaultPlan fault_plan;
-  if (config_.fault_provider != nullptr) {
-    fault_plan =
-        config_.fault_provider->stage_faults(sim_clock_ + metrics.map_time);
-    if (!fault_plan.empty()) hybrid.speculate_slowdown = 0;
-  }
-  const StageResult stage = engine_->simulator().run_stage(
-      tasks, config_.reduce_policy, hybrid, tracing ? &timeline : nullptr,
-      fault_plan.empty() ? nullptr : &fault_plan);
+  const StageResult stage =
+      run_partition_stage(tasks, sim_clock_ + metrics.map_time,
+                          tracing ? &timeline : nullptr, metrics);
   metrics.time += stage.makespan;
-  metrics.migrations += stage.migrations;
-  metrics.speculative_launched += stage.speculative_launched;
-  metrics.speculative_wins += stage.speculative_wins;
-  metrics.task_attempts += stage.attempts;
-  metrics.failed_attempts += stage.failed_attempts;
-  metrics.task_retries += stage.task_retries;
-  metrics.machines_blacklisted +=
-      static_cast<std::uint64_t>(stage.machines_blacklisted);
-  metrics.max_task_attempts =
-      std::max(metrics.max_task_attempts,
-               static_cast<std::uint64_t>(stage.max_attempts_seen));
 
   if (tracing) {
     // Reconstruct the run on the simulated clock: the map wave, then the
@@ -701,14 +650,41 @@ void SliderSession::contraction_and_reduce(
   sim_clock_ += metrics.map_time + stage.makespan;
 
   if (config_.run_gc) garbage_collect();
-  observe_run(run_kind, removed, added, metrics, tree_stats, sim_start,
-              metrics.time, wall_start);
+  observe_run(run_kind, removed, added, metrics, tree_stats, totals,
+              sim_start, metrics.time, wall_start);
+}
+
+StageResult SliderSession::run_partition_stage(
+    const std::vector<SimTask>& tasks, SimDuration stage_start,
+    StageTimeline* timeline, RunMetrics& metrics) const {
+  // Under fault injection the stage runs with the chaos-provided plan:
+  // crashes kill in-flight attempts mid-stage and retries take over.
+  StageFaultPlan fault_plan;
+  if (config_.fault_provider != nullptr) {
+    fault_plan = config_.fault_provider->stage_faults(stage_start);
+  }
+  const StageResult stage = engine_->simulator().run_stage(
+      tasks, config_.reduce_policy,
+      HybridOptions{.speculate_slowdown = config_.speculate_slowdown},
+      timeline, &fault_plan);
+  metrics.migrations += stage.migrations;
+  metrics.speculative_launched += stage.speculative_launched;
+  metrics.speculative_wins += stage.speculative_wins;
+  metrics.task_attempts += stage.attempts;
+  metrics.failed_attempts += stage.failed_attempts;
+  metrics.task_retries += stage.task_retries;
+  metrics.machines_blacklisted +=
+      static_cast<std::uint64_t>(stage.machines_blacklisted);
+  metrics.max_task_attempts =
+      std::max(metrics.max_task_attempts,
+               static_cast<std::uint64_t>(stage.max_attempts_seen));
+  return stage;
 }
 
 void SliderSession::observe_run(
     obs::RunKind run_kind, std::size_t removed, std::size_t added,
     const RunMetrics& metrics, std::vector<TreeUpdateStats>& tree_stats,
-    double sim_start, double sim_latency,
+    const TreeUpdateStats& totals, double sim_start, double sim_latency,
     std::chrono::steady_clock::time_point wall_start) {
   // Opportunistic durable recovery: the degraded flag otherwise only
   // clears on a durable *write*, so a session that went quiet on the
@@ -727,7 +703,7 @@ void SliderSession::observe_run(
     obs::SlideLineage lineage = obs::assemble_slide_lineage(
         run_kind, config_.tenant, sim_start, std::move(parts),
         obs::LineageCostParams{job_.costs.combine_cpu_per_row,
-                               config_.memo_lookup_sec});
+                               kMemoLookupSec});
     critical_path_histogram().observe(lineage.critical_path_seconds);
     provenance_->record(std::move(lineage));
   }
@@ -745,15 +721,13 @@ void SliderSession::observe_run(
     sample.window_splits = window_.size();
     sample.removed = removed;
     sample.added = added;
-    for (const TreeUpdateStats& ts : tree_stats) {
-      for (const obs::AttributedCell& cell : ts.attributed.cells()) {
-        sample.cause_invocations[static_cast<std::size_t>(cell.cause)] +=
-            cell.work.combiner_invocations;
-      }
-      sample.combiner_invocations += ts.combiner_invocations;
-      sample.combiner_reused += ts.combiner_reused;
-      sample.nodes_visited += ts.nodes_visited;
+    for (const obs::AttributedCell& cell : totals.attributed.cells()) {
+      sample.cause_invocations[static_cast<std::size_t>(cell.cause)] +=
+          cell.work.combiner_invocations;
     }
+    sample.combiner_invocations = totals.combiner_invocations;
+    sample.combiner_reused = totals.combiner_reused;
+    sample.nodes_visited = totals.nodes_visited;
     sample.task_retries = metrics.task_retries;
     sample.failed_attempts = metrics.failed_attempts;
     sample.durable_degraded = memo_->durable_degraded();
@@ -823,62 +797,33 @@ RunMetrics SliderSession::run_background() {
     ts.passthrough_cause = obs::WorkCause::kBackgroundPreprocess;
     ts.record_lineage = provenance_ != nullptr;
   }
-  // Per-partition shares filled by the parallel loop, folded in partition
-  // order below so the floating-point sums match the serial run exactly.
-  struct BackgroundShare {
-    SimDuration work = 0;
-    std::uint64_t memo_bytes_written = 0;
-  };
-  std::vector<BackgroundShare> partials(partitions_.size());
+  // Per-partition work filled by the parallel loop, folded in partition
+  // order below so the floating-point sum matches the serial run exactly.
+  std::vector<SimDuration> work(partitions_.size());
   parallel_for(partitions_.size(), [&](std::size_t p) {
     TreeUpdateStats& ts = tree_stats[p];
     partitions_[p].tree->background_preprocess(&ts);
-    const SimDuration cpu =
-        job_.costs.combine_cpu_per_row * static_cast<double>(ts.rows_scanned) +
-        config_.memo_lookup_sec * static_cast<double>(ts.nodes_visited);
-    partials[p].work = cpu + ts.memo_read_cost + ts.memo_write_cost;
+    const ContractionCost contraction = contraction_cost(job_.costs, ts);
+    work[p] = contraction.work;
     tasks[p].duration = cost.task_overhead_sec +
-                        contraction_critical_path(ts, cpu, p) +
-                        (ts.memo_read_cost + ts.memo_write_cost) /
-                            std::max(1.0, contraction_breadth(ts, p) / 2.0);
+                        contraction_critical_path(ts, contraction.cpu, p) +
+                        contraction_io_path(ts, p);
     tasks[p].preferred = partitions_[p].home;
     tasks[p].migration_penalty = cost.net_transfer(ts.memo_bytes_read);
-    partials[p].memo_bytes_written = ts.memo_bytes_written;
   });
-  for (const BackgroundShare& share : partials) {
-    metrics.background_work += share.work;
-    metrics.memo_bytes_written += share.memo_bytes_written;
-  }
-  record_tree_counters(tree_stats);
+  for (const SimDuration w : work) metrics.background_work += w;
+  const TreeUpdateStats totals = record_tree_totals(tree_stats);
+  metrics.memo_bytes_written += totals.memo_bytes_written;
   commit_ledger_run(obs::RunKind::kBackground, window_.size(), /*removed=*/0,
                     /*added=*/0, tree_stats, config_.tenant);
   obs::TraceCollector& trace = obs::TraceCollector::global();
   const bool tracing = trace.enabled();
+  // Background stages face the same chaos as foreground ones; they start
+  // at the current simulated clock.
   StageTimeline timeline;
-  HybridOptions hybrid;
-  hybrid.speculate_slowdown = config_.speculate_slowdown;
-  // Background stages face the same chaos as foreground ones (see
-  // contraction_and_reduce); they start at the current simulated clock.
-  StageFaultPlan fault_plan;
-  if (config_.fault_provider != nullptr) {
-    fault_plan = config_.fault_provider->stage_faults(sim_clock_);
-    if (!fault_plan.empty()) hybrid.speculate_slowdown = 0;
-  }
-  const StageResult stage = engine_->simulator().run_stage(
-      tasks, config_.reduce_policy, hybrid, tracing ? &timeline : nullptr,
-      fault_plan.empty() ? nullptr : &fault_plan);
+  const StageResult stage = run_partition_stage(
+      tasks, sim_clock_, tracing ? &timeline : nullptr, metrics);
   metrics.background_time = stage.makespan;
-  metrics.migrations += stage.migrations;
-  metrics.speculative_launched += stage.speculative_launched;
-  metrics.speculative_wins += stage.speculative_wins;
-  metrics.task_attempts += stage.attempts;
-  metrics.failed_attempts += stage.failed_attempts;
-  metrics.task_retries += stage.task_retries;
-  metrics.machines_blacklisted +=
-      static_cast<std::uint64_t>(stage.machines_blacklisted);
-  metrics.max_task_attempts =
-      std::max(metrics.max_task_attempts,
-               static_cast<std::uint64_t>(stage.max_attempts_seen));
   if (tracing) {
     trace.sim_span("phase", "background", sim_clock_, stage.makespan, 0,
                    {{"tasks", static_cast<double>(tasks.size())},
@@ -894,7 +839,8 @@ RunMetrics SliderSession::run_background() {
   sim_clock_ += stage.makespan;
   if (config_.run_gc) garbage_collect();
   observe_run(obs::RunKind::kBackground, /*removed=*/0, /*added=*/0, metrics,
-              tree_stats, sim_start, metrics.background_time, wall_start);
+              tree_stats, totals, sim_start, metrics.background_time,
+              wall_start);
   return metrics;
 }
 
@@ -921,6 +867,12 @@ double SliderSession::contraction_breadth(const TreeUpdateStats& ts,
 SimDuration SliderSession::contraction_critical_path(
     const TreeUpdateStats& ts, SimDuration total, std::size_t partition) const {
   return total / contraction_breadth(ts, partition);
+}
+
+SimDuration SliderSession::contraction_io_path(const TreeUpdateStats& ts,
+                                               std::size_t partition) const {
+  return (ts.memo_read_cost + ts.memo_write_cost) /
+         std::max(1.0, contraction_breadth(ts, partition) / 2.0);
 }
 
 bool SliderSession::checkpoint(const std::string& dir) const {

@@ -55,15 +55,11 @@ struct SliderConfig {
   // Straggler speculation threshold, forwarded to HybridOptions (§6 /
   // Table 1): with kHybrid, tasks placed on a machine whose duration
   // factor is >= this value get a backup copy on another machine; the
-  // first copy to finish wins. 0 disables speculation. Launched backups
-  // are recorded as speculative re-executions in the causal work ledger.
+  // first copy to finish wins. 0 disables speculation, and stages that
+  // fault_provider injects failures into launch no backups. Launched
+  // backups are recorded as speculative re-executions in the causal work
+  // ledger.
   double speculate_slowdown = 0;
-  // Cost of visiting one contraction node during change propagation: the
-  // memo-index RPC + per-subtask dispatch that every visited node pays in
-  // the distributed implementation. This is the strawman's "linear with a
-  // small constant" — it visits every node every run, while the
-  // self-adjusting trees only visit dirty paths.
-  double memo_lookup_sec = 2.0e-6;
   // Live introspection endpoint (observability/introspection_server.h).
   // -1 disables it entirely (no server object, no per-run locking);
   // 0 binds an OS-assigned ephemeral port; >0 binds that port, falling
@@ -89,8 +85,8 @@ struct SliderConfig {
   // reduce / background stage asks this provider for a StageFaultPlan at
   // its simulated start time — mid-stage crashes kill running attempts,
   // injected failures force retries with backoff, and the attempt/retry
-  // counters land in RunMetrics. Null (the default) keeps the failure-free
-  // fast path. Not owned; must outlive the session.
+  // counters land in RunMetrics. Null (the default) runs every stage
+  // failure-free. Not owned; must outlive the session.
   const StageFaultProvider* fault_provider = nullptr;
   // Online integrity scrubbing (durability/scrubber.h): when > 0, every
   // slide boundary verifies up to this many at-rest durable-tier record
@@ -129,6 +125,16 @@ struct SliderConfig {
   // is set, the session owns a recorder with default ring options.
   obs::ProvenanceRecorder* provenance = nullptr;
 };
+
+// Simulated cost of one contraction-tree update (§6 cost model).
+struct ContractionCost {
+  // Combiner merges over the rows scanned plus one kMemoLookupSec per
+  // visited node.
+  SimDuration cpu = 0;
+  SimDuration work = 0;  // cpu plus the memo reads and writes charged
+};
+ContractionCost contraction_cost(const AppCostProfile& costs,
+                                 const TreeUpdateStats& ts);
 
 class SliderSession {
  public:
@@ -238,11 +244,18 @@ class SliderSession {
     MachineId home = 0;
   };
 
-  // Shared tail of initial_run/slide: run the contraction + reduce stage
-  // from the per-partition deltas gathered in `stats`, then GC. Commits
-  // the run's causal attribution to the process-wide WorkLedger and the
-  // run's SlideSample to the process-wide TimeSeries (`wall_start` is the
-  // host clock at the run's entry point, for the wall-latency sample).
+  // The body of initial_run (kInitial) and slide (kSlide): map the
+  // appended splits, update every partition's tree (initial_build, or
+  // apply_delta dropping `remove_front` leaves), move the window, then
+  // contraction_and_reduce. `wall_start` is the host clock at the entry
+  // point, for the wall-latency sample.
+  RunMetrics run_foreground(obs::RunKind run_kind, std::size_t remove_front,
+                            std::vector<SplitPtr> added,
+                            std::chrono::steady_clock::time_point wall_start);
+  // Shared tail of the foreground runs: run the contraction + reduce stage
+  // from the per-partition deltas gathered in `tree_stats`, then GC.
+  // Commits the run's causal attribution to the process-wide WorkLedger
+  // and the run's SlideSample to the process-wide TimeSeries.
   // `tree_stats` is non-const: when provenance recording is armed,
   // observe_run moves the per-partition lineage vectors out of the stats
   // into the SlideLineage it commits.
@@ -251,14 +264,29 @@ class SliderSession {
                               obs::RunKind run_kind, std::size_t removed,
                               std::size_t added, RunMetrics& metrics,
                               std::chrono::steady_clock::time_point wall_start);
+  // Memo I/O share of a partition's contraction critical path (the CPU
+  // share is contraction_critical_path): the I/O spreads across machines'
+  // disks too, but loses half its parallelism to replication fan-out and
+  // store contention.
+  SimDuration contraction_io_path(const TreeUpdateStats& ts,
+                                  std::size_t partition) const;
+  // Schedules one stage of per-partition tasks that starts at `stage_start`
+  // on the session clock, under the fault provider's plan for it, and
+  // folds the stage's migration, speculation and attempt counters into
+  // `metrics`. The caller books the makespan.
+  StageResult run_partition_stage(const std::vector<SimTask>& tasks,
+                                  SimDuration stage_start,
+                                  StageTimeline* timeline,
+                                  RunMetrics& metrics) const;
   // Slide-boundary observability tail, shared with run_background():
   // opportunistic degraded-drain probe, lineage commit, time-series
-  // sample, SLO evaluation (breaches request a post-mortem),
-  // flight-recorder tick.
+  // sample (from the run's tree `totals`), SLO evaluation (breaches
+  // request a post-mortem), flight-recorder tick.
   void observe_run(obs::RunKind run_kind, std::size_t removed,
                    std::size_t added, const RunMetrics& metrics,
                    std::vector<TreeUpdateStats>& tree_stats,
-                   double sim_start, double sim_latency,
+                   const TreeUpdateStats& totals, double sim_start,
+                   double sim_latency,
                    std::chrono::steady_clock::time_point wall_start);
   void garbage_collect();
   void maybe_start_introspection();
