@@ -1,6 +1,14 @@
 #include "data/serde.h"
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
+
+#include "common/crc32c.h"
+#include "common/logging.h"
 
 namespace slider {
 namespace wire {
@@ -68,6 +76,20 @@ bool get_bytes(std::string_view& in, std::string* out) {
 
 namespace {
 
+// A larger declared payload size is rejected before any allocation.
+constexpr std::uint64_t kFileFrameMaxPayload = 1ull << 32;
+
+std::string file_frame_header(const FileFrame& format,
+                              std::string_view payload) {
+  std::string header;
+  header.reserve(kFileFrameHeaderBytes);
+  header.append(format.magic);
+  wire::put_u32(header, format.version);
+  wire::put_u32(header, crc32c(payload));
+  wire::put_u64(header, payload.size());
+  return header;
+}
+
 bool get_raw(std::string_view& in, std::uint32_t len, std::string* out) {
   if (in.size() < len) return false;
   out->assign(in.data(), len);
@@ -76,6 +98,90 @@ bool get_raw(std::string_view& in, std::uint32_t len, std::string* out) {
 }
 
 }  // namespace
+
+std::string encode_file_frame(const FileFrame& format,
+                              std::string_view payload) {
+  std::string frame = file_frame_header(format, payload);
+  frame.append(payload);
+  return frame;
+}
+
+bool write_file_frame(const std::string& path, const FileFrame& format,
+                      std::string_view payload) {
+  const std::string header = file_frame_header(format, payload);
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return false;
+  // The stdio buffer must reach the kernel before fsync, and fsync must
+  // succeed before rename publishes the file.
+  bool ok =
+      std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size() &&
+      std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
+  ok = std::fclose(f) == 0 && ok;
+  std::error_code ec;
+  if (ok) std::filesystem::rename(tmp, path, ec);
+  if (!ok || ec) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
+  return true;
+}
+
+std::optional<std::string> read_file_frame(const std::string& path,
+                                           const FileFrame& format) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return std::nullopt;
+  std::error_code ec;
+  const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  char header[kFileFrameHeaderBytes];
+  std::uint32_t version = 0;
+  std::uint32_t expect_crc = 0;
+  std::uint64_t size = 0;
+  std::string payload;
+  bool ok = !ec && std::fread(header, 1, sizeof(header), f) == sizeof(header);
+  if (ok) {
+    std::string_view cursor(header, sizeof(header));
+    ok = cursor.substr(0, format.magic.size()) == format.magic;
+    cursor.remove_prefix(format.magic.size());
+    wire::get_u32(cursor, &version);
+    wire::get_u32(cursor, &expect_crc);
+    wire::get_u64(cursor, &size);
+    // Checked before allocating, so a corrupt size cannot drive a huge
+    // allocation: the payload must fill the rest of the file exactly.
+    ok = ok && version == format.version && size <= kFileFrameMaxPayload &&
+         file_bytes - sizeof(header) == size;
+  }
+  if (ok) {
+    payload.resize(static_cast<std::size_t>(size));
+    ok = std::fread(payload.data(), 1, payload.size(), f) == payload.size();
+  }
+  std::fclose(f);
+  if (!ok) {
+    SLIDER_LOG(Warning) << "rejecting " << format.noun << " " << path
+                        << ": bad magic, version, or size (declared " << size
+                        << " payload bytes at file offset "
+                        << kFileFrameHeaderBytes
+                        << "; the file must hold exactly that many)";
+    return std::nullopt;
+  }
+  const std::uint32_t actual_crc = crc32c(payload);
+  if (actual_crc != expect_crc) {
+    char expect_hex[16];
+    char actual_hex[16];
+    std::snprintf(expect_hex, sizeof(expect_hex), "0x%08x", expect_crc);
+    std::snprintf(actual_hex, sizeof(actual_hex), "0x%08x", actual_crc);
+    SLIDER_LOG(Warning) << "rejecting " << format.noun << " " << path
+                        << ": payload crc mismatch (expected " << expect_hex
+                        << ", actual " << actual_hex << " over "
+                        << payload.size() << " bytes at file offset "
+                        << kFileFrameHeaderBytes
+                        << "; header intact, corruption is inside the "
+                           "payload)";
+    return std::nullopt;
+  }
+  return payload;
+}
 
 std::string serialize_table(const KVTable& table) {
   std::string out;

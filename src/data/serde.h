@@ -9,6 +9,13 @@
 // format is built from. The durability subsystem (segment-log records and
 // session checkpoints, src/durability/) uses the same primitives, so the
 // on-disk formats and the memo wire format can never drift apart.
+//
+// Whole files that must be published atomically and checked on read —
+// checkpoint manifests and post-mortem dumps — share one CRC frame:
+//
+//   [8-byte magic][u32 version][u32 crc32c(payload)][u64 payload_size][payload]
+//
+// with one writer and one reader below.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +43,36 @@ bool get_u64(std::string_view& in, std::uint64_t* v);
 bool get_bytes(std::string_view& in, std::string* out);
 
 }  // namespace wire
+
+// --- CRC-framed files --------------------------------------------------------
+
+// Names one framed format: its magic, its version and the noun diagnostics
+// use for its files (e.g. "checkpoint manifest").
+struct FileFrame {
+  std::string_view magic;  // exactly 8 bytes
+  std::uint32_t version = 0;
+  std::string_view noun;
+};
+
+inline constexpr std::size_t kFileFrameHeaderBytes = 8 + 4 + 4 + 8;
+
+// Header + payload in one buffer.
+std::string encode_file_frame(const FileFrame& format,
+                              std::string_view payload);
+
+// Publishes header + payload at `path` atomically: writes <path>.tmp, then
+// fflush, fsync and fclose, then renames it over `path`, checking every
+// step. False on any failure; the tmp file is removed and a previous file
+// at `path` is left untouched.
+bool write_file_frame(const std::string& path, const FileFrame& format,
+                      std::string_view payload);
+
+// The payload of `path` if its magic and version match, its declared size
+// is at most 4 GiB, exactly that many bytes follow the header and their
+// CRC matches. nullopt otherwise, with a log line naming
+// the failed check (silent when the file cannot be opened).
+std::optional<std::string> read_file_frame(const std::string& path,
+                                           const FileFrame& format);
 
 std::string serialize_table(const KVTable& table);
 

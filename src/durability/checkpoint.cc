@@ -1,14 +1,8 @@
 #include "durability/checkpoint.h"
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <system_error>
+#include <optional>
 #include <utility>
 
-#include "common/crc32c.h"
 #include "common/logging.h"
 #include "data/serde.h"
 #include "observability/stats.h"
@@ -16,7 +10,8 @@
 namespace slider::durability {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'L', 'I', 'D', 'R', 'C', 'K', 'P'};
+constexpr FileFrame kManifestFrame{"SLIDRCKP", kCheckpointVersion,
+                                   "checkpoint manifest"};
 
 enum NodeMarker : std::uint8_t {
   kNull = 0,
@@ -45,91 +40,21 @@ void CheckpointWriter::put_node(std::uint64_t id, const KVTable* table) {
 }
 
 bool CheckpointWriter::write_manifest(const std::string& path) const {
-  std::string header;
-  header.append(kMagic, sizeof(kMagic));
-  wire::put_u32(header, kCheckpointVersion);
-  wire::put_u32(header, crc32c(blob_));
-  wire::put_u64(header, blob_.size());
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(header.data(), 1, header.size(), f) == header.size();
-  ok = ok &&
-       std::fwrite(blob_.data(), 1, blob_.size(), f) == blob_.size();
-  ok = ok && std::fflush(f) == 0;
-  if (ok) ::fsync(fileno(f));
-  std::fclose(f);
-  if (!ok) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
+  if (!write_file_frame(path, kManifestFrame, blob_)) return false;
   auto& reg = obs::StatsRegistry::global();
   reg.counter("durability.checkpoints_written").add();
   reg.counter("durability.checkpoint_bytes")
-      .add(header.size() + blob_.size());
+      .add(kFileFrameHeaderBytes + blob_.size());
   return true;
 }
 
 std::unique_ptr<CheckpointReader> CheckpointReader::open(
     const std::string& path, ResolveFn resolve) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return nullptr;
-
-  char magic[sizeof(kMagic)];
-  std::string fixed(4 + 4 + 8, '\0');
-  bool ok = std::fread(magic, 1, sizeof(magic), f) == sizeof(magic) &&
-            std::memcmp(magic, kMagic, sizeof(kMagic)) == 0 &&
-            std::fread(fixed.data(), 1, fixed.size(), f) == fixed.size();
-  std::uint32_t version = 0;
-  std::uint32_t expect_crc = 0;
-  std::uint64_t blob_size = 0;
-  std::string blob;
-  if (ok) {
-    std::string_view cursor(fixed);
-    wire::get_u32(cursor, &version);
-    wire::get_u32(cursor, &expect_crc);
-    wire::get_u64(cursor, &blob_size);
-    ok = version == kCheckpointVersion && blob_size <= (1ull << 32);
-  }
-  if (ok) {
-    blob.resize(static_cast<std::size_t>(blob_size));
-    ok = std::fread(blob.data(), 1, blob.size(), f) == blob.size();
-  }
-  std::fclose(f);
-  // The blob starts right after the fixed header: 8B magic + 4B version +
-  // 4B crc + 8B blob_size = byte offset 24.
-  constexpr std::size_t kBlobOffset = sizeof(kMagic) + 4 + 4 + 8;
-  if (!ok) {
-    SLIDER_LOG(Warning) << "checkpoint: rejecting manifest " << path
-                        << ": bad magic, header, or truncated blob (declared "
-                        << blob_size << " blob bytes at file offset "
-                        << kBlobOffset << ")";
-    return nullptr;
-  }
-  const std::uint32_t actual_crc = crc32c(blob);
-  if (actual_crc != expect_crc) {
-    char expect_hex[16];
-    char actual_hex[16];
-    std::snprintf(expect_hex, sizeof(expect_hex), "0x%08x", expect_crc);
-    std::snprintf(actual_hex, sizeof(actual_hex), "0x%08x", actual_crc);
-    SLIDER_LOG(Warning) << "checkpoint: rejecting manifest " << path
-                        << ": blob crc mismatch (expected " << expect_hex
-                        << ", actual " << actual_hex << " over " << blob.size()
-                        << " bytes at file offset " << kBlobOffset
-                        << "; header intact, corruption is inside the blob)";
-    return nullptr;
-  }
+  std::optional<std::string> blob = read_file_frame(path, kManifestFrame);
+  if (!blob.has_value()) return nullptr;
   obs::StatsRegistry::global().counter("durability.checkpoints_loaded").add();
   return std::unique_ptr<CheckpointReader>(
-      new CheckpointReader(std::move(blob), std::move(resolve)));
+      new CheckpointReader(*std::move(blob), std::move(resolve)));
 }
 
 bool CheckpointReader::get_u8(std::uint8_t* v) {

@@ -6,8 +6,9 @@
 //   "SLIDRCKP" [u32 version] [u32 crc32c(blob)] [u64 blob_size] [blob]
 //
 // where `blob` is session-defined state built from slider::wire
-// primitives. Written atomically (tmp file + fsync + rename), so a crash
-// mid-checkpoint leaves the previous manifest intact.
+// primitives. The frame is the CRC file frame of data/serde.h, written
+// atomically (tmp file + fsync + rename), so a crash mid-checkpoint leaves
+// the previous manifest intact.
 //
 // The blob mostly stores tree *structure* — node ids — not payloads:
 // payloads already live in the durable memo tier, and the reader resolves
@@ -55,8 +56,8 @@ class CheckpointWriter {
   // always encodes as marker 0, whatever the id says.
   void put_node(std::uint64_t id, const KVTable* table);
 
-  // Atomically writes the manifest: <path>.tmp + fsync + rename. False on
-  // any I/O failure (the previous manifest, if any, is left untouched).
+  // Atomically writes the manifest (write_file_frame). False on any I/O
+  // failure (the previous manifest, if any, is left untouched).
   bool write_manifest(const std::string& path) const;
 
  private:
@@ -72,8 +73,8 @@ class CheckpointReader {
   using ResolveFn =
       std::function<std::shared_ptr<const KVTable>(std::uint64_t)>;
 
-  // Loads and validates `path` (magic, version, size, CRC). Null on a
-  // missing, truncated, or corrupt manifest.
+  // Loads and validates `path` (read_file_frame: magic, version, exact
+  // size, CRC). Null on a missing, truncated, padded or corrupt manifest.
   static std::unique_ptr<CheckpointReader> open(const std::string& path,
                                                 ResolveFn resolve);
 

@@ -6,8 +6,8 @@ namespace slider::durability {
 
 DurableTier::DurableTier(std::string root, DurableTierOptions options)
     : root_(std::move(root)), options_(options) {
-  logs_.reserve(options_.replicas);
-  for (std::size_t i = 0; i < options_.replicas; ++i) {
+  logs_.reserve(kDurableReplicas);
+  for (std::size_t i = 0; i < kDurableReplicas; ++i) {
     logs_.push_back(
         std::make_unique<SegmentLog>(replica_dir(root_, i), options_.log));
   }
@@ -23,32 +23,29 @@ std::unordered_map<LogKey, RecoveredEntry> DurableTier::recover(
 
 std::size_t DurableTier::put(LogKey key, std::uint64_t seq,
                              std::string_view payload) {
-  std::size_t accepted = 0;
-  for (auto& log : logs_) {
-    if (log->append(LogRecordType::kPut, seq, key, payload)) ++accepted;
-  }
-  if (accepted > 0) {
-    bytes_since_compact_ +=
-        payload.size() + 25;  // frame overhead: 8B header + 17B body prefix
-  }
-  return accepted;
+  return append(LogRecordType::kPut, key, seq, payload);
 }
 
 std::size_t DurableTier::tombstone(LogKey key, std::uint64_t seq) {
+  return append(LogRecordType::kTombstone, key, seq, {});
+}
+
+std::size_t DurableTier::append(LogRecordType type, LogKey key,
+                                std::uint64_t seq, std::string_view payload) {
   std::size_t accepted = 0;
+  std::uint64_t record_bytes = 0;
   for (auto& log : logs_) {
-    if (log->append(LogRecordType::kTombstone, seq, key, {})) ++accepted;
+    const std::uint64_t appended_before = log->bytes_appended();
+    if (!log->append(type, seq, key, payload)) continue;
+    ++accepted;
+    record_bytes = log->bytes_appended() - appended_before;
   }
-  if (accepted > 0) bytes_since_compact_ += 25;
+  bytes_since_compact_ += record_bytes;
   return accepted;
 }
 
 void DurableTier::flush() {
   for (auto& log : logs_) log->flush();
-}
-
-void DurableTier::sync() {
-  for (auto& log : logs_) log->sync();
 }
 
 void DurableTier::close() {
@@ -60,12 +57,6 @@ bool DurableTier::all_failed() const {
     if (!log->failed()) return false;
   }
   return true;
-}
-
-std::size_t DurableTier::failed_replicas() const {
-  std::size_t count = 0;
-  for (const auto& log : logs_) count += log->failed() ? 1 : 0;
-  return count;
 }
 
 std::size_t DurableTier::reopen_failed() {

@@ -1,6 +1,6 @@
 // Replicated persistent tier for the memoization layer (paper §6).
 //
-// A DurableTier owns `replicas` segment logs under one root directory:
+// A DurableTier owns kDurableReplicas segment logs under one root directory:
 //
 //   <root>/replica-0/seg-*.slog
 //   <root>/replica-1/seg-*.slog
@@ -30,8 +30,11 @@
 
 namespace slider::durability {
 
+// Replica logs per tier. MemoStore::kReplicas bills the same copies in the
+// cost model; memo_store.cc checks at compile time that the two agree.
+inline constexpr std::size_t kDurableReplicas = 2;
+
 struct DurableTierOptions {
-  std::size_t replicas = 2;  // matches MemoStore::kReplicas
   SegmentLogOptions log;
   // Compaction is due (compaction_due()) once this many bytes were
   // appended since the last one. 0 disables automatic compaction.
@@ -59,13 +62,10 @@ class DurableTier {
   std::size_t tombstone(LogKey key, std::uint64_t seq);
 
   void flush();
-  void sync();
   void close();
 
   // True when every replica log has failed (nothing is durable anymore).
   bool all_failed() const;
-  // Number of replica logs currently marked failed.
-  std::size_t failed_replicas() const;
 
   // Reopens every failed replica log in a fresh segment (degraded-mode
   // recovery: transient write errors mark logs failed; once the condition
@@ -102,6 +102,10 @@ class DurableTier {
   std::uint64_t mutation_epoch() const { return mutation_epoch_; }
 
  private:
+  // Mirrors one record into every replica; returns how many accepted it.
+  std::size_t append(LogRecordType type, LogKey key, std::uint64_t seq,
+                     std::string_view payload);
+
   std::string root_;
   DurableTierOptions options_;
   std::vector<std::unique_ptr<SegmentLog>> logs_;

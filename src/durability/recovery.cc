@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <system_error>
 #include <utility>
 
 #include "observability/stats.h"
@@ -16,15 +15,22 @@ std::string replica_dir(const std::string& root, std::size_t index) {
   return (fs::path(root) / ("replica-" + std::to_string(index))).string();
 }
 
-std::vector<std::string> list_replica_dirs(const std::string& root) {
-  std::vector<std::string> dirs;
-  for (std::size_t index = 0;; ++index) {
-    const std::string dir = replica_dir(root, index);
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec)) break;
-    dirs.push_back(dir);
+std::unordered_map<LogKey, LogRecord> newest_records(
+    const std::vector<std::string>& dirs, RecoveryStats& stats) {
+  std::unordered_map<LogKey, LogRecord> newest;
+  for (const auto& dir : dirs) {
+    ++stats.replicas_scanned;
+    stats.scan += SegmentLog::scan_dir(
+        dir,
+        [&](const LogRecord& record) {
+          const auto [it, inserted] = newest.try_emplace(record.key, record);
+          if (inserted) return;
+          ++stats.duplicate_records;
+          if (record.seq > it->second.seq) it->second = record;
+        },
+        /*repair_torn_tail=*/true);
   }
-  return dirs;
+  return newest;
 }
 
 std::unordered_map<LogKey, RecoveredEntry> recover_replicas(
@@ -32,38 +38,13 @@ std::unordered_map<LogKey, RecoveredEntry> recover_replicas(
   SLIDER_TRACE_SPAN("durability", "durability.recover");
   const auto start = std::chrono::steady_clock::now();
 
-  struct Winner {
-    std::uint64_t seq = 0;
-    bool is_put = false;
-    bool seen = false;
-    std::string payload;
-  };
-  std::unordered_map<LogKey, Winner> merged;
   RecoveryStats local;
-
-  for (const auto& dir : replica_dirs) {
-    ++local.replicas_scanned;
-    local.scan += SegmentLog::scan_dir(
-        dir,
-        [&](const LogRecord& record) {
-          Winner& winner = merged[record.key];
-          if (winner.seen && record.seq <= winner.seq) {
-            ++local.duplicate_records;
-            return;
-          }
-          if (winner.seen) ++local.duplicate_records;
-          winner.seen = true;
-          winner.seq = record.seq;
-          winner.is_put = record.type == LogRecordType::kPut;
-          winner.payload = record.payload;
-        },
-        /*repair_torn_tail=*/true);
-  }
+  auto merged = newest_records(replica_dirs, local);
 
   std::unordered_map<LogKey, RecoveredEntry> recovered;
   recovered.reserve(merged.size());
   for (auto& [key, winner] : merged) {
-    if (!winner.is_put) {
+    if (winner.type != LogRecordType::kPut) {
       ++local.tombstoned_keys;
       continue;
     }

@@ -41,8 +41,12 @@ struct RecoveryStats {
 // Path of replica `index` under a durable-tier root.
 std::string replica_dir(const std::string& root, std::size_t index);
 
-// Replica subdirectories that exist under `root`, in index order.
-std::vector<std::string> list_replica_dirs(const std::string& root);
+// The merge behind recovery and SegmentLog::compact: scans the segment
+// logs in `dirs` (repairing torn tails) and keeps the newest record of
+// every key — the highest seq, the first one scanned on a tie — tombstones
+// included. Fills `stats.scan`, `replicas_scanned` and `duplicate_records`.
+std::unordered_map<LogKey, LogRecord> newest_records(
+    const std::vector<std::string>& dirs, RecoveryStats& stats);
 
 // Merges the segment logs in `replica_dirs` into the per-key newest state.
 // Torn tails are physically repaired so a writer can reopen the logs.

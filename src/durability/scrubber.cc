@@ -1,13 +1,9 @@
 #include "durability/scrubber.h"
 
-#include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <system_error>
 
-#include "common/crc32c.h"
 #include "common/logging.h"
-#include "data/serde.h"
 #include "observability/flight_recorder.h"
 #include "observability/work_ledger.h"
 
@@ -15,45 +11,7 @@ namespace slider::durability {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Reads and re-verifies one frame at `offset`. nullopt when the frame is
-// unreadable or fails its CRC — callers treat that as "donor lost", never
-// as data to propagate.
-std::optional<LogRecord> read_frame(const std::string& path,
-                                    std::uint64_t offset) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::optional<LogRecord> result;
-  do {
-    if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) break;
-    char header[kLogHeaderBytes];
-    if (std::fread(header, 1, sizeof(header), f) < sizeof(header)) break;
-    std::string_view hv(header, sizeof(header));
-    std::uint32_t body_len = 0;
-    std::uint32_t expect_crc = 0;
-    wire::get_u32(hv, &body_len);
-    wire::get_u32(hv, &expect_crc);
-    if (body_len < kLogBodyFixedBytes || body_len > kLogMaxPlausibleBody) break;
-    std::string buf(body_len, '\0');
-    if (std::fread(buf.data(), 1, body_len, f) < body_len) break;
-    if (crc32c(buf) != expect_crc) break;
-    std::string_view body(buf);
-    LogRecord record;
-    std::uint8_t type = 0;
-    wire::get_u8(body, &type);
-    wire::get_u64(body, &record.seq);
-    wire::get_u64(body, &record.key);
-    record.type = static_cast<LogRecordType>(type);
-    record.payload.assign(body);
-    result = std::move(record);
-  } while (false);
-  std::fclose(f);
-  return result;
-}
-
-std::uint64_t frame_bytes(const LogRecord& record) {
-  return kLogHeaderBytes + kLogBodyFixedBytes + record.payload.size();
-}
+using Step = SegmentCursor::Step;
 
 }  // namespace
 
@@ -99,96 +57,51 @@ void IntegrityScrubber::abandon_pass() {
 bool IntegrityScrubber::scan_segment_slice(ScrubStats& slice,
                                            std::uint64_t& budget) {
   const SegmentState& seg = segments_[replica_i_][segment_i_];
-  std::FILE* f = std::fopen(seg.path.c_str(), "rb");
-  if (f == nullptr) return true;  // vanished without an epoch bump; move on
-  if (std::fseek(f, static_cast<long>(offset_), SEEK_SET) != 0) {
-    std::fclose(f);
-    return true;
-  }
-  bool finished = false;
-  std::string buf;
+  // Reopened every slice: between slices the segment may be quarantined
+  // (renamed) or compacted away.
+  SegmentCursor cursor(seg.path, offset_, seg.bound);
   while (budget > 0) {
-    if (offset_ + kLogHeaderBytes > seg.bound) {
-      finished = true;  // torn/partial tail relative to the snapshot bound
-      break;
+    const Step step = cursor.next();
+    // Bit rot (a plausible length, so the cursor resyncs at the next frame
+    // and the scan keeps collecting survivors) or framing garbage (the
+    // rest of the segment is unverifiable). Either way the segment is
+    // quarantined once the scan reaches its end.
+    if ((step == Step::kCrcMismatch || step == Step::kImplausible) &&
+        !segment_corrupt_) {
+      segment_corrupt_ = true;
+      obs::FlightRecorder::global().note_fault(
+          "scrub_corruption",
+          std::string(step == Step::kCrcMismatch ? "crc mismatch"
+                                                 : "implausible frame length") +
+              " in " + seg.path + " at offset " +
+              std::to_string(cursor.frame_offset()));
     }
-    char header[kLogHeaderBytes];
-    if (std::fread(header, 1, sizeof(header), f) < sizeof(header)) {
-      finished = true;
-      break;
-    }
-    std::string_view hv(header, sizeof(header));
-    std::uint32_t body_len = 0;
-    std::uint32_t expect_crc = 0;
-    wire::get_u32(hv, &body_len);
-    wire::get_u32(hv, &expect_crc);
-    if (body_len < kLogBodyFixedBytes || body_len > kLogMaxPlausibleBody) {
-      // Framing garbage: resyncing would trust a corrupt length, so the
-      // rest of this segment is unverifiable — quarantine it.
-      if (!segment_corrupt_) {
-        segment_corrupt_ = true;
-        obs::FlightRecorder::global().note_fault(
-            "scrub_corruption",
-            "implausible frame length in " + seg.path + " at offset " +
-                std::to_string(offset_));
-      }
-      finished = true;
-      break;
-    }
-    if (offset_ + kLogHeaderBytes + body_len > seg.bound) {
-      finished = true;  // record extends past the snapshot bound (torn)
-      break;
-    }
-    buf.resize(body_len);
-    if (std::fread(buf.data(), 1, body_len, f) < body_len) {
-      finished = true;
-      break;
-    }
-    const std::uint64_t frame_offset = offset_;
-    offset_ += kLogHeaderBytes + body_len;
+    // A torn tail is relative to the snapshot bound: appends after it are
+    // the next pass's business.
+    if (step != Step::kRecord && step != Step::kCrcMismatch) return true;
+    offset_ = cursor.offset();
     --budget;
-    if (crc32c(buf) != expect_crc) {
-      // Mid-file bit rot: the length was plausible, so resync at the next
-      // frame boundary and keep collecting survivors; the segment itself
-      // is quarantined once the scan reaches its end.
-      if (!segment_corrupt_) {
-        segment_corrupt_ = true;
-        obs::FlightRecorder::global().note_fault(
-            "scrub_corruption", "crc mismatch in " + seg.path +
-                                    " at offset " +
-                                    std::to_string(frame_offset));
-      }
-      continue;
-    }
-    std::string_view body(buf);
-    LogRecord record;
-    std::uint8_t type = 0;
-    wire::get_u8(body, &type);
-    wire::get_u64(body, &record.seq);
-    wire::get_u64(body, &record.key);
-    record.type = static_cast<LogRecordType>(type);
-    record.payload.assign(body);
+    if (step == Step::kCrcMismatch) continue;
 
+    const LogRecord& record = cursor.record();
     ++slice.records_verified;
-    slice.bytes_verified += kLogHeaderBytes + body_len;
+    slice.bytes_verified += cursor.offset() - cursor.frame_offset();
     auto& replica_newest = newest_[replica_i_][record.key];
     if (record.seq > replica_newest) replica_newest = record.seq;
     Winner& win = winners_[record.key];
     if (record.seq > win.seq) {
       win.seq = record.seq;
-      win.type = type;
       win.replica = static_cast<std::uint32_t>(replica_i_);
       win.segment = static_cast<std::uint32_t>(segment_i_);
-      win.offset = frame_offset;
+      win.offset = cursor.frame_offset();
     }
     // Survivors are only kept once corruption has been seen (the frames
     // the resync scan recovered *after* the first corrupt one); the intact
     // prefix before it is re-read from the file by finish_segment(), so
     // the happy path never copies payloads aside.
-    if (segment_corrupt_) survivors_.push_back(std::move(record));
+    if (segment_corrupt_) survivors_.push_back(record);
   }
-  std::fclose(f);
-  return finished;
+  return false;
 }
 
 void IntegrityScrubber::finish_segment(ScrubStats& slice) {
@@ -205,29 +118,20 @@ void IntegrityScrubber::finish_segment(ScrubStats& slice) {
       // not copied aside during the scan; re-read it from the file — the
       // read stops exactly at the corrupt frame. Frames the resync scan
       // recovered past it are in survivors_.
+      const std::uint64_t appended_before = log.bytes_appended();
       bool saved = true;
-      std::uint64_t read_offset = 0;
-      while (read_offset + kLogHeaderBytes <= seg.bound) {
-        const auto record = read_frame(seg.path, read_offset);
-        if (!record.has_value()) break;  // first corrupt/torn frame
-        read_offset += frame_bytes(*record);
-        if (!log.append(record->type, record->seq, record->key,
-                        record->payload)) {
-          saved = false;
-          break;
-        }
-        slice.repair_bytes_written += frame_bytes(*record);
+      SegmentCursor prefix(seg.path, 0, seg.bound);
+      while (saved && prefix.next() == Step::kRecord) {
+        const LogRecord& record = prefix.record();
+        saved = log.append(record.type, record.seq, record.key,
+                           record.payload);
       }
-      if (saved) {
-        for (const LogRecord& record : survivors_) {
-          if (!log.append(record.type, record.seq, record.key,
-                          record.payload)) {
-            saved = false;
-            break;
-          }
-          slice.repair_bytes_written += frame_bytes(record);
-        }
+      for (std::size_t i = 0; saved && i < survivors_.size(); ++i) {
+        const LogRecord& record = survivors_[i];
+        saved = log.append(record.type, record.seq, record.key,
+                           record.payload);
       }
+      slice.repair_bytes_written += log.bytes_appended() - appended_before;
       log.flush();
       if (saved) {
         const std::string quarantine_path = seg.path + ".quarantine";
@@ -264,8 +168,10 @@ void IntegrityScrubber::cross_check(ScrubStats& slice) {
       // re-appending the donor's copy (re-verified from disk; the donor
       // segment may since have been quarantined, which only renamed it).
       const SegmentState& donor_seg = segments_[win.replica][win.segment];
-      const auto donor = read_frame(donor_seg.path, win.offset);
-      if (!donor.has_value() || donor->key != key || donor->seq != win.seq) {
+      SegmentCursor donor_cursor(donor_seg.path, win.offset);
+      const LogRecord& donor = donor_cursor.record();
+      if (donor_cursor.next() != Step::kRecord || donor.key != key ||
+          donor.seq != win.seq) {
         obs::FlightRecorder::global().note_fault(
             "scrub_donor_lost",
             "donor frame unreadable in " + donor_seg.path,
@@ -274,12 +180,13 @@ void IntegrityScrubber::cross_check(ScrubStats& slice) {
       }
       SegmentLog& log = tier_.log(r);
       if (log.failed()) continue;  // degraded; the next pass retries
-      if (!log.append(donor->type, donor->seq, donor->key, donor->payload)) {
+      const std::uint64_t appended_before = log.bytes_appended();
+      if (!log.append(donor.type, donor.seq, donor.key, donor.payload)) {
         continue;
       }
       ++slice.corruptions_detected;
       ++slice.repairs;
-      slice.repair_bytes_written += frame_bytes(*donor);
+      slice.repair_bytes_written += log.bytes_appended() - appended_before;
       obs::FlightRecorder::global().note_fault(
           "scrub_divergence",
           "replica " + std::to_string(r) + " healed for key " +

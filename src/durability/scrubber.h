@@ -95,7 +95,6 @@ class IntegrityScrubber {
   // Where the newest copy of a key lives, for donor re-reads at pass end.
   struct Winner {
     std::uint64_t seq = 0;
-    std::uint8_t type = 0;
     std::uint32_t replica = 0;
     std::uint32_t segment = 0;  // index into segments_[replica]
     std::uint64_t offset = 0;   // frame start within the segment file

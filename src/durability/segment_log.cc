@@ -4,14 +4,13 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 #include <filesystem>
-#include <map>
 #include <system_error>
 
 #include "common/crc32c.h"
 #include "common/logging.h"
 #include "data/serde.h"
+#include "durability/recovery.h"
 #include "observability/stats.h"
 
 namespace slider::durability {
@@ -19,11 +18,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Wire-format constants live in segment_log.h (shared with the scrubber);
-// local aliases keep the scan code readable.
-constexpr std::size_t kHeaderBytes = kLogHeaderBytes;
-constexpr std::size_t kBodyFixedBytes = kLogBodyFixedBytes;
-constexpr std::uint32_t kMaxPlausibleBody = kLogMaxPlausibleBody;
+constexpr std::size_t kHeaderBytes = 8;      // u32 body_len + u32 crc
+constexpr std::size_t kBodyFixedBytes = 17;  // u8 type + u64 seq + u64 key
+// A body longer than this is taken as framing garbage rather than a real
+// record: resyncing past it would mean trusting a corrupt length to jump
+// anywhere in the file, so scans abandon the segment instead.
+constexpr std::uint32_t kMaxPlausibleBody = 1u << 30;
 
 struct DurabilityInstruments {
   obs::Counter& records_appended;
@@ -99,70 +99,87 @@ std::string encode_record(LogRecordType type, std::uint64_t seq, LogKey key,
   return frame;
 }
 
-// Scans one segment file. Returns the number of bytes the file should be
-// truncated to if a torn tail was found and `repair` is set (nullopt when
-// no truncation is needed).
+// Scans one segment file. Returns the offset of a torn tail — the size
+// the file should be truncated to — or nullopt when there is none.
 std::optional<std::uint64_t> scan_segment(const std::string& path,
                                           const SegmentLog::ScanCallback& cb,
                                           LogScanStats& stats) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
+  SegmentCursor cursor(path);
+  if (!cursor.is_open()) return std::nullopt;
   ++stats.segments_scanned;
-
-  std::optional<std::uint64_t> truncate_to;
-  std::uint64_t offset = 0;
-  std::string buf;
   for (;;) {
-    char header[kHeaderBytes];
-    const std::size_t got = std::fread(header, 1, sizeof(header), f);
-    if (got == 0) break;  // clean end of segment
-    if (got < sizeof(header)) {
-      // Incomplete header: the shape a crash mid-write leaves behind.
-      ++stats.torn_records;
-      truncate_to = offset;
-      break;
+    switch (cursor.next()) {
+      case SegmentCursor::Step::kRecord:
+        ++stats.records_scanned;
+        stats.bytes_scanned += cursor.offset() - cursor.frame_offset();
+        if (cb) cb(cursor.record());
+        break;
+      case SegmentCursor::Step::kCrcMismatch:
+        ++stats.crc_failures;  // skipped; the scan resyncs at the next frame
+        break;
+      case SegmentCursor::Step::kImplausible:
+        ++stats.crc_failures;  // can't resync safely; give up on the segment
+        return std::nullopt;
+      case SegmentCursor::Step::kTorn:
+        ++stats.torn_records;
+        return cursor.offset();
+      case SegmentCursor::Step::kEnd:
+        return std::nullopt;
     }
-    std::string_view hv(header, sizeof(header));
-    std::uint32_t body_len = 0;
-    std::uint32_t expect_crc = 0;
-    wire::get_u32(hv, &body_len);
-    wire::get_u32(hv, &expect_crc);
-    if (body_len < kBodyFixedBytes || body_len > kMaxPlausibleBody) {
-      // Garbage length — can't resync safely; give up on this segment.
-      ++stats.crc_failures;
-      break;
-    }
-    buf.resize(body_len);
-    const std::size_t body_got = std::fread(buf.data(), 1, body_len, f);
-    if (body_got < body_len) {
-      ++stats.torn_records;
-      truncate_to = offset;
-      break;
-    }
-    offset += kHeaderBytes + body_len;
-    if (crc32c(buf) != expect_crc) {
-      // Mid-file corruption: skip this frame and resync at the next one
-      // (the length was plausible, so the frame boundary is our best bet).
-      ++stats.crc_failures;
-      continue;
-    }
-    std::string_view body(buf);
-    LogRecord record;
-    std::uint8_t type = 0;
-    wire::get_u8(body, &type);
-    wire::get_u64(body, &record.seq);
-    wire::get_u64(body, &record.key);
-    record.type = static_cast<LogRecordType>(type);
-    record.payload.assign(body);
-    ++stats.records_scanned;
-    stats.bytes_scanned += kHeaderBytes + body_len;
-    if (cb) cb(record);
   }
-  std::fclose(f);
-  return truncate_to;
 }
 
 }  // namespace
+
+SegmentCursor::SegmentCursor(const std::string& path, std::uint64_t offset,
+                             std::uint64_t bound)
+    : file_(std::fopen(path.c_str(), "rb")),
+      offset_(offset),
+      bound_(std::max(bound, offset)),
+      frame_offset_(offset) {
+  if (file_ != nullptr &&
+      std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
+    std::fclose(file_);
+    file_ = nullptr;
+  }
+}
+
+SegmentCursor::~SegmentCursor() {
+  if (file_ != nullptr) std::fclose(file_);
+}
+
+SegmentCursor::Step SegmentCursor::next() {
+  frame_offset_ = offset_;
+  if (file_ == nullptr || offset_ == bound_) return Step::kEnd;
+  if (bound_ - offset_ < kHeaderBytes) return Step::kTorn;
+  char header[kHeaderBytes];
+  const std::size_t got = std::fread(header, 1, sizeof(header), file_);
+  if (got == 0) return Step::kEnd;
+  if (got < sizeof(header)) return Step::kTorn;
+  std::string_view hv(header, sizeof(header));
+  std::uint32_t body_len = 0;
+  std::uint32_t expect_crc = 0;
+  wire::get_u32(hv, &body_len);
+  wire::get_u32(hv, &expect_crc);
+  if (body_len < kBodyFixedBytes || body_len > kMaxPlausibleBody) {
+    return Step::kImplausible;
+  }
+  if (bound_ - offset_ - kHeaderBytes < body_len) return Step::kTorn;
+  body_.resize(body_len);
+  if (std::fread(body_.data(), 1, body_len, file_) < body_len) {
+    return Step::kTorn;
+  }
+  offset_ += kHeaderBytes + body_len;
+  if (crc32c(body_) != expect_crc) return Step::kCrcMismatch;
+  std::string_view body(body_);
+  std::uint8_t type = 0;
+  wire::get_u8(body, &type);
+  wire::get_u64(body, &record_.seq);
+  wire::get_u64(body, &record_.key);
+  record_.type = static_cast<LogRecordType>(type);
+  record_.payload.assign(body);
+  return Step::kRecord;
+}
 
 LogScanStats& LogScanStats::operator+=(const LogScanStats& o) {
   segments_scanned += o.segments_scanned;
@@ -199,7 +216,6 @@ void SegmentLog::open_fresh_segment() {
   }
   active_bytes_ = 0;
   unflushed_bytes_ = 0;
-  records_since_flush_ = 0;
 }
 
 void SegmentLog::rotate() {
@@ -249,11 +265,7 @@ bool SegmentLog::append(LogRecordType type, std::uint64_t seq, LogKey key,
   ++records_appended_;
   instruments().records_appended.add();
   instruments().bytes_appended.add(frame.size());
-  ++records_since_flush_;
-  if (options_.flush_every_records != 0 &&
-      records_since_flush_ >= options_.flush_every_records) {
-    flush();
-  }
+  flush();
   if (options_.fsync == FsyncPolicy::kEveryAppend) sync();
   if (active_bytes_ >= options_.segment_bytes) rotate();
   return true;
@@ -264,7 +276,6 @@ void SegmentLog::flush() {
   std::fflush(active_);
   instruments().bytes_flushed.add(unflushed_bytes_);
   unflushed_bytes_ = 0;
-  records_since_flush_ = 0;
 }
 
 void SegmentLog::sync() {
@@ -306,29 +317,18 @@ SegmentLog::CompactionResult SegmentLog::compact(
 
   result.bytes_before = dir_bytes(dir_);
 
-  // Newest record per key across the whole log (append order == age order,
-  // ties broken by seq for robustness).
-  struct Latest {
-    bool seen = false;
-    std::uint64_t seq = 0;
-    bool is_put = false;
-    std::string payload;
-  };
-  std::map<LogKey, Latest> latest;
-  std::uint64_t total_records = 0;
-  LogScanStats scan_stats = scan_dir(
-      dir_,
-      [&](const LogRecord& record) {
-        ++total_records;
-        Latest& slot = latest[record.key];
-        if (slot.seen && record.seq < slot.seq) return;
-        slot.seen = true;
-        slot.seq = record.seq;
-        slot.is_put = record.type == LogRecordType::kPut;
-        slot.payload = record.payload;
-      },
-      /*repair_torn_tail=*/true);
-  (void)scan_stats;
+  // Newest record per key across the whole log — the recovery merge —
+  // rewritten in ascending key order.
+  RecoveryStats merge_stats;
+  const auto newest = newest_records({dir_}, merge_stats);
+  std::vector<const LogRecord*> survivors;
+  for (const auto& [key, record] : newest) {
+    if (record.type == LogRecordType::kPut && live.count(key) != 0) {
+      survivors.push_back(&record);
+    }
+  }
+  std::sort(survivors.begin(), survivors.end(),
+            [](const LogRecord* a, const LogRecord* b) { return a->key < b->key; });
 
   const auto old_segments = list_segments(dir_);
 
@@ -336,10 +336,9 @@ SegmentLog::CompactionResult SegmentLog::compact(
   // rewritten log sorts after nothing and before future appends).
   open_fresh_segment();
   std::uint64_t kept = 0;
-  for (const auto& [key, slot] : latest) {
-    if (!slot.is_put || live.find(key) == live.end()) continue;
-    const std::string frame =
-        encode_record(LogRecordType::kPut, slot.seq, key, slot.payload);
+  for (const LogRecord* record : survivors) {
+    const std::string frame = encode_record(LogRecordType::kPut, record->seq,
+                                            record->key, record->payload);
     if (!write_raw(frame)) break;
     ++kept;
     if (active_bytes_ >= options_.segment_bytes) rotate();
@@ -353,7 +352,7 @@ SegmentLog::CompactionResult SegmentLog::compact(
   }
 
   result.bytes_after = dir_bytes(dir_);
-  result.records_dropped = total_records - kept;
+  result.records_dropped = merge_stats.scan.records_scanned - kept;
   instruments().segments_compacted.add(old_segments.size());
   if (result.bytes_before > result.bytes_after) {
     instruments().compaction_bytes_reclaimed.add(result.bytes_before -

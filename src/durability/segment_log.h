@@ -11,10 +11,12 @@
 //   body = [u8 type][u64 seq][u64 key][payload (body_len - 17 bytes)]
 //
 // The writer rotates to a fresh segment once the active one exceeds
-// `segment_bytes`, flushes on a configurable record cadence, and fsyncs
-// per policy. Every process (re)start opens a fresh segment — sealed
-// segments are immutable, which is what makes tail-scan recovery and
-// compaction simple.
+// `segment_bytes`, flushes after every record, and fsyncs per policy.
+// Every process (re)start opens a fresh segment — sealed segments are
+// immutable, which is what makes tail-scan recovery and compaction simple.
+//
+// SegmentCursor is the only reader of the framing: recovery scans, the
+// integrity scrubber and the chaos engine all walk frames through it.
 //
 // Recovery contract (see recovery.h for the replica-merging layer):
 //   * a torn record at the tail (incomplete header or body — the shape a
@@ -30,7 +32,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -41,16 +45,6 @@ namespace slider::durability {
 
 using LogKey = std::uint64_t;
 
-// Record wire-format constants, shared with the at-rest re-verifier in
-// durability/scrubber.cc (which walks sealed segments frame by frame
-// without opening them for append).
-inline constexpr std::size_t kLogHeaderBytes = 8;      // u32 len + u32 crc
-inline constexpr std::size_t kLogBodyFixedBytes = 17;  // u8 type+u64 seq+u64 key
-// A body longer than this is taken as framing garbage rather than a real
-// record: resyncing past it would mean trusting a corrupt length to jump
-// anywhere in the file, so scans abandon the segment instead.
-inline constexpr std::uint32_t kLogMaxPlausibleBody = 1u << 30;
-
 enum class FsyncPolicy : std::uint8_t {
   kNever,        // rely on the OS page cache (tests, benches)
   kOnRotate,     // fsync each segment as it seals + on close
@@ -59,8 +53,6 @@ enum class FsyncPolicy : std::uint8_t {
 
 struct SegmentLogOptions {
   std::uint64_t segment_bytes = 1ull << 20;  // rotate threshold
-  // fflush() after this many records; 0 = only on rotate/sync/close.
-  std::size_t flush_every_records = 1;
   FsyncPolicy fsync = FsyncPolicy::kNever;
 };
 
@@ -84,6 +76,52 @@ struct LogScanStats {
   std::uint64_t crc_failures = 0;   // checksum mismatches skipped
 
   LogScanStats& operator+=(const LogScanStats& o);
+};
+
+// Walks the frames of one segment file, opened at `offset` (a frame
+// start). Frames reaching past `bound` bytes read as torn, so a caller can
+// stop at a size it snapshotted earlier; by default the file's end is the
+// only bound. Each next() examines one frame; a scan ends at the first
+// kTorn, kImplausible or kEnd.
+class SegmentCursor {
+ public:
+  enum class Step : std::uint8_t {
+    kRecord,       // intact frame, decoded into record()
+    kCrcMismatch,  // plausible length but bad checksum: skipped, and the
+                   // cursor resyncs at the next frame by that length
+    kTorn,         // incomplete header or body at the end of the file or
+                   // past the bound (a crash mid-write); offset() is its start
+    kImplausible,  // length no record can have: framing garbage, and
+                   // resyncing would trust it to jump anywhere
+    kEnd,          // clean end of the frames (or the file could not be read)
+  };
+
+  explicit SegmentCursor(
+      const std::string& path, std::uint64_t offset = 0,
+      std::uint64_t bound = std::numeric_limits<std::uint64_t>::max());
+  ~SegmentCursor();
+
+  SegmentCursor(const SegmentCursor&) = delete;
+  SegmentCursor& operator=(const SegmentCursor&) = delete;
+
+  bool is_open() const { return file_ != nullptr; }
+  Step next();
+  // The record of the last kRecord step; its buffers are reused by the
+  // next step.
+  const LogRecord& record() const { return record_; }
+  // Start of the frame the last step examined.
+  std::uint64_t frame_offset() const { return frame_offset_; }
+  // Start of the next frame: past a kRecord or kCrcMismatch frame, else
+  // unchanged (a torn or implausible frame's own start).
+  std::uint64_t offset() const { return offset_; }
+
+ private:
+  std::FILE* file_ = nullptr;
+  std::uint64_t offset_;
+  std::uint64_t bound_;
+  std::uint64_t frame_offset_;
+  std::string body_;
+  LogRecord record_;
 };
 
 class SegmentLog {
@@ -173,7 +211,6 @@ class SegmentLog {
   std::uint64_t next_segment_index_ = 1;
   std::uint64_t active_bytes_ = 0;
   std::uint64_t unflushed_bytes_ = 0;
-  std::size_t records_since_flush_ = 0;
   std::uint64_t bytes_appended_ = 0;
   std::uint64_t records_appended_ = 0;
   std::uint64_t segments_rotated_ = 0;

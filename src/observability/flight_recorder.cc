@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 
@@ -16,32 +15,6 @@
 #include "observability/work_ledger.h"
 
 namespace slider::obs {
-
-namespace {
-
-// Atomic frame write, same discipline as checkpoint manifests: tmp file +
-// fsync + rename, so a reader never sees a torn dump.
-bool write_frame_atomic(const std::string& path, std::string_view frame) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(frame.data(), 1, frame.size(), f) == frame.size();
-  if (ok) ::fsync(fileno(f));
-  ok = (std::fclose(f) == 0) && ok;
-  std::error_code ec;
-  if (!ok) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder() = default;
 
@@ -62,15 +35,10 @@ FlightRecorder& FlightRecorder::global() {
 void FlightRecorder::arm(Options options) {
   std::lock_guard<std::mutex> lock(mutex_);
   options_ = std::move(options);
-  options_.fault_log_capacity =
-      std::max<std::size_t>(1, options_.fault_log_capacity);
   slide_ticks_ = 0;
   last_dump_tick_ = 0;
   dumped_once_ = false;
   dumps_written_ = 0;
-  while (fault_log_.size() > options_.fault_log_capacity) {
-    fault_log_.pop_front();
-  }
 }
 
 bool FlightRecorder::armed() const {
@@ -82,7 +50,7 @@ void FlightRecorder::note_fault(std::string_view kind, std::string_view detail,
                                 double sim_time, std::int64_t machine,
                                 bool request_dump) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fault_log_.size() >= options_.fault_log_capacity) {
+  if (fault_log_.size() >= kFaultLogCapacity) {
     fault_log_.pop_front();
   }
   fault_log_.push_back(FaultNote{sim_time, std::string(kind),
@@ -187,7 +155,7 @@ std::string FlightRecorder::write_dump_locked(std::string_view reason,
   const std::string path = options_.directory + "/pm_" +
                            std::to_string(::getpid()) + "_" +
                            std::to_string(n) + ".pm.json";
-  if (!write_frame_atomic(path, frame_postmortem(json.str()))) {
+  if (!write_postmortem(path, json.str())) {
     SLIDER_LOG(Warning) << "flight recorder: dump write failed: " << path;
     return "";
   }

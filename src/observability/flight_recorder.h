@@ -55,8 +55,10 @@ class FlightRecorder {
     std::string directory;  // empty = disarmed
     std::size_t max_dumps = 8;
     std::uint64_t min_slides_between_dumps = 16;
-    std::size_t fault_log_capacity = 256;
   };
+
+  // The fault log keeps the newest this many notes.
+  static constexpr std::size_t kFaultLogCapacity = 256;
 
   // Everything maybe_dump() needs from the caller; global state
   // (TimeSeries, WorkLedger, TraceCollector) is snapshotted internally.

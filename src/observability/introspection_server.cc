@@ -234,8 +234,6 @@ std::string prometheus_text(const StatsSnapshot& stats,
 
 // --- server ------------------------------------------------------------------
 
-IntrospectionServer::IntrospectionServer() : IntrospectionServer(Options{}) {}
-
 IntrospectionServer::IntrospectionServer(Options options)
     : options_(std::move(options)) {
   // Built-in routes. Handlers snapshot through each subsystem's own

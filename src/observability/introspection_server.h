@@ -94,7 +94,6 @@ class IntrospectionServer {
     std::string bind_address = "127.0.0.1";
   };
 
-  IntrospectionServer();
   explicit IntrospectionServer(Options options);
   ~IntrospectionServer();
   IntrospectionServer(const IntrospectionServer&) = delete;

@@ -2,14 +2,17 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
-#include "common/crc32c.h"
 #include "common/logging.h"
 #include "data/serde.h"
 
 namespace slider::obs {
+namespace {
+
+constexpr FileFrame kPostmortemFrame{"SLIDRPMJ", kPostmortemVersion,
+                                     "postmortem dump"};
+
+}  // namespace
 
 const JsonValue& JsonValue::operator[](std::string_view key) const {
   static const JsonValue kNull;
@@ -182,57 +185,19 @@ std::optional<JsonValue> parse_json(std::string_view text) {
 }
 
 std::string frame_postmortem(std::string_view json) {
-  std::string out;
-  out.reserve(kPostmortemMagic.size() + 16 + json.size());
-  out += kPostmortemMagic;
-  wire::put_u32(out, kPostmortemVersion);
-  wire::put_u32(out, crc32c(json));
-  wire::put_u64(out, json.size());
-  out += json;
-  return out;
+  return encode_file_frame(kPostmortemFrame, json);
+}
+
+bool write_postmortem(const std::string& path, std::string_view json) {
+  return write_file_frame(path, kPostmortemFrame, json);
 }
 
 std::optional<PostmortemFile> read_postmortem(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    SLIDER_LOG(Warning) << "postmortem: cannot open " << path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string data = buffer.str();
-
-  std::string_view rest = data;
-  if (rest.substr(0, kPostmortemMagic.size()) != kPostmortemMagic) {
-    SLIDER_LOG(Warning) << "postmortem: bad magic: " << path;
-    return std::nullopt;
-  }
-  rest.remove_prefix(kPostmortemMagic.size());
-  std::uint32_t version = 0;
-  std::uint32_t crc = 0;
-  std::uint64_t size = 0;
-  if (!wire::get_u32(rest, &version) || !wire::get_u32(rest, &crc) ||
-      !wire::get_u64(rest, &size)) {
-    SLIDER_LOG(Warning) << "postmortem: truncated header: " << path;
-    return std::nullopt;
-  }
-  if (version != kPostmortemVersion) {
-    SLIDER_LOG(Warning) << "postmortem: unsupported version " << version
-                        << ": " << path;
-    return std::nullopt;
-  }
-  if (rest.size() != size) {
-    SLIDER_LOG(Warning) << "postmortem: size mismatch (" << rest.size()
-                        << " vs " << size << "): " << path;
-    return std::nullopt;
-  }
-  if (crc32c(rest) != crc) {
-    SLIDER_LOG(Warning) << "postmortem: CRC mismatch: " << path;
-    return std::nullopt;
-  }
+  std::optional<std::string> json = read_file_frame(path, kPostmortemFrame);
+  if (!json.has_value()) return std::nullopt;
   PostmortemFile file;
-  file.version = version;
-  file.json = std::string(rest);
+  file.version = kPostmortemVersion;
+  file.json = *std::move(json);
   std::optional<JsonValue> root = parse_json(file.json);
   if (!root.has_value()) {
     SLIDER_LOG(Warning) << "postmortem: payload is not valid JSON: " << path;

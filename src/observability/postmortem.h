@@ -1,7 +1,7 @@
 // Post-mortem file format and reader.
 //
-// A flight-recorder dump is a single CRC-framed file, reusing the
-// durability tier's manifest framing conventions (durability/checkpoint.h):
+// A flight-recorder dump is a single file in the CRC file frame that
+// checkpoint manifests also use (data/serde.h), with its own magic:
 //
 //   "SLIDRPMJ" [u32 version] [u32 crc32c(json)] [u64 json_size] [json]
 //
@@ -25,7 +25,6 @@
 
 namespace slider::obs {
 
-inline constexpr std::string_view kPostmortemMagic = "SLIDRPMJ";
 inline constexpr std::uint32_t kPostmortemVersion = 1;
 
 // --- minimal JSON reader -----------------------------------------------------
@@ -89,14 +88,18 @@ std::optional<JsonValue> parse_json(std::string_view text);
 // Frames `json` per the header comment (magic + version + crc + size).
 std::string frame_postmortem(std::string_view json);
 
+// Atomically publishes the framed `json` at `path` (write_file_frame).
+bool write_postmortem(const std::string& path, std::string_view json);
+
 struct PostmortemFile {
   std::uint32_t version = 0;
   std::string json;  // the raw payload
   JsonValue root;    // parsed payload
 };
 
-// Loads and validates a dump: magic, version, size, CRC, then JSON parse.
-// std::nullopt (with a log line) on any failure.
+// Loads and validates a dump: the frame (read_file_frame: magic, version,
+// exact size, CRC), then a JSON parse. std::nullopt (with a log line) on
+// any failure.
 std::optional<PostmortemFile> read_postmortem(const std::string& path);
 
 }  // namespace slider::obs

@@ -137,13 +137,6 @@ void SketchCache::store(std::uint64_t id, const KeySketch& sketch) {
   shard.map[id] = sketch;
 }
 
-void SketchCache::clear() {
-  for (std::size_t i = 0; i < kShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mutex);
-    shards_[i].map.clear();
-  }
-}
-
 // --- slide assembly ----------------------------------------------------------
 
 void LineageAggregate::fold(const SlideLineage& slide) {
@@ -387,11 +380,6 @@ ProvenanceRecorder::ProvenanceRecorder(Options options) { configure(options); }
 void ProvenanceRecorder::configure(Options options) {
   std::lock_guard<std::mutex> lock(mutex_);
   ring_.configure(options);
-}
-
-void ProvenanceRecorder::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.reset();
 }
 
 void ProvenanceRecorder::record(SlideLineage slide) {

@@ -117,7 +117,6 @@ class SketchCache {
 
   bool lookup(std::uint64_t id, KeySketch* out) const;
   void store(std::uint64_t id, const KeySketch& sketch);
-  void clear();
 
  private:
   static constexpr std::size_t kShards = 16;
@@ -265,7 +264,6 @@ class ProvenanceRecorder {
                       std::optional<std::uint64_t> sequence = std::nullopt) const;
 
   void configure(Options options);  // drops history
-  void reset();
 
  private:
   mutable std::mutex mutex_;

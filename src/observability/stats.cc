@@ -69,11 +69,6 @@ std::uint64_t Histogram::count() const {
   return total_;
 }
 
-double Histogram::sum() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sum_;
-}
-
 double Histogram::percentile(double p) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return percentile_locked(p);

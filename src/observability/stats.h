@@ -97,7 +97,6 @@ class Histogram {
   void observe(double value);
 
   std::uint64_t count() const;
-  double sum() const;
   // `p` in [0, 100]. Returns 0 for an empty histogram.
   double percentile(double p) const;
   HistogramSnapshot snapshot() const;

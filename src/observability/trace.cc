@@ -45,17 +45,6 @@ TraceCollector& TraceCollector::global() {
   return *collector;
 }
 
-void TraceCollector::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(maintenance_mutex_);
-  ring_.assign(std::max<std::size_t>(1, capacity), TraceEvent{});
-  next_seq_.store(0, std::memory_order_relaxed);
-}
-
-std::size_t TraceCollector::capacity() const {
-  std::lock_guard<std::mutex> lock(maintenance_mutex_);
-  return ring_.size();
-}
-
 double TraceCollector::now_us() const {
   return (steady_ns() - epoch_ns_) / 1e3;
 }
@@ -130,21 +119,6 @@ void TraceCollector::sim_span(const char* category, const char* name,
   event.track = track;
   event.ts_us = start_sec * 1e6;
   event.dur_us = dur_sec * 1e6;
-  copy_args(event.args, args);
-  record(event);
-}
-
-void TraceCollector::sim_instant(const char* category, const char* name,
-                                 double ts_sec, std::uint32_t track,
-                                 std::initializer_list<TraceArg> args) {
-  if (!enabled()) return;
-  TraceEvent event;
-  event.category = category;
-  event.name = name;
-  event.phase = 'i';
-  event.domain = TraceClockDomain::kSimulated;
-  event.track = track;
-  event.ts_us = ts_sec * 1e6;
   copy_args(event.args, args);
   record(event);
 }

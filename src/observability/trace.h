@@ -28,9 +28,9 @@
 // it without locking — safe for concurrent writers as long as the buffer
 // does not lap itself within one "round" of concurrent writers (capacity
 // is 64k events by default; laps only drop the oldest events, never
-// corrupt the JSON). snapshot()/clear()/set_capacity() take a mutex and
-// expect writers to be quiescent (true in this single-process simulator:
-// export happens between runs).
+// corrupt the JSON). snapshot()/clear() take a mutex and expect writers
+// to be quiescent (true in this single-process simulator: export happens
+// between runs).
 #pragma once
 
 #include <array>
@@ -85,10 +85,6 @@ class TraceCollector {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  // Requires quiescent writers; clears the buffer.
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-
   // Wall-clock microseconds since this collector's epoch.
   double now_us() const;
 
@@ -115,10 +111,6 @@ class TraceCollector {
   void sim_span(const char* category, const char* name, double start_sec,
                 double dur_sec, std::uint32_t track = 0,
                 std::initializer_list<TraceArg> args = {});
-  // Simulated-domain instant event at `ts_sec`.
-  void sim_instant(const char* category, const char* name, double ts_sec,
-                   std::uint32_t track = 0,
-                   std::initializer_list<TraceArg> args = {});
   // Simulated-domain counter sample at `ts_sec`.
   void sim_counter(const char* category, const char* name, double ts_sec,
                    double value);

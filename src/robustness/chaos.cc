@@ -1,52 +1,18 @@
 #include "robustness/chaos.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "data/serde.h"
 #include "durability/durable_tier.h"
 #include "observability/flight_recorder.h"
 #include "observability/work_ledger.h"
 #include "storage/memo_store.h"
 
 namespace slider::robustness {
-namespace {
-
-// Walks a segment file's frames and returns the byte offset where the last
-// complete frame starts (== size when the file holds none). Used to place a
-// replica-divergence truncation exactly at a frame boundary, so every
-// remaining frame stays CRC-intact.
-std::uint64_t last_frame_start(const std::string& path, std::uint64_t size) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return size;
-  std::uint64_t offset = 0;
-  std::uint64_t last = size;
-  char header[durability::kLogHeaderBytes];
-  while (offset + sizeof(header) <= size) {
-    if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) break;
-    if (std::fread(header, 1, sizeof(header), f) < sizeof(header)) break;
-    std::string_view hv(header, sizeof(header));
-    std::uint32_t body_len = 0;
-    wire::get_u32(hv, &body_len);
-    if (body_len < durability::kLogBodyFixedBytes ||
-        body_len > durability::kLogMaxPlausibleBody ||
-        offset + sizeof(header) + body_len > size) {
-      break;
-    }
-    last = offset;
-    offset += sizeof(header) + body_len;
-  }
-  std::fclose(f);
-  return last;
-}
-
-}  // namespace
-
 std::string_view chaos_event_name(ChaosEventType type) {
   switch (type) {
     case ChaosEventType::kMachineCrash: return "machine_crash";
@@ -77,8 +43,8 @@ ChaosSchedule ChaosSchedule::generate(std::uint64_t seed,
   // --- machine crashes + recoveries, under the liveness floor ------------
   // Walk candidate crash times in order, tracking which machines are down
   // and when they come back, and only schedule a crash while it leaves
-  // min_live_machines alive. Machine 0 is optionally protected so a final
-  // task attempt always has a machine that cannot die under it.
+  // min_live_machines alive. Machine 0 never crashes, so a final task
+  // attempt always has a machine that cannot die under it.
   constexpr SimDuration kForever = std::numeric_limits<SimDuration>::infinity();
   std::vector<SimDuration> crash_times;
   crash_times.reserve(static_cast<std::size_t>(options.crash_events));
@@ -99,7 +65,7 @@ ChaosSchedule ChaosSchedule::generate(std::uint64_t seed,
     }
     if (live - 1 < min_live) continue;  // crashing now would break the floor
     std::vector<MachineId> candidates;
-    for (int m = options.protect_machine0 ? 1 : 0; m < num_machines; ++m) {
+    for (int m = 1; m < num_machines; ++m) {
       if (down_until[static_cast<std::size_t>(m)] < 0) {
         candidates.push_back(static_cast<MachineId>(m));
       }
@@ -316,7 +282,7 @@ void ChaosController::apply(const ChaosEvent& event) {
         for (std::string& path :
              durability::SegmentLog::list_segments(tier.log(r).dir())) {
           const auto size = durability::FileFaultInjector::file_size(path);
-          if (size.has_value() && *size > durability::kLogHeaderBytes) {
+          if (size.has_value() && *size > 0) {
             candidates.push_back(Candidate{std::move(path), *size});
           }
         }
@@ -352,10 +318,17 @@ void ChaosController::apply(const ChaosEvent& event) {
       auto segments = durability::SegmentLog::list_segments(log.dir());
       for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
         const auto size = durability::FileFaultInjector::file_size(*it);
-        if (!size.has_value() || *size < durability::kLogHeaderBytes) {
-          continue;
+        if (!size.has_value()) continue;
+        // Start of the last complete frame, intact or not (== size when
+        // the segment holds none).
+        std::uint64_t frame = *size;
+        durability::SegmentCursor cursor(*it, 0, *size);
+        for (auto step = cursor.next();
+             step == durability::SegmentCursor::Step::kRecord ||
+             step == durability::SegmentCursor::Step::kCrcMismatch;
+             step = cursor.next()) {
+          frame = cursor.frame_offset();
         }
-        const std::uint64_t frame = last_frame_start(*it, *size);
         if (frame >= *size) continue;  // no complete frame in this segment
         if (durability::FileFaultInjector::truncate_tail(*it,
                                                          *size - frame)) {
@@ -375,7 +348,6 @@ StageFaultPlan ChaosController::stage_faults(SimDuration stage_start) const {
   StageFaultPlan plan;
   const ChaosOptions& options = schedule_.options();
   plan.max_attempts = options.max_attempts;
-  plan.backoff_base = options.backoff_base;
   plan.blacklist_threshold = options.blacklist_threshold;
 
   const Cluster& cluster = *targets_.cluster;

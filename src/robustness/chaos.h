@@ -98,14 +98,13 @@ struct ChaosOptions {
   // draw is a pure hash of the seed and its arguments — no RNG state.
   double attempt_failure_prob = 0.02;
   // Liveness floor: a crash is only scheduled while it leaves at least
-  // this many machines alive.
+  // this many machines alive. Machine 0 never crashes: a stable anchor
+  // that guarantees every final task attempt has a slot that cannot die
+  // under it.
   int min_live_machines = 2;
-  // Machine 0 never crashes: a stable anchor that guarantees every final
-  // task attempt has a slot that cannot die under it.
-  bool protect_machine0 = true;
-  // Attempt / retry knobs forwarded into every StageFaultPlan.
+  // Attempt / retry knobs forwarded into every StageFaultPlan (whose own
+  // default sets the retry backoff).
   int max_attempts = 4;
-  SimDuration backoff_base = 0.05;
   int blacklist_threshold = 3;
 };
 

@@ -14,7 +14,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "data/serde.h"
-#include "durability/scrubber.h"
 #include "observability/json_writer.h"
 #include "observability/slo.h"
 
@@ -269,15 +268,6 @@ std::size_t SessionManager::run_pending() {
       }
     }
   });
-  if (options_.scrub_records_per_cycle > 0) {
-    // Activity-proportional anti-entropy over the shared durable tier:
-    // each executed run earns one scrub tranche (an idle cycle still gets
-    // one), so fleets that append more at-rest state also verify it
-    // proportionally faster.
-    const std::uint64_t tranches =
-        std::max<std::uint64_t>(1, executed.load(std::memory_order_relaxed));
-    memo_->scrub_durable(options_.scrub_records_per_cycle * tranches);
-  }
   if (options_.auto_gc) garbage_collect();
   return executed.load(std::memory_order_relaxed);
 }

@@ -99,15 +99,6 @@ struct SessionManagerOptions {
   // Run the fleet-global memo GC automatically at the end of every
   // run_pending() drain.
   bool auto_gc = true;
-  // Fleet-level integrity scrubbing of the shared store's durable tier
-  // (durability/scrubber.h): when > 0, every run_pending() drain verifies
-  // this many at-rest record frames per executed run (minimum one tranche
-  // even on an idle cycle), healing replica divergence and quarantining
-  // corrupt segments for the whole fleet. Scheduling is thus proportional
-  // to tenant activity: a busy fleet scrubs its larger at-rest footprint
-  // faster. 0 (the default) disables. Tenants may additionally arm their
-  // own per-slide scrubbing via SliderConfig::scrub_records_per_slide.
-  std::uint64_t scrub_records_per_cycle = 0;
   // Fleet introspection endpoint (see IntrospectionServer); -1 = none.
   int introspect_port = -1;
   // Ring geometry of every tenant's private time-series sink. The

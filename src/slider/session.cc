@@ -1033,6 +1033,4 @@ int SliderSession::tree_height(int partition) const {
   return partitions_[static_cast<std::size_t>(partition)].tree->height();
 }
 
-std::size_t SliderSession::live_memo_entries() const { return memo_->size(); }
-
 }  // namespace slider

@@ -163,7 +163,6 @@ class SliderSession {
   const JobSpec& job() const { return job_; }
   const SliderConfig& config() const { return config_; }
   int tree_height(int partition) const;
-  std::size_t live_memo_entries() const;
 
   // End of the session's simulated timeline so far: runs (foreground and
   // background) are laid out back-to-back on this clock, which is what

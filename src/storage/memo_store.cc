@@ -15,6 +15,11 @@
 #include "observability/work_ledger.h"
 
 namespace slider {
+
+// The cost model bills one persistent copy per durable replica log.
+static_assert(MemoStore::kReplicas == durability::kDurableReplicas,
+              "memo replicas and durable replica logs must agree");
+
 namespace {
 
 // Process-wide typed instruments for the memoization layer (Table 2's

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -291,6 +292,66 @@ TEST_F(DurabilityTest, CompactionKeepsNewestLivePutOnly) {
 }
 
 // --- durable tier + replica-merge recovery ---------------------------------
+
+// Every fsync policy, driven through DurableTierOptions::log: counts
+// durability.fsyncs per append and at close, and recovers the same records.
+TEST_F(DurabilityTest, FsyncPoliciesSyncOnScheduleAndRecoverTheSameRecords) {
+  using durability::FsyncPolicy;
+  using Recovered =
+      std::vector<std::tuple<durability::LogKey, std::uint64_t, std::string>>;
+  obs::Counter& fsyncs =
+      obs::StatsRegistry::global().counter("durability.fsyncs");
+  struct Expected {
+    FsyncPolicy policy;
+    const char* name;
+    std::vector<std::uint64_t> per_append;  // summed over both replicas
+    std::uint64_t at_close;
+  };
+  // Frames of 33, 33, 25 and 33 bytes against a 100-byte segment: only the
+  // fourth append rotates.
+  const Expected cases[] = {
+      {FsyncPolicy::kNever, "never", {0, 0, 0, 0}, 0},
+      {FsyncPolicy::kOnRotate, "on_rotate", {0, 0, 0, 2}, 2},
+      {FsyncPolicy::kEveryAppend, "every_append", {2, 2, 2, 4}, 2},
+  };
+  std::vector<Recovered> recovered_by_policy;
+  for (const Expected& expected : cases) {
+    SCOPED_TRACE(expected.name);
+    const std::string root = path(expected.name);
+    DurableTierOptions options;
+    options.log.fsync = expected.policy;
+    options.log.segment_bytes = 100;
+    options.compact_after_bytes = 0;
+    {
+      DurableTier tier(root, options);
+      std::vector<std::uint64_t> per_append;
+      const auto counted = [&](auto&& append) {
+        const std::uint64_t before = fsyncs.value();
+        EXPECT_EQ(append(), 2u);
+        per_append.push_back(fsyncs.value() - before);
+      };
+      counted([&] { return tier.put(1, 1, "payload1"); });
+      counted([&] { return tier.put(2, 2, "payload2"); });
+      counted([&] { return tier.tombstone(1, 3); });
+      counted([&] { return tier.put(3, 4, "payload3"); });
+      EXPECT_EQ(per_append, expected.per_append);
+      const std::uint64_t before_close = fsyncs.value();
+      tier.close();
+      EXPECT_EQ(fsyncs.value() - before_close, expected.at_close);
+    }
+    DurableTier reopened(root);
+    Recovered recovered;
+    for (const auto& [key, entry] : reopened.recover()) {
+      recovered.emplace_back(key, entry.seq, entry.payload);
+    }
+    std::sort(recovered.begin(), recovered.end());
+    recovered_by_policy.push_back(std::move(recovered));
+  }
+  const Recovered want = {{2, 2, "payload2"}, {3, 4, "payload3"}};
+  for (const Recovered& recovered : recovered_by_policy) {
+    EXPECT_EQ(recovered, want);
+  }
+}
 
 TEST_F(DurabilityTest, TierRecoversNewestPerKeyAcrossReplicas) {
   {
@@ -709,6 +770,21 @@ TEST_F(DurabilityTest, CheckpointRejectsCorruption) {
   // Missing file is a clean failure, not a crash.
   EXPECT_EQ(durability::CheckpointReader::open(path("absent"), nullptr),
             nullptr);
+}
+
+TEST_F(DurabilityTest, CheckpointRejectsTrailingBytes) {
+  durability::CheckpointWriter writer;
+  wire::put_u64(writer.blob(), 42);
+  const std::string manifest = path("ckpt.slckpt");
+  ASSERT_TRUE(writer.write_manifest(manifest));
+  ASSERT_NE(durability::CheckpointReader::open(manifest, nullptr), nullptr);
+  // One byte past the declared blob: the file is not the manifest that was
+  // written, even though header, blob and CRC are all intact.
+  {
+    std::ofstream out(manifest, std::ios::binary | std::ios::app);
+    out.put('\0');
+  }
+  EXPECT_EQ(durability::CheckpointReader::open(manifest, nullptr), nullptr);
 }
 
 // --- end-to-end session checkpoint/restore ---------------------------------

@@ -78,7 +78,6 @@ TEST(ChaosSchedule, RespectsLivenessFloorAndProtectsMachine0) {
   options.horizon = 100.0;
   options.crash_events = 50;  // way more than the floor can admit at once
   options.min_live_machines = 3;
-  options.protect_machine0 = true;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const ChaosSchedule schedule = ChaosSchedule::generate(seed, options, 5);
     int live = 5;
