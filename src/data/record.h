@@ -39,8 +39,11 @@ class KVTable {
  public:
   KVTable() = default;
 
-  // Sorts and per-key-combines an arbitrary record batch (the output of a
-  // map task before it becomes a tree leaf).
+  // Stable-sorts an arbitrary record batch by key and folds each key's
+  // values left to right in batch order. Map tasks no longer build their
+  // output this way (they fold on emit, see mapreduce/api.h's Emitter);
+  // this stays as the sort-and-fold reference that tests build tables with
+  // and compare map output against.
   static KVTable from_records(std::vector<Record> rows,
                               const CombineFn& combine);
 
@@ -49,9 +52,9 @@ class KVTable {
                        const CombineFn& combine, MergeStats* stats = nullptr);
 
   // Adopts rows the caller guarantees are already key-sorted with unique
-  // keys (checked in debug builds). For producers that maintain key order
-  // themselves — the flat aggregation tier emits its root this way every
-  // slide — so they don't pay from_records' re-sort.
+  // keys (checked in debug builds). For producers that fold and order rows
+  // themselves: map tasks, reduce tasks, the serde reader, and the flat
+  // aggregation tier, which emits its root this way every slide.
   static KVTable from_sorted_unique(std::vector<Record> rows);
 
   std::span<const Record> rows() const { return rows_; }

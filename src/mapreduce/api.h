@@ -21,16 +21,51 @@
 
 namespace slider {
 
+// Receives a mapper's output. One Emitter serves one map task.
 class Emitter {
  public:
-  void emit(std::string key, std::string value) {
-    records_.push_back({std::move(key), std::move(value)});
-  }
+  // Collects every emitted record as is, in emission order, for take().
+  // Tests read raw mapper output this way.
+  Emitter() = default;
+
+  // Combines in the mapper (Lin & Dyer, "Data-Intensive Text Processing
+  // with MapReduce", 2010): emit() hashes the key once, and the hash picks
+  // both the partition (as partition_of does) and the key's slot in an
+  // open-addressing table. A repeated key folds as
+  // acc = combiner(key, acc, value), so each key's values fold left to
+  // right in emission order. take_partitions() returns the folded rows.
+  Emitter(CombineFn combiner, int num_partitions);
+
+  void emit(std::string key, std::string value);
+
+  // Records emitted so far, before any folding.
+  std::size_t size() const { return emitted_; }
+
+  // Collecting Emitter: every emitted record, in emission order.
   std::vector<Record> take() { return std::move(records_); }
-  std::size_t size() const { return records_.size(); }
+
+  // Folding Emitter: per partition, one row per distinct key, in order of
+  // each key's first emission (not sorted).
+  std::vector<std::vector<Record>> take_partitions() {
+    return std::move(partitions_);
+  }
 
  private:
-  std::vector<Record> records_;
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::size_t row = kNoRow;  // index into partitions_[hash % size]
+  };
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+  void grow();
+
+  std::size_t emitted_ = 0;
+  std::vector<Record> records_;  // collecting Emitter
+  // Folding Emitter; partitions_ is empty in a collecting one.
+  CombineFn combiner_;
+  std::vector<std::vector<Record>> partitions_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  std::size_t distinct_ = 0;
 };
 
 class Mapper {

@@ -1,6 +1,8 @@
-// Map-task execution: runs the user Mapper over one split, partitions the
-// emitted records, and locally combines each partition (Hadoop's combiner-
-// at-the-mapper), producing one KVTable per reduce partition.
+// Map-task execution: runs the user Mapper over one split and combines its
+// output locally, producing one KVTable per reduce partition. The engine
+// folds each record into a hash table as it is emitted (in-mapper
+// combining, see Emitter); the simulator still charges Hadoop's sort-based
+// combiner-at-the-mapper on the emitted record count.
 #pragma once
 
 #include <memory>

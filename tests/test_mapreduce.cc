@@ -1,10 +1,20 @@
-// Unit tests for the MapReduce engine: map runner, reduce helpers, and the
+// Unit tests for the MapReduce engine: map runner (including its in-mapper
+// combining against the sort-and-fold reference), reduce helpers, and the
 // vanilla end-to-end path, using an inline word-count job.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "apps/cooccurrence.h"
+#include "apps/glasnost.h"
+#include "apps/microbench.h"
+#include "apps/netsession.h"
+#include "apps/twitter.h"
 #include "common/string_util.h"
 #include "mapreduce/engine.h"
+#include "query/operators.h"
+#include "query/pigmix.h"
 #include "tests/test_util.h"
 
 namespace slider {
@@ -57,6 +67,214 @@ TEST(MapRunner, EmptySplit) {
   const MapOutput out = run_map_task(job, *split);
   EXPECT_EQ(out.records_out, 0u);
   for (const auto& table : out.partitions) EXPECT_TRUE(table->empty());
+}
+
+// Sort-and-fold reference for one map task: the raw records a collecting
+// Emitter receives, bucketed by partition_of and folded by
+// KVTable::from_records (stable sort by key, then a left fold per key).
+std::vector<KVTable> sort_and_fold(const JobSpec& job, const InputSplit& split,
+                                   std::size_t* emitted) {
+  Emitter raw;
+  for (const Record& r : split.records) job.mapper->map(r, raw);
+  *emitted = raw.size();
+  std::vector<std::vector<Record>> buckets(
+      static_cast<std::size_t>(job.num_partitions));
+  for (Record& r : raw.take()) {
+    buckets[static_cast<std::size_t>(partition_of(r.key, job.num_partitions))]
+        .push_back(std::move(r));
+  }
+  std::vector<KVTable> tables;
+  for (std::vector<Record>& bucket : buckets) {
+    tables.push_back(KVTable::from_records(std::move(bucket), job.combiner));
+  }
+  return tables;
+}
+
+// run_map_task must produce the reference's tables partition for partition,
+// its row and byte counts, and a simulated charge priced on the emitted
+// record count.
+void expect_matches_sort_and_fold(const JobSpec& job,
+                                  const InputSplit& split) {
+  SCOPED_TRACE(job.name);
+  std::size_t emitted = 0;
+  const std::vector<KVTable> expected = sort_and_fold(job, split, &emitted);
+  const MapOutput out = run_map_task(job, split);
+  ASSERT_EQ(out.partitions.size(), expected.size());
+  std::uint64_t records_out = 0;
+  std::size_t bytes_out = 0;
+  for (std::size_t p = 0; p < expected.size(); ++p) {
+    EXPECT_EQ(*out.partitions[p], expected[p]) << "partition " << p;
+    records_out += expected[p].size();
+    bytes_out += expected[p].byte_size();
+  }
+  EXPECT_EQ(out.records_in, split.records.size());
+  EXPECT_EQ(out.records_out, records_out);
+  EXPECT_EQ(out.bytes_out, bytes_out);
+  const double n = static_cast<double>(emitted);
+  const double sort_factor = emitted > 1 ? std::log2(n) : 1.0;
+  EXPECT_DOUBLE_EQ(
+      out.cpu_cost,
+      job.costs.map_cpu_per_record * static_cast<double>(split.records.size()) +
+          job.costs.map_cpu_per_byte * static_cast<double>(split.byte_size) +
+          job.costs.combine_cpu_per_row * n * sort_factor);
+}
+
+std::optional<std::string> page_view_field(const Record& r, std::size_t i) {
+  const auto fields = split_view(r.value, ',');
+  if (i >= fields.size()) return std::nullopt;
+  return std::string(fields[i]);
+}
+
+TEST(MapRunnerFold, EveryShippedJobMatchesSortAndFold) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    for (const apps::MicroBenchmark& mb : apps::all_microbenchmarks()) {
+      const auto split =
+          make_split(0, apps::generate_input(mb.app, 60, rng, seed * 1000));
+      expect_matches_sort_and_fold(mb.job, *split);
+    }
+
+    apps::GlasnostGenOptions glasnost;
+    glasnost.seed = seed;
+    expect_matches_sort_and_fold(
+        apps::make_glasnost_job(),
+        *make_split(0, apps::GlasnostGenerator(glasnost).next_month(80)));
+
+    apps::NetSessionGenOptions netsession;
+    netsession.clients = 300;
+    netsession.seed = seed;
+    expect_matches_sort_and_fold(
+        apps::make_netsession_job(),
+        *make_split(0, apps::NetSessionGenerator(netsession).next_week(0.6)));
+
+    apps::TwitterGenOptions twitter;
+    twitter.seed = seed;
+    expect_matches_sort_and_fold(
+        apps::make_twitter_job(),
+        *make_split(0, apps::TwitterGenerator(twitter).next_batch(600)));
+
+    // Matrix above runs co-occurrence at its defaults; widen the window.
+    expect_matches_sort_and_fold(
+        apps::make_cooccurrence_job(
+            {.num_partitions = 5, .neighbor_distance = 4}),
+        *make_split(0, apps::generate_input(apps::MicroApp::kMatrix, 60, rng)));
+
+    // The query operators keep one value per key (first_value_combiner), so
+    // a fold that reorders a key's values changes their output: key each
+    // page view by page and keep the first viewer.
+    query::PageViewGenOptions views;
+    views.seed = seed;
+    const auto page_views =
+        make_split(0, query::PageViewGenerator(views).next_batch(500));
+    expect_matches_sort_and_fold(
+        query::filter_project_job(
+            "first-viewer-per-page",
+            [](const Record& r) -> std::optional<Record> {
+              auto user = page_view_field(r, 0);
+              auto page = page_view_field(r, 1);
+              if (!user || !page) return std::nullopt;
+              return Record{*std::move(page), *std::move(user) + "@" + r.key};
+            }),
+        *page_views);
+    expect_matches_sort_and_fold(
+        query::distinct_job("distinct-users",
+                            [](const Record& r) { return page_view_field(r, 0); },
+                            /*num_partitions=*/6),
+        *page_views);
+    for (const query::PigMixQuery& q : query::pigmix_queries()) {
+      expect_matches_sort_and_fold(q.stages.front(), *page_views);
+    }
+  }
+}
+
+TEST(MapRunnerFold, FoldsEachKeyInEmissionOrder) {
+  JobSpec job;
+  job.name = "interleaved-concat";
+  // Seven keys interleaved across three partitions: emission i of record r
+  // goes to key i % 7 with value "r.i".
+  job.mapper = std::make_shared<query::LambdaMapper>(
+      [](const Record& r, Emitter& out) {
+        for (int i = 0; i < 40; ++i) {
+          out.emit("k" + std::to_string(i % 7),
+                   r.key + "." + std::to_string(i));
+        }
+      });
+  job.combiner = testing::concat_combiner();
+  job.num_partitions = 3;
+  const auto split = make_split(0, {{"a", ""}, {"b", ""}});
+
+  std::map<std::string, std::string> expected;
+  for (const char* r : {"a", "b"}) {
+    for (int i = 0; i < 40; ++i) {
+      std::string& v = expected["k" + std::to_string(i % 7)];
+      if (!v.empty()) v += "|";
+      v += std::string(r) + "." + std::to_string(i);
+    }
+  }
+
+  const MapOutput out = run_map_task(job, *split);
+  ASSERT_EQ(out.partitions.size(), 3u);
+  std::size_t nonempty = 0;
+  std::map<std::string, std::string> got;
+  for (std::size_t p = 0; p < out.partitions.size(); ++p) {
+    nonempty += out.partitions[p]->empty() ? 0 : 1;
+    for (const Record& row : out.partitions[p]->rows()) {
+      EXPECT_EQ(partition_of(row.key, job.num_partitions),
+                static_cast<int>(p));
+      got[row.key] = row.value;
+    }
+  }
+  EXPECT_GE(nonempty, 2u);
+  EXPECT_EQ(got, expected);
+  expect_matches_sort_and_fold(job, *split);
+}
+
+TEST(MapRunnerFold, GrowsAndProbesOverManyDistinctKeys) {
+  // Each split record emits one key: the empty key for an empty record
+  // value, otherwise the key of the decimal id it holds. Ids cycle through
+  // short keys, keys with an embedded NUL, keys with high bytes and keys
+  // past the small-string buffer.
+  const auto key_of = [](std::uint64_t id) {
+    switch (id % 4) {
+      case 0:
+        return std::to_string(id);
+      case 1:
+        return std::string("\0k", 2) + std::to_string(id);
+      case 2:
+        return std::string("\xff\x80") + std::to_string(id);
+      default:
+        return "a-key-longer-than-fifteen-bytes/" + std::to_string(id);
+    }
+  };
+  JobSpec job;
+  job.name = "many-distinct-keys";
+  job.mapper = std::make_shared<query::LambdaMapper>(
+      [key_of](const Record& r, Emitter& out) {
+        std::uint64_t id = 0;
+        out.emit(parse_u64(r.value, &id) ? key_of(id) : std::string(), r.key);
+      });
+  job.combiner = testing::concat_combiner();
+  job.num_partitions = 5;
+
+  // Every id once, then as many again drawn at random (120k emits), with
+  // the empty key scattered through both.
+  constexpr std::uint64_t kDistinct = 60'000;
+  Rng rng(7);
+  std::vector<Record> records;
+  for (std::uint64_t i = 0; i < 2 * kDistinct; ++i) {
+    const std::uint64_t id = i < kDistinct ? i : rng.next_below(kDistinct);
+    records.push_back({std::to_string(i), std::to_string(id)});
+    if (i % 9'973 == 0) records.push_back({std::to_string(i) + "e", ""});
+  }
+  const auto split = make_split(0, std::move(records));
+
+  expect_matches_sort_and_fold(job, *split);
+  const MapOutput out = run_map_task(job, *split);
+  EXPECT_GE(out.records_out, 50'000u);
+  const std::size_t empty_key = static_cast<std::size_t>(
+      partition_of("", job.num_partitions));
+  ASSERT_NE(out.partitions[empty_key]->find(""), nullptr);
 }
 
 TEST(ReduceRunner, MergeTablesBalances) {
