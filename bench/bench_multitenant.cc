@@ -12,8 +12,8 @@
 //     pooled from every tenant's private time-series sink;
 //   * isolation accounting: per-tenant quota-eviction counters must be
 //     CONSERVED — the store's per-tenant cells, its aggregate stats, and
-//     the causal work ledger all agree (exit 1 otherwise: this bench
-//     doubles as the accounting gate at scale).
+//     the process-wide memo.evictions_quota counter all agree (exit 1
+//     otherwise: this bench doubles as the accounting gate at scale).
 //
 // Default geometry is a 1000-session fleet (seconds of wall time); the
 // full fleet-scale run is --tenants=10000. CI runs --tenants=200.
@@ -31,7 +31,6 @@
 #include "bench/bench_util.h"
 #include "durability/durable_tier.h"
 #include "observability/stats.h"
-#include "observability/work_ledger.h"
 #include "robustness/chaos.h"
 #include "serving/session_manager.h"
 
@@ -216,7 +215,7 @@ int main(int argc, char** argv) {
       drain_sum > 0 ? static_cast<double>(executed_total) / drain_sum : 0;
 
   // Isolation accounting gate: quota evictions conserved across the
-  // store's per-tenant cells, its aggregate stats, and the work ledger.
+  // store's per-tenant cells, its aggregate stats, and the registry.
   std::uint64_t quota_evictions_cells = 0;
   std::uint64_t quota_limited_tenants = 0;
   for (const TenantUsage& usage : memo.tenant_usage_snapshot()) {
@@ -224,10 +223,11 @@ int main(int argc, char** argv) {
     if (usage.quota_evictions > 0) ++quota_limited_tenants;
   }
   const MemoStoreStats store_stats = memo.stats();
-  const obs::LedgerSnapshot ledger = obs::WorkLedger::global().snapshot();
+  const std::uint64_t quota_evictions_registry =
+      obs::StatsRegistry::global().counter("memo.evictions_quota").value();
   const bool conserved =
       quota_evictions_cells == store_stats.quota_evictions &&
-      store_stats.quota_evictions == ledger.counters.quota_evictions;
+      store_stats.quota_evictions == quota_evictions_registry;
 
   std::uint64_t checkpoints = 0;
   std::uint64_t hydrations = 0;
@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
       "store under chaos; throughput = executed runs / drain wall time, "
       "latency percentiles pooled from per-tenant time-series sinks, "
       "quota-eviction counters cross-checked store-cells == store-stats == "
-      "work-ledger");
+      "registry");
   report.merge_stats(obs::StatsRegistry::global().snapshot());
   const std::string path = report.write();
   std::filesystem::remove_all(tier_dir);
@@ -284,11 +284,10 @@ int main(int argc, char** argv) {
   if (!conserved) {
     std::fprintf(stderr,
                  "FAIL quota-eviction counters diverged: cells=%llu "
-                 "store=%llu ledger=%llu\n",
+                 "store=%llu registry=%llu\n",
                  static_cast<unsigned long long>(quota_evictions_cells),
                  static_cast<unsigned long long>(store_stats.quota_evictions),
-                 static_cast<unsigned long long>(
-                     ledger.counters.quota_evictions));
+                 static_cast<unsigned long long>(quota_evictions_registry));
     return 1;
   }
   return 0;

@@ -29,7 +29,7 @@
 #include "durability/durable_tier.h"
 #include "durability/fault_injector.h"
 #include "observability/run_report.h"
-#include "observability/work_ledger.h"
+#include "observability/stats.h"
 #include "slider/session.h"
 
 namespace {
@@ -192,7 +192,7 @@ int run_recovery(const std::string& dir) {
   //    with the robustness section: this example is the process-death end of
   //    the fault-tolerance story (tools/chaos_soak covers the simulated
   //    mid-run failures).
-  const obs::LedgerSnapshot ledger = obs::WorkLedger::global().snapshot();
+  obs::StatsRegistry& stats = obs::StatsRegistry::global();
   obs::RunReport report("crash_recovery");
   report.set_param("app", "hct")
       .set_param("window_splits", static_cast<std::uint64_t>(kWindowSplits))
@@ -205,10 +205,12 @@ int run_recovery(const std::string& dir) {
   robustness.seeds = 1;  // one deterministic SIGKILL experiment
   robustness.crashes = 1;
   robustness.recoveries = 1;
-  robustness.failures_injected = ledger.counters.failures_injected;
-  robustness.task_retries = ledger.counters.task_retries;
-  robustness.machines_blacklisted = ledger.counters.machines_blacklisted;
-  robustness.failure_forced_misses = ledger.counters.failure_forced_misses;
+  robustness.failures_injected = stats.counter("failures.injected").value();
+  robustness.task_retries = stats.counter("task.retries").value();
+  robustness.machines_blacklisted =
+      stats.counter("machines.blacklisted").value();
+  robustness.failure_forced_misses =
+      stats.counter("memo.failure_forced_misses").value();
   robustness.outputs_identical = true;  // verified above, else we returned 1
   report.set_robustness(robustness);
   report.add_note("paper §6: SIGKILL mid-slide, recover from replicated "

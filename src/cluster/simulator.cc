@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "observability/work_ledger.h"
+#include "observability/stats.h"
 
 namespace slider {
 namespace {
@@ -65,6 +65,14 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
                                       const StageFaultPlan* faults) const {
   static const StageFaultPlan kNoFaults;
   const StageFaultPlan& plan = faults != nullptr ? *faults : kNoFaults;
+  // Process-wide fault-tolerance counters, looked up once. The chaos
+  // controller counts the events it applies into "failures.injected" too.
+  obs::StatsRegistry& stats = obs::StatsRegistry::global();
+  static obs::Counter& retries = stats.counter("task.retries");
+  static obs::Counter& injections = stats.counter("failures.injected");
+  static obs::Counter& blacklists = stats.counter("machines.blacklisted");
+  static obs::Counter& speculations =
+      stats.counter("task.speculative_reexecutions");
   if (timeline != nullptr) {
     timeline->clear();
     timeline->reserve(tasks.size());
@@ -251,14 +259,14 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
       if (killed || injected) {
         ++result.failed_attempts;
         ++result.task_retries;
-        obs::WorkLedger::global().note_task_retry();
+        retries.add();
         if (injected) {
-          obs::WorkLedger::global().note_failure_injected();
+          injections.add();
           if (++machine.strikes >= plan.blacklist_threshold &&
               !machine.blacklisted) {
             machine.blacklisted = true;
             ++result.machines_blacklisted;
-            obs::WorkLedger::global().note_machine_blacklisted();
+            blacklists.add();
           }
         }
         const SimDuration backoff =
@@ -272,8 +280,8 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
       // primary that landed on a slow machine, on the earliest slot of
       // another machine. Whichever copy finishes first wins; the loser is
       // killed then, so it holds its slot (and bills work) only up to the
-      // winner's finish. Every launch is a speculative re-execution in the
-      // causal ledger, whichever copy wins.
+      // winner's finish. Every launch counts as one speculative
+      // re-execution, whichever copy wins.
       if (!speculate || machine.factor < hybrid.speculate_slowdown) continue;
       const std::ptrdiff_t backup_index =
           pick_slot(task, pending.ready, false, false, -1, machine_id);
@@ -289,7 +297,7 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
       const SimDuration backup_start = backup.free_at;
       const SimDuration backup_end = backup_start + backup_effective;
       ++result.speculative_launched;
-      obs::WorkLedger::global().note_speculative_reexec();
+      speculations.add();
       const bool backup_wins = backup_end < nominal_end;
       SimDuration backup_ran = backup_effective;
       if (backup_wins) {

@@ -98,9 +98,8 @@ struct HybridOptions {
   // on the earliest slot of another machine; whichever copy finishes first
   // wins and the loser is killed at that moment. 0 disables speculation.
   // A stage with a non-empty StageFaultPlan launches no backups: its
-  // retries take the backup copy's role. Every launched backup is a
-  // speculative re-execution in the causal work ledger
-  // (WorkCause::kSpeculativeReexec).
+  // retries take the backup copy's role. Every launched backup counts in
+  // the "task.speculative_reexecutions" StatsRegistry counter.
   double speculate_slowdown = 0;
 };
 

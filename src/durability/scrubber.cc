@@ -5,7 +5,7 @@
 
 #include "common/logging.h"
 #include "observability/flight_recorder.h"
-#include "observability/work_ledger.h"
+#include "observability/stats.h"
 
 namespace slider::durability {
 namespace {
@@ -223,9 +223,17 @@ ScrubStats IntegrityScrubber::scrub_slice(std::uint64_t record_budget) {
     }
     if (scan_segment_slice(slice, budget)) finish_segment(slice);
   }
-  obs::WorkLedger::global().note_scrub(
-      slice.records_verified, slice.corruptions_detected, slice.repairs,
-      slice.quarantines);
+  // Process-wide outcome counters (slider_scrub_*_total), looked up once.
+  // They conserve like ScrubStats: detected == repairs + quarantines.
+  obs::StatsRegistry& stats = obs::StatsRegistry::global();
+  static obs::Counter& verified = stats.counter("scrub.records_verified");
+  static obs::Counter& detected = stats.counter("scrub.corruptions_detected");
+  static obs::Counter& repairs = stats.counter("scrub.repairs");
+  static obs::Counter& quarantines = stats.counter("scrub.quarantines");
+  verified.add(slice.records_verified);
+  detected.add(slice.corruptions_detected);
+  repairs.add(slice.repairs);
+  quarantines.add(slice.quarantines);
   // full_passes from the abandoned-pass bump above is already in slice.
   ScrubStats lifetime_delta = slice;
   lifetime_delta.passes_abandoned = 0;  // counted in abandon_pass()

@@ -9,6 +9,7 @@
 #include "observability/json_writer.h"
 #include "observability/postmortem.h"
 #include "observability/provenance.h"
+#include "observability/stats.h"
 #include "observability/timeseries.h"
 #include "observability/trace.h"
 #include "observability/trace_export.h"
@@ -103,8 +104,9 @@ std::string FlightRecorder::dump_now(std::string_view reason,
 }
 
 // Requires mutex_ held. Global snapshots (TimeSeries / WorkLedger /
-// TraceCollector) only take those subsystems' own locks — none of them
-// ever calls back into the recorder, so the hold is deadlock-free.
+// StatsRegistry / TraceCollector) only take those subsystems' own locks —
+// none of them ever calls back into the recorder, so the hold is
+// deadlock-free.
 std::string FlightRecorder::write_dump_locked(std::string_view reason,
                                               const DumpContext& context) {
   std::error_code ec;
@@ -138,6 +140,7 @@ std::string FlightRecorder::write_dump_locked(std::string_view reason,
   json.end_array();
   json.key("timeseries").raw(TimeSeries::global().to_json());
   json.key("ledger").raw(WorkLedger::global().to_json());
+  json.key("stats").raw(stats_to_json(StatsRegistry::global().snapshot()));
   if (context.provenance != nullptr) {
     // snapshot() only takes the recorder's own mutex; like the global
     // snapshots above it never calls back into the flight recorder.

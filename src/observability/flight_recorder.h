@@ -1,8 +1,8 @@
 // Black-box flight recorder: on chaos events, degraded-mode entry, or SLO
 // breach, atomically dump the process's observability state — trace ring,
-// time-series window, ledger snapshot, fault-event log, SLO verdicts — to
-// a CRC-framed `*.pm.json` post-mortem file (format: postmortem.h,
-// tools/slider_doctor.cc reads it back).
+// time-series window, ledger and StatsRegistry snapshots, fault-event log,
+// SLO verdicts — to a CRC-framed `*.pm.json` post-mortem file (format:
+// postmortem.h, tools/slider_doctor.cc reads it back).
 //
 // Trigger discipline: the places that *detect* trouble are the wrong
 // places to dump from. Degraded-mode entry fires inside MemoStore's

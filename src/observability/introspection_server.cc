@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -71,6 +72,17 @@ std::string HttpRequest::query_param(std::string_view key,
     }
   }
   return std::string(fallback);
+}
+
+std::optional<std::uint64_t> HttpRequest::parse_uint(std::string_view text,
+                                                     std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 HttpResponse HttpResponse::error(int status, std::string message) {
@@ -188,47 +200,9 @@ std::string prometheus_text(const StatsSnapshot& stats,
     }
   }
 
-  const auto ledger_counter = [&out](const char* metric, std::uint64_t value) {
-    out += std::string("# TYPE ") + metric + " counter\n";
-    out += std::string(metric) + " " + std::to_string(value) + "\n";
-  };
-  ledger_counter("slider_ledger_runs_committed_total", ledger.runs_committed);
-  ledger_counter("slider_ledger_eviction_forced_misses_total",
-                 ledger.counters.eviction_forced_misses);
-  ledger_counter("slider_ledger_budget_evictions_total",
-                 ledger.counters.budget_evictions);
-  ledger_counter("slider_ledger_quota_evictions_total",
-                 ledger.counters.quota_evictions);
-  ledger_counter("slider_ledger_recovered_entries_total",
-                 ledger.counters.recovered_entries);
-  ledger_counter("slider_ledger_recovered_bytes_total",
-                 ledger.counters.recovered_bytes);
-  ledger_counter("slider_ledger_speculative_reexecutions_total",
-                 ledger.counters.speculative_reexecutions);
-  ledger_counter("slider_ledger_failure_forced_misses_total",
-                 ledger.counters.failure_forced_misses);
-  ledger_counter("slider_ledger_degraded_mode_intervals_total",
-                 ledger.counters.degraded_mode_intervals);
-  // Integrity scrubbing (durability/scrubber.h): at-rest frames verified,
-  // corruptions found, and how each was resolved. Conservation invariant:
-  // detected == repairs + quarantines at every scrape.
-  ledger_counter("slider_scrub_records_verified_total",
-                 ledger.counters.scrub_records_verified);
-  ledger_counter("slider_scrub_corruptions_detected_total",
-                 ledger.counters.scrub_corruptions_detected);
-  ledger_counter("slider_scrub_repairs_total", ledger.counters.scrub_repairs);
-  ledger_counter("slider_scrub_quarantines_total",
-                 ledger.counters.scrub_quarantines);
-  // Fault-tolerance scoreboard (robustness/chaos.h): chaos events injected,
-  // task attempts re-queued, and machines blacklisted for repeated injected
-  // failures. machines_blacklisted is exposed as a gauge: blacklists are
-  // per-stage state, not a monotone stream.
-  ledger_counter("slider_failures_injected_total",
-                 ledger.counters.failures_injected);
-  ledger_counter("slider_task_retries_total", ledger.counters.task_retries);
-  out += "# TYPE slider_machines_blacklisted gauge\n";
-  out += "slider_machines_blacklisted " +
-         std::to_string(ledger.counters.machines_blacklisted) + "\n";
+  out += "# TYPE slider_ledger_runs_committed_total counter\n";
+  out += "slider_ledger_runs_committed_total " +
+         std::to_string(ledger.runs_committed) + "\n";
   return out;
 }
 

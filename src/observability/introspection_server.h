@@ -30,8 +30,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -50,6 +52,13 @@ struct HttpRequest {
   // First value of `key` in the query string; `fallback` when absent.
   std::string query_param(std::string_view key,
                           std::string_view fallback = "") const;
+
+  // Strict unsigned decimal: nullopt unless `text` is one or more ASCII
+  // digits (no sign, space or suffix) whose value is at most `max`, so a
+  // handler answers 400 instead of serving a guess.
+  static std::optional<std::uint64_t> parse_uint(
+      std::string_view text,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 };
 
 struct HttpResponse {

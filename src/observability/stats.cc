@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "observability/json_writer.h"
 
 namespace slider::obs {
 
@@ -189,6 +190,38 @@ StatsSnapshot StatsRegistry::snapshot() const {
     snap.histograms.emplace(name, histogram->snapshot());
   }
   return snap;
+}
+
+std::string stats_to_json(const StatsSnapshot& snapshot) {
+  JsonWriter json;
+  json.begin_object();
+  json.key("counters").begin_object();
+  for (const auto& [name, value] : snapshot.counters) {
+    json.key(name).value(value);
+  }
+  json.end_object();
+  json.key("gauges").begin_object();
+  for (const auto& [name, value] : snapshot.gauges) {
+    json.key(name).value(value);
+  }
+  json.end_object();
+  json.key("histograms").begin_object();
+  for (const auto& [name, h] : snapshot.histograms) {
+    json.key(name).begin_object();
+    json.key("count").value(h.count);
+    json.key("sum").value(h.sum);
+    json.key("min").value(h.min);
+    json.key("max").value(h.max);
+    json.key("p50").value(h.p50);
+    json.key("p95").value(h.p95);
+    json.key("p99").value(h.p99);
+    json.key("underflow").value(h.underflow);
+    json.key("overflow").value(h.overflow);
+    json.end_object();
+  }
+  json.end_object();
+  json.end_object();
+  return json.take();
 }
 
 void StatsRegistry::reset() {

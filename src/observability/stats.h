@@ -125,6 +125,11 @@ struct StatsSnapshot {
   std::map<std::string, HistogramSnapshot> histograms;
 };
 
+// One JSON document: {"counters":{name:value},"gauges":{name:value},
+// "histograms":{name:{count,sum,min,max,p50,p95,p99,underflow,overflow}}}
+// (the flight recorder's "stats" section; bucket counts are left out).
+std::string stats_to_json(const StatsSnapshot& snapshot);
+
 // Named instrument registry. Instruments are created on first use and
 // live for the registry's lifetime, so returned references stay valid.
 class StatsRegistry {

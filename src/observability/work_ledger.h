@@ -30,9 +30,10 @@
 // touch a shared ledger. Tree work accumulates into caller-owned
 // TreeUpdateStats cells (per partition / per node, folded deterministically
 // in index order) and is committed to the process-wide WorkLedger once per
-// run at the slide boundary, under one cold mutex. Storage / durability /
-// scheduler event notes go through per-thread sharded cells that are summed
-// at snapshot time — a writer only ever touches its own cache line.
+// run at the slide boundary, under one cold mutex. The ledger attributes
+// work; it counts no events. Storage, durability, scheduler and chaos
+// events (evictions, restores, retries, injected failures, scrub outcomes)
+// are StatsRegistry counters, each event counted once where it happens.
 #pragma once
 
 #include <array>
@@ -40,7 +41,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -158,35 +158,6 @@ struct SlideRecord {
   std::vector<AttributedWork> partitions;  // indexed by reduce partition
 };
 
-// Event counters maintained through the per-thread sharded cells.
-struct LedgerCounters {
-  std::uint64_t eviction_forced_misses = 0;  // reads that missed because a
-                                             // budget eviction dropped the id
-  std::uint64_t budget_evictions = 0;
-  std::uint64_t quota_evictions = 0;  // per-tenant quota policy drops
-  std::uint64_t recovered_entries = 0;
-  std::uint64_t recovered_bytes = 0;
-  std::uint64_t speculative_reexecutions = 0;
-  // Fault-tolerance counters (chaos engine / task-attempt layer).
-  std::uint64_t failure_forced_misses = 0;  // reads that missed because every
-                                            // replica of the entry was on a
-                                            // failed machine
-  std::uint64_t failures_injected = 0;      // chaos events applied + injected
-                                            // task-attempt failures
-  std::uint64_t task_retries = 0;           // attempt re-queues in the stage
-                                            // simulator
-  std::uint64_t machines_blacklisted = 0;   // per-stage blacklist decisions
-  std::uint64_t degraded_mode_intervals = 0;  // durable-tier degraded entries
-  // Online integrity scrubbing (durability/scrubber.h). Conservation:
-  // scrub_corruptions_detected == scrub_repairs + scrub_quarantines, every
-  // detection is resolved one way or the other (asserted by the bit-rot
-  // soak and the scrubber unit tests).
-  std::uint64_t scrub_records_verified = 0;
-  std::uint64_t scrub_corruptions_detected = 0;
-  std::uint64_t scrub_repairs = 0;
-  std::uint64_t scrub_quarantines = 0;
-};
-
 // Per-tenant slice of the ledger: cause totals for every run committed
 // under that tenant tag. Untagged (single-tenant) commits stay out of the
 // tenant cells, so Σ tenants ≤ totals, with equality when every run is
@@ -205,7 +176,6 @@ struct TenantWork {
 struct LedgerSnapshot {
   // Process-lifetime totals per cause (sums over all committed runs).
   std::array<CauseWork, kWorkCauseCount> totals{};
-  LedgerCounters counters;
   std::uint64_t runs_committed = 0;
   // Most recent runs, oldest first (bounded by the ledger history limit).
   std::vector<SlideRecord> recent;
@@ -229,18 +199,13 @@ struct LedgerSnapshot {
 // introspection route).
 std::string ledger_to_json(const LedgerSnapshot& snapshot);
 
-// Process-wide causal work ledger.
-//
-// commit_run() is the cold once-per-run path (one mutex). The note_*()
-// methods are callable from any thread at any time (storage eviction
-// handlers, recovery, the stage scheduler); they write per-thread cells
-// and never contend with each other or with commit_run().
+// Process-wide causal work ledger. commit_run() is the cold once-per-run
+// path (one mutex); snapshot() may run concurrently from any thread.
 class WorkLedger {
  public:
   static WorkLedger& global();
 
-  WorkLedger();
-  ~WorkLedger();
+  WorkLedger() = default;
   WorkLedger(const WorkLedger&) = delete;
   WorkLedger& operator=(const WorkLedger&) = delete;
 
@@ -252,35 +217,14 @@ class WorkLedger {
                   const std::vector<AttributedWork>& partitions,
                   std::string_view tenant = {});
 
-  // Hot-path-safe event notes (per-thread cells, no shared mutation).
-  void note_eviction_forced_miss(std::uint64_t count = 1);
-  void note_budget_eviction(std::uint64_t count = 1);
-  void note_quota_eviction(std::uint64_t count = 1);
-  void note_recovery(std::uint64_t entries, std::uint64_t bytes);
-  void note_speculative_reexec(std::uint64_t count = 1);
-  void note_failure_forced_miss(std::uint64_t count = 1);
-  void note_failure_injected(std::uint64_t count = 1);
-  void note_task_retry(std::uint64_t count = 1);
-  void note_machine_blacklisted(std::uint64_t count = 1);
-  void note_degraded_interval(std::uint64_t count = 1);
-  // Scrub-slice outcome: `verified` at-rest records re-checked, of which
-  // `detected` were corrupt/diverged, resolved as `repairs` re-appends from
-  // a healthy replica plus `quarantines` segment renames.
-  void note_scrub(std::uint64_t verified, std::uint64_t detected,
-                  std::uint64_t repairs, std::uint64_t quarantines);
-
   LedgerSnapshot snapshot() const;
   std::string to_json() const { return ledger_to_json(snapshot()); }
 
-  // Zeroes totals, history, and every thread's event cells. Only safe when
-  // no writer is mid-flight (tests, tool startup).
+  // Zeroes totals, tenant cells and history (tests, tool startup).
   void reset();
 
  private:
-  struct ThreadCell;
-  ThreadCell& local_cell();
-
-  mutable std::mutex mutex_;  // guards totals_, history_, cells_ list
+  mutable std::mutex mutex_;  // guards every member below
   std::array<CauseWork, kWorkCauseCount> totals_{};
   // Keyed and emitted in name order so snapshots are deterministic.
   std::map<std::string, TenantWork, std::less<>> tenant_totals_;
@@ -289,10 +233,6 @@ class WorkLedger {
   // snapshot() retains the most recent kHistoryLimit SlideRecords.
   static constexpr std::size_t kHistoryLimit = 64;
   std::deque<SlideRecord> history_;
-  // Sharded event cells: one per thread that ever noted an event. Cells
-  // are owned here and never freed (bounded by peak thread count), so a
-  // note from a dying thread can never dangle.
-  std::vector<std::unique_ptr<ThreadCell>> cells_;
 };
 
 }  // namespace slider::obs

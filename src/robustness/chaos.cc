@@ -9,7 +9,7 @@
 #include "common/rng.h"
 #include "durability/durable_tier.h"
 #include "observability/flight_recorder.h"
-#include "observability/work_ledger.h"
+#include "observability/stats.h"
 #include "storage/memo_store.h"
 
 namespace slider::robustness {
@@ -190,6 +190,10 @@ std::size_t ChaosController::apply_until(SimDuration now) {
 }
 
 void ChaosController::apply(const ChaosEvent& event) {
+  // Every applied event that breaks something counts once here, as does
+  // every task-attempt failure the stage simulator injects.
+  static obs::Counter& failures_injected =
+      obs::StatsRegistry::global().counter("failures.injected");
   Cluster& cluster = *targets_.cluster;
   ++counters_.events_applied;
   // Every applied event lands in the flight recorder's fault log; the
@@ -216,7 +220,7 @@ void ChaosController::apply(const ChaosEvent& event) {
       // to recompute billed as failure_reexec.
       if (targets_.memo != nullptr) targets_.memo->drop_memory_on_failed();
       ++counters_.crashes;
-      obs::WorkLedger::global().note_failure_injected();
+      failures_injected.add();
       break;
     case ChaosEventType::kMachineRecover:
       cluster.recover_machine(event.machine);
@@ -225,7 +229,7 @@ void ChaosController::apply(const ChaosEvent& event) {
     case ChaosEventType::kStragglerOnset:
       cluster.set_straggler(event.machine, std::max(1.0, event.factor));
       ++counters_.stragglers;
-      obs::WorkLedger::global().note_failure_injected();
+      failures_injected.add();
       break;
     case ChaosEventType::kStragglerClear:
       cluster.set_straggler(event.machine, 1.0);
@@ -242,7 +246,7 @@ void ChaosController::apply(const ChaosEvent& event) {
         if (!was_failed) cluster.recover_machine(event.machine);
       }
       ++counters_.memo_losses;
-      obs::WorkLedger::global().note_failure_injected();
+      failures_injected.add();
       break;
     case ChaosEventType::kDurableErrorOnset:
       if (targets_.durable != nullptr && !durable_error_active_) {
@@ -251,7 +255,7 @@ void ChaosController::apply(const ChaosEvent& event) {
         }
         durable_error_active_ = true;
         ++counters_.durable_error_windows;
-        obs::WorkLedger::global().note_failure_injected();
+        failures_injected.add();
       }
       break;
     case ChaosEventType::kDurableErrorClear:
@@ -295,7 +299,7 @@ void ChaosController::apply(const ChaosEvent& event) {
           static_cast<int>(mix64(event.entropy ^ 0xB17B17) % 8);
       if (durability::FileFaultInjector::flip_bit(target.path, byte, bit)) {
         ++counters_.bit_rots;
-        obs::WorkLedger::global().note_failure_injected();
+        failures_injected.add();
         SLIDER_LOG(Info) << "chaos: bit rot in " << target.path << " byte "
                          << byte << " bit " << bit;
       }
@@ -333,7 +337,7 @@ void ChaosController::apply(const ChaosEvent& event) {
         if (durability::FileFaultInjector::truncate_tail(*it,
                                                          *size - frame)) {
           ++counters_.replica_divergences;
-          obs::WorkLedger::global().note_failure_injected();
+          failures_injected.add();
           SLIDER_LOG(Info) << "chaos: replica " << victim
                            << " diverged, dropped newest record of " << *it;
         }

@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -475,15 +475,23 @@ bool SessionManager::start_introspection() {
     if (key.empty()) {
       return obs::HttpResponse::error(400, "missing ?key=<reduce key>");
     }
+    // Tenants size their windows independently, so only the int range is
+    // checked here; explain() reports a partition the tenant lacks as not
+    // found.
     const std::string raw = request.query_param("partition", "0");
-    char* end = nullptr;
-    const long partition = std::strtol(raw.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || partition < 0) {
+    const std::optional<std::uint64_t> partition = obs::HttpRequest::parse_uint(
+        raw, static_cast<std::uint64_t>(std::numeric_limits<int>::max()));
+    if (!partition) {
       return obs::HttpResponse::error(400, "bad partition '" + raw + "'");
     }
     std::optional<std::uint64_t> sequence;
-    const std::string seq = request.query_param("sequence");
-    if (!seq.empty()) sequence = std::strtoull(seq.c_str(), nullptr, 10);
+    if (const std::string seq = request.query_param("sequence");
+        !seq.empty()) {
+      sequence = obs::HttpRequest::parse_uint(seq);
+      if (!sequence) {
+        return obs::HttpResponse::error(400, "bad sequence '" + seq + "'");
+      }
+    }
     std::shared_lock<std::shared_mutex> registry(registry_mutex_);
     const auto it = tenants_.find(tenant);
     if (it == tenants_.end()) {
@@ -496,7 +504,7 @@ bool SessionManager::start_introspection() {
     }
     return obs::HttpResponse::json(
         obs::explanation_to_json(it->second->provenance->explain(
-            key, static_cast<int>(partition), sequence)));
+            key, static_cast<int>(*partition), sequence)));
   });
   server->add_route(
       "/criticalpath.json", [this](const obs::HttpRequest& request) {

@@ -19,6 +19,7 @@
 #include "durability/scrubber.h"
 #include "observability/build_info.h"
 #include "observability/flight_recorder.h"
+#include "observability/json_writer.h"
 #include "observability/stats.h"
 #include "observability/timeseries.h"
 #include "observability/trace.h"
@@ -253,14 +254,14 @@ void SliderSession::maybe_start_introspection() {
   introspect_ = std::make_unique<obs::IntrospectionServer>(options);
   introspect_->add_route("/tree", [this](const obs::HttpRequest& request) {
     const std::string raw = request.query_param("partition", "0");
-    char* end = nullptr;
-    const long partition = std::strtol(raw.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || partition < 0 ||
-        partition >= static_cast<long>(partitions_.size())) {
+    const std::optional<std::uint64_t> parsed =
+        obs::HttpRequest::parse_uint(raw);
+    if (!parsed || *parsed >= partitions_.size()) {
       return obs::HttpResponse::error(
           400, "bad partition '" + raw + "' (have " +
                    std::to_string(partitions_.size()) + ")");
     }
+    const auto partition = static_cast<std::size_t>(*parsed);
     const TreeDescription description =
         describe_tree(static_cast<int>(partition));
     if (request.query_param("format") == "dot") {
@@ -271,7 +272,7 @@ void SliderSession::maybe_start_introspection() {
         const obs::ProvenanceSnapshot snap = provenance_->snapshot();
         for (std::size_t i = snap.raw.size(); i-- > 0;) {
           const obs::SlideLineage& slide = snap.raw[i];
-          if (partition < static_cast<long>(slide.partitions.size()) &&
+          if (partition < slide.partitions.size() &&
               !slide.partitions[partition].empty()) {
             dispositions =
                 obs::disposition_map(slide, static_cast<int>(partition));
@@ -296,21 +297,23 @@ void SliderSession::maybe_start_introspection() {
       return obs::HttpResponse::error(400, "missing ?key=<reduce key>");
     }
     const std::string raw = request.query_param("partition", "0");
-    char* end = nullptr;
-    const long partition = std::strtol(raw.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || partition < 0 ||
-        partition >= static_cast<long>(partitions_.size())) {
+    const std::optional<std::uint64_t> partition =
+        obs::HttpRequest::parse_uint(raw);
+    if (!partition || *partition >= partitions_.size()) {
       return obs::HttpResponse::error(
           400, "bad partition '" + raw + "' (have " +
                    std::to_string(partitions_.size()) + ")");
     }
     std::optional<std::uint64_t> sequence;
-    const std::string seq = request.query_param("sequence");
-    if (!seq.empty()) {
-      sequence = std::strtoull(seq.c_str(), nullptr, 10);
+    if (const std::string seq = request.query_param("sequence");
+        !seq.empty()) {
+      sequence = obs::HttpRequest::parse_uint(seq);
+      if (!sequence) {
+        return obs::HttpResponse::error(400, "bad sequence '" + seq + "'");
+      }
     }
     return obs::HttpResponse::json(obs::explanation_to_json(
-        provenance_->explain(key, static_cast<int>(partition), sequence)));
+        provenance_->explain(key, static_cast<int>(*partition), sequence)));
   });
   introspect_->add_route(
       "/criticalpath.json", [this](const obs::HttpRequest&) {
@@ -334,47 +337,50 @@ void SliderSession::maybe_start_introspection() {
     memo_->poll_durable_recovery();
     const bool durable_degraded = memo_->durable_degraded();
     const int failed = cluster.failed_machines();
-    const obs::LedgerSnapshot ledger = obs::WorkLedger::global().snapshot();
-    std::string body = "{\"status\":\"";
-    body += (failed == 0 && !durable_degraded) ? "ok" : "degraded";
-    body += "\",\"machines\":{\"total\":";
-    body += std::to_string(cluster.num_machines());
-    body += ",\"failed\":";
-    body += std::to_string(failed);
-    body += "},\"durable\":{\"degraded\":";
-    body += durable_degraded ? "true" : "false";
-    body += ",\"backlog\":";
-    body += std::to_string(memo_->degraded_backlog());
-    body += "},\"faults\":{\"failures_injected\":";
-    body += std::to_string(ledger.counters.failures_injected);
-    body += ",\"task_retries\":";
-    body += std::to_string(ledger.counters.task_retries);
-    body += ",\"machines_blacklisted\":";
-    body += std::to_string(ledger.counters.machines_blacklisted);
-    body += ",\"failure_forced_misses\":";
-    body += std::to_string(ledger.counters.failure_forced_misses);
-    body += "}";
+    obs::JsonWriter json;
+    json.begin_object();
+    json.key("status").value(failed == 0 && !durable_degraded ? "ok"
+                                                              : "degraded");
+    json.key("machines").begin_object();
+    json.key("total").value(std::int64_t{cluster.num_machines()});
+    json.key("failed").value(std::int64_t{failed});
+    json.end_object();
+    json.key("durable").begin_object();
+    json.key("degraded").value(durable_degraded);
+    json.key("backlog").value(
+        static_cast<std::uint64_t>(memo_->degraded_backlog()));
+    json.end_object();
+    // Process-wide fault counters (docs/robustness.md).
+    obs::StatsRegistry& stats = obs::StatsRegistry::global();
+    json.key("faults").begin_object();
+    json.key("failures_injected")
+        .value(stats.counter("failures.injected").value());
+    json.key("task_retries").value(stats.counter("task.retries").value());
+    json.key("machines_blacklisted")
+        .value(stats.counter("machines.blacklisted").value());
+    json.key("failure_forced_misses")
+        .value(stats.counter("memo.failure_forced_misses").value());
+    json.end_object();
     // SLO section: the session's latest verdicts (empty until a run has
     // been sampled or when no SLOs are configured). Breaches do not flip
     // `status` — degradation there tracks infrastructure health, while an
     // SLO breach is a service-quality signal with its own field.
     const std::vector<obs::SloVerdict> verdicts = slo_verdicts();
-    std::size_t breached = 0;
-    std::size_t burning = 0;
+    std::uint64_t breached = 0;
+    std::uint64_t burning = 0;
     for (const obs::SloVerdict& v : verdicts) {
       if (!v.ok) ++breached;
       if (v.burning) ++burning;
     }
-    body += ",\"slo\":{\"configured\":";
-    body += std::to_string(config_.slos.size());
-    body += ",\"breached\":";
-    body += std::to_string(breached);
-    body += ",\"burning\":";
-    body += std::to_string(burning);
-    body += ",\"verdicts\":";
-    body += obs::slo_verdicts_to_json(verdicts);
-    body += "}}";
-    return obs::HttpResponse::json(std::move(body));
+    json.key("slo").begin_object();
+    json.key("configured").value(
+        static_cast<std::uint64_t>(config_.slos.size()));
+    json.key("breached").value(breached);
+    json.key("burning").value(burning);
+    json.key("verdicts").raw(obs::slo_verdicts_to_json(verdicts));
+    json.end_object();
+    json.end_object();
+    return obs::HttpResponse::json(json.take());
   });
   if (!introspect_->start()) introspect_.reset();
 }

@@ -12,7 +12,6 @@
 #include "observability/flight_recorder.h"
 #include "observability/stats.h"
 #include "observability/trace.h"
-#include "observability/work_ledger.h"
 
 namespace slider {
 
@@ -35,6 +34,12 @@ struct MemoInstruments {
   obs::Counter& failure_forced_misses;
   obs::Counter& checksum_failures;
   obs::Counter& replica_writes;
+  // Entries restore_from_durable() installed, and their payload bytes.
+  obs::Counter& restored_entries;
+  obs::Counter& restored_bytes;
+  // Times every durable replica rejected a write and the store entered
+  // degraded mode.
+  obs::Counter& degraded_intervals;
   obs::Gauge& entries;
   obs::Gauge& bytes;
   obs::Gauge& memory_bytes;
@@ -57,6 +62,9 @@ MemoInstruments& memo_instruments() {
         stats.counter("memo.failure_forced_misses"),
         stats.counter("memo.checksum_failures"),
         stats.counter("memo.replica_writes"),
+        stats.counter("memo.restored_entries"),
+        stats.counter("memo.restored_bytes"),
+        stats.counter("durability.degraded_intervals"),
         stats.gauge("memo.entries"),
         stats.gauge("memo.bytes"),
         stats.gauge("memo.memory_bytes"),
@@ -236,7 +244,6 @@ void MemoStore::enforce_entry_budget() {
     if (shard.evicted.size() >= kEvictedSetCap) shard.evicted.clear();
     shard.evicted.insert(victim);
     stats_.budget_evictions.fetch_add(1, std::memory_order_relaxed);
-    obs::WorkLedger::global().note_budget_eviction();
     [[maybe_unused]] const double evicted =
         static_cast<double>(memo_instruments().evictions_budget.add());
     SLIDER_TRACE_COUNTER("memo", "memo.evictions_budget", evicted);
@@ -295,7 +302,6 @@ void MemoStore::enforce_tenant_quota(std::uint64_t tenant) {
     shard.evicted.insert(*victim);
     cell.quota_evictions.fetch_add(1, std::memory_order_relaxed);
     stats_.quota_evictions.fetch_add(1, std::memory_order_relaxed);
-    obs::WorkLedger::global().note_quota_eviction();
     [[maybe_unused]] const double evicted =
         static_cast<double>(memo_instruments().evictions_quota.add());
     SLIDER_TRACE_COUNTER("memo", "memo.evictions_quota", evicted);
@@ -525,10 +531,10 @@ MemoReadResult MemoStore::get(NodeId id, MachineId reader) {
     if (it == shard.index.end()) {
       stats_.misses.fetch_add(1, std::memory_order_relaxed);
       if (shard.evicted.count(id) != 0) {
-        // The budget policy dropped this entry whole; the recompute this
-        // miss forces is eviction-induced, not window-induced.
+        // The budget or a tenant's quota policy dropped this entry whole;
+        // the recompute this miss forces is eviction-induced, not
+        // window-induced.
         stats_.eviction_forced_misses.fetch_add(1, std::memory_order_relaxed);
-        obs::WorkLedger::global().note_eviction_forced_miss();
         memo_instruments().eviction_forced_misses.add();
       }
       [[maybe_unused]] const double misses =
@@ -590,7 +596,6 @@ MemoReadResult MemoStore::get(NodeId id, MachineId reader) {
       // failure_reexec cause.
       result.failure_miss = true;
       stats_.failure_forced_misses.fetch_add(1, std::memory_order_relaxed);
-      obs::WorkLedger::global().note_failure_forced_miss();
       memo_instruments().failure_forced_misses.add();
       [[maybe_unused]] const double misses =
           static_cast<double>(memo_instruments().misses.add());
@@ -611,7 +616,6 @@ MemoReadResult MemoStore::get(NodeId id, MachineId reader) {
       result.failure_miss = true;
       stats_.failure_forced_misses.fetch_add(1, std::memory_order_relaxed);
       stats_.checksum_forced_misses.fetch_add(1, std::memory_order_relaxed);
-      obs::WorkLedger::global().note_failure_forced_miss();
       memo_instruments().failure_forced_misses.add();
       memo_instruments().checksum_failures.add();
       obs::FlightRecorder::global().note_fault(
@@ -799,7 +803,8 @@ std::size_t MemoStore::restore_from_durable(
   }
 
   stats_.recovered_entries.fetch_add(installed, std::memory_order_relaxed);
-  obs::WorkLedger::global().note_recovery(installed, installed_bytes);
+  memo_instruments().restored_entries.add(installed);
+  memo_instruments().restored_bytes.add(installed_bytes);
   refresh_gauges();
   return installed;
 }
@@ -887,7 +892,7 @@ bool MemoStore::durable_append(NodeId id, std::uint64_t seq,
       PendingDurableWrite{id, seq, std::move(payload), tombstone});
   stats_.degraded_writes_buffered.fetch_add(1, std::memory_order_relaxed);
   stats_.degraded_intervals.fetch_add(1, std::memory_order_relaxed);
-  obs::WorkLedger::global().note_degraded_interval();
+  memo_instruments().degraded_intervals.add();
   // Black-box note only: the recorder defers the actual dump to the next
   // slide boundary, so nothing heavy runs under durable_mutex_.
   obs::FlightRecorder::global().note_fault(

@@ -84,9 +84,10 @@ struct MemoStoreStats {
   // byte/entry quota (multi-tenant serving; always a subset-disjoint
   // count from budget_evictions).
   std::uint64_t quota_evictions = 0;
-  // Misses whose id was previously dropped by the budget policy: the
-  // recompute they force is eviction-induced, not window-induced (the
-  // ledger's memo_eviction_recompute cause keys off the same signal).
+  // Misses whose id was previously dropped by the budget policy or by its
+  // tenant's quota: the recompute they force is eviction-induced, not
+  // window-induced (the ledger's memo_eviction_recompute cause keys off
+  // the same signal).
   std::uint64_t eviction_forced_misses = 0;
   std::uint64_t persistent_writes = 0;   // records appended to the durable log
   std::uint64_t bytes_persisted = 0;     // payload bytes of those records
@@ -360,13 +361,13 @@ class MemoStore {
     // Front = most recently used *within this shard*; the per-entry
     // touch_seq stamps order tails across shards for global LRU eviction.
     std::list<NodeId> lru;
-    // Ids whole-entry-dropped by the budget policy, kept so a later miss
-    // on them is classified as eviction-forced. Bounded: when it overflows
-    // kEvictedSetCap the set is cleared (subsequent misses on the
-    // forgotten ids degrade to plain misses — an undercount, never an
-    // overcount). A re-put removes the id (the entry is whole again).
-    // GC drops (retain_only) deliberately do NOT register here: work the
-    // window no longer needs is not an eviction casualty.
+    // Ids whole-entry-dropped by the budget or a tenant quota policy, kept
+    // so a later miss on them is classified as eviction-forced. Bounded:
+    // when it overflows kEvictedSetCap the set is cleared (subsequent
+    // misses on the forgotten ids degrade to plain misses — an
+    // undercount, never an overcount). A re-put removes the id (the entry
+    // is whole again). GC drops (retain_only) deliberately do NOT register
+    // here: work the window no longer needs is not an eviction casualty.
     std::unordered_set<NodeId> evicted;
   };
   static constexpr std::size_t kEvictedSetCap = 1 << 16;

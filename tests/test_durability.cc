@@ -635,15 +635,20 @@ TEST_F(DurabilityTest, ScrubberAbandonsPassWhenTierMutates) {
 }
 
 // The Prometheus text format allows one TYPE line per family; a scraper
-// rejects the whole page otherwise. The scrub families come from the work
-// ledger, so a scrub must not also surface them as registry instruments.
+// rejects the whole page otherwise. Each event is one registry counter:
+// the work ledger exports attributed work and its run count, no events.
 TEST_F(DurabilityTest, MetricsExposeEachFamilyOnce) {
   DurableTier tier(path());
   for (std::uint64_t k = 1; k <= 4; ++k) {
     ASSERT_EQ(tier.put(k, k, "pppppppp"), 2u);
   }
   IntegrityScrubber scrubber(tier);
+  const std::uint64_t verified_before =
+      testing::registry_counter("scrub.records_verified");
   ASSERT_EQ(scrubber.scrub_slice(1000).records_verified, 8u);
+  EXPECT_EQ(testing::registry_counter("scrub.records_verified") -
+                verified_before,
+            8u);
 
   std::istringstream text(
       obs::prometheus_text(obs::StatsRegistry::global().snapshot(),
@@ -654,6 +659,9 @@ TEST_F(DurabilityTest, MetricsExposeEachFamilyOnce) {
     if (!line.starts_with("# TYPE ")) continue;
     const std::string name = line.substr(7, line.find(' ', 7) - 7);
     EXPECT_TRUE(families.insert(name).second) << "duplicate family " << name;
+    if (name.starts_with("slider_ledger_")) {
+      EXPECT_EQ(name, "slider_ledger_runs_committed_total");
+    }
   }
   EXPECT_TRUE(families.contains("slider_scrub_records_verified_total"));
 }

@@ -440,6 +440,9 @@ TEST(FlightRecorder, DeferredDumpFiresAtTheNextBoundaryAndValidates) {
   EXPECT_FALSE(root["slo"].items()[0]["ok"].as_bool(true));
   EXPECT_TRUE(root["timeseries"].is_object());
   EXPECT_TRUE(root["ledger"].is_object());
+  EXPECT_TRUE(root["stats"]["counters"].is_object());
+  EXPECT_TRUE(root["stats"]["gauges"].is_object());
+  EXPECT_TRUE(root["stats"]["histograms"].is_object());
   EXPECT_TRUE(root["trace"].is_object());
 }
 

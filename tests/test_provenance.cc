@@ -11,10 +11,12 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
@@ -23,6 +25,7 @@
 #include "data/combiner_traits.h"
 #include "data/split.h"
 #include "mapreduce/api.h"
+#include "observability/introspection_server.h"
 #include "observability/postmortem.h"
 #include "observability/provenance.h"
 #include "observability/work_ledger.h"
@@ -300,6 +303,11 @@ SplitPtr keyed_split(SplitId id, std::vector<Record> records) {
   return make_split(id, std::move(records));
 }
 
+// Status code of a raw HTTP/1.0 response ("HTTP/1.0 200 OK\r\n...").
+int status_of(const std::string& response) {
+  return response.size() < 12 ? 0 : std::stoi(response.substr(9, 3));
+}
+
 TEST(SessionProvenance, DisarmedByDefaultArmedOnRequest) {
   SessionHarness h;
   const JobSpec job = identity_job("prov-arm", false, 2);
@@ -393,6 +401,22 @@ TEST(SessionProvenance, DotExportColorsDispositions) {
   EXPECT_EQ(plain.find("palegreen"), std::string::npos);
 }
 
+TEST(HttpRequestParseUint, AcceptsOnlyPlainDecimalWithinBound) {
+  using obs::HttpRequest;
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  EXPECT_EQ(HttpRequest::parse_uint("0"), 0u);
+  EXPECT_EQ(HttpRequest::parse_uint("007"), 7u);
+  EXPECT_EQ(HttpRequest::parse_uint("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(HttpRequest::parse_uint("2147483647", kIntMax), kIntMax);
+  EXPECT_FALSE(HttpRequest::parse_uint("2147483648", kIntMax).has_value());
+  for (const std::string_view bad :
+       {"", "abc", "7x", "-1", "+1", " 1", "1 ", "0x10",
+        "18446744073709551616"}) {
+    EXPECT_FALSE(HttpRequest::parse_uint(bad).has_value()) << bad;
+  }
+}
+
 TEST(SessionProvenance, ExplainRoutesServeAndValidate) {
   SessionHarness h;
   const JobSpec job = identity_job("prov-routes", false, 1);
@@ -417,6 +441,36 @@ TEST(SessionProvenance, ExplainRoutesServeAndValidate) {
                       "GET /explain?key=a&partition=9 HTTP/1.0\r\n\r\n")
                 .find("400"),
             std::string::npos);
+  // partition and sequence parse strictly: a malformed or out-of-range
+  // value is a 400, never a silently explained partition 0 or slide 7.
+  const std::string seq =
+      std::to_string(session.provenance()->explain("alpha", 0).sequence);
+  const std::string pinned = server->handle_raw_request(
+      "GET /explain?key=alpha&sequence=" + seq + " HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(status_of(pinned), 200);
+  EXPECT_NE(pinned.find("\"found\":true"), std::string::npos);
+  for (const char* query :
+       {"key=alpha&sequence=abc", "key=alpha&sequence=7x",
+        "key=alpha&sequence=-1", "key=alpha&sequence=18446744073709551616",
+        "key=alpha&partition=-1", "key=alpha&partition=+0",
+        "key=alpha&partition=0x", "key=alpha&partition=4294967296"}) {
+    EXPECT_EQ(status_of(server->handle_raw_request(
+                  std::string("GET /explain?") + query +
+                  " HTTP/1.0\r\n\r\n")),
+              400)
+        << query;
+  }
+  EXPECT_EQ(status_of(server->handle_raw_request(
+                "GET /tree?partition=0 HTTP/1.0\r\n\r\n")),
+            200);
+  for (const char* partition :
+       {"abc", "1x", "-1", "+0", "1", "18446744073709551616"}) {
+    EXPECT_EQ(status_of(server->handle_raw_request(
+                  std::string("GET /tree?partition=") + partition +
+                  " HTTP/1.0\r\n\r\n")),
+              400)
+        << partition;
+  }
   const std::string cp = server->handle_raw_request(
       "GET /criticalpath.json HTTP/1.0\r\n\r\n");
   EXPECT_NE(cp.find("200"), std::string::npos);
@@ -638,6 +692,21 @@ TEST(ServingProvenance, PerTenantRecordersAndRoutedExplain) {
                       "GET /explain?tenant=ghost&key=akey HTTP/1.0\r\n\r\n")
                 .find("404"),
             std::string::npos);
+  const std::string seq = std::to_string(a->explain("akey", 0).sequence);
+  const std::string pinned = server->handle_raw_request(
+      "GET /explain?tenant=alpha&key=akey&sequence=" + seq +
+      " HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(status_of(pinned), 200);
+  EXPECT_NE(pinned.find("\"found\":true"), std::string::npos);
+  for (const char* query :
+       {"sequence=abc", "sequence=7x", "partition=-1", "partition=0x",
+        "partition=4294967296", "partition=2147483648"}) {
+    EXPECT_EQ(status_of(server->handle_raw_request(
+                  std::string("GET /explain?tenant=alpha&key=akey&") +
+                  query + " HTTP/1.0\r\n\r\n")),
+              400)
+        << query;
+  }
   const std::string cp = server->handle_raw_request(
       "GET /criticalpath.json?tenant=beta HTTP/1.0\r\n\r\n");
   EXPECT_NE(cp.find("200"), std::string::npos);

@@ -30,6 +30,14 @@ using robustness::ChaosEventType;
 using robustness::ChaosOptions;
 using robustness::ChaosSchedule;
 using robustness::ChaosTargets;
+using testing::registry_counter;
+
+// Chaos events the controller applied that break something: each counts
+// once in "failures.injected".
+std::uint64_t breaking_events(const ChaosController::Counters& c) {
+  return c.crashes + c.stragglers + c.memo_losses + c.durable_error_windows +
+         c.bit_rots + c.replica_divergences;
+}
 
 // --- schedule generation -----------------------------------------------------
 
@@ -177,10 +185,12 @@ TEST(ChaosController, BitRotFlipsDiskBitAndDivergenceTruncatesOneReplica) {
   Cluster cluster(ClusterConfig{.num_machines = 4, .slots_per_machine = 2});
   ChaosController controller(
       schedule, ChaosTargets{.cluster = &cluster, .durable = &tier});
+  const std::uint64_t injected_before = registry_counter("failures.injected");
   controller.apply_until(options.horizon);
 
   EXPECT_EQ(controller.counters().bit_rots, 1u);
   EXPECT_EQ(controller.counters().replica_divergences, 1u);
+  EXPECT_EQ(registry_counter("failures.injected") - injected_before, 2u);
   // Bit rot preserves sizes; divergence drops exactly one frame from one
   // replica (the newest record, truncated at a frame boundary). The
   // divergence rotates the active segment first, so compare per-replica
@@ -207,11 +217,17 @@ TEST(ChaosController, AppliesEventsInOrderAndTracksCounters) {
   ASSERT_FALSE(schedule.events().empty());
 
   ChaosController controller(schedule, ChaosTargets{.cluster = &cluster});
+  const std::uint64_t injected_before = registry_counter("failures.injected");
   const std::size_t applied_half = controller.apply_until(options.horizon / 2);
   const std::size_t applied_rest = controller.apply_until(options.horizon);
   EXPECT_EQ(applied_half + applied_rest, schedule.events().size());
   EXPECT_TRUE(controller.exhausted());
   EXPECT_EQ(controller.counters().events_applied, schedule.events().size());
+  // Crashes and straggler onsets are injected failures; recoveries and
+  // straggler clears are not.
+  EXPECT_GT(breaking_events(controller.counters()), 0u);
+  EXPECT_EQ(registry_counter("failures.injected") - injected_before,
+            breaking_events(controller.counters()));
   // Crash/recover events balance in the cluster: every crash without a
   // matching applied recover leaves a failed flag.
   int expect_failed = 0;
@@ -331,6 +347,9 @@ TEST(ChaosController, DurableErrorWindowDegradesAndDrains) {
 
   const KVTable table =
       KVTable::from_records({{"key", "value"}}, testing::sum_combiner());
+  const std::uint64_t injected_before = registry_counter("failures.injected");
+  const std::uint64_t intervals_before =
+      registry_counter("durability.degraded_intervals");
   controller.apply_until(onset);  // error window open: every replica rejects
   memo.put(100, std::make_shared<const KVTable>(table));
   EXPECT_TRUE(memo.durable_degraded());
@@ -344,6 +363,14 @@ TEST(ChaosController, DurableErrorWindowDegradesAndDrains) {
   const MemoStoreStats stats = memo.stats();
   EXPECT_GE(stats.degraded_intervals, 1u);
   EXPECT_GE(stats.degraded_writes_buffered, 1u);
+  // The onset counts once as an injected failure, and each degraded
+  // interval the store entered counts once.
+  EXPECT_EQ(controller.counters().durable_error_windows, 1u);
+  EXPECT_EQ(registry_counter("failures.injected") - injected_before,
+            breaking_events(controller.counters()));
+  EXPECT_EQ(registry_counter("durability.degraded_intervals") -
+                intervals_before,
+            stats.degraded_intervals);
   fs::remove_all(dir);
 }
 
@@ -364,6 +391,34 @@ std::vector<std::string> output_bytes(const SliderSession& session) {
   }
   return out;
 }
+
+// Serves `inner`'s plans unchanged while counting the task-attempt
+// failures they inject, so a test knows the exact number to expect.
+class CountingFaultProvider final : public StageFaultProvider {
+ public:
+  explicit CountingFaultProvider(const StageFaultProvider& inner)
+      : inner_(inner) {}
+
+  StageFaultPlan stage_faults(SimDuration stage_start) const override {
+    StageFaultPlan plan = inner_.stage_faults(stage_start);
+    if (plan.attempt_fails) {
+      plan.attempt_fails = [this, draw = std::move(plan.attempt_fails)](
+                               std::size_t task, int attempt,
+                               MachineId machine) {
+        const bool fails = draw(task, attempt, machine);
+        if (fails) ++injected_;
+        return fails;
+      };
+    }
+    return plan;
+  }
+
+  std::uint64_t injected() const { return injected_; }
+
+ private:
+  const StageFaultProvider& inner_;
+  mutable std::uint64_t injected_ = 0;
+};
 
 TEST(ChaosEndToEnd, SessionOutputsByteIdenticalToControlAndCapRespected) {
   const auto bench = apps::make_microbenchmark(apps::MicroApp::kHct);
@@ -397,7 +452,10 @@ TEST(ChaosEndToEnd, SessionOutputsByteIdenticalToControlAndCapRespected) {
   }
 
   // Chaos: same inputs under seeded faults.
-  const obs::LedgerSnapshot before = obs::WorkLedger::global().snapshot();
+  const std::uint64_t injected_before = registry_counter("failures.injected");
+  const std::uint64_t retries_before = registry_counter("task.retries");
+  const std::uint64_t blacklisted_before =
+      registry_counter("machines.blacklisted");
   Cluster cluster(ClusterConfig{.num_machines = 5, .slots_per_machine = 2});
   VanillaEngine engine(cluster, cost);
   MemoStore memo(cluster, cost);
@@ -411,8 +469,9 @@ TEST(ChaosEndToEnd, SessionOutputsByteIdenticalToControlAndCapRespected) {
   const ChaosSchedule schedule = ChaosSchedule::generate(17, options, 5);
   ChaosController controller(
       schedule, ChaosTargets{.cluster = &cluster, .memo = &memo});
+  const CountingFaultProvider provider(controller);
   SliderConfig chaos_config = config;
-  chaos_config.fault_provider = &controller;
+  chaos_config.fault_provider = &provider;
   SliderSession session(engine, memo, bench.job, chaos_config);
 
   RunMetrics total;
@@ -430,11 +489,18 @@ TEST(ChaosEndToEnd, SessionOutputsByteIdenticalToControlAndCapRespected) {
   // Retries stay within the attempt cap.
   EXPECT_LE(total.max_task_attempts,
             static_cast<std::uint64_t>(options.max_attempts));
-  // Chaos actually happened and was attributed.
+  // Chaos actually happened, and each fault counted once: the applied
+  // events plus the attempt failures the stage plans injected, and every
+  // retry and blacklist the runs report.
   EXPECT_GT(controller.counters().events_applied, 0u);
-  const obs::LedgerSnapshot after = obs::WorkLedger::global().snapshot();
-  EXPECT_GT(after.counters.failures_injected,
-            before.counters.failures_injected);
+  EXPECT_GT(provider.injected(), 0u);
+  EXPECT_EQ(registry_counter("failures.injected") - injected_before,
+            breaking_events(controller.counters()) + provider.injected());
+  EXPECT_GT(total.task_retries, 0u);
+  EXPECT_EQ(registry_counter("task.retries") - retries_before,
+            total.task_retries);
+  EXPECT_EQ(registry_counter("machines.blacklisted") - blacklisted_before,
+            total.machines_blacklisted);
 }
 
 TEST(ChaosEndToEnd, FailureReexecBilledWhenEveryReplicaDies) {
@@ -454,6 +520,10 @@ TEST(ChaosEndToEnd, FailureReexecBilledWhenEveryReplicaDies) {
   // Kill every machine: memory homes AND both simulated replicas of every
   // entry are on failed machines for the duration of the next slide.
   const obs::LedgerSnapshot before = obs::WorkLedger::global().snapshot();
+  const std::uint64_t forced_before =
+      registry_counter("memo.failure_forced_misses");
+  const std::uint64_t store_forced_before =
+      memo.stats().failure_forced_misses;
   for (MachineId m = 0; m < cluster.num_machines(); ++m) {
     cluster.fail_machine(m);
   }
@@ -467,8 +537,11 @@ TEST(ChaosEndToEnd, FailureReexecBilledWhenEveryReplicaDies) {
     cluster.recover_machine(m);
   }
   const obs::LedgerSnapshot after = obs::WorkLedger::global().snapshot();
-  EXPECT_GT(after.counters.failure_forced_misses,
-            before.counters.failure_forced_misses);
+  const std::uint64_t forced =
+      memo.stats().failure_forced_misses - store_forced_before;
+  EXPECT_GT(forced, 0u);
+  EXPECT_EQ(registry_counter("memo.failure_forced_misses") - forced_before,
+            forced);
   EXPECT_GT(after.total_for(obs::WorkCause::kFailureReexec).combiner_invocations,
             before.total_for(obs::WorkCause::kFailureReexec).combiner_invocations);
 

@@ -7,11 +7,13 @@
 #include <vector>
 
 #include "apps/microbench.h"
-#include "observability/work_ledger.h"
 #include "slider/session.h"
+#include "tests/test_util.h"
 
 namespace slider {
 namespace {
+
+using testing::registry_counter;
 
 std::vector<SimTask> homed_tasks(int count, SimDuration duration,
                                  MachineId home, SimDuration penalty) {
@@ -202,10 +204,12 @@ TEST(Schedulers, SpeculativeBackupWinsAgainstModerateStraggler) {
   HybridOptions hybrid;
   hybrid.speculate_slowdown = 2.0;
   StageTimeline timeline;
-  const obs::LedgerSnapshot before = obs::WorkLedger::global().snapshot();
+  const std::uint64_t before =
+      registry_counter("task.speculative_reexecutions");
   const StageResult result =
       sim.run_stage(tasks, SchedulePolicy::kHybrid, hybrid, &timeline);
-  const obs::LedgerSnapshot after = obs::WorkLedger::global().snapshot();
+  const std::uint64_t after =
+      registry_counter("task.speculative_reexecutions");
 
   EXPECT_EQ(result.speculative_launched, 1u);
   EXPECT_EQ(result.speculative_wins, 1u);
@@ -213,9 +217,8 @@ TEST(Schedulers, SpeculativeBackupWinsAgainstModerateStraggler) {
   EXPECT_NEAR(result.makespan, 2.2, 1e-9);
   // Work: primary ran until the kill (2.2) plus the full backup (2.2).
   EXPECT_NEAR(result.work, 4.4, 1e-9);
-  // Every launched backup is a speculative re-execution in the ledger.
-  EXPECT_EQ(after.counters.speculative_reexecutions,
-            before.counters.speculative_reexecutions + 1);
+  // Every launched backup counts once as a speculative re-execution.
+  EXPECT_EQ(after - before, result.speculative_launched);
 
   // Timeline: primary (trimmed to the kill) + the speculative copy.
   ASSERT_EQ(timeline.size(), 2u);
@@ -269,12 +272,17 @@ TEST(SchedulerFaults, CrashKillsRunningAttemptAndRetriesWithBackoff) {
   StageFaultPlan plan;
   plan.crashes.push_back({.machine = 0, .at = 0.5});
   StageTimeline timeline;
+  const std::uint64_t retries_before = registry_counter("task.retries");
+  const std::uint64_t injected_before = registry_counter("failures.injected");
   const StageResult result = sim.run_stage(
       tasks, SchedulePolicy::kFirstFree, HybridOptions{}, &timeline, &plan);
 
   EXPECT_EQ(result.attempts, 2u);
   EXPECT_EQ(result.failed_attempts, 1u);
   EXPECT_EQ(result.task_retries, 1u);
+  // The retry counts once; a crash kill is not an injected failure.
+  EXPECT_EQ(registry_counter("task.retries") - retries_before, 1u);
+  EXPECT_EQ(registry_counter("failures.injected"), injected_before);
   EXPECT_EQ(result.max_attempts_seen, 2);
   EXPECT_NEAR(result.work, 1.5, 1e-9);      // 0.5 partial + 1.0 retry
   EXPECT_NEAR(result.makespan, 1.55, 1e-9); // 0.5 kill + 0.05 backoff + 1.0
@@ -302,6 +310,10 @@ TEST(SchedulerFaults, InjectedFailuresBlacklistRepeatOffender) {
     return machine == 0;  // machine 0 fails every attempt it hosts
   };
   StageTimeline timeline;
+  const std::uint64_t retries_before = registry_counter("task.retries");
+  const std::uint64_t injected_before = registry_counter("failures.injected");
+  const std::uint64_t blacklisted_before =
+      registry_counter("machines.blacklisted");
   const StageResult result = sim.run_stage(
       tasks, SchedulePolicy::kPreferredOnly, HybridOptions{}, &timeline, &plan);
 
@@ -310,6 +322,14 @@ TEST(SchedulerFaults, InjectedFailuresBlacklistRepeatOffender) {
   EXPECT_EQ(result.machines_blacklisted, 1);
   EXPECT_GE(result.failed_attempts, 3u);
   EXPECT_EQ(result.task_retries, result.failed_attempts);
+  // No crashes in the plan: every failed attempt was injected, and each
+  // event counts once process-wide.
+  EXPECT_EQ(registry_counter("task.retries") - retries_before,
+            result.task_retries);
+  EXPECT_EQ(registry_counter("failures.injected") - injected_before,
+            result.failed_attempts);
+  EXPECT_EQ(registry_counter("machines.blacklisted") - blacklisted_before,
+            1u);
   EXPECT_LE(result.max_attempts_seen, plan.max_attempts);
   std::vector<bool> done(tasks.size(), false);
   for (const TaskPlacement& p : timeline) {
@@ -541,17 +561,18 @@ TEST(SchedulerFaults, FaultedStageLaunchesNoBackups) {
   const StageResult plain = sim.run_stage(
       tasks, SchedulePolicy::kHybrid, HybridOptions{}, &plain_timeline, &plan);
   StageTimeline timeline;
-  const obs::LedgerSnapshot before = obs::WorkLedger::global().snapshot();
+  const std::uint64_t before =
+      registry_counter("task.speculative_reexecutions");
   const StageResult speculating = sim.run_stage(
       tasks, SchedulePolicy::kHybrid,
       HybridOptions{.speculate_slowdown = 2.0}, &timeline, &plan);
-  const obs::LedgerSnapshot after = obs::WorkLedger::global().snapshot();
+  const std::uint64_t after =
+      registry_counter("task.speculative_reexecutions");
 
   EXPECT_GT(speculating.failed_attempts, 0u) << "the crash must bite";
   EXPECT_EQ(speculating.speculative_launched, 0u);
   EXPECT_EQ(speculating.speculative_wins, 0u);
-  EXPECT_EQ(after.counters.speculative_reexecutions,
-            before.counters.speculative_reexecutions);
+  EXPECT_EQ(after, before);
   EXPECT_EQ(speculating.makespan, plain.makespan);
   EXPECT_EQ(speculating.work, plain.work);
   ASSERT_EQ(timeline.size(), plain_timeline.size());

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,8 +12,16 @@
 #include "contraction/tree.h"
 #include "data/record.h"
 #include "data/split.h"
+#include "observability/stats.h"
 
 namespace slider::testing {
+
+// Current value of a process-wide StatsRegistry counter. Tests compare
+// deltas: every gtest case runs in its own ctest process, but a direct run
+// of the binary shares one registry across cases.
+inline std::uint64_t registry_counter(std::string_view name) {
+  return obs::StatsRegistry::global().counter(name).value();
+}
 
 // Integer-sum combiner: associative and commutative, the canonical
 // aggregate of the paper's micro-benchmarks.

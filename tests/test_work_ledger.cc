@@ -25,8 +25,10 @@
 #include "contraction/describe.h"
 #include "durability/durable_tier.h"
 #include "observability/introspection_server.h"
+#include "observability/postmortem.h"
 #include "observability/work_ledger.h"
 #include "slider/session.h"
+#include "tests/test_util.h"
 
 namespace slider {
 namespace {
@@ -35,6 +37,7 @@ namespace fs = std::filesystem;
 using apps::MicroApp;
 using obs::WorkCause;
 using obs::WorkLedger;
+using testing::registry_counter;
 
 struct Harness {
   Harness()
@@ -58,7 +61,7 @@ std::vector<SplitPtr> make_app_splits(MicroApp app, Rng& rng,
 }
 
 std::uint64_t aggregate_invocations_counter() {
-  return obs::StatsRegistry::global().counter("tree.combiner_invocations").value();
+  return registry_counter("tree.combiner_invocations");
 }
 
 // --- conservation across all variants ----------------------------------------
@@ -275,6 +278,10 @@ TEST(WorkLedgerCauses, MemoBudgetEvictionsSurfaceAsEvictionRecompute) {
   config.mode = WindowMode::kVariableWidth;
   SliderSession session(h.engine, h.memo, bench.job, config);
 
+  const MemoStoreStats store_before = h.memo.stats();
+  const std::uint64_t budget_before = registry_counter("memo.evictions_budget");
+  const std::uint64_t forced_before =
+      registry_counter("memo.eviction_forced_misses");
   const obs::LedgerSnapshot before = WorkLedger::global().snapshot();
   session.initial_run(make_app_splits(MicroApp::kHct, rng, 16, 20, 0));
   SplitId next_id = 16;
@@ -284,15 +291,23 @@ TEST(WorkLedgerCauses, MemoBudgetEvictionsSurfaceAsEvictionRecompute) {
   }
   const obs::LedgerSnapshot after = WorkLedger::global().snapshot();
 
-  EXPECT_GT(after.counters.budget_evictions, before.counters.budget_evictions);
-  EXPECT_GT(after.counters.eviction_forced_misses,
-            before.counters.eviction_forced_misses);
   EXPECT_GT(
       after.total_for(WorkCause::kMemoEvictionRecompute).combiner_invocations,
       before.total_for(WorkCause::kMemoEvictionRecompute).combiner_invocations);
 
-  // The memo store classified those misses the same way.
-  EXPECT_GT(h.memo.stats().eviction_forced_misses, 0u);
+  // Each eviction and each miss it forces counts once: the process-wide
+  // counters move by exactly the store's own tallies.
+  const MemoStoreStats store = h.memo.stats();
+  const std::uint64_t evictions =
+      store.budget_evictions - store_before.budget_evictions;
+  const std::uint64_t forced =
+      store.eviction_forced_misses - store_before.eviction_forced_misses;
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(forced, 0u);
+  EXPECT_EQ(registry_counter("memo.evictions_budget") - budget_before,
+            evictions);
+  EXPECT_EQ(registry_counter("memo.eviction_forced_misses") - forced_before,
+            forced);
 }
 
 // --- cause attribution: recovery replay --------------------------------------
@@ -336,7 +351,17 @@ TEST(WorkLedgerCauses, PostRestoreSlidesBillToRecoveryReplay) {
   durability::DurableTier tier(tier_dir);
   MemoStore memo(cluster, cost);
   memo.attach_durable_tier(&tier);
-  ASSERT_GT(memo.restore_from_durable(), 0u);
+  const std::uint64_t entries_before =
+      registry_counter("memo.restored_entries");
+  const std::uint64_t bytes_before = registry_counter("memo.restored_bytes");
+  const std::size_t installed = memo.restore_from_durable();
+  ASSERT_GT(installed, 0u);
+  // The store is fresh: everything it holds now is what restore installed.
+  EXPECT_EQ(registry_counter("memo.restored_entries") - entries_before,
+            installed);
+  EXPECT_EQ(registry_counter("memo.restored_bytes") - bytes_before,
+            memo.total_bytes());
+  EXPECT_EQ(memo.stats().recovered_entries, installed);
   SliderSession restored(engine, memo, bench.job, config);
   ASSERT_TRUE(restored.restore(ckpt_dir));
   ASSERT_TRUE(restored.recovery_replay_active());
@@ -350,7 +375,6 @@ TEST(WorkLedgerCauses, PostRestoreSlidesBillToRecoveryReplay) {
             before.total_for(WorkCause::kRecoveryReplay).combiner_invocations);
   EXPECT_EQ(mid.total_for(WorkCause::kWindowAdd).combiner_invocations,
             before.total_for(WorkCause::kWindowAdd).combiner_invocations);
-  EXPECT_GT(mid.counters.recovered_entries, 0u);
 
   // Once the caller declares catch-up finished, attribution is normal.
   restored.end_recovery_replay();
@@ -427,7 +451,36 @@ TEST(IntrospectionEndpoint, ServesEveryRouteOverARealSocket) {
 
   const std::string health = http_get(port, "/healthz");
   EXPECT_NE(health.find("200"), std::string::npos);
-  EXPECT_NE(health.find("ok"), std::string::npos);
+  // The session's /healthz body is one compact JSON document (the
+  // degrade-drain tests match its "status":"ok" byte for byte); its fault
+  // counters are the process-wide registry counters.
+  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
+  const std::size_t body_at = health.find("\r\n\r\n");
+  ASSERT_NE(body_at, std::string::npos);
+  const auto doc =
+      obs::parse_json(std::string_view(health).substr(body_at + 4));
+  ASSERT_TRUE(doc.has_value()) << health;
+  const obs::JsonValue& root = *doc;
+  EXPECT_EQ(root["status"].as_string(), "ok");
+  EXPECT_EQ(root["machines"]["total"].as_u64(0), 8u);
+  EXPECT_EQ(root["machines"]["failed"].as_u64(1), 0u);
+  EXPECT_FALSE(root["durable"]["degraded"].as_bool(true));
+  EXPECT_EQ(root["durable"]["backlog"].as_u64(1), 0u);
+  const obs::JsonValue& faults = root["faults"];
+  const std::uint64_t kMissing = ~std::uint64_t{0};
+  EXPECT_EQ(faults["failures_injected"].as_u64(kMissing),
+            registry_counter("failures.injected"));
+  EXPECT_EQ(faults["task_retries"].as_u64(kMissing),
+            registry_counter("task.retries"));
+  EXPECT_EQ(faults["machines_blacklisted"].as_u64(kMissing),
+            registry_counter("machines.blacklisted"));
+  EXPECT_EQ(faults["failure_forced_misses"].as_u64(kMissing),
+            registry_counter("memo.failure_forced_misses"));
+  const obs::JsonValue& slo = root["slo"];
+  EXPECT_EQ(slo["configured"].as_u64(kMissing), 0u);
+  EXPECT_EQ(slo["breached"].as_u64(kMissing), 0u);
+  EXPECT_EQ(slo["burning"].as_u64(kMissing), 0u);
+  EXPECT_TRUE(slo["verdicts"].is_array());
 
   const std::string metrics = http_get(port, "/metrics");
   EXPECT_NE(metrics.find("200"), std::string::npos);
@@ -442,6 +495,8 @@ TEST(IntrospectionEndpoint, ServesEveryRouteOverARealSocket) {
   const std::string ledger = http_get(port, "/ledger.json");
   EXPECT_NE(ledger.find("200"), std::string::npos);
   EXPECT_NE(ledger.find("\"totals_by_cause\""), std::string::npos);
+  // Event counters live in the registry (/metrics), not in the ledger.
+  EXPECT_EQ(ledger.find("\"counters\""), std::string::npos);
 
   const std::string tree = http_get(port, "/tree?partition=0");
   EXPECT_NE(tree.find("200"), std::string::npos);

@@ -582,7 +582,7 @@ int run_postmortem_scenario(const Options& opt, const std::string& pm_dir) {
     next_id += opt.slide;
     controller.apply_until(session.sim_clock());
   }
-  // Drain the scrubber before the final dump so the embedded ledger
+  // Drain the scrubber before the final dump so the embedded stats
   // snapshot carries resolved (conserved) scrub counters.
   if (opt.bitrot) {
     memo.scrub_durable(1ull << 20);
@@ -610,7 +610,7 @@ int run_postmortem_scenario(const Options& opt, const std::string& pm_dir) {
     return 1;
   }
   const std::uint64_t retries =
-      obs::WorkLedger::global().snapshot().counters.task_retries;
+      obs::StatsRegistry::global().counter("task.retries").value();
   std::printf("postmortem scenario: %zu dump(s) in %s (%llu retries "
               "injected)\n",
               dumps, pm_dir.c_str(),
@@ -847,8 +847,9 @@ int main(int argc, char** argv) {
   // invocations across every control AND chaos run must sum to the
   // aggregate counter.
   const obs::LedgerSnapshot ledger = obs::WorkLedger::global().snapshot();
+  obs::StatsRegistry& stats = obs::StatsRegistry::global();
   const std::uint64_t aggregate =
-      obs::StatsRegistry::global().counter("tree.combiner_invocations").value();
+      stats.counter("tree.combiner_invocations").value();
   if (ledger.total_invocations() != aggregate) {
     std::fprintf(stderr,
                  "FAIL ledger conservation: per-cause sum %llu != aggregate "
@@ -857,28 +858,29 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(aggregate));
     ++failures;
   }
-  // The ledger's own scrub counters (fed by note_scrub, billed under
-  // kScrubRepair) must conserve too, independently of the per-run stats.
-  if (ledger.counters.scrub_corruptions_detected !=
-      ledger.counters.scrub_repairs + ledger.counters.scrub_quarantines) {
+  // The process-wide scrub counters (slider_scrub_*_total) must conserve
+  // too, independently of the per-run stats.
+  const std::uint64_t detected =
+      stats.counter("scrub.corruptions_detected").value();
+  const std::uint64_t repairs = stats.counter("scrub.repairs").value();
+  const std::uint64_t quarantines = stats.counter("scrub.quarantines").value();
+  if (detected != repairs + quarantines) {
     std::fprintf(stderr,
-                 "FAIL ledger scrub conservation: detected=%llu != "
+                 "FAIL scrub counter conservation: detected=%llu != "
                  "repairs=%llu + quarantines=%llu\n",
-                 static_cast<unsigned long long>(
-                     ledger.counters.scrub_corruptions_detected),
-                 static_cast<unsigned long long>(
-                     ledger.counters.scrub_repairs),
-                 static_cast<unsigned long long>(
-                     ledger.counters.scrub_quarantines));
+                 static_cast<unsigned long long>(detected),
+                 static_cast<unsigned long long>(repairs),
+                 static_cast<unsigned long long>(quarantines));
     ++failures;
   }
-  totals.failures_injected = ledger.counters.failures_injected;
-  totals.failure_forced_misses = ledger.counters.failure_forced_misses;
+  totals.failures_injected = stats.counter("failures.injected").value();
+  totals.failure_forced_misses =
+      stats.counter("memo.failure_forced_misses").value();
   totals.outputs_identical = failures == 0;
 
   if (opt.report) {
     report.set_robustness(totals);
-    report.merge_stats(obs::StatsRegistry::global().snapshot());
+    report.merge_stats(stats.snapshot());
     report.add_note(
         "chaos soak: every variant x seed run under seeded mid-run machine "
         "crashes, stragglers, memo loss, durable write-error windows, and "

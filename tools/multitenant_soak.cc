@@ -21,7 +21,8 @@
 //   * CONSERVATION: the causal ledger still conserves globally
 //     (per-cause invocations == the aggregate tree counter), per-tenant
 //     cells sum to <= the totals, and quota-eviction counts agree across
-//     the store's per-tenant cells, its aggregate stats, and the ledger.
+//     the store's per-tenant cells, its aggregate stats, and the
+//     process-wide memo.evictions_quota counter.
 //
 // Exit status 0 iff every check passed. Writes BENCH_multitenant_soak.json
 // unless --no-report.
@@ -378,12 +379,14 @@ int main(int argc, char** argv) {
   if (quota_evictions_cells == 0) {
     fail("no quota evictions despite quota-tight tenants");
   }
+  const std::uint64_t quota_evictions_registry =
+      obs::StatsRegistry::global().counter("memo.evictions_quota").value();
   if (quota_evictions_cells != store_stats.quota_evictions ||
-      store_stats.quota_evictions != ledger.counters.quota_evictions) {
+      store_stats.quota_evictions != quota_evictions_registry) {
     fail("quota-eviction counters diverged: tenant cells " +
          std::to_string(quota_evictions_cells) + ", store stats " +
-         std::to_string(store_stats.quota_evictions) + ", ledger " +
-         std::to_string(ledger.counters.quota_evictions));
+         std::to_string(store_stats.quota_evictions) + ", registry " +
+         std::to_string(quota_evictions_registry));
   }
   const std::uint64_t aggregate =
       obs::StatsRegistry::global().counter("tree.combiner_invocations").value();

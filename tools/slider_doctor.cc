@@ -6,7 +6,9 @@
 //   * the SLO breach timeline captured in the dump,
 //   * the fault-note timeline (chaos events, degraded-mode entries) and
 //     the machines they implicate,
-//   * cause-attributed work from the embedded ledger snapshot, and
+//   * cause-attributed work from the embedded ledger snapshot,
+//   * fault and integrity-scrub counters from the embedded StatsRegistry
+//     snapshot (the "stats" section), and
 //   * work spikes in the time-series window — raw samples whose combiner
 //     invocations stand well above the window median, attributed to the
 //     ledger causes that produced them.
@@ -132,27 +134,27 @@ void print_ledger_section(const JsonValue& ledger, bool quiet) {
                 static_cast<unsigned long long>(
                     work["nodes_visited"].as_u64()));
   }
-  const JsonValue& counters = ledger["counters"];
-  std::printf("  retries=%llu failures_injected=%llu "
-              "failure_forced_misses=%llu degraded_intervals=%llu\n",
-              static_cast<unsigned long long>(
-                  counters["task_retries"].as_u64()),
-              static_cast<unsigned long long>(
-                  counters["failures_injected"].as_u64()),
-              static_cast<unsigned long long>(
-                  counters["failure_forced_misses"].as_u64()),
-              static_cast<unsigned long long>(
-                  counters["degraded_mode_intervals"].as_u64()));
 }
 
-void print_scrub_section(const JsonValue& ledger, bool quiet) {
+// Process-wide event counters from the dump's "stats" section.
+void print_stats_section(const JsonValue& stats, bool quiet) {
   if (quiet) return;
-  const JsonValue& counters = ledger["counters"];
-  const std::uint64_t verified = counters["scrub_records_verified"].as_u64();
+  const JsonValue& counters = stats["counters"];
+  std::printf("Fault counters: retries=%llu failures_injected=%llu "
+              "failure_forced_misses=%llu degraded_intervals=%llu\n",
+              static_cast<unsigned long long>(
+                  counters["task.retries"].as_u64()),
+              static_cast<unsigned long long>(
+                  counters["failures.injected"].as_u64()),
+              static_cast<unsigned long long>(
+                  counters["memo.failure_forced_misses"].as_u64()),
+              static_cast<unsigned long long>(
+                  counters["durability.degraded_intervals"].as_u64()));
+  const std::uint64_t verified = counters["scrub.records_verified"].as_u64();
   const std::uint64_t detected =
-      counters["scrub_corruptions_detected"].as_u64();
-  const std::uint64_t repairs = counters["scrub_repairs"].as_u64();
-  const std::uint64_t quarantines = counters["scrub_quarantines"].as_u64();
+      counters["scrub.corruptions_detected"].as_u64();
+  const std::uint64_t repairs = counters["scrub.repairs"].as_u64();
+  const std::uint64_t quarantines = counters["scrub.quarantines"].as_u64();
   if (verified == 0 && detected == 0) return;
   // Conservation invariant: every detection resolves into exactly one
   // repair or one quarantine. A violated line here means the scrubber
@@ -328,7 +330,7 @@ bool doctor_one(const std::string& path, const std::string& expect,
   print_slo_section(root["slo"], quiet);
   print_fault_section(root["faults"], expect, stats, quiet);
   print_ledger_section(root["ledger"], quiet);
-  print_scrub_section(root["ledger"], quiet);
+  print_stats_section(root["stats"], quiet);
   print_timeseries_section(root["timeseries"], quiet);
   print_provenance_section(root["provenance"], explain_key, partition, stats,
                            quiet);
