@@ -25,55 +25,21 @@ FlatAggregator::FlatAggregator(MemoContext ctx, CombineFn combiner,
     : ctx_(ctx),
       combiner_(std::move(combiner)),
       traits_(traits),
-      fallback_options_(fallback_options),
-      invertible_(flat::kernel_invertible(traits.flat_kernel)),
-      identity_(flat::kernel_identity(traits.flat_kernel)) {
+      fallback_options_(fallback_options) {
   SLIDER_CHECK(traits_.flat_eligible());
 }
 
-std::uint32_t FlatAggregator::find_key(const std::string& key) const {
-  if (slots_.empty()) return kNoKey;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash_string(key) & mask;
-  while (slots_[i] != 0) {
-    const std::uint32_t idx = slots_[i] - 1;
-    if (keys_[idx] == key) return idx;
-    i = (i + 1) & mask;
-  }
-  return kNoKey;
-}
-
-void FlatAggregator::insert_slot(std::uint32_t idx) {
-  // Keep load factor under 2/3 so probe chains stay short.
-  if ((keys_.size() + 1) * 3 >= slots_.size() * 2) {
-    rebuild_slots();
-    return;  // rebuild_slots re-inserts every key, including idx
-  }
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash_string(keys_[idx]) & mask;
-  while (slots_[i] != 0) i = (i + 1) & mask;
-  slots_[i] = idx + 1;
-}
-
-void FlatAggregator::rebuild_slots() {
-  std::size_t capacity = 64;
-  while (capacity * 2 < keys_.size() * 3 + 2) capacity *= 2;
-  slots_.assign(capacity, 0);
-  const std::size_t mask = capacity - 1;
-  for (std::size_t k = 0; k < keys_.size(); ++k) {
-    std::size_t i = hash_string(keys_[k]) & mask;
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = static_cast<std::uint32_t>(k) + 1;
-  }
-}
-
 std::uint32_t FlatAggregator::intern_key(const std::string& key) {
-  const std::uint32_t found = find_key(key);
-  if (found != kNoKey) return found;
-  const auto idx = static_cast<std::uint32_t>(keys_.size());
-  keys_.push_back(key);
-  insert_slot(idx);
+  const auto next = static_cast<std::uint32_t>(keys_.size());
+  const std::uint32_t idx = index_.insert(
+      hash_string(key), next, [&](std::uint32_t k) { return keys_[k] == key; });
+  if (idx == next) keys_.push_back(key);
   return idx;
+}
+
+std::uint32_t FlatAggregator::find_key(const std::string& key) const {
+  return index_.find(hash_string(key),
+                     [&](std::uint32_t k) { return keys_[k] == key; });
 }
 
 bool FlatAggregator::decode_element(
@@ -107,7 +73,7 @@ NodeId FlatAggregator::element_id(const Element& e) const {
 }
 
 const std::vector<flat::Lane>& FlatAggregator::stage(const Element& element) {
-  scratch_.assign(element.dense_width, identity_);
+  scratch_.assign(element.dense_width, 0);
   for (std::size_t j = 0; j < element.key_idx.size(); ++j) {
     scratch_[element.key_idx[j]] = element.values[j];
   }
@@ -122,32 +88,15 @@ void FlatAggregator::add_element(Element element, TreeUpdateStats* stats) {
 
   // Hybrid update: sparse elements touch their own lanes directly; dense
   // ones stage into the scratch buffer and use the bulk SIMD kernels.
-  // Both orders are exact (wrapping adds commute; min is idempotent), so
-  // the threshold can never change the aggregate bytes.
-  const std::size_t nnz = element.key_idx.size();
-  const bool use_bulk = nnz * 2 >= element.dense_width;
-  if (invertible_) {
-    running_.resize(keys_.size(), identity_);
-    if (use_bulk) {
-      const std::vector<flat::Lane>& lanes = stage(element);
-      simd::bulk_add_u64(running_.data(), lanes.data(), element.dense_width);
-    } else {
-      for (std::size_t j = 0; j < nnz; ++j) {
-        running_[element.key_idx[j]] += element.values[j];
-      }
-    }
+  // Wrapping adds commute, so the threshold can never change the aggregate
+  // bytes.
+  running_.resize(keys_.size(), 0);
+  if (element.key_idx.size() * 2 >= element.dense_width) {
+    simd::bulk_add_u64(running_.data(), stage(element).data(),
+                       element.dense_width);
   } else {
-    if (back_.size() < element.dense_width) {
-      back_.resize(element.dense_width, identity_);
-    }
-    if (use_bulk) {
-      const std::vector<flat::Lane>& lanes = stage(element);
-      simd::bulk_min_u64(back_.data(), lanes.data(), element.dense_width);
-    } else {
-      for (std::size_t j = 0; j < nnz; ++j) {
-        flat::Lane& lane = back_[element.key_idx[j]];
-        lane = std::min(lane, element.values[j]);
-      }
+    for (std::size_t j = 0; j < element.key_idx.size(); ++j) {
+      running_[element.key_idx[j]] += element.values[j];
     }
   }
 
@@ -167,111 +116,36 @@ void FlatAggregator::add_element(Element element, TreeUpdateStats* stats) {
   elements_.push_back(std::move(element));
 }
 
-void FlatAggregator::swap_stacks(TreeUpdateStats* stats) {
-  // Fold suffix partials newest-to-oldest: partial[i] aggregates elements
-  // i..n-1. The newest element has the widest dense span (the directory
-  // only grows), so the accumulator is sized once and older, narrower
-  // elements fold into its prefix.
-  const std::size_t n = elements_.size();
-  front_partials_.clear();
-  std::vector<flat::Lane> acc;
-  std::deque<std::vector<flat::Lane>> partials;
-  for (std::size_t i = n; i-- > 0;) {
-    const Element& e = elements_[i];
-    const std::vector<flat::Lane>& lanes = stage(e);
-    if (acc.empty()) {
-      acc = lanes;
-    } else {
-      simd::bulk_min_u64(acc.data(), lanes.data(), e.dense_width);
-    }
-    partials.push_front(acc);
-    stats->charge_visits(1);
-    stats->charge_passthrough_invocation(e.table->size());
-    if (stats->record_lineage) {
-      const NodeId kids[] = {e.id};
-      record_lineage_node(ctx_, stats, e.id, obs::LineageOp::kPassthrough,
-                          stats->passthrough_cause, 1, *e.table,
-                          e.table->size(), 0, kids);
-    }
-  }
-  front_partials_ = std::move(partials);
-  front_remaining_ = n;
-  back_.clear();
-}
-
 void FlatAggregator::evict_front(TreeUpdateStats* stats) {
   SLIDER_CHECK(!elements_.empty());
-  if (invertible_) {
-    const Element& e = elements_.front();
-    if (e.key_idx.size() * 2 >= e.dense_width) {
-      const std::vector<flat::Lane>& lanes = stage(e);
-      simd::bulk_sub_u64(running_.data(), lanes.data(), e.dense_width);
-    } else {
-      for (std::size_t j = 0; j < e.key_idx.size(); ++j) {
-        running_[e.key_idx[j]] -= e.values[j];
-      }
-    }
-    stats->charge_visits(1);
-    stats->charge_passthrough_invocation(e.table->size());
-    if (stats->record_lineage) {
-      const NodeId kids[] = {e.id};
-      record_lineage_node(ctx_, stats, e.id, obs::LineageOp::kPassthrough,
-                          stats->passthrough_cause, 1, *e.table,
-                          e.table->size(), 0, kids);
-    }
+  const Element& e = elements_.front();
+  if (e.key_idx.size() * 2 >= e.dense_width) {
+    simd::bulk_sub_u64(running_.data(), stage(e).data(), e.dense_width);
   } else {
-    if (front_remaining_ == 0) swap_stacks(stats);
-    front_partials_.pop_front();
-    --front_remaining_;
-    // The pop consumes a precomputed partial: an O(1) reuse, no combiner
-    // work of its own.
-    stats->charge_visits(1);
-    stats->charge_reuse();
-    if (stats->record_lineage) {
-      const Element& front = elements_.front();
-      record_lineage_node(ctx_, stats, front.id, obs::LineageOp::kReuse,
-                          stats->cause, 0, *front.table, 0, 0, {});
+    for (std::size_t j = 0; j < e.key_idx.size(); ++j) {
+      running_[e.key_idx[j]] -= e.values[j];
     }
   }
-  for (const std::uint32_t k : elements_.front().key_idx) {
+  stats->charge_visits(1);
+  stats->charge_passthrough_invocation(e.table->size());
+  if (stats->record_lineage) {
+    const NodeId kids[] = {e.id};
+    record_lineage_node(ctx_, stats, e.id, obs::LineageOp::kPassthrough,
+                        stats->passthrough_cause, 1, *e.table,
+                        e.table->size(), 0, kids);
+  }
+  for (const std::uint32_t k : e.key_idx) {
     if (--counts_[k] == 0) root_order_dirty_ = true;
   }
-  held_.drop(elements_.front().id);
+  held_.drop(e.id);
   elements_.pop_front();
 }
 
-void FlatAggregator::rebuild_aggregates() {
-  if (invertible_) {
-    running_.assign(keys_.size(), identity_);
-    for (const Element& e : elements_) {
-      const std::vector<flat::Lane>& lanes = stage(e);
-      simd::bulk_add_u64(running_.data(), lanes.data(), e.dense_width);
-    }
-    back_.clear();
-    front_partials_.clear();
-    front_remaining_ = 0;
-    return;
+void FlatAggregator::rebuild_aggregate() {
+  running_.assign(keys_.size(), 0);
+  for (const Element& e : elements_) {
+    simd::bulk_add_u64(running_.data(), stage(e).data(), e.dense_width);
   }
-  front_partials_.clear();
-  std::vector<flat::Lane> acc;
-  for (std::size_t i = front_remaining_; i-- > 0;) {
-    const Element& e = elements_[i];
-    const std::vector<flat::Lane>& lanes = stage(e);
-    if (acc.empty()) {
-      acc = lanes;
-    } else {
-      simd::bulk_min_u64(acc.data(), lanes.data(), e.dense_width);
-    }
-    front_partials_.push_front(acc);
-  }
-  back_.clear();
-  for (std::size_t i = front_remaining_; i < elements_.size(); ++i) {
-    const Element& e = elements_[i];
-    const std::vector<flat::Lane>& lanes = stage(e);
-    if (back_.size() < e.dense_width) back_.resize(e.dense_width, identity_);
-    simd::bulk_min_u64(back_.data(), lanes.data(), e.dense_width);
-  }
-  running_.clear();
 }
 
 void FlatAggregator::maybe_compact(TreeUpdateStats* stats) {
@@ -291,30 +165,19 @@ void FlatAggregator::maybe_compact(TreeUpdateStats* stats) {
   }
   keys_ = std::move(live_keys);
   counts_ = std::move(live_counts);
-  rebuild_slots();
+  index_.clear();
+  // Live keys are distinct, so no equality check is needed.
+  for (std::size_t k = 0; k < keys_.size(); ++k) {
+    index_.insert(hash_string(keys_[k]), static_cast<std::uint32_t>(k),
+                  [](std::uint32_t) { return false; });
+  }
   for (Element& e : elements_) {
     for (std::uint32_t& k : e.key_idx) k = remap[k];
     e.dense_width = keys_.size();
   }
-  rebuild_aggregates();
+  rebuild_aggregate();
   root_order_dirty_ = true;  // directory indices just moved
   stats->charge_visits(1);
-}
-
-std::vector<flat::Lane> FlatAggregator::window_lanes() const {
-  std::vector<flat::Lane> acc;
-  if (invertible_) {
-    acc = running_;
-    acc.resize(keys_.size(), identity_);
-    return acc;
-  }
-  acc = back_;
-  acc.resize(keys_.size(), identity_);
-  if (front_remaining_ > 0) {
-    const std::vector<flat::Lane>& partial = front_partials_.front();
-    simd::bulk_min_u64(acc.data(), partial.data(), partial.size());
-  }
-  return acc;
 }
 
 void FlatAggregator::rebuild_root(TreeUpdateStats* stats) {
@@ -331,12 +194,11 @@ void FlatAggregator::rebuild_root(TreeUpdateStats* stats) {
               });
     root_order_dirty_ = false;
   }
-  const std::vector<flat::Lane> lanes = window_lanes();
   std::vector<Record> rows;
   rows.reserve(root_order_.size());
   for (const std::uint32_t k : root_order_) {
     rows.push_back(
-        {keys_[k], flat::encode_value(traits_.flat_kernel, lanes[k])});
+        {keys_[k], flat::encode_value(traits_.flat_kernel, running_[k])});
   }
   root_ = std::make_shared<const KVTable>(
       KVTable::from_sorted_unique(std::move(rows)));
@@ -381,12 +243,9 @@ void FlatAggregator::poison(std::vector<Leaf> leaves,
   fallback_ = make_tree(fallback_options_, ctx_, combiner_);
   elements_.clear();
   keys_.clear();
-  slots_.clear();
+  index_.clear();
   counts_.clear();
   running_.clear();
-  back_.clear();
-  front_partials_.clear();
-  front_remaining_ = 0;
   root_.reset();
   fallback_->initial_build(std::move(leaves), stats);
 }
@@ -532,7 +391,6 @@ void FlatAggregator::serialize(durability::CheckpointWriter& writer) const {
     wire::put_u64(blob, e.split_id);
     writer.put_node(element_id(e), e.table.get());
   }
-  wire::put_u64(blob, static_cast<std::uint64_t>(front_remaining_));
 }
 
 bool FlatAggregator::restore(durability::CheckpointReader& reader) {
@@ -546,14 +404,12 @@ bool FlatAggregator::restore(durability::CheckpointReader& reader) {
   std::uint32_t key_count = 0;
   if (!reader.get_u32(&key_count)) return false;
   keys_.clear();
-  slots_.clear();
+  index_.clear();
   keys_.reserve(key_count);
   for (std::uint32_t k = 0; k < key_count; ++k) {
     std::string key;
     if (!reader.get_bytes(&key)) return false;
-    if (find_key(key) != kNoKey) return false;
-    keys_.push_back(std::move(key));
-    insert_slot(k);
+    if (intern_key(key) != k) return false;  // duplicate directory key
   }
 
   std::uint32_t element_count = 0;
@@ -576,7 +432,7 @@ bool FlatAggregator::restore(durability::CheckpointReader& reader) {
     e.dense_width = keys_.size();
     for (const Record& row : table->rows()) {
       const std::uint32_t idx = find_key(row.key);
-      if (idx == kNoKey) return false;
+      if (idx == KeyIndex::kAbsent) return false;
       flat::Lane lane = 0;
       if (!flat::decode_value(traits_.flat_kernel, row.value, &lane)) {
         return false;
@@ -588,16 +444,11 @@ bool FlatAggregator::restore(durability::CheckpointReader& reader) {
     elements_.push_back(std::move(e));
   }
 
-  std::uint64_t front = 0;
-  if (!reader.get_u64(&front)) return false;
-  if (front > elements_.size()) return false;
-  front_remaining_ = invertible_ ? 0 : static_cast<std::size_t>(front);
-
   counts_.assign(keys_.size(), 0);
   for (const Element& e : elements_) {
     for (const std::uint32_t k : e.key_idx) ++counts_[k];
   }
-  rebuild_aggregates();
+  rebuild_aggregate();
   root_order_dirty_ = true;
   rebuild_root(nullptr);
   return true;

@@ -1,37 +1,33 @@
-// Flat aggregation tier for flat-eligible combiners (ROADMAP item 1).
+// Flat aggregation tier for flat-eligible combiners.
 //
 // Contraction trees pay pointer-chasing, node-id hashing, and per-node
 // serde on every slide even when the combiner is a cheap commutative
-// integer aggregate. For those combiners (CombinerTraits::flat_eligible)
-// this tier replaces the tree with a flat per-key lane array over a
-// circular buffer of window elements, in the style of HammerSlide /
-// two-stacks / DABA:
+// integer sum. For those combiners (CombinerTraits::flat_eligible) this
+// tier replaces the tree with a flat per-key lane array over a circular
+// buffer of window elements, in the style of HammerSlide:
 //
 //   * every key ever seen gets a slot in an append-ordered key directory;
 //     each window element is a sparse {directory index, lane} list decoded
 //     once at insert;
-//   * invertible kernels (sums) keep one dense running aggregate —
-//     insert = SIMD bulk add, evict = SIMD bulk subtract, both exact under
-//     two's-complement wraparound: O(1) per slide per element;
-//   * non-invertible kernels (min) run the two-stacks discipline: a back
-//     stack with a running aggregate absorbs inserts, and when the front
-//     stack empties an O(n) swap precomputes suffix partials so that each
-//     evict is an O(1) pop — amortized O(1);
+//   * every flat kernel is a wrapping sum, so one dense running aggregate
+//     covers the window: insert = SIMD bulk add, evict = SIMD bulk
+//     subtract, both exact under two's-complement wraparound: O(1) per
+//     slide per element;
 //   * the per-window output table is rebuilt from the dense lanes, keys
 //     with zero live occurrences filtered out.
 //
 // Composition with the rest of the stack:
 //   * charges flow through TreeUpdateStats' charge_* helpers only, so the
 //     causal work ledger's conservation property holds with the tier
-//     engaged (inserts bill to the window_add cause, evictions and swap
-//     refolds to window_remove, the standing aggregate's reuse shows up in
-//     the memo hit-rate gauges);
+//     engaged (inserts bill to the window_add cause, evictions to
+//     window_remove, the standing aggregate's reuse shows up in the memo
+//     hit-rate gauges);
 //   * element payloads are memoized under their leaf node ids, so GC,
 //     by-ref checkpointing, and the durable tier see the same ids a tree
 //     would produce;
-//   * serialize()/restore() round-trip the key directory, element set, and
-//     two-stacks boundary; integer math makes the refolded aggregates
-//     bit-identical to the pre-checkpoint state;
+//   * serialize()/restore() round-trip the key directory and element set;
+//     integer math makes the refolded aggregate bit-identical to the
+//     pre-checkpoint state;
 //   * values that fail the strict canonical decode poison the tier: it
 //     builds an inner contraction tree (the session's fallback options)
 //     over the buffered window and delegates everything to it from then
@@ -45,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/key_index.h"
 #include "contraction/tree_common.h"
 #include "data/combiner_traits.h"
 
@@ -86,18 +83,14 @@ class FlatAggregator : public ContractionTree {
     std::vector<std::uint32_t> key_idx;
     std::vector<flat::Lane> values;
     // Directory size right after this element's keys were interned; lanes
-    // at indices >= dense_width are identity for this element.
+    // at indices >= dense_width are 0 for this element.
     std::size_t dense_width = 0;
   };
 
+  // Directory index of `key`, interning it when absent.
   std::uint32_t intern_key(const std::string& key);
-  // Directory index of `key`, or kNoKey when absent. Lock-free linear
-  // probe over slots_ — this is the per-row hot path of every insert.
+  // Directory index of `key`, or KeyIndex::kAbsent.
   std::uint32_t find_key(const std::string& key) const;
-  // Installs directory index `idx` into slots_ (key must not be present;
-  // grows the table as needed).
-  void insert_slot(std::uint32_t idx);
-  void rebuild_slots();
   // Decodes `table` into an Element; false on a non-canonical value (the
   // poison trigger). Does not mutate aggregate state.
   bool decode_element(SplitId split_id,
@@ -106,21 +99,15 @@ class FlatAggregator : public ContractionTree {
   // The element's leaf node id; computed on demand when insert skipped it
   // (no memo store attached).
   NodeId element_id(const Element& e) const;
-  // Scatters an element into the dense scratch buffer (identity-filled to
+  // Scatters an element into the dense scratch buffer (zero-filled to
   // `element.dense_width`) and returns it.
   const std::vector<flat::Lane>& stage(const Element& element);
   void add_element(Element element, TreeUpdateStats* stats);
   void evict_front(TreeUpdateStats* stats);
-  // Two-stacks swap: move every back-stack element to the front stack,
-  // computing suffix partials newest-to-oldest.
-  void swap_stacks(TreeUpdateStats* stats);
-  // Recomputes running_/back_/front_partials_ from elements_ and
-  // front_remaining_ (restore, compaction). Uncharged.
-  void rebuild_aggregates();
+  // Recomputes running_ from elements_ (restore, compaction). Uncharged.
+  void rebuild_aggregate();
   // Drops directory slots with zero live occurrences once they dominate.
   void maybe_compact(TreeUpdateStats* stats);
-  // Dense lanes of the whole current window.
-  std::vector<flat::Lane> window_lanes() const;
   void rebuild_root(TreeUpdateStats* stats);
   // Demote to the fallback tree over `leaves` (the full current window).
   void poison(std::vector<Leaf> leaves, TreeUpdateStats* stats);
@@ -130,33 +117,23 @@ class FlatAggregator : public ContractionTree {
   CombineFn combiner_;
   CombinerTraits traits_;
   TreeOptions fallback_options_;
-  bool invertible_ = false;
-  flat::Lane identity_ = 0;
-
-  static constexpr std::uint32_t kNoKey = 0xFFFFFFFFu;
 
   // Append-ordered key directory; a key's index is stable until the next
-  // compaction. Lookups go through slots_: an open-addressing (linear
-  // probe, power-of-two) index of directory positions, which profiles
-  // several times faster than unordered_map on the per-row insert path.
+  // compaction. Lookups go through index_, on the per-row path of every
+  // insert. Behind the same interface, std::unordered_multimap made
+  // substr-flat-w800 slides 48% slower (p50 11.40 ms against 7.69 ms,
+  // 10 rotated release runs on a 4-vCPU VM).
   std::vector<std::string> keys_;
-  std::vector<std::uint32_t> slots_;  // directory index + 1; 0 = empty
+  KeyIndex index_;
   // Live-occurrence count per directory slot; 0 = dead key (filtered from
   // the output, reclaimed by compaction).
   std::vector<std::uint32_t> counts_;
 
-  // Window elements, oldest first. The first `front_remaining_` are the
-  // two-stacks front stack (non-invertible kernels only).
+  // Window elements, oldest first.
   std::deque<Element> elements_;
-
-  // Invertible kernels: dense running aggregate of every live element.
+  // Dense running aggregate of every live element, one lane per directory
+  // slot.
   std::vector<flat::Lane> running_;
-  // Non-invertible kernels: back-stack running aggregate plus the front
-  // stack's precomputed suffix partials (parallel to the first
-  // front_remaining_ entries of elements_).
-  std::vector<flat::Lane> back_;
-  std::deque<std::vector<flat::Lane>> front_partials_;
-  std::size_t front_remaining_ = 0;
 
   std::vector<flat::Lane> scratch_;
   std::shared_ptr<const KVTable> root_;

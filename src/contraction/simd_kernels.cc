@@ -22,13 +22,6 @@ void scalar_sub(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] -= src[i];
 }
 
-void scalar_min(std::uint64_t* dst, const std::uint64_t* src,
-                std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (src[i] < dst[i]) dst[i] = src[i];
-  }
-}
-
 #if SLIDER_SIMD_X86
 
 __attribute__((target("avx2"))) void avx2_add(std::uint64_t* dst,
@@ -59,30 +52,6 @@ __attribute__((target("avx2"))) void avx2_sub(std::uint64_t* dst,
                         _mm256_sub_epi64(a, b));
   }
   for (; i < n; ++i) dst[i] -= src[i];
-}
-
-// AVX2 has no unsigned 64-bit min; flip the sign bit so the signed
-// compare orders lanes like an unsigned compare, then blend.
-__attribute__((target("avx2"))) void avx2_min(std::uint64_t* dst,
-                                              const std::uint64_t* src,
-                                              std::size_t n) {
-  const __m256i flip = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ULL));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    // mask lane = (a > b) unsigned; where true, take b.
-    const __m256i mask = _mm256_cmpgt_epi64(_mm256_xor_si256(a, flip),
-                                            _mm256_xor_si256(b, flip));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_blendv_epi8(a, b, mask));
-  }
-  for (; i < n; ++i) {
-    if (src[i] < dst[i]) dst[i] = src[i];
-  }
 }
 
 #endif  // SLIDER_SIMD_X86
@@ -122,17 +91,6 @@ void bulk_sub_u64(std::uint64_t* dst, const std::uint64_t* src,
   }
 #endif
   scalar_sub(dst, src, n);
-}
-
-void bulk_min_u64(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t n) {
-#if SLIDER_SIMD_X86
-  if (use_avx2()) {
-    avx2_min(dst, src, n);
-    return;
-  }
-#endif
-  scalar_min(dst, src, n);
 }
 
 const char* active_backend() { return use_avx2() ? "avx2" : "scalar"; }

@@ -1,4 +1,6 @@
-// Bulk lane operations for the flat aggregation tier.
+// Bulk lane operations for the flat aggregation tier: the wrapping add
+// that inserts a window element into the running sum and the subtract that
+// evicts it.
 //
 // Each op applies element-wise over 64-bit lanes: dst[i] = op(dst[i],
 // src[i]). On x86-64 an AVX2 path is selected at runtime via
@@ -20,10 +22,6 @@ void bulk_add_u64(std::uint64_t* dst, const std::uint64_t* src,
 
 // dst[i] -= src[i] (wrapping); the exact inverse of bulk_add_u64.
 void bulk_sub_u64(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t n);
-
-// dst[i] = min(dst[i], src[i]) under unsigned comparison.
-void bulk_min_u64(std::uint64_t* dst, const std::uint64_t* src,
                   std::size_t n);
 
 // "avx2" or "scalar" — which backend the dispatcher picked.

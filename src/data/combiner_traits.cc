@@ -3,7 +3,6 @@
 #include <bit>
 #include <limits>
 
-#include "common/logging.h"
 
 namespace slider::flat {
 namespace {
@@ -50,30 +49,11 @@ bool parse_canonical_i64(std::string_view text, std::int64_t* out) {
 
 }  // namespace
 
-bool kernel_invertible(FlatKernel kernel) {
-  switch (kernel) {
-    case FlatKernel::kSumU64:
-    case FlatKernel::kSumI64:
-      return true;
-    case FlatKernel::kMinU64:
-    case FlatKernel::kNone:
-      return false;
-  }
-  return false;
-}
-
-Lane kernel_identity(FlatKernel kernel) {
-  return kernel == FlatKernel::kMinU64
-             ? std::numeric_limits<std::uint64_t>::max()
-             : 0;
-}
-
 const char* kernel_name(FlatKernel kernel) {
   switch (kernel) {
     case FlatKernel::kNone: return "none";
     case FlatKernel::kSumU64: return "sum_u64";
     case FlatKernel::kSumI64: return "sum_i64";
-    case FlatKernel::kMinU64: return "min_u64";
   }
   return "?";
 }
@@ -81,7 +61,6 @@ const char* kernel_name(FlatKernel kernel) {
 bool decode_value(FlatKernel kernel, std::string_view text, Lane* out) {
   switch (kernel) {
     case FlatKernel::kSumU64:
-    case FlatKernel::kMinU64:
       return parse_canonical_u64(text, out);
     case FlatKernel::kSumI64: {
       std::int64_t value = 0;
@@ -100,18 +79,6 @@ std::string encode_value(FlatKernel kernel, Lane lane) {
     return std::to_string(std::bit_cast<std::int64_t>(lane));
   }
   return std::to_string(lane);
-}
-
-Lane combine(FlatKernel kernel, Lane a, Lane b) {
-  // Wrapping u64 addition implements signed i64 addition exactly under
-  // two's complement, so both sum kernels share one lane op.
-  if (kernel == FlatKernel::kMinU64) return a < b ? a : b;
-  return a + b;
-}
-
-Lane uncombine(FlatKernel kernel, Lane acc, Lane b) {
-  SLIDER_CHECK(kernel_invertible(kernel));
-  return acc - b;
 }
 
 }  // namespace slider::flat

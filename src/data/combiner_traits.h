@@ -2,20 +2,22 @@
 //
 // Slider's contraction trees only need associativity, so that is all the
 // `CombineFn` type can promise. Many app combiners are much stronger —
-// commutative integer sums, mins over fixed-point micro-units — and those
-// properties unlock a far cheaper execution tier: a flat circular buffer
-// with two-stacks partial-aggregate swaps and SIMD bulk inserts
-// (HammerSlide; DABA, arXiv 2009.13768) instead of a pointer-chasing tree.
+// commutative integer sums over counts or fixed-point micro-units — and
+// those properties unlock a far cheaper execution tier: a flat circular
+// buffer of elements with one running sum that SIMD bulk adds insert into
+// and bulk subtracts evict from (HammerSlide) instead of a pointer-chasing
+// tree.
 //
 // Apps declare what their combiner guarantees via `CombinerTraits` on the
 // JobSpec. A combiner is *flat-eligible* when it is associative,
 // commutative, exactly associative (bitwise reproducible under
 // re-parenthesization — integer / fixed-point arithmetic, never raw IEEE
 // doubles), and its value strings round-trip through one of the fixed-width
-// kernels below. Eligibility is a promise about semantics; the flat tier
-// additionally verifies, value by value, that the serde round-trips
+// sum kernels below. Eligibility is a promise about semantics; the flat
+// tier additionally verifies, value by value, that the serde round-trips
 // canonically, and poisons itself back to a contraction tree when it does
-// not.
+// not. A combiner with no kernel here (a min, say) runs on a contraction
+// tree, which is correct for every associative combiner.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +26,14 @@
 
 namespace slider {
 
-// Fixed-width POD kernels the flat tier can bulk-process. Values are
-// carried as 64-bit lanes; kSumI64 stores two's-complement in the lane.
+// Fixed-width sum kernels the flat tier can bulk-process. Values are
+// carried as 64-bit lanes; kSumI64 stores two's-complement in the lane, so
+// both kernels share one wrapping-add lane path and differ only in their
+// codec.
 enum class FlatKernel : std::uint8_t {
   kNone = 0,   // no fixed-width mapping; combiner stays on the tree path
   kSumU64 = 1, // unsigned decimal counts, wrapping 64-bit addition
   kSumI64 = 2, // signed decimal (fixed-point micro-units), wrapping addition
-  kMinU64 = 3, // unsigned decimal, minimum
 };
 
 // Properties an app declares about its combiner. Defaults are the weakest
@@ -40,6 +43,9 @@ enum class FlatKernel : std::uint8_t {
 struct CombinerTraits {
   bool associative = true;
   bool commutative = false;
+  // The combiner has an exact inverse. Nothing reads it yet: it is
+  // reserved for Δ-row path updates on contraction trees (ROADMAP item 4).
+  // The flat tier needs no such claim, because every flat kernel is a sum.
   bool invertible = false;
   // Re-parenthesizing produces bit-identical results (integer or
   // fixed-point math). IEEE floating point is NOT exactly associative;
@@ -61,13 +67,6 @@ namespace flat {
 // addition exactly.
 using Lane = std::uint64_t;
 
-// Whether the kernel has an exact inverse (subtract-on-evict). Sums do;
-// min does not and takes the two-stacks path.
-bool kernel_invertible(FlatKernel kernel);
-
-// The kernel's identity element: 0 for sums, UINT64_MAX for min.
-Lane kernel_identity(FlatKernel kernel);
-
 const char* kernel_name(FlatKernel kernel);
 
 // Strict canonical decode: returns true iff `text` is exactly the string
@@ -79,13 +78,6 @@ const char* kernel_name(FlatKernel kernel);
 bool decode_value(FlatKernel kernel, std::string_view text, Lane* out);
 
 std::string encode_value(FlatKernel kernel, Lane lane);
-
-// Combine two lanes under the kernel (wrapping add / unsigned min).
-Lane combine(FlatKernel kernel, Lane a, Lane b);
-
-// Exact inverse of combine for invertible kernels: uncombine(combine(a, b),
-// b) == a. Must not be called for non-invertible kernels.
-Lane uncombine(FlatKernel kernel, Lane acc, Lane b);
 
 }  // namespace flat
 }  // namespace slider

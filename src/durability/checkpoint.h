@@ -37,7 +37,10 @@
 
 namespace slider::durability {
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+// Version 2: a flat-tier partition's state ends after its element list
+// (version 1 appended a two-stacks boundary), so a version-1 manifest is
+// refused rather than misread.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 class CheckpointWriter {
  public:

@@ -16,6 +16,7 @@
 
 #include "cluster/cost_model.h"
 #include "common/hash.h"
+#include "common/key_index.h"
 #include "data/combiner_traits.h"
 #include "data/record.h"
 
@@ -30,10 +31,10 @@ class Emitter {
 
   // Combines in the mapper (Lin & Dyer, "Data-Intensive Text Processing
   // with MapReduce", 2010): emit() hashes the key once, and the hash picks
-  // both the partition (as partition_of does) and the key's slot in an
-  // open-addressing table. A repeated key folds as
-  // acc = combiner(key, acc, value), so each key's values fold left to
-  // right in emission order. take_partitions() returns the folded rows.
+  // both the partition (as partition_of does) and the key's row through a
+  // KeyIndex. A repeated key folds as acc = combiner(key, acc, value), so
+  // each key's values fold left to right in emission order.
+  // take_partitions() returns the folded rows.
   Emitter(CombineFn combiner, int num_partitions);
 
   void emit(std::string key, std::string value);
@@ -51,21 +52,13 @@ class Emitter {
   }
 
  private:
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::size_t row = kNoRow;  // index into partitions_[hash % size]
-  };
-  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
-
-  void grow();
-
   std::size_t emitted_ = 0;
   std::vector<Record> records_;  // collecting Emitter
-  // Folding Emitter; partitions_ is empty in a collecting one.
+  // Folding Emitter; partitions_ is empty in a collecting one. index_
+  // maps each key to its row in partitions_[hash % partitions_.size()].
   CombineFn combiner_;
   std::vector<std::vector<Record>> partitions_;
-  std::vector<Slot> slots_;  // power-of-two size, at most half full
-  std::size_t distinct_ = 0;
+  KeyIndex index_;
 };
 
 class Mapper {

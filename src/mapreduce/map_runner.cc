@@ -4,16 +4,10 @@
 #include <cmath>
 
 namespace slider {
-namespace {
-
-constexpr std::size_t kInitialSlots = 64;
-
-}  // namespace
 
 Emitter::Emitter(CombineFn combiner, int num_partitions)
     : combiner_(std::move(combiner)),
-      partitions_(static_cast<std::size_t>(num_partitions)),
-      slots_(kInitialSlots) {}
+      partitions_(static_cast<std::size_t>(num_partitions)) {}
 
 void Emitter::emit(std::string key, std::string value) {
   ++emitted_;
@@ -23,33 +17,19 @@ void Emitter::emit(std::string key, std::string value) {
   }
   const std::uint64_t hash = hash_string(key);
   std::vector<Record>& rows = partitions_[hash % partitions_.size()];
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    Slot& slot = slots_[i];
-    if (slot.row == kNoRow) {
-      slot = {hash, rows.size()};
-      rows.push_back({std::move(key), std::move(value)});
-      if (++distinct_ * 2 > slots_.size()) grow();
-      return;
-    }
-    if (slot.hash == hash && rows[slot.row].key == key) {
-      Record& acc = rows[slot.row];
-      acc.value = combiner_(acc.key, acc.value, value);
-      return;
-    }
+  const auto next = static_cast<std::uint32_t>(rows.size());
+  // A key sharing this one's hash tag may sit in another partition, where
+  // its row number means nothing here: bound it before comparing.
+  const std::uint32_t row =
+      index_.insert(hash, next, [&](std::uint32_t r) {
+        return r < rows.size() && rows[r].key == key;
+      });
+  if (row == next) {
+    rows.push_back({std::move(key), std::move(value)});
+    return;
   }
-}
-
-void Emitter::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{});
-  const std::size_t mask = slots_.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.row == kNoRow) continue;
-    std::size_t i = slot.hash & mask;
-    while (slots_[i].row != kNoRow) i = (i + 1) & mask;
-    slots_[i] = slot;
-  }
+  Record& acc = rows[row];
+  acc.value = combiner_(acc.key, acc.value, value);
 }
 
 MapOutput run_map_task(const JobSpec& job, const InputSplit& split) {

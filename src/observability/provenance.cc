@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -34,7 +35,6 @@ std::string_view disposition_name(LineageOp op, WorkCause cause) {
     case WorkCause::kMemoEvictionRecompute: return "evicted_recompute";
     case WorkCause::kRecoveryReplay: return "recovery_replay";
     case WorkCause::kBackgroundPreprocess: return "background";
-    case WorkCause::kSpeculativeReexec: return "speculative";
     case WorkCause::kFailureReexec: return "failure_reexec";
     case WorkCause::kScrubRepair: return "scrub_repair";
   }
@@ -613,7 +613,9 @@ std::string criticalpath_to_json(const ProvenanceSnapshot& snapshot) {
 }
 
 std::string explanation_to_json(const Explanation& ex) {
-  std::unordered_map<std::string_view, std::uint64_t> counts;
+  // Every disposition the frontier holds, in name order: the entries carry
+  // disposition_name()'s strings, so no second list of names is kept.
+  std::map<std::string_view, std::uint64_t> counts;
   for (const ExplainEntry& e : ex.frontier) ++counts[e.disposition];
   JsonWriter json;
   json.begin_object();
@@ -629,12 +631,7 @@ std::string explanation_to_json(const Explanation& ex) {
   json.key("walked_nodes").value(ex.walked_nodes);
   json.key("untouched_children").value(ex.untouched_children);
   json.key("counts").begin_object();
-  for (const char* name :
-       {"reused", "new", "recomputed", "evicted_recompute", "failure_reexec",
-        "recovery_replay", "background", "speculative"}) {
-    const auto it = counts.find(name);
-    if (it != counts.end()) json.key(name).value(it->second);
-  }
+  for (const auto& [name, count] : counts) json.key(name).value(count);
   json.end_object();
   json.key("frontier").begin_array();
   for (const ExplainEntry& e : ex.frontier) {

@@ -226,7 +226,7 @@ Explanation explain_slide(const SlideLineage& slide, std::string_view key,
 
 // Maps (op, cause) to the user-facing disposition string: "reused",
 // "new", "recomputed", "evicted_recompute", "failure_reexec",
-// "recovery_replay", "background", "speculative".
+// "recovery_replay", "background", "scrub_repair".
 std::string_view disposition_name(LineageOp op, WorkCause cause);
 
 // NodeId -> disposition over one recorded partition; the later of two

@@ -12,7 +12,6 @@ std::string_view work_cause_name(WorkCause cause) {
     case WorkCause::kMemoEvictionRecompute: return "memo_eviction_recompute";
     case WorkCause::kRecoveryReplay: return "recovery_replay";
     case WorkCause::kBackgroundPreprocess: return "background_preprocess";
-    case WorkCause::kSpeculativeReexec: return "speculative_reexec";
     case WorkCause::kFailureReexec: return "failure_reexec";
     case WorkCause::kScrubRepair: return "scrub_repair";
   }

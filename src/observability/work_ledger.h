@@ -17,7 +17,6 @@
 //   recovery_replay          — slides re-executed after restore() to catch
 //                              up to the pre-crash frontier
 //   background_preprocess    — §4 split-processing background phase
-//   speculative_reexec       — straggler-mitigation backup copies
 //   failure_reexec           — recomputation forced by a machine failure
 //                              that destroyed every intact replica of a
 //                              needed memo entry (§6 fault tolerance)
@@ -55,12 +54,11 @@ enum class WorkCause : std::uint8_t {
   kMemoEvictionRecompute,
   kRecoveryReplay,
   kBackgroundPreprocess,
-  kSpeculativeReexec,
   kFailureReexec,
   kScrubRepair,
 };
 
-inline constexpr std::size_t kWorkCauseCount = 9;
+inline constexpr std::size_t kWorkCauseCount = 8;
 
 // Stable snake_case names, used as Prometheus label values and JSON keys.
 std::string_view work_cause_name(WorkCause cause);

@@ -56,9 +56,9 @@ struct SliderConfig {
   // Table 1): with kHybrid, tasks placed on a machine whose duration
   // factor is >= this value get a backup copy on another machine; the
   // first copy to finish wins. 0 disables speculation, and stages that
-  // fault_provider injects failures into launch no backups. Launched
-  // backups are recorded as speculative re-executions in the causal work
-  // ledger.
+  // fault_provider injects failures into launch no backups. Each launched
+  // backup counts in the "task.speculative_reexecutions" StatsRegistry
+  // counter; it runs no tree work, so the causal work ledger bills none.
   double speculate_slowdown = 0;
   // Live introspection endpoint (observability/introspection_server.h).
   // -1 disables it entirely (no server object, no per-run locking);

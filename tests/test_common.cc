@@ -1,10 +1,14 @@
-// Unit tests for common utilities: hashing, RNG, string helpers, metrics.
+// Unit tests for common utilities: hashing, the key index, RNG, string
+// helpers, metrics.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/hash.h"
+#include "common/key_index.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -31,6 +35,90 @@ TEST(Hash, Mix64Disperses) {
     high_bytes.insert(mix64(i) >> 56);
   }
   EXPECT_GT(high_bytes.size(), 32u);
+}
+
+// The owner side of a KeyIndex, as the Emitter and the flat tier keep it:
+// keys in a vector, the index holding positions into it.
+struct IndexedKeys {
+  std::uint32_t insert(std::uint64_t hash, const std::string& key) {
+    const auto next = static_cast<std::uint32_t>(keys.size());
+    const std::uint32_t got = index.insert(
+        hash, next, [&](std::uint32_t k) { return keys[k] == key; });
+    if (got == next) keys.push_back(key);
+    return got;
+  }
+  std::uint32_t find(std::uint64_t hash, const std::string& key) const {
+    return index.find(hash,
+                      [&](std::uint32_t k) { return keys[k] == key; });
+  }
+  std::vector<std::string> keys;
+  KeyIndex index;
+};
+
+TEST(KeyIndex, DistinctKeysOnOneHashStayDistinct) {
+  // The caller supplies the hash, so every key here collides. 100 keys
+  // also force two doublings, which must re-place slots by their stored
+  // tag: re-hashing the strings would strand them.
+  constexpr std::uint64_t kHash = 0x9e3779b97f4a7c15ull;
+  // Another tag: the top 32 bits differ.
+  constexpr std::uint64_t kOtherTag = kHash ^ (std::uint64_t{1} << 40);
+  IndexedKeys t;
+  EXPECT_EQ(t.find(kHash, "k0"), KeyIndex::kAbsent);
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(t.insert(kHash, "k" + std::to_string(i)), i);
+  }
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    EXPECT_EQ(t.find(kHash, key), i);
+    EXPECT_EQ(t.insert(kHash, key), i) << "a present key is not re-recorded";
+    EXPECT_EQ(t.find(kOtherTag, key), KeyIndex::kAbsent)
+        << "the tag is compared before the key";
+  }
+  EXPECT_EQ(t.find(kHash, "k100"), KeyIndex::kAbsent);
+  EXPECT_EQ(t.keys.size(), 100u);
+
+  t.index.clear();
+  EXPECT_EQ(t.find(kHash, "k0"), KeyIndex::kAbsent);
+  t.keys.clear();
+  EXPECT_EQ(t.insert(kHash, "k5"), 0u);
+  EXPECT_EQ(t.find(kHash, "k5"), 0u);
+}
+
+TEST(KeyIndex, FindsEveryKeyAfterEachDoubling) {
+  // The empty key, keys with an embedded NUL, keys with high bytes and
+  // keys past the small-string buffer, 120k in all.
+  const auto key_of = [](std::uint32_t id) {
+    switch (id % 4) {
+      case 0:
+        return id == 0 ? std::string() : std::to_string(id);
+      case 1:
+        return std::string("\0k", 2) + std::to_string(id);
+      case 2:
+        return std::string("\xff\x80") + std::to_string(id);
+      default:
+        return "a-key-longer-than-fifteen-bytes/" + std::to_string(id);
+    }
+  };
+  IndexedKeys t;
+  constexpr std::uint32_t kKeys = 120'000;
+  std::uint32_t doublings = 0;
+  for (std::uint32_t i = 0; i < kKeys; ++i) {
+    const std::string key = key_of(i);
+    ASSERT_EQ(t.insert(hash_string(key), key), i);
+    // The table starts at 64 slots and doubles once more than half full,
+    // i.e. on the insert that makes 2^k + 1 keys, k >= 5.
+    const std::uint32_t size = i + 1;
+    if (size > 32 && ((size - 1) & (size - 2)) == 0) {
+      ++doublings;
+      for (std::uint32_t j = 0; j <= i; ++j) {
+        const std::string earlier = key_of(j);
+        ASSERT_EQ(t.find(hash_string(earlier), earlier), j)
+            << "key " << j << " after " << size << " inserts";
+      }
+    }
+  }
+  EXPECT_EQ(doublings, 12u);  // 64 -> 262,144 slots
+  EXPECT_EQ(t.find(hash_string("absent"), "absent"), KeyIndex::kAbsent);
 }
 
 TEST(Rng, DeterministicForSeed) {

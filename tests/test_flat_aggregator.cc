@@ -1,13 +1,12 @@
 // Flat aggregation tier tests: the tier must be a drop-in replacement for
 // a contraction tree — byte-identical root tables over any slide schedule
-// — across kernels (sum, signed fixed-point sum, min/two-stacks), plus
-// checkpoint/restore parity, poison-fallback on non-canonical values,
-// directory compaction, strict codec rules, the SIMD/scalar kernel
-// equivalence, and session routing.
+// — across kernels (unsigned sum, signed fixed-point sum), plus
+// checkpoint/restore parity and malformed-checkpoint rejection,
+// poison-fallback on non-canonical values, directory compaction, strict
+// codec rules, the SIMD/scalar kernel equivalence, and session routing.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -19,6 +18,7 @@
 #include "contraction/simd_kernels.h"
 #include "contraction/tree.h"
 #include "data/combiner_traits.h"
+#include "data/serde.h"
 #include "durability/checkpoint.h"
 #include "slider/session.h"
 #include "tests/test_util.h"
@@ -31,16 +31,6 @@ using testing::fold_leaves;
 using testing::make_leaf;
 using testing::random_leaf;
 using testing::sum_combiner;
-
-CombineFn min_combiner() {
-  return [](const std::string&, const std::string& a, const std::string& b) {
-    std::uint64_t x = 0;
-    std::uint64_t y = 0;
-    parse_u64(a, &x);
-    parse_u64(b, &y);
-    return std::to_string(std::min(x, y));
-  };
-}
 
 CombineFn i64_sum_combiner() {
   return [](const std::string&, const std::string& a, const std::string& b) {
@@ -55,7 +45,6 @@ CombineFn i64_sum_combiner() {
 CombinerTraits traits_for(FlatKernel kernel) {
   CombinerTraits t;
   t.commutative = true;
-  t.invertible = flat::kernel_invertible(kernel);
   t.exactly_associative = true;
   t.flat_kernel = kernel;
   return t;
@@ -140,16 +129,6 @@ TEST(FlatAggregator, SumKernelMatchesFoldingTree) {
   expect_matches_folding_tree(
       combiner, FlatKernel::kSumU64,
       random_batches(combiner, /*window=*/12, /*slide=*/3, /*slides=*/6, 11),
-      12, 3);
-}
-
-// Min is not invertible, so this path runs the two-stacks discipline; six
-// slides of 3 over a window of 12 force multiple front/back swaps.
-TEST(FlatAggregator, MinKernelTwoStacksMatchesFoldingTree) {
-  const CombineFn combiner = min_combiner();
-  expect_matches_folding_tree(
-      combiner, FlatKernel::kMinU64,
-      random_batches(combiner, /*window=*/12, /*slide=*/3, /*slides=*/6, 12),
       12, 3);
 }
 
@@ -266,8 +245,7 @@ TEST(FlatAggregator, NonCanonicalValuePoisonsToFallbackTree) {
 }
 
 // serialize() -> restore() on a fresh instance must reproduce the root
-// byte-for-byte and keep matching the original over subsequent slides
-// (including a min/two-stacks boundary that must survive the round trip).
+// byte-for-byte and keep matching the original over subsequent slides.
 class FlatAggregatorCheckpoint : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -279,13 +257,32 @@ class FlatAggregatorCheckpoint : public ::testing::Test {
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
+
+  // Writes `writer` as a manifest and restores a fresh sum-kernel tier
+  // from it; null when restore() rejects the blob.
+  std::unique_ptr<FlatAggregator> restore_from(
+      const durability::CheckpointWriter& writer) {
+    const std::string path = (dir_ / "flat.slckpt").string();
+    EXPECT_TRUE(writer.write_manifest(path));
+    auto reader = durability::CheckpointReader::open(path, {});
+    EXPECT_NE(reader, nullptr);
+    if (reader == nullptr) return nullptr;
+    auto restored = std::make_unique<FlatAggregator>(
+        test_ctx(), sum_combiner(), traits_for(FlatKernel::kSumU64),
+        TreeOptions{.kind = TreeKind::kFolding});
+    if (!restored->restore(*reader)) return nullptr;
+    EXPECT_TRUE(reader->done());
+    return restored;
+  }
+
   fs::path dir_;
 };
 
-void run_checkpoint_roundtrip(const CombineFn& combiner, FlatKernel kernel,
-                              const fs::path& dir) {
-  const TreeOptions fallback{.kind = TreeKind::kFolding};
-  FlatAggregator original(test_ctx(), combiner, traits_for(kernel), fallback);
+TEST_F(FlatAggregatorCheckpoint, SumKernelRoundTrips) {
+  const CombineFn combiner = sum_combiner();
+  FlatAggregator original(test_ctx(), combiner,
+                          traits_for(FlatKernel::kSumU64),
+                          TreeOptions{.kind = TreeKind::kFolding});
 
   Rng rng(31);
   SplitId next_id = 0;
@@ -295,7 +292,6 @@ void run_checkpoint_roundtrip(const CombineFn& combiner, FlatKernel kernel,
   }
   TreeUpdateStats s = build_stats();
   original.initial_build(initial, &s);
-  // Two slides so a min kernel has performed a swap and sits mid-stack.
   for (int slide = 0; slide < 2; ++slide) {
     std::vector<Leaf> added = {random_leaf(next_id++, rng, combiner),
                                random_leaf(next_id++, rng, combiner),
@@ -304,19 +300,13 @@ void run_checkpoint_roundtrip(const CombineFn& combiner, FlatKernel kernel,
     original.apply_delta(3, added, &d);
   }
 
-  const std::string path = (dir / "flat.slckpt").string();
   durability::CheckpointWriter writer;  // no durable tier: inline payloads
   original.serialize(writer);
-  ASSERT_TRUE(writer.write_manifest(path));
-
-  auto reader = durability::CheckpointReader::open(path, {});
-  ASSERT_NE(reader, nullptr);
-  FlatAggregator restored(test_ctx(), combiner, traits_for(kernel), fallback);
-  ASSERT_TRUE(restored.restore(*reader));
-  EXPECT_TRUE(reader->done());
-  ASSERT_NE(restored.root(), nullptr);
-  EXPECT_EQ(*restored.root(), *original.root());
-  EXPECT_EQ(restored.leaf_count(), original.leaf_count());
+  const std::unique_ptr<FlatAggregator> restored = restore_from(writer);
+  ASSERT_NE(restored, nullptr);
+  ASSERT_NE(restored->root(), nullptr);
+  EXPECT_EQ(*restored->root(), *original.root());
+  EXPECT_EQ(restored->leaf_count(), original.leaf_count());
 
   // Both instances keep producing identical roots after the restart.
   for (int slide = 0; slide < 3; ++slide) {
@@ -324,11 +314,10 @@ void run_checkpoint_roundtrip(const CombineFn& combiner, FlatKernel kernel,
     ++next_id;
     TreeUpdateStats d0 = slide_stats();
     TreeUpdateStats d1 = slide_stats();
-    FlatAggregator* a = &original;
-    FlatAggregator* b = &restored;
-    a->apply_delta(1, added, &d0);
-    b->apply_delta(1, added, &d1);
-    EXPECT_EQ(*a->root(), *b->root()) << "post-restore slide " << slide;
+    original.apply_delta(1, added, &d0);
+    restored->apply_delta(1, added, &d1);
+    EXPECT_EQ(*original.root(), *restored->root())
+        << "post-restore slide " << slide;
     // Identical charges too: a restored tier must do the same
     // delta-proportional work, not a hidden rebuild.
     EXPECT_EQ(d0.combiner_invocations, d1.combiner_invocations);
@@ -337,12 +326,44 @@ void run_checkpoint_roundtrip(const CombineFn& combiner, FlatKernel kernel,
   }
 }
 
-TEST_F(FlatAggregatorCheckpoint, SumKernelRoundTrips) {
-  run_checkpoint_roundtrip(sum_combiner(), FlatKernel::kSumU64, dir_);
+// Hand-built blobs in serialize()'s layout: [u8 poisoned = 0]
+// [u32 key count][keys][u32 element count][per element: u64 split id,
+// node]. restore() must refuse a directory that names a key twice and an
+// element row whose key the directory lacks.
+void put_unpoisoned_blob(durability::CheckpointWriter& writer,
+                         const std::vector<std::string>& directory,
+                         const KVTable& element) {
+  std::string& blob = writer.blob();
+  wire::put_u8(blob, 0);
+  wire::put_u32(blob, static_cast<std::uint32_t>(directory.size()));
+  for (const std::string& key : directory) wire::put_bytes(blob, key);
+  wire::put_u32(blob, 1);
+  wire::put_u64(blob, 0);
+  writer.put_node(0, &element);
 }
 
-TEST_F(FlatAggregatorCheckpoint, MinKernelTwoStacksRoundTrips) {
-  run_checkpoint_roundtrip(min_combiner(), FlatKernel::kMinU64, dir_);
+TEST_F(FlatAggregatorCheckpoint, AcceptsWellFormedHandBuiltBlob) {
+  durability::CheckpointWriter writer;
+  put_unpoisoned_blob(writer, {"a", "b"},
+                      KVTable::from_sorted_unique({{"a", "1"}, {"b", "2"}}));
+  const std::unique_ptr<FlatAggregator> restored = restore_from(writer);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(*restored->root(),
+            KVTable::from_sorted_unique({{"a", "1"}, {"b", "2"}}));
+}
+
+TEST_F(FlatAggregatorCheckpoint, RejectsDuplicatedDirectoryKey) {
+  durability::CheckpointWriter writer;
+  put_unpoisoned_blob(writer, {"a", "b", "a"},
+                      KVTable::from_sorted_unique({{"a", "1"}, {"b", "2"}}));
+  EXPECT_EQ(restore_from(writer), nullptr);
+}
+
+TEST_F(FlatAggregatorCheckpoint, RejectsRowKeyMissingFromDirectory) {
+  durability::CheckpointWriter writer;
+  put_unpoisoned_blob(writer, {"a", "b"},
+                      KVTable::from_sorted_unique({{"a", "1"}, {"c", "2"}}));
+  EXPECT_EQ(restore_from(writer), nullptr);
 }
 
 // --- strict canonical codec --------------------------------------------------
@@ -401,8 +422,7 @@ TEST(FlatSimdKernels, BackendMatchesScalarSemantics) {
   std::vector<std::uint64_t> dst(kLanes);
   std::vector<std::uint64_t> src(kLanes);
   for (std::size_t i = 0; i < kLanes; ++i) {
-    // Mix in huge values so adds wrap and the unsigned min's sign-flip
-    // trick is exercised across the i64 sign boundary.
+    // Full-range values, so adds wrap.
     dst[i] = rng.next_u64();
     src[i] = rng.next_u64();
   }
@@ -415,14 +435,6 @@ TEST(FlatSimdKernels, BackendMatchesScalarSemantics) {
 
   simd::bulk_sub_u64(got.data(), src.data(), kLanes);
   EXPECT_EQ(got, dst) << "sub must invert add exactly";
-
-  auto expect_min = dst;
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    expect_min[i] = std::min(expect_min[i], src[i]);
-  }
-  got = dst;
-  simd::bulk_min_u64(got.data(), src.data(), kLanes);
-  EXPECT_EQ(got, expect_min);
 }
 
 // --- session routing --------------------------------------------------------

@@ -134,8 +134,8 @@ TEST_F(GoldenFormats, CompactionRewritesSurvivorsInKeyOrder) {
 // blob holding a u64, an inline node (marker 2 + serialized table) and a
 // null node (marker 0).
 constexpr char kManifest[] =
-    // magic "SLIDRCKP", version 1, crc, blob_size 55
-    "534c494452434b50" "01000000" "c287151b" "3700000000000000"
+    // magic "SLIDRCKP", version 2, crc, blob_size 55
+    "534c494452434b50" "02000000" "c287151b" "3700000000000000"
     // u64 0x0123456789abcdef
     "efcdab8967452301"
     // node id 5, marker 2 (inline), u32 len 25, table {a:1, b:22}

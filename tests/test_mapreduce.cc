@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <unordered_map>
 
 #include "apps/cooccurrence.h"
 #include "apps/glasnost.h"
@@ -275,6 +276,48 @@ TEST(MapRunnerFold, GrowsAndProbesOverManyDistinctKeys) {
   const std::size_t empty_key = static_cast<std::size_t>(
       partition_of("", job.num_partitions));
   ASSERT_NE(out.partitions[empty_key]->find(""), nullptr);
+}
+
+TEST(MapRunnerFold, KeysSharingAHashTagStayInTheirPartitions) {
+  // The Emitter's KeyIndex compares the top 32 bits of a key's hash before
+  // the key itself, so two keys that share them probe the same chain even
+  // when they hash to different partitions. Find such a pair: a birthday
+  // search over about 2^16 keys.
+  constexpr int kPartitions = 5;
+  std::unordered_map<std::uint32_t, std::string> by_tag;
+  std::string first;
+  std::string second;
+  for (std::uint64_t i = 0; second.empty(); ++i) {
+    std::string key = "k" + std::to_string(i);
+    const auto tag = static_cast<std::uint32_t>(hash_string(key) >> 32);
+    const auto [it, fresh] = by_tag.emplace(tag, key);
+    if (!fresh && partition_of(it->second, kPartitions) !=
+                      partition_of(key, kPartitions)) {
+      first = it->second;
+      second = std::move(key);
+    }
+  }
+
+  JobSpec job;
+  job.name = "hash-tag-pair";
+  job.mapper = std::make_shared<query::LambdaMapper>(
+      [](const Record& r, Emitter& out) { out.emit(r.value, "1"); });
+  job.combiner = testing::sum_combiner();
+  job.num_partitions = kPartitions;
+  // `second`'s partition is still empty when it first probes `first`'s
+  // slot, whose row number is then out of range there.
+  const auto split = make_split(
+      0, {{"0", first}, {"1", second}, {"2", first}, {"3", second}});
+  expect_matches_sort_and_fold(job, *split);
+  const MapOutput out = run_map_task(job, *split);
+  EXPECT_EQ(
+      *out.partitions[static_cast<std::size_t>(partition_of(first, kPartitions))]
+           ->find(first),
+      "2");
+  EXPECT_EQ(*out.partitions[static_cast<std::size_t>(
+                                partition_of(second, kPartitions))]
+                 ->find(second),
+            "2");
 }
 
 TEST(ReduceRunner, MergeTablesBalances) {

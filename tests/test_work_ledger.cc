@@ -235,7 +235,7 @@ TEST_P(WorkLedgerFlatTier, ConservationAndGaugesWithTierToggled) {
             foreground_invocations);
 
   // Per-cause cells: builds bill to initial_build, inserts to window_add,
-  // evictions (bulk subtracts / two-stacks refolds) to window_remove.
+  // evictions (bulk subtracts) to window_remove.
   EXPECT_GT(after.total_for(WorkCause::kInitialBuild).combiner_invocations -
                 before.total_for(WorkCause::kInitialBuild).combiner_invocations,
             0u);
@@ -491,6 +491,9 @@ TEST(IntrospectionEndpoint, ServesEveryRouteOverARealSocket) {
   EXPECT_NE(metrics.find("le=\"+Inf\""), std::string::npos);
   EXPECT_NE(metrics.find("slider_work_combiner_invocations_total{cause=\"initial_build\"}"),
             std::string::npos);
+  // Speculative backups run no tree work; the registry's
+  // task.speculative_reexecutions counts them, so no cause exports them.
+  EXPECT_EQ(metrics.find("cause=\"speculative_reexec\""), std::string::npos);
 
   const std::string ledger = http_get(port, "/ledger.json");
   EXPECT_NE(ledger.find("200"), std::string::npos);

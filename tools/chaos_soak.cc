@@ -685,6 +685,14 @@ int main(int argc, char** argv) {
   durability::ScrubStats grand_scrub;
   std::uint64_t grand_bit_rots = 0;
   std::uint64_t grand_divergences = 0;
+  // The robustness section sums the primary chaos runs only. Its registry
+  // counters are read as deltas around each of those runs, leaving out the
+  // control, tree-twin and replay runs that the registry also counts.
+  obs::StatsRegistry& stats = obs::StatsRegistry::global();
+  obs::Counter& injected = stats.counter("failures.injected");
+  obs::Counter& forced_misses = stats.counter("memo.failure_forced_misses");
+  obs::Counter& retries = stats.counter("task.retries");
+  std::uint64_t registry_retries = 0;
   for (const Variant& variant : kVariants) {
     const auto& bench = variant.flat ? flat_bench : hct_bench;
     const ControlTrace control = run_control(variant, opt, bench);
@@ -710,8 +718,14 @@ int main(int argc, char** argv) {
       const std::filesystem::path dir =
           base / (std::string(variant.name) + "_" + std::to_string(s));
       std::filesystem::create_directories(dir);
+      const std::uint64_t injected_before = injected.value();
+      const std::uint64_t misses_before = forced_misses.value();
+      const std::uint64_t retries_before = retries.value();
       const ChaosOutcome outcome =
           run_chaos(variant, opt, bench, control, seed, dir);
+      const std::uint64_t run_injected = injected.value() - injected_before;
+      const std::uint64_t run_misses = forced_misses.value() - misses_before;
+      const std::uint64_t run_retries = retries.value() - retries_before;
       if (!outcome.ok) {
         std::fprintf(stderr, "FAIL %s seed=%llu: %s\n", variant.name,
                      static_cast<unsigned long long>(seed),
@@ -744,6 +758,9 @@ int main(int argc, char** argv) {
         std::filesystem::remove_all(replay_dir);
       }
       variant_metrics += outcome.metrics;
+      totals.failures_injected += run_injected;
+      totals.failure_forced_misses += run_misses;
+      registry_retries += run_retries;
       variant_chaos.crashes += outcome.chaos.crashes;
       variant_chaos.recoveries += outcome.chaos.recoveries;
       variant_chaos.stragglers += outcome.chaos.stragglers;
@@ -847,7 +864,6 @@ int main(int argc, char** argv) {
   // invocations across every control AND chaos run must sum to the
   // aggregate counter.
   const obs::LedgerSnapshot ledger = obs::WorkLedger::global().snapshot();
-  obs::StatsRegistry& stats = obs::StatsRegistry::global();
   const std::uint64_t aggregate =
       stats.counter("tree.combiner_invocations").value();
   if (ledger.total_invocations() != aggregate) {
@@ -873,9 +889,16 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(quarantines));
     ++failures;
   }
-  totals.failures_injected = stats.counter("failures.injected").value();
-  totals.failure_forced_misses =
-      stats.counter("memo.failure_forced_misses").value();
+  // Both retry counts cover the same runs: the registry's task.retries
+  // delta and the runs' RunMetrics must agree.
+  if (registry_retries != totals.task_retries) {
+    std::fprintf(stderr,
+                 "FAIL robustness run set: task.retries delta %llu != "
+                 "summed task_retries %llu\n",
+                 static_cast<unsigned long long>(registry_retries),
+                 static_cast<unsigned long long>(totals.task_retries));
+    ++failures;
+  }
   totals.outputs_identical = failures == 0;
 
   if (opt.report) {
