@@ -53,7 +53,6 @@ struct Pending {
 //     attempt but a task's final one. A failure bills the full run, strikes
 //     the machine (blacklisted at blacklist_threshold strikes) and
 //     re-queues the task the same way.
-//   * Speculation. Only on a stage with no faults: see HybridOptions.
 // Termination: a crash kill leaves the killed machine ineligible for every
 // later-starting attempt (free_at is clamped to the crash instant), so a
 // task is killed at most once per crashing machine; injected failures are
@@ -71,8 +70,6 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
   static obs::Counter& retries = stats.counter("task.retries");
   static obs::Counter& injections = stats.counter("failures.injected");
   static obs::Counter& blacklists = stats.counter("machines.blacklisted");
-  static obs::Counter& speculations =
-      stats.counter("task.speculative_reexecutions");
   if (timeline != nullptr) {
     timeline->clear();
     timeline->reserve(tasks.size());
@@ -99,9 +96,6 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
     machine_of(dead).crash_at = 0;
   }
   const int max_attempts = std::max(1, plan.max_attempts);
-  const bool speculate = policy == SchedulePolicy::kHybrid &&
-                         hybrid.speculate_slowdown > 0 && num_machines > 1 &&
-                         plan.empty();
 
   // Duration of `task` on `machine`: straggler factor, plus the remote
   // fetch when it runs off its preferred machine.
@@ -245,8 +239,6 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
       const SimDuration end = killed ? machine.crash_at : nominal_end;
       slot.free_at = end;
       result.work += killed ? end - start : effective;
-      const std::size_t primary_index =
-          timeline != nullptr ? timeline->size() : 0;
       if (timeline != nullptr) {
         timeline->push_back(TaskPlacement{.task = pending.task,
                                           .machine = machine_id,
@@ -273,53 +265,6 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
             plan.backoff_base *
             static_cast<SimDuration>(1u << std::min(pending.attempt, 16));
         next_wave.push_back({pending.task, pending.attempt + 1, end + backoff});
-        continue;
-      }
-
-      // Straggler speculation (§6 / Table 1): launch a backup copy of a
-      // primary that landed on a slow machine, on the earliest slot of
-      // another machine. Whichever copy finishes first wins; the loser is
-      // killed then, so it holds its slot (and bills work) only up to the
-      // winner's finish. Every launch counts as one speculative
-      // re-execution, whichever copy wins.
-      if (!speculate || machine.factor < hybrid.speculate_slowdown) continue;
-      const std::ptrdiff_t backup_index =
-          pick_slot(task, pending.ready, false, false, -1, machine_id);
-      if (backup_index < 0) continue;
-      Slot& backup = slots[static_cast<std::size_t>(backup_index)];
-      // Priced apart from effective_on(): the backup of a task without a
-      // preferred machine still pays the fetch penalty.
-      SimDuration backup_effective =
-          task.duration * machine_of(backup.machine).factor;
-      if (backup.machine != task.preferred) {
-        backup_effective += task.migration_penalty;
-      }
-      const SimDuration backup_start = backup.free_at;
-      const SimDuration backup_end = backup_start + backup_effective;
-      ++result.speculative_launched;
-      speculations.add();
-      const bool backup_wins = backup_end < nominal_end;
-      SimDuration backup_ran = backup_effective;
-      if (backup_wins) {
-        ++result.speculative_wins;
-        result.work -= (nominal_end - start);  // undo the full primary charge
-        result.work += backup_end - start;     // primary until killed
-        result.work += backup_effective;
-        slot.free_at = backup_end;
-        if (timeline != nullptr) (*timeline)[primary_index].end = backup_end;
-      } else {
-        backup_ran = std::max<SimDuration>(0, nominal_end - backup_start);
-        result.work += backup_ran;
-      }
-      backup.free_at = backup_start + backup_ran;
-      if (timeline != nullptr && (backup_wins || backup_ran > 0)) {
-        timeline->push_back(
-            TaskPlacement{.task = pending.task,
-                          .machine = backup.machine,
-                          .start = backup_start,
-                          .end = backup.free_at,
-                          .migrated = backup.machine != task.preferred,
-                          .speculative = true});
       }
     }
     // Retries run as the next wave, ordered by (ready time, task index)
@@ -333,8 +278,6 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
     next_wave.clear();
   }
 
-  // Makespan is taken at the end rather than incrementally: a speculation
-  // kill can rewind a slot's free_at, so a running max would overstate.
   for (const Slot& slot : slots) {
     result.makespan = std::max(result.makespan, slot.free_at);
   }

@@ -14,6 +14,8 @@
 //   * kHybrid        — Slider's scheduler (§6): prefer the memo machine,
 //                      but migrate (paying the remote-fetch penalty) when
 //                      that machine is backed up, e.g. by a straggler.
+//                      Migration is the one straggler policy (Table 1):
+//                      no task ever runs twice at once.
 // One scheduling loop serves every stage. It keeps running through
 // machine failures (§6): a StageFaultPlan scripts mid-stage crashes, dead
 // machines and injected task failures, and a null or empty plan is the
@@ -44,11 +46,6 @@ struct StageResult {
   SimDuration makespan = 0;
   SimDuration work = 0;  // sum of effective task durations
   std::uint64_t migrations = 0;
-  // Straggler mitigation (§6 / Table 1): backup copies launched for tasks
-  // placed on slow machines, and how many of those backups finished first
-  // (the primary was killed at the backup's completion).
-  std::uint64_t speculative_launched = 0;
-  std::uint64_t speculative_wins = 0;
   // Fault tolerance (§6 failures): attempt accounting. `attempts` counts
   // every placement (first tries and re-executions), `failed_attempts`
   // counts attempts that were killed by a mid-stage machine crash or drew
@@ -74,7 +71,6 @@ struct TaskPlacement {
   SimDuration start = 0;
   SimDuration end = 0;
   bool migrated = false;
-  bool speculative = false;  // backup copy of an already-placed task
   // Fault tolerance: which attempt of the task this placement is (0 for
   // the first try) and whether the attempt failed — killed by a machine
   // crash mid-run or by an injected task failure — and was re-queued.
@@ -93,14 +89,6 @@ struct HybridOptions {
   // short tasks flee stragglers too.
   double patience_factor = 0.5;
   SimDuration patience_floor = 0.02;  // absolute slack tolerated
-  // Straggler speculation (kHybrid only): when a task lands on a machine
-  // whose duration factor is >= this threshold, a backup copy is scheduled
-  // on the earliest slot of another machine; whichever copy finishes first
-  // wins and the loser is killed at that moment. 0 disables speculation.
-  // A stage with a non-empty StageFaultPlan launches no backups: its
-  // retries take the backup copy's role. Every launched backup counts in
-  // the "task.speculative_reexecutions" StatsRegistry counter.
-  double speculate_slowdown = 0;
 };
 
 // Deterministic fault script for one stage, expressed in stage-relative
@@ -148,12 +136,10 @@ class StageSimulator {
   explicit StageSimulator(const Cluster& cluster) : cluster_(&cluster) {}
 
   // Schedules one stage. `timeline`, when non-null, receives the
-  // placements (one per attempt, plus any speculative backups). `faults`
-  // scripts the stage's failures: mid-stage crashes kill running attempts,
-  // failed attempts are retried with backoff under a bounded cap, and
-  // repeat offenders are blacklisted. A null or empty plan is the
-  // failure-free case, the only one in which kHybrid launches speculative
-  // backups.
+  // placements (one per attempt). `faults` scripts the stage's failures:
+  // mid-stage crashes kill running attempts, failed attempts are retried
+  // with backoff under a bounded cap, and repeat offenders are
+  // blacklisted. A null or empty plan is the failure-free case.
   StageResult run_stage(std::span<const SimTask> tasks, SchedulePolicy policy,
                         const HybridOptions& hybrid = {},
                         StageTimeline* timeline = nullptr,

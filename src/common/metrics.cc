@@ -19,8 +19,6 @@ RunMetrics& RunMetrics::operator+=(const RunMetrics& other) {
   combiner_reused += other.combiner_reused;
   reduce_tasks += other.reduce_tasks;
   migrations += other.migrations;
-  speculative_launched += other.speculative_launched;
-  speculative_wins += other.speculative_wins;
   task_attempts += other.task_attempts;
   failed_attempts += other.failed_attempts;
   task_retries += other.task_retries;

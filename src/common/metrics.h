@@ -42,10 +42,6 @@ struct RunMetrics {
   std::uint64_t reduce_tasks = 0;
   // Tasks the scheduler ran off their memo-preferred machine (Table 1).
   std::uint64_t migrations = 0;
-  // Straggler mitigation (Table 1): speculative backup copies launched and
-  // how many of them beat their primary.
-  std::uint64_t speculative_launched = 0;
-  std::uint64_t speculative_wins = 0;
   // Fault tolerance (paper §6): task attempts scheduled (>= tasks when
   // failures force re-execution), attempts that died (crash or injected
   // failure), retries (attempts beyond each task's first), and machines

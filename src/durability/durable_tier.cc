@@ -48,6 +48,11 @@ void DurableTier::flush() {
   for (auto& log : logs_) log->flush();
 }
 
+void DurableTier::sync() {
+  if (options_.log.fsync == FsyncPolicy::kNever) return;
+  for (auto& log : logs_) log->sync();
+}
+
 void DurableTier::close() {
   for (auto& log : logs_) log->close();
 }

@@ -62,6 +62,10 @@ class DurableTier {
   std::size_t tombstone(LogKey key, std::uint64_t seq);
 
   void flush();
+  // Fsyncs every replica's active segment, unless the fsync policy is
+  // kNever. Appends reach the page cache one by one, so afterwards every
+  // record appended so far survives a power cut.
+  void sync();
   void close();
 
   // True when every replica log has failed (nothing is durable anymore).

@@ -18,7 +18,6 @@
 #include "mapreduce/api.h"
 #include "mapreduce/map_runner.h"
 #include "mapreduce/reduce_runner.h"
-#include "storage/input_store.h"
 
 namespace slider {
 

@@ -15,6 +15,7 @@
 
 #include "common/logging.h"
 #include "observability/build_info.h"
+#include "observability/provenance.h"
 #include "observability/timeseries.h"
 #include "observability/trace.h"
 #include "observability/trace_export.h"
@@ -91,6 +92,47 @@ HttpResponse HttpResponse::error(int status, std::string message) {
   r.body = std::move(message);
   if (!r.body.empty() && r.body.back() != '\n') r.body += '\n';
   return r;
+}
+
+// --- provenance routes -------------------------------------------------------
+
+namespace {
+
+HttpResponse recording_disabled(std::string_view option) {
+  return HttpResponse::error(404, "provenance recording is not enabled (" +
+                                      std::string(option) + ")");
+}
+
+}  // namespace
+
+HttpResponse explain_route(const ProvenanceRecorder* recorder,
+                           const HttpRequest& request,
+                           std::uint64_t partitions, std::string_view option) {
+  if (recorder == nullptr) return recording_disabled(option);
+  const std::string key = request.query_param("key");
+  if (key.empty()) {
+    return HttpResponse::error(400, "missing ?key=<reduce key>");
+  }
+  const std::string raw = request.query_param("partition", "0");
+  const std::optional<std::uint64_t> partition = HttpRequest::parse_uint(raw);
+  if (!partition || *partition >= partitions) {
+    return HttpResponse::error(400, "bad partition '" + raw +
+                                        "' (must be below " +
+                                        std::to_string(partitions) + ")");
+  }
+  std::optional<std::uint64_t> sequence;
+  if (const std::string seq = request.query_param("sequence"); !seq.empty()) {
+    sequence = HttpRequest::parse_uint(seq);
+    if (!sequence) return HttpResponse::error(400, "bad sequence '" + seq + "'");
+  }
+  return HttpResponse::json(explanation_to_json(
+      recorder->explain(key, static_cast<int>(*partition), sequence)));
+}
+
+HttpResponse criticalpath_route(const ProvenanceRecorder* recorder,
+                                std::string_view option) {
+  if (recorder == nullptr) return recording_disabled(option);
+  return HttpResponse::json(criticalpath_to_json(recorder->snapshot()));
 }
 
 // --- Prometheus exposition ---------------------------------------------------

@@ -91,6 +91,22 @@ struct HttpResponse {
 std::string prometheus_text(const StatsSnapshot& stats,
                             const LedgerSnapshot& ledger);
 
+class ProvenanceRecorder;
+
+// The provenance drill-down routes, one handler each for the session's
+// endpoint and the fleet's (which resolves ?tenant= to a recorder first).
+// A null `recorder` answers 404, naming `option` as the setting that arms
+// recording.
+//   /explain?key=K[&partition=P][&sequence=S]: 400 on a missing key, a
+//   partition that does not parse or is not below `partitions`, or a
+//   sequence that does not parse.
+//   /criticalpath.json: the recorder's critical paths.
+HttpResponse explain_route(const ProvenanceRecorder* recorder,
+                           const HttpRequest& request,
+                           std::uint64_t partitions, std::string_view option);
+HttpResponse criticalpath_route(const ProvenanceRecorder* recorder,
+                                std::string_view option);
+
 class IntrospectionServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;

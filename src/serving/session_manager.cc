@@ -465,65 +465,39 @@ bool SessionManager::start_introspection() {
         return obs::HttpResponse::json(it->second->series.to_json());
       });
   // Tenant-routed provenance drill-downs. Unlike the single-session
-  // endpoint the fleet serves many recorders, so ?tenant= is mandatory.
-  server->add_route("/explain", [this](const obs::HttpRequest& request) {
+  // endpoint the fleet serves many recorders, so ?tenant= is mandatory and
+  // resolved first. Tenants size their windows independently, so /explain
+  // bounds the partition by the int range only; explain() reports a
+  // partition the tenant lacks as not found.
+  const auto with_recorder = [this](const obs::HttpRequest& request,
+                                    const auto& route) {
     const std::string tenant = request.query_param("tenant", "");
     if (tenant.empty()) {
       return obs::HttpResponse::error(400, "missing ?tenant=<name>");
-    }
-    const std::string key = request.query_param("key");
-    if (key.empty()) {
-      return obs::HttpResponse::error(400, "missing ?key=<reduce key>");
-    }
-    // Tenants size their windows independently, so only the int range is
-    // checked here; explain() reports a partition the tenant lacks as not
-    // found.
-    const std::string raw = request.query_param("partition", "0");
-    const std::optional<std::uint64_t> partition = obs::HttpRequest::parse_uint(
-        raw, static_cast<std::uint64_t>(std::numeric_limits<int>::max()));
-    if (!partition) {
-      return obs::HttpResponse::error(400, "bad partition '" + raw + "'");
-    }
-    std::optional<std::uint64_t> sequence;
-    if (const std::string seq = request.query_param("sequence");
-        !seq.empty()) {
-      sequence = obs::HttpRequest::parse_uint(seq);
-      if (!sequence) {
-        return obs::HttpResponse::error(400, "bad sequence '" + seq + "'");
-      }
     }
     std::shared_lock<std::shared_mutex> registry(registry_mutex_);
     const auto it = tenants_.find(tenant);
     if (it == tenants_.end()) {
       return obs::HttpResponse::error(404, "no such tenant: " + tenant);
     }
-    if (it->second->provenance == nullptr) {
-      return obs::HttpResponse::error(
-          404, "provenance recording is not enabled "
-               "(SessionManagerOptions::record_provenance)");
-    }
-    return obs::HttpResponse::json(
-        obs::explanation_to_json(it->second->provenance->explain(
-            key, static_cast<int>(*partition), sequence)));
+    return route(it->second->provenance.get());
+  };
+  static constexpr std::string_view kOption =
+      "SessionManagerOptions::record_provenance";
+  server->add_route("/explain", [with_recorder](
+                                    const obs::HttpRequest& request) {
+    return with_recorder(request, [&](const obs::ProvenanceRecorder* recorder) {
+      constexpr auto kPartitions =
+          static_cast<std::uint64_t>(std::numeric_limits<int>::max()) + 1;
+      return obs::explain_route(recorder, request, kPartitions, kOption);
+    });
   });
   server->add_route(
-      "/criticalpath.json", [this](const obs::HttpRequest& request) {
-        const std::string tenant = request.query_param("tenant", "");
-        if (tenant.empty()) {
-          return obs::HttpResponse::error(400, "missing ?tenant=<name>");
-        }
-        std::shared_lock<std::shared_mutex> registry(registry_mutex_);
-        const auto it = tenants_.find(tenant);
-        if (it == tenants_.end()) {
-          return obs::HttpResponse::error(404, "no such tenant: " + tenant);
-        }
-        if (it->second->provenance == nullptr) {
-          return obs::HttpResponse::error(
-              404, "provenance recording is not enabled "
-                   "(SessionManagerOptions::record_provenance)");
-        }
-        return obs::HttpResponse::json(
-            obs::criticalpath_to_json(it->second->provenance->snapshot()));
+      "/criticalpath.json", [with_recorder](const obs::HttpRequest& request) {
+        return with_recorder(
+            request, [](const obs::ProvenanceRecorder* recorder) {
+              return obs::criticalpath_route(recorder, kOption);
+            });
       });
   if (!server->start()) return false;
   introspect_ = std::move(server);

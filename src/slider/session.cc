@@ -287,44 +287,13 @@ void SliderSession::maybe_start_introspection() {
     return obs::HttpResponse::json(tree_description_to_json(description));
   });
   introspect_->add_route("/explain", [this](const obs::HttpRequest& request) {
-    if (provenance_ == nullptr) {
-      return obs::HttpResponse::error(
-          404, "provenance recording is not enabled "
-               "(SliderConfig::record_provenance)");
-    }
-    const std::string key = request.query_param("key");
-    if (key.empty()) {
-      return obs::HttpResponse::error(400, "missing ?key=<reduce key>");
-    }
-    const std::string raw = request.query_param("partition", "0");
-    const std::optional<std::uint64_t> partition =
-        obs::HttpRequest::parse_uint(raw);
-    if (!partition || *partition >= partitions_.size()) {
-      return obs::HttpResponse::error(
-          400, "bad partition '" + raw + "' (have " +
-                   std::to_string(partitions_.size()) + ")");
-    }
-    std::optional<std::uint64_t> sequence;
-    if (const std::string seq = request.query_param("sequence");
-        !seq.empty()) {
-      sequence = obs::HttpRequest::parse_uint(seq);
-      if (!sequence) {
-        return obs::HttpResponse::error(400, "bad sequence '" + seq + "'");
-      }
-    }
-    return obs::HttpResponse::json(obs::explanation_to_json(
-        provenance_->explain(key, static_cast<int>(*partition), sequence)));
+    return obs::explain_route(provenance_, request, partitions_.size(),
+                              "SliderConfig::record_provenance");
   });
-  introspect_->add_route(
-      "/criticalpath.json", [this](const obs::HttpRequest&) {
-        if (provenance_ == nullptr) {
-          return obs::HttpResponse::error(
-              404, "provenance recording is not enabled "
-                   "(SliderConfig::record_provenance)");
-        }
-        return obs::HttpResponse::json(
-            obs::criticalpath_to_json(provenance_->snapshot()));
-      });
+  introspect_->add_route("/criticalpath.json", [this](const obs::HttpRequest&) {
+    return obs::criticalpath_route(provenance_,
+                                   "SliderConfig::record_provenance");
+  });
   // Override the stock liveness probe with the session's degradation view:
   // still HTTP 200 either way (the process is alive and, by construction,
   // still producing correct outputs — degradation only costs recomputes),
@@ -670,12 +639,8 @@ StageResult SliderSession::run_partition_stage(
     fault_plan = config_.fault_provider->stage_faults(stage_start);
   }
   const StageResult stage = engine_->simulator().run_stage(
-      tasks, config_.reduce_policy,
-      HybridOptions{.speculate_slowdown = config_.speculate_slowdown},
-      timeline, &fault_plan);
+      tasks, config_.reduce_policy, HybridOptions{}, timeline, &fault_plan);
   metrics.migrations += stage.migrations;
-  metrics.speculative_launched += stage.speculative_launched;
-  metrics.speculative_wins += stage.speculative_wins;
   metrics.task_attempts += stage.attempts;
   metrics.failed_attempts += stage.failed_attempts;
   metrics.task_retries += stage.task_retries;
@@ -925,6 +890,9 @@ bool SliderSession::checkpoint(const std::string& dir) const {
     p.tree->serialize(writer);
   }
 
+  // The manifest names durably persisted nodes by reference: their log
+  // records must reach the disk before the manifest's rename publishes it.
+  memo_->sync_durable();
   const std::string path = dir + "/session.slckpt";
   if (!writer.write_manifest(path)) {
     SLIDER_LOG(Warning) << "checkpoint: manifest write failed: " << path;

@@ -52,14 +52,6 @@ struct SliderConfig {
   // and collects for every session at once (take_released_ids()).
   bool run_gc = true;
   SchedulePolicy reduce_policy = SchedulePolicy::kHybrid;
-  // Straggler speculation threshold, forwarded to HybridOptions (§6 /
-  // Table 1): with kHybrid, tasks placed on a machine whose duration
-  // factor is >= this value get a backup copy on another machine; the
-  // first copy to finish wins. 0 disables speculation, and stages that
-  // fault_provider injects failures into launch no backups. Each launched
-  // backup counts in the "task.speculative_reexecutions" StatsRegistry
-  // counter; it runs no tree work, so the causal work ledger bills none.
-  double speculate_slowdown = 0;
   // Live introspection endpoint (observability/introspection_server.h).
   // -1 disables it entirely (no server object, no per-run locking);
   // 0 binds an OS-assigned ephemeral port; >0 binds that port, falling
@@ -271,8 +263,8 @@ class SliderSession {
                                   std::size_t partition) const;
   // Schedules one stage of per-partition tasks that starts at `stage_start`
   // on the session clock, under the fault provider's plan for it, and
-  // folds the stage's migration, speculation and attempt counters into
-  // `metrics`. The caller books the makespan.
+  // folds the stage's migration and attempt counters into `metrics`. The
+  // caller books the makespan.
   StageResult run_partition_stage(const std::vector<SimTask>& tasks,
                                   SimDuration stage_start,
                                   StageTimeline* timeline,

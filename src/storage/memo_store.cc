@@ -149,48 +149,25 @@ void MemoStore::evict_to_capacity() {
   // this never deadlocks with the single-shard public operations.
   std::lock_guard<std::mutex> evict_lock(evict_mutex_);
   while (memory_bytes_.load(std::memory_order_relaxed) > capacity) {
-    // Quota-aware LRU: prefer the least-recent memory copy belonging to a
-    // tenant over its byte quota (a tenant's overage should cost itself
-    // first), then fall back to global recency. The preference pass scans
-    // whole LRU lists (not just tails) — eviction is rare and the lists
-    // are window-bounded, same O(n) class as the budget policy.
+    // Plain LRU: the victim is the least recent of the per-shard LRU
+    // tails, O(shards) per victim. Exact when writers are quiescent (the
+    // single-threaded policy tests); LRU up to in-flight touches
+    // otherwise. No owner preference is needed: put() runs the
+    // whole-entry policies first, so a tenant is over its byte quota here
+    // only transiently or when only pinned ids remain.
     NodeId victim = 0;
     std::size_t victim_shard = kShards;
     std::uint64_t victim_seq = 0;
     for (std::size_t s = 0; s < kShards; ++s) {
       std::lock_guard<std::mutex> lock(shards_[s].mutex);
-      for (auto lru_it = shards_[s].lru.rbegin();
-           lru_it != shards_[s].lru.rend(); ++lru_it) {
-        const auto it = shards_[s].index.find(*lru_it);
-        SLIDER_CHECK(it != shards_[s].index.end()) << "LRU entry not in index";
-        if (it->second.tenant == 0 ||
-            !tenant_over_byte_quota(it->second.tenant)) {
-          continue;
-        }
-        if (victim_shard == kShards || it->second.touch_seq < victim_seq) {
-          victim = *lru_it;
-          victim_shard = s;
-          victim_seq = it->second.touch_seq;
-        }
-        break;  // least recent over-quota copy in this shard
-      }
-    }
-    if (victim_shard == kShards) {
-      // No over-quota tenant holds memory: global LRU victim = the least
-      // recent of the per-shard LRU tails. Exact when writers are
-      // quiescent (the single-threaded policy tests); LRU up to in-flight
-      // touches otherwise.
-      for (std::size_t s = 0; s < kShards; ++s) {
-        std::lock_guard<std::mutex> lock(shards_[s].mutex);
-        if (shards_[s].lru.empty()) continue;
-        const NodeId tail = shards_[s].lru.back();
-        const auto it = shards_[s].index.find(tail);
-        SLIDER_CHECK(it != shards_[s].index.end()) << "LRU entry not in index";
-        if (victim_shard == kShards || it->second.touch_seq < victim_seq) {
-          victim = tail;
-          victim_shard = s;
-          victim_seq = it->second.touch_seq;
-        }
+      if (shards_[s].lru.empty()) continue;
+      const NodeId tail = shards_[s].lru.back();
+      const auto it = shards_[s].index.find(tail);
+      SLIDER_CHECK(it != shards_[s].index.end()) << "LRU entry not in index";
+      if (victim_shard == kShards || it->second.touch_seq < victim_seq) {
+        victim = tail;
+        victim_shard = s;
+        victim_seq = it->second.touch_seq;
       }
     }
     if (victim_shard == kShards) break;  // nothing memory-resident
@@ -211,52 +188,7 @@ void MemoStore::evict_to_capacity() {
 void MemoStore::enforce_entry_budget() {
   const std::size_t budget = entry_budget_.load(std::memory_order_relaxed);
   if (budget == 0 || size() <= budget) return;
-  const auto pinned = pinned_snapshot();
-  std::vector<NodeId> durable_victims;
-  std::lock_guard<std::mutex> evict_lock(evict_mutex_);
-  // Drop the oldest-written entries entirely. Linear scan is fine: the
-  // budget policy fires rarely and the index is window-bounded.
-  while (size() > budget) {
-    NodeId victim = 0;
-    std::size_t victim_shard = kShards;
-    std::uint64_t victim_seq = 0;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s].mutex);
-      for (const auto& [id, entry] : shards_[s].index) {
-        if (pinned != nullptr && pinned->count(id) != 0) continue;
-        if (victim_shard == kShards || entry.write_seq < victim_seq) {
-          victim = id;
-          victim_shard = s;
-          victim_seq = entry.write_seq;
-        }
-      }
-    }
-    if (victim_shard == kShards) break;  // empty or everything pinned
-
-    Shard& shard = shards_[victim_shard];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(victim);
-    if (it == shard.index.end()) continue;
-    if (it->second.durable) durable_victims.push_back(victim);
-    remove_locked(shard, it);
-    // Remember the id so a later miss on it is classified as
-    // eviction-forced (bounded set; see Shard::evicted).
-    if (shard.evicted.size() >= kEvictedSetCap) shard.evicted.clear();
-    shard.evicted.insert(victim);
-    stats_.budget_evictions.fetch_add(1, std::memory_order_relaxed);
-    [[maybe_unused]] const double evicted =
-        static_cast<double>(memo_instruments().evictions_budget.add());
-    SLIDER_TRACE_COUNTER("memo", "memo.evictions_budget", evicted);
-  }
-  if (durable_ != nullptr) {
-    // Budget eviction is a deliberate forget: tombstone the victims so a
-    // restart does not resurrect entries the policy discarded.
-    for (const NodeId id : durable_victims) {
-      durable_append(id, next_write_seq_.fetch_add(1, std::memory_order_relaxed),
-                     std::string(), /*tombstone=*/true);
-    }
-  }
-  refresh_gauges();
+  evict_whole_entries(nullptr, [&] { return size() > budget; });
 }
 
 void MemoStore::enforce_tenant_quota(std::uint64_t tenant) {
@@ -274,39 +206,72 @@ void MemoStore::enforce_tenant_quota(std::uint64_t tenant) {
             cell.entries.load(std::memory_order_relaxed) > quota_entries);
   };
   if (!over()) return;
-  const auto pinned = pinned_snapshot();
-  std::vector<NodeId> durable_victims;
-  std::lock_guard<std::mutex> evict_lock(evict_mutex_);
-  // Evict the over-quota tenant's OWN oldest-written entries until it
-  // fits. Like the budget policy this is a deliberate forget: victims are
-  // registered in the evicted set (later misses on them classify as
-  // eviction-forced and recompute — never a wrong answer) and their
-  // durable copies are tombstoned. Other tenants' entries are untouched.
-  // Each victim is the first non-pinned id of the tenant's write-order
-  // index: O(log k) in the tenant's k entries, plus one step per pinned
-  // entry older than it.
-  while (over()) {
-    const std::optional<NodeId> victim = oldest_unpinned(cell, pinned.get());
-    if (!victim.has_value()) break;  // only pinned entries remain
+  // Only the over-quota tenant's own entries go; its neighbours' are
+  // untouched.
+  evict_whole_entries(&cell, over);
+}
 
-    // The order mutex is released before the shard mutex is taken (lock
-    // order). An entry erased in between has also left the index, so the
-    // next pick moves on.
-    Shard& shard = shard_of(*victim);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(*victim);
-    if (it == shard.index.end()) continue;
-    if (it->second.durable) durable_victims.push_back(*victim);
-    remove_locked(shard, it);
-    if (shard.evicted.size() >= kEvictedSetCap) shard.evicted.clear();
-    shard.evicted.insert(*victim);
-    cell.quota_evictions.fetch_add(1, std::memory_order_relaxed);
-    stats_.quota_evictions.fetch_add(1, std::memory_order_relaxed);
-    [[maybe_unused]] const double evicted =
-        static_cast<double>(memo_instruments().evictions_quota.add());
-    SLIDER_TRACE_COUNTER("memo", "memo.evictions_quota", evicted);
+void MemoStore::evict_whole_entries(TenantCell* quota,
+                                    const std::function<bool()>& over) {
+  const auto pinned = pinned_snapshot();
+  std::atomic<std::uint64_t>& evictions =
+      quota != nullptr ? stats_.quota_evictions : stats_.budget_evictions;
+  obs::Counter& counter = quota != nullptr
+                              ? memo_instruments().evictions_quota
+                              : memo_instruments().evictions_budget;
+  [[maybe_unused]] const char* counter_name =
+      quota != nullptr ? "memo.evictions_quota" : "memo.evictions_budget";
+  std::vector<NodeId> durable_victims;
+  {
+    std::lock_guard<std::mutex> evict_lock(evict_mutex_);
+    std::vector<TenantCell*> owners;
+    if (quota != nullptr) {
+      owners.push_back(quota);
+    } else {
+      owners.push_back(&untenanted_);
+      std::lock_guard<std::mutex> lock(tenant_mutex_);
+      for (const auto& [salt, cell] : tenants_) owners.push_back(cell.get());
+    }
+    while (over()) {
+      // Every entry sits in exactly one owner's write-order index, so the
+      // oldest unpinned head across the owners is the oldest unpinned
+      // entry: O(owners) per victim, plus one step per pinned entry passed
+      // over. Each order mutex is taken alone, with no shard mutex held.
+      std::optional<std::pair<std::uint64_t, NodeId>> victim;
+      for (TenantCell* cell : owners) {
+        const auto head = oldest_unpinned(*cell, pinned.get());
+        if (head.has_value() &&
+            (!victim.has_value() || head->first < victim->first)) {
+          victim = head;
+        }
+      }
+      if (!victim.has_value()) break;  // empty, or only pinned ids remain
+
+      // An entry erased since the pick has also left its owner's index,
+      // so the next pick moves on.
+      const NodeId id = victim->second;
+      Shard& shard = shard_of(id);
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      const auto it = shard.index.find(id);
+      if (it == shard.index.end()) continue;
+      if (it->second.durable) durable_victims.push_back(id);
+      remove_locked(shard, it);
+      // Remember the id so a later miss on it is classified as
+      // eviction-forced (bounded set; see Shard::evicted).
+      if (shard.evicted.size() >= kEvictedSetCap) shard.evicted.clear();
+      shard.evicted.insert(id);
+      if (quota != nullptr) {
+        quota->quota_evictions.fetch_add(1, std::memory_order_relaxed);
+      }
+      evictions.fetch_add(1, std::memory_order_relaxed);
+      [[maybe_unused]] const double evicted =
+          static_cast<double>(counter.add());
+      SLIDER_TRACE_COUNTER("memo", counter_name, evicted);
+    }
   }
   if (durable_ != nullptr) {
+    // Whole-entry eviction is a deliberate forget: tombstone the victims
+    // so a restart does not resurrect entries a policy discarded.
     for (const NodeId id : durable_victims) {
       durable_append(id, next_write_seq_.fetch_add(1, std::memory_order_relaxed),
                      std::string(), /*tombstone=*/true);
@@ -316,6 +281,7 @@ void MemoStore::enforce_tenant_quota(std::uint64_t tenant) {
 }
 
 MemoStore::TenantCell& MemoStore::tenant_cell(std::uint64_t tenant) const {
+  if (tenant == 0) return untenanted_;
   std::lock_guard<std::mutex> lock(tenant_mutex_);
   auto& cell = tenants_[tenant];
   if (cell == nullptr) cell = std::make_unique<TenantCell>();
@@ -323,7 +289,6 @@ MemoStore::TenantCell& MemoStore::tenant_cell(std::uint64_t tenant) const {
 }
 
 void MemoStore::account_insert(NodeId id, const Entry& entry) {
-  if (entry.tenant == 0) return;
   TenantCell& cell = tenant_cell(entry.tenant);
   cell.bytes.fetch_add(entry.bytes, std::memory_order_relaxed);
   cell.entries.fetch_add(1, std::memory_order_relaxed);
@@ -332,7 +297,6 @@ void MemoStore::account_insert(NodeId id, const Entry& entry) {
 }
 
 void MemoStore::account_erase(NodeId id, const Entry& entry) {
-  if (entry.tenant == 0) return;
   TenantCell& cell = tenant_cell(entry.tenant);
   cell.bytes.fetch_sub(entry.bytes, std::memory_order_relaxed);
   cell.entries.fetch_sub(1, std::memory_order_relaxed);
@@ -340,27 +304,19 @@ void MemoStore::account_erase(NodeId id, const Entry& entry) {
   cell.order.erase(std::pair(entry.write_seq, id));
 }
 
-std::optional<NodeId> MemoStore::oldest_unpinned(
+std::optional<std::pair<std::uint64_t, NodeId>> MemoStore::oldest_unpinned(
     TenantCell& cell, const std::unordered_set<NodeId>* pinned) {
   std::lock_guard<std::mutex> lock(cell.order_mutex);
   for (const auto& [seq, id] : cell.order) {
-    if (pinned == nullptr || pinned->count(id) == 0) return id;
+    if (pinned == nullptr || pinned->count(id) == 0) return std::pair(seq, id);
   }
   return std::nullopt;
 }
 
 std::size_t MemoStore::debug_tenant_index_size(std::uint64_t tenant) const {
-  if (tenant == 0) return 0;
   TenantCell& cell = tenant_cell(tenant);
   std::lock_guard<std::mutex> lock(cell.order_mutex);
   return cell.order.size();
-}
-
-bool MemoStore::tenant_over_byte_quota(std::uint64_t tenant) const {
-  if (tenant == 0) return false;
-  const TenantCell& cell = tenant_cell(tenant);
-  const std::uint64_t quota = cell.quota_bytes.load(std::memory_order_relaxed);
-  return quota != 0 && cell.bytes.load(std::memory_order_relaxed) > quota;
 }
 
 std::shared_ptr<const std::unordered_set<NodeId>> MemoStore::pinned_snapshot()
@@ -386,7 +342,6 @@ void MemoStore::set_tenant_quota(std::uint64_t tenant, TenantQuota quota) {
 TenantUsage MemoStore::tenant_usage(std::uint64_t tenant) const {
   TenantUsage usage;
   usage.tenant = tenant;
-  if (tenant == 0) return usage;
   const TenantCell& cell = tenant_cell(tenant);
   usage.bytes = cell.bytes.load(std::memory_order_relaxed);
   usage.entries = cell.entries.load(std::memory_order_relaxed);
@@ -401,9 +356,7 @@ std::vector<TenantUsage> MemoStore::tenant_usage_snapshot() const {
   {
     std::lock_guard<std::mutex> lock(tenant_mutex_);
     salts.reserve(tenants_.size());
-    for (const auto& [salt, cell] : tenants_) {
-      if (salt != 0) salts.push_back(salt);
-    }
+    for (const auto& [salt, cell] : tenants_) salts.push_back(salt);
   }
   std::sort(salts.begin(), salts.end());
   std::vector<TenantUsage> usages;
@@ -446,7 +399,9 @@ MemoWriteResult MemoStore::put(NodeId id, std::shared_ptr<const KVTable> table,
       if (entry.tenant == 0 && tenant != 0) {
         // Adoption: the entry predates tenant attribution (recovered from
         // the durable log, or written untenanted); the first tenanted
-        // re-put claims it for quota accounting, at its original age.
+        // re-put moves it from the untenanted cell to the writer's, at
+        // its original age.
+        account_erase(id, entry);
         entry.tenant = tenant;
         account_insert(id, entry);
       }
@@ -512,10 +467,12 @@ MemoWriteResult MemoStore::put(NodeId id, std::shared_ptr<const KVTable> table,
       if (it != shard.index.end()) it->second.durable = true;
     }
   }
-  // Policies run without the shard mutex held (locking discipline).
-  if (installed_memory) evict_to_capacity();
+  // Policies run without the shard mutex held (locking discipline). The
+  // whole-entry policies run first, so the memory tier's LRU never has to
+  // choose between owners.
   enforce_entry_budget();
   if (tenant != 0) enforce_tenant_quota(tenant);
+  if (installed_memory) evict_to_capacity();
   refresh_gauges();
   return result;
 }
@@ -787,6 +744,7 @@ std::size_t MemoStore::restore_from_durable(
     }
     entry.write_seq = seq;  // preserve pre-crash age ordering
     entry.durable = true;
+    account_insert(id, entry);  // untenanted until a tenanted re-put adopts it
     // Memory tier starts cold; reads repopulate it lazily.
     total_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
     entry_count_.fetch_add(1, std::memory_order_relaxed);
@@ -838,6 +796,12 @@ void MemoStore::flush_durable() {
     drain_degraded_locked();
   }
   durable_->flush();
+}
+
+void MemoStore::sync_durable() {
+  if (durable_ == nullptr) return;
+  std::lock_guard<std::mutex> dlock(durable_mutex_);
+  durable_->sync();
 }
 
 std::size_t MemoStore::degraded_backlog() const {

@@ -14,13 +14,17 @@
 // Thread safety: the store is shared by every partition's contraction tree
 // and the parallel map stage, so all public methods are safe for
 // concurrent callers. The index is sharded (per-shard mutex + per-shard
-// LRU list); byte/entry/sequence counters are atomics; eviction policies
-// serialize on a dedicated mutex and pick victims by global recency stamps
-// (exact LRU when single-threaded, LRU up to in-flight races otherwise).
+// LRU list); byte/entry/sequence counters are atomics. Each entry also
+// sits in exactly one owner's write-order index (one cell per tenant,
+// plus the untenanted cell). Eviction has one path per tier: whole-entry
+// policies (entry budget, tenant quota) drop the oldest unpinned entries
+// from the write-order indexes, and the memory tier drops the least
+// recent of the shard LRU tails. Both serialize on a dedicated mutex
+// (exact when single-threaded, up to in-flight races otherwise).
 // Locking discipline: public methods take at most one shard mutex at a
 // time and never call the eviction policies while holding it; the eviction
 // policies take evict_mutex_ first and then shard mutexes one at a time.
-// A tenant's write-order mutex nests inside a shard mutex, never the
+// An owner's write-order mutex nests inside a shard mutex, never the
 // reverse — see docs/threading.md.
 #pragma once
 
@@ -28,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -146,18 +151,19 @@ class MemoStore {
     return memory_enabled_.load(std::memory_order_relaxed);
   }
 
-  // Bounds the in-memory tier (aggregate bytes across machines); least
-  // recently used memory copies are dropped first. Their persistent
-  // replicas keep serving, so this only trades read latency for RAM.
-  // 0 = unbounded (default).
+  // Bounds the in-memory tier (aggregate bytes across machines) by plain
+  // LRU: the least recently used memory copy is dropped first, whoever
+  // owns it. Its persistent replicas keep serving, so this only trades
+  // read latency for RAM. 0 = unbounded (default).
   void set_memory_capacity_bytes(std::uint64_t capacity);
   std::uint64_t memory_bytes() const {
     return memory_bytes_.load(std::memory_order_relaxed);
   }
 
   // Aggressive user-defined GC policy (§6): cap the total number of
-  // memoized entries; the oldest-written entries are discarded entirely
-  // (memory + persistent) when the cap is exceeded. 0 = unbounded.
+  // memoized entries; the oldest-written unpinned entries, across every
+  // owner, are discarded entirely (memory + persistent) when the cap is
+  // exceeded. 0 = unbounded.
   void set_entry_budget(std::size_t budget);
 
   // Home machine of an entry (where its in-memory copy lives and where the
@@ -187,14 +193,16 @@ class MemoStore {
   // --- multi-tenant quotas (src/serving) -------------------------------
   //
   // Bounds one tenant's share of the shared store. Enforced after every
-  // put by evicting the over-quota tenant's own oldest-written entries
-  // (whole entries, memory + persistent, durable copies tombstoned) until
-  // it fits — global recency eviction never has to punish a neighbour for
-  // this tenant's footprint. A zero-valued quota removes the bound.
+  // put, before the memory tier's LRU, by evicting the over-quota
+  // tenant's own oldest-written entries (whole entries, memory +
+  // persistent, durable copies tombstoned) until it fits, so the LRU never
+  // punishes a neighbour for this tenant's footprint. A zero-valued quota
+  // removes the bound.
   void set_tenant_quota(std::uint64_t tenant, TenantQuota quota);
 
   // Usage snapshot for one tenant / every tenant ever seen. Tenant 0
-  // (untenanted writes) is excluded from the fleet snapshot.
+  // reads the untenanted cell (untenanted writes and recovered entries
+  // not yet adopted); the fleet snapshot leaves it out.
   TenantUsage tenant_usage(std::uint64_t tenant) const;
   std::vector<TenantUsage> tenant_usage_snapshot() const;
 
@@ -274,6 +282,11 @@ class MemoStore {
   // order.
   void flush_durable();
 
+  // DurableTier::sync under the durable mutex (no-op without a tier). A
+  // checkpoint calls it before publishing a manifest that names nodes by
+  // reference, so those records survive whatever the manifest survives.
+  void sync_durable();
+
   // Degraded durable mode (§6 fault tolerance, made continuous): when a
   // durable-tier append is rejected by every replica (write error / fault
   // injection), the store does NOT abort or silently lose durability
@@ -317,8 +330,9 @@ class MemoStore {
   bool debug_corrupt_persistent(NodeId id);
   bool debug_swap_memory(NodeId id, std::shared_ptr<const KVTable> table);
 
-  // Test hook: entries in `tenant`'s quota-victim index. Always equals
-  // tenant_usage(tenant).entries once concurrent writers are quiescent.
+  // Test hook: entries in `tenant`'s write-order index (0 = untenanted).
+  // Always equals tenant_usage(tenant).entries once concurrent writers
+  // are quiescent.
   std::size_t debug_tenant_index_size(std::uint64_t tenant) const;
 
   // Opportunistic recovery probe, called at slide boundaries (and safe
@@ -349,7 +363,7 @@ class MemoStore {
     // set_verify_checksums for the memory tier).
     std::uint32_t payload_crc = 0;
     std::uint64_t tenant = 0;     // owner salt (0 = untenanted)
-    std::uint64_t write_seq = 0;  // insertion order (budget GC)
+    std::uint64_t write_seq = 0;  // insertion order (whole-entry victims)
     std::uint64_t touch_seq = 0;  // global recency stamp (memory LRU)
     bool durable = false;  // mirrored into the attached DurableTier's logs
     std::list<NodeId>::iterator lru_position;  // valid iff memory != null
@@ -387,44 +401,54 @@ class MemoStore {
   void touch(Shard& shard, Entry& entry);
 
   // Removes the entry at `it` from its shard (memory copy, byte and entry
-  // counts, tenant accounting) and returns the next iterator. Requires the
+  // counts, owner accounting) and returns the next iterator. Requires the
   // shard mutex held.
   std::unordered_map<NodeId, Entry>::iterator remove_locked(
       Shard& shard, std::unordered_map<NodeId, Entry>::iterator it);
 
-  // Eviction policies. Must be called WITHOUT any shard mutex held; they
-  // serialize on evict_mutex_ and lock shards one at a time.
-  void evict_to_capacity();
-  void enforce_entry_budget();
-  void enforce_tenant_quota(std::uint64_t tenant);
-
-  // --- per-tenant accounting -------------------------------------------
-  // One cell per tenant salt ever seen; pointers are stable (unique_ptr
-  // values) so hot paths update the atomics without tenant_mutex_ after
-  // the find-or-create lookup.
+  // --- per-owner accounting --------------------------------------------
+  // One cell per tenant salt ever seen, plus the untenanted cell (salt 0,
+  // a member). Pointers are stable (unique_ptr values) so hot paths update
+  // the atomics without tenant_mutex_ after the find-or-create lookup.
   struct TenantCell {
     std::atomic<std::uint64_t> bytes{0};
     std::atomic<std::uint64_t> entries{0};
     std::atomic<std::uint64_t> quota_evictions{0};
     std::atomic<std::uint64_t> quota_bytes{0};    // 0 = unbounded
     std::atomic<std::uint64_t> quota_entries{0};  // 0 = unbounded
-    // The tenant's entries as (write_seq, id), oldest first: the quota
-    // policy's victim order. Updated with the counters above, under the
-    // entry's shard mutex; lock order is shard mutex, then order_mutex.
+    // The owner's entries as (write_seq, id), oldest first: the
+    // whole-entry policies' victim order. Updated with the counters above,
+    // under the entry's shard mutex; lock order is shard mutex, then
+    // order_mutex.
     std::mutex order_mutex;
     std::set<std::pair<std::uint64_t, NodeId>> order;
   };
+  // The owner's cell: the untenanted member for 0 (no lock taken), else
+  // found or created under tenant_mutex_.
   TenantCell& tenant_cell(std::uint64_t tenant) const;
-  // Attribute / release `entry` (stored under `id`) to its tenant's cell:
-  // counters and write-order index. No-op for tenant 0. Require the
-  // entry's shard mutex held.
+  // Attribute / release `entry` (stored under `id`) to its owner's cell:
+  // counters and write-order index. Every path that installs or removes
+  // an index entry goes through these. Require the entry's shard mutex
+  // held.
   void account_insert(NodeId id, const Entry& entry);
   void account_erase(NodeId id, const Entry& entry);
-  // The tenant's oldest-written entry not in `pinned`, if any.
-  static std::optional<NodeId> oldest_unpinned(
+  // The owner's oldest-written entry not in `pinned`, as (write_seq, id).
+  static std::optional<std::pair<std::uint64_t, NodeId>> oldest_unpinned(
       TenantCell& cell, const std::unordered_set<NodeId>* pinned);
-  bool tenant_over_byte_quota(std::uint64_t tenant) const;
   std::shared_ptr<const std::unordered_set<NodeId>> pinned_snapshot() const;
+
+  // Eviction policies. Must be called WITHOUT any shard mutex held; they
+  // serialize on evict_mutex_ and lock shards one at a time.
+  void evict_to_capacity();
+  void enforce_entry_budget();
+  void enforce_tenant_quota(std::uint64_t tenant);
+  // The one whole-entry eviction loop, shared by the entry budget
+  // (`quota` null: victims across every owner) and a tenant quota
+  // (victims from `quota`'s cell only). While `over()` holds, it removes
+  // the oldest unpinned entry, remembers it as eviction-forced and counts
+  // it; durable victims are tombstoned after the locks are released.
+  void evict_whole_entries(TenantCell* quota,
+                           const std::function<bool()>& over);
 
   // Pushes the authoritative entry/byte counts into the stats gauges
   // ("memo.entries"/"memo.bytes"/"memo.memory_bytes"). Called after every
@@ -449,6 +473,7 @@ class MemoStore {
   // durable_mutex_ like all other durable-tier I/O.
   std::unique_ptr<durability::IntegrityScrubber> scrubber_;
 
+  mutable TenantCell untenanted_;    // owner of tenant-0 entries
   mutable std::mutex tenant_mutex_;  // guards the map shape, not the cells
   mutable std::unordered_map<std::uint64_t, std::unique_ptr<TenantCell>>
       tenants_;

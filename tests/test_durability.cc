@@ -1112,5 +1112,50 @@ TEST_F(DurabilityTest, RestoreRejectsWrongJobOrMissingManifest) {
   EXPECT_FALSE(no_manifest.restore(path("nonexistent")));
 }
 
+// A manifest names durably persisted nodes by reference, so checkpoint()
+// fsyncs each replica's active segment before it publishes the manifest:
+// else a power cut under kOnRotate could keep the renamed manifest and
+// lose the records it names. kNever (every bench tier) syncs nothing. The
+// manifest's own fsync is not a log fsync and is not counted.
+TEST_F(DurabilityTest, CheckpointSyncsTheLogBeforeTheManifest) {
+  using durability::FsyncPolicy;
+  const auto bench = apps::make_microbenchmark(apps::MicroApp::kHct);
+  ClusterConfig cluster_config{.num_machines = 4, .slots_per_machine = 2};
+  CostModel cost;
+  Cluster cluster(cluster_config);
+  VanillaEngine engine(cluster, cost);
+  obs::Counter& fsyncs =
+      obs::StatsRegistry::global().counter("durability.fsyncs");
+  for (const FsyncPolicy policy :
+       {FsyncPolicy::kOnRotate, FsyncPolicy::kNever}) {
+    const std::string name =
+        policy == FsyncPolicy::kOnRotate ? "on_rotate" : "never";
+    SCOPED_TRACE(name);
+    DurableTierOptions options;
+    options.log.fsync = policy;
+    DurableTier tier(path("memo_" + name), options);
+    MemoStore memo(cluster, cost);
+    memo.attach_durable_tier(&tier);
+    SliderSession session(engine, memo, bench.job, SliderConfig{});
+    Rng rng(5);
+    auto records = apps::generate_input(apps::MicroApp::kHct, 60, rng, 0);
+    session.initial_run(make_splits(std::move(records), 20, 0));
+    std::unordered_set<NodeId> live;
+    session.collect_live_ids(live);
+    ASSERT_FALSE(live.empty());
+    ASSERT_TRUE(memo.persisted_durably(*live.begin()))
+        << "the manifest must name nodes by reference";
+
+    const std::uint64_t before = fsyncs.value();
+    ASSERT_TRUE(session.checkpoint(path("ckpt_" + name)));
+    const std::uint64_t synced = fsyncs.value() - before;
+    if (policy == FsyncPolicy::kOnRotate) {
+      EXPECT_GE(synced, durability::kDurableReplicas);
+    } else {
+      EXPECT_EQ(synced, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace slider

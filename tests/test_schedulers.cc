@@ -190,75 +190,6 @@ TEST(Schedulers, MapStagePrefersSplitLocality) {
   EXPECT_LT(stage.sim.work, nominal * 1.6);
 }
 
-// --- straggler speculation (Table 1 / §6 backup copies) ----------------------
-
-TEST(Schedulers, SpeculativeBackupWinsAgainstModerateStraggler) {
-  Cluster cluster(ClusterConfig{.num_machines = 4, .slots_per_machine = 1});
-  // Slow enough that a remote backup (paying the fetch penalty) beats the
-  // local copy, but not so slow that the hybrid placement rule migrates
-  // the primary outright (other_finish + tolerance >= pref_finish).
-  cluster.set_straggler(1, 2.5);
-  StageSimulator sim(cluster);
-  const auto tasks = homed_tasks(1, 1.0, /*home=*/1, /*penalty=*/1.2);
-
-  HybridOptions hybrid;
-  hybrid.speculate_slowdown = 2.0;
-  StageTimeline timeline;
-  const std::uint64_t before =
-      registry_counter("task.speculative_reexecutions");
-  const StageResult result =
-      sim.run_stage(tasks, SchedulePolicy::kHybrid, hybrid, &timeline);
-  const std::uint64_t after =
-      registry_counter("task.speculative_reexecutions");
-
-  EXPECT_EQ(result.speculative_launched, 1u);
-  EXPECT_EQ(result.speculative_wins, 1u);
-  // Backup finishes at 1.0 + 1.2 = 2.2 < 2.5; the primary is killed there.
-  EXPECT_NEAR(result.makespan, 2.2, 1e-9);
-  // Work: primary ran until the kill (2.2) plus the full backup (2.2).
-  EXPECT_NEAR(result.work, 4.4, 1e-9);
-  // Every launched backup counts once as a speculative re-execution.
-  EXPECT_EQ(after - before, result.speculative_launched);
-
-  // Timeline: primary (trimmed to the kill) + the speculative copy.
-  ASSERT_EQ(timeline.size(), 2u);
-  EXPECT_FALSE(timeline[0].speculative);
-  EXPECT_EQ(timeline[0].machine, 1);
-  EXPECT_NEAR(timeline[0].end, 2.2, 1e-9);
-  EXPECT_TRUE(timeline[1].speculative);
-  EXPECT_NE(timeline[1].machine, 1);
-}
-
-TEST(Schedulers, SpeculativeBackupKilledWhenPrimaryWins) {
-  Cluster cluster(ClusterConfig{.num_machines = 4, .slots_per_machine = 1});
-  cluster.set_straggler(1, 2.5);
-  StageSimulator sim(cluster);
-  // A fetch penalty larger than the straggler slowdown: the backup can
-  // never catch up, so the primary wins and the backup is killed at the
-  // primary's finish (charging only the time it actually occupied).
-  const auto tasks = homed_tasks(1, 1.0, /*home=*/1, /*penalty=*/10.0);
-
-  HybridOptions hybrid;
-  hybrid.speculate_slowdown = 2.0;
-  const StageResult result =
-      sim.run_stage(tasks, SchedulePolicy::kHybrid, hybrid);
-  EXPECT_EQ(result.speculative_launched, 1u);
-  EXPECT_EQ(result.speculative_wins, 0u);
-  EXPECT_NEAR(result.makespan, 2.5, 1e-9);
-  // Primary 2.5 + backup killed at 2.5 (it started at 0 on a free slot).
-  EXPECT_NEAR(result.work, 5.0, 1e-9);
-}
-
-TEST(Schedulers, SpeculationDisabledByDefault) {
-  Cluster cluster(ClusterConfig{.num_machines = 4, .slots_per_machine = 1});
-  cluster.set_straggler(1, 8.0);
-  StageSimulator sim(cluster);
-  const auto tasks = homed_tasks(4, 1.0, /*home=*/1, /*penalty=*/10.0);
-  const StageResult result = sim.run_stage(tasks, SchedulePolicy::kHybrid);
-  EXPECT_EQ(result.speculative_launched, 0u);
-  EXPECT_EQ(result.speculative_wins, 0u);
-}
-
 // --- mid-stage failures (fault-aware scheduling path) ------------------------
 
 TEST(SchedulerFaults, CrashKillsRunningAttemptAndRetriesWithBackoff) {
@@ -403,97 +334,72 @@ TEST(SchedulerFaults, EmptyPlanMatchesFaultFreePathExactly) {
   // scheduling loop. Both must schedule this stage bit for bit as the
   // scheduler's earlier, dedicated fault-free loop did: the expected values
   // are hex-float literals captured from that loop. Placements read
-  // {task, machine, start, end, migrated, speculative}.
+  // {task, machine, start, end, migrated}.
   struct Expected {
     SimDuration makespan;
     SimDuration work;
     std::uint64_t migrations;
-    std::uint64_t speculative_launched;
-    std::uint64_t speculative_wins;
     StageTimeline timeline;
   };
   const Expected first_free = {
-      0x1.93a37149c5f81p+2, 0x1.1aacce8eabd8ep+5, 10, 0, 0,
+      0x1.93a37149c5f81p+2, 0x1.1aacce8eabd8ep+5, 10,
       {
-          {12, 0, 0x0p+0, 0x1.27b5438870c2ap+1, false, false},
-          {9, 0, 0x0p+0, 0x1.487a74c820b58p+1, true, false},
-          {13, 1, 0x0p+0, 0x1.199db0d3489a8p+1, false, false},
-          {8, 1, 0x0p+0, 0x1.3586afd5e6a78p+1, true, false},
-          {14, 2, 0x0p+0, 0x1.8a346dc05fc3ap+2, false, false},
-          {1, 2, 0x0p+0, 0x1.93a37149c5f81p+2, true, false},
-          {7, 3, 0x0p+0, 0x1.c66f5a0b009fcp+0, false, false},
-          {2, 3, 0x0p+0, 0x1.e5ef7a7baae09p+0, true, false},
-          {3, 3, 0x1.c66f5a0b009fcp+0, 0x1.9c303eb5dd3a3p+1, false, false},
-          {4, 3, 0x1.e5ef7a7baae09p+0, 0x1.c9694d502fap+1, true, false},
-          {5, 1, 0x1.199db0d3489a8p+1, 0x1.b2848960aea38p+1, false, false},
-          {15, 0, 0x1.27b5438870c2ap+1, 0x1.bc56ce4f22a8ep+1, true, false},
-          {11, 1, 0x1.3586afd5e6a78p+1, 0x1.c2b3528293b72p+1, true, false},
-          {6, 0, 0x1.487a74c820b58p+1, 0x1.cfbd09bbe6becp+1, true, false},
-          {0, 3, 0x1.9c303eb5dd3a3p+1, 0x1.1126f36a725f9p+2, true, false},
-          {10, 1, 0x1.b2848960aea38p+1, 0x1.1a4f6611e04cp+2, true, false},
+          {12, 0, 0x0p+0, 0x1.27b5438870c2ap+1, false},
+          {9, 0, 0x0p+0, 0x1.487a74c820b58p+1, true},
+          {13, 1, 0x0p+0, 0x1.199db0d3489a8p+1, false},
+          {8, 1, 0x0p+0, 0x1.3586afd5e6a78p+1, true},
+          {14, 2, 0x0p+0, 0x1.8a346dc05fc3ap+2, false},
+          {1, 2, 0x0p+0, 0x1.93a37149c5f81p+2, true},
+          {7, 3, 0x0p+0, 0x1.c66f5a0b009fcp+0, false},
+          {2, 3, 0x0p+0, 0x1.e5ef7a7baae09p+0, true},
+          {3, 3, 0x1.c66f5a0b009fcp+0, 0x1.9c303eb5dd3a3p+1, false},
+          {4, 3, 0x1.e5ef7a7baae09p+0, 0x1.c9694d502fap+1, true},
+          {5, 1, 0x1.199db0d3489a8p+1, 0x1.b2848960aea38p+1, false},
+          {15, 0, 0x1.27b5438870c2ap+1, 0x1.bc56ce4f22a8ep+1, true},
+          {11, 1, 0x1.3586afd5e6a78p+1, 0x1.c2b3528293b72p+1, true},
+          {6, 0, 0x1.487a74c820b58p+1, 0x1.cfbd09bbe6becp+1, true},
+          {0, 3, 0x1.9c303eb5dd3a3p+1, 0x1.1126f36a725f9p+2, true},
+          {10, 1, 0x1.b2848960aea38p+1, 0x1.1a4f6611e04cp+2, true},
       }};
   const Expected preferred_only = {
-      0x1.09e11c25b08c7p+3, 0x1.13c7a044f98fep+5, 0, 0, 0,
+      0x1.09e11c25b08c7p+3, 0x1.13c7a044f98fep+5, 0,
       {
-          {12, 0, 0x0p+0, 0x1.27b5438870c2ap+1, false, false},
-          {9, 1, 0x0p+0, 0x1.22140e61ba4f2p+1, false, false},
-          {13, 1, 0x0p+0, 0x1.199db0d3489a8p+1, false, false},
-          {8, 0, 0x0p+0, 0x1.0f20496f80412p+1, false, false},
-          {14, 2, 0x0p+0, 0x1.8a346dc05fc3ap+2, false, false},
-          {1, 1, 0x1.199db0d3489a8p+1, 0x1.0cf442712a8eep+2, false, false},
-          {7, 3, 0x0p+0, 0x1.c66f5a0b009fcp+0, false, false},
-          {2, 2, 0x0p+0, 0x1.32da0243268edp+2, false, false},
-          {3, 3, 0x0p+0, 0x1.71f12360b9d4ap+0, false, false},
-          {4, 0, 0x1.0f20496f80412p+1, 0x1.bf2b731b740a6p+1, false, false},
-          {5, 1, 0x1.22140e61ba4f2p+1, 0x1.bafae6ef20582p+1, false, false},
-          {15, 3, 0x1.71f12360b9d4ap+0, 0x1.2733b610a86a2p+1, false, false},
-          {11, 3, 0x1.c66f5a0b009fcp+0, 0x1.49fde94bc6f91p+1, false, false},
-          {6, 2, 0x1.32da0243268edp+2, 0x1.c424481736031p+2, false, false},
-          {0, 0, 0x1.27b5438870c2ap+1, 0x1.876c854111e13p+1, false, false},
-          {10, 2, 0x1.8a346dc05fc3ap+2, 0x1.09e11c25b08c7p+3, false, false},
+          {12, 0, 0x0p+0, 0x1.27b5438870c2ap+1, false},
+          {9, 1, 0x0p+0, 0x1.22140e61ba4f2p+1, false},
+          {13, 1, 0x0p+0, 0x1.199db0d3489a8p+1, false},
+          {8, 0, 0x0p+0, 0x1.0f20496f80412p+1, false},
+          {14, 2, 0x0p+0, 0x1.8a346dc05fc3ap+2, false},
+          {1, 1, 0x1.199db0d3489a8p+1, 0x1.0cf442712a8eep+2, false},
+          {7, 3, 0x0p+0, 0x1.c66f5a0b009fcp+0, false},
+          {2, 2, 0x0p+0, 0x1.32da0243268edp+2, false},
+          {3, 3, 0x0p+0, 0x1.71f12360b9d4ap+0, false},
+          {4, 0, 0x1.0f20496f80412p+1, 0x1.bf2b731b740a6p+1, false},
+          {5, 1, 0x1.22140e61ba4f2p+1, 0x1.bafae6ef20582p+1, false},
+          {15, 3, 0x1.71f12360b9d4ap+0, 0x1.2733b610a86a2p+1, false},
+          {11, 3, 0x1.c66f5a0b009fcp+0, 0x1.49fde94bc6f91p+1, false},
+          {6, 2, 0x1.32da0243268edp+2, 0x1.c424481736031p+2, false},
+          {0, 0, 0x1.27b5438870c2ap+1, 0x1.876c854111e13p+1, false},
+          {10, 2, 0x1.8a346dc05fc3ap+2, 0x1.09e11c25b08c7p+3, false},
       }};
   const Expected hybrid = {
-      0x1.1e8a94d919266p+2, 0x1.d5a0a56ff5f2p+4, 6, 0, 0,
+      0x1.1e8a94d919266p+2, 0x1.d5a0a56ff5f2p+4, 6,
       {
-          {12, 0, 0x0p+0, 0x1.27b5438870c2ap+1, false, false},
-          {9, 1, 0x0p+0, 0x1.22140e61ba4f2p+1, false, false},
-          {13, 1, 0x0p+0, 0x1.199db0d3489a8p+1, false, false},
-          {8, 0, 0x0p+0, 0x1.0f20496f80412p+1, false, false},
-          {14, 3, 0x0p+0, 0x1.2d3404e6a63e2p+1, true, false},
-          {1, 1, 0x1.199db0d3489a8p+1, 0x1.0cf442712a8eep+2, false, false},
-          {7, 3, 0x0p+0, 0x1.c66f5a0b009fcp+0, false, false},
-          {2, 3, 0x1.c66f5a0b009fcp+0, 0x1.d62f6a4355c02p+1, true, false},
-          {3, 3, 0x1.2d3404e6a63e2p+1, 0x1.e62c969703287p+1, false, false},
-          {4, 0, 0x1.0f20496f80412p+1, 0x1.bf2b731b740a6p+1, false, false},
-          {5, 1, 0x1.22140e61ba4f2p+1, 0x1.bafae6ef20582p+1, false, false},
-          {15, 2, 0x0p+0, 0x1.7117d38748e5dp+1, true, false},
-          {11, 2, 0x0p+0, 0x1.5ab91b393a61fp+1, true, false},
-          {6, 0, 0x1.27b5438870c2ap+1, 0x1.aef7d87c36cbep+1, true, false},
-          {0, 0, 0x1.aef7d87c36cbep+1, 0x1.07578d1a6bf54p+2, false, false},
-          {10, 1, 0x1.bafae6ef20582p+1, 0x1.1e8a94d919266p+2, true, false},
-      }};
-  // Speculation: the two primaries on the straggler get backups; both
-  // lose, and only task 15's ran long enough to occupy its slot.
-  const Expected hybrid_speculating = {
-      0x1.1e8a94d919266p+2, 0x1.deccf76fd0f66p+4, 6, 2, 0,
-      {
-          {12, 0, 0x0p+0, 0x1.27b5438870c2ap+1, false, false},
-          {9, 1, 0x0p+0, 0x1.22140e61ba4f2p+1, false, false},
-          {13, 1, 0x0p+0, 0x1.199db0d3489a8p+1, false, false},
-          {8, 0, 0x0p+0, 0x1.0f20496f80412p+1, false, false},
-          {14, 3, 0x0p+0, 0x1.2d3404e6a63e2p+1, true, false},
-          {1, 1, 0x1.199db0d3489a8p+1, 0x1.0cf442712a8eep+2, false, false},
-          {7, 3, 0x0p+0, 0x1.c66f5a0b009fcp+0, false, false},
-          {2, 3, 0x1.c66f5a0b009fcp+0, 0x1.d62f6a4355c02p+1, true, false},
-          {3, 3, 0x1.2d3404e6a63e2p+1, 0x1.e62c969703287p+1, false, false},
-          {4, 0, 0x1.0f20496f80412p+1, 0x1.bf2b731b740a6p+1, false, false},
-          {5, 1, 0x1.22140e61ba4f2p+1, 0x1.bafae6ef20582p+1, false, false},
-          {15, 2, 0x0p+0, 0x1.7117d38748e5dp+1, true, false},
-          {15, 0, 0x1.27b5438870c2ap+1, 0x1.7117d38748e5dp+1, true, true},
-          {11, 2, 0x0p+0, 0x1.5ab91b393a61fp+1, true, false},
-          {6, 0, 0x1.7117d38748e5dp+1, 0x1.f85a687b0eef1p+1, true, false},
-          {0, 0, 0x1.bf2b731b740a6p+1, 0x1.0f715a6a0a948p+2, false, false},
-          {10, 1, 0x1.bafae6ef20582p+1, 0x1.1e8a94d919266p+2, true, false},
+          {12, 0, 0x0p+0, 0x1.27b5438870c2ap+1, false},
+          {9, 1, 0x0p+0, 0x1.22140e61ba4f2p+1, false},
+          {13, 1, 0x0p+0, 0x1.199db0d3489a8p+1, false},
+          {8, 0, 0x0p+0, 0x1.0f20496f80412p+1, false},
+          {14, 3, 0x0p+0, 0x1.2d3404e6a63e2p+1, true},
+          {1, 1, 0x1.199db0d3489a8p+1, 0x1.0cf442712a8eep+2, false},
+          {7, 3, 0x0p+0, 0x1.c66f5a0b009fcp+0, false},
+          {2, 3, 0x1.c66f5a0b009fcp+0, 0x1.d62f6a4355c02p+1, true},
+          {3, 3, 0x1.2d3404e6a63e2p+1, 0x1.e62c969703287p+1, false},
+          {4, 0, 0x1.0f20496f80412p+1, 0x1.bf2b731b740a6p+1, false},
+          {5, 1, 0x1.22140e61ba4f2p+1, 0x1.bafae6ef20582p+1, false},
+          {15, 2, 0x0p+0, 0x1.7117d38748e5dp+1, true},
+          {11, 2, 0x0p+0, 0x1.5ab91b393a61fp+1, true},
+          {6, 0, 0x1.27b5438870c2ap+1, 0x1.aef7d87c36cbep+1, true},
+          {0, 0, 0x1.aef7d87c36cbep+1, 0x1.07578d1a6bf54p+2, false},
+          {10, 1, 0x1.bafae6ef20582p+1, 0x1.1e8a94d919266p+2, true},
       }};
 
   Cluster cluster(ClusterConfig{.num_machines = 4, .slots_per_machine = 2});
@@ -501,85 +407,41 @@ TEST(SchedulerFaults, EmptyPlanMatchesFaultFreePathExactly) {
   StageSimulator sim(cluster);
   const StageFaultPlan empty_plan;
   ASSERT_TRUE(empty_plan.empty());
-  for (const double slowdown : {0.0, 2.0}) {
-    for (const SchedulePolicy policy :
-         {SchedulePolicy::kFirstFree, SchedulePolicy::kPreferredOnly,
-          SchedulePolicy::kHybrid}) {
-      // Only kHybrid speculates.
-      const Expected& want =
-          policy == SchedulePolicy::kFirstFree       ? first_free
-          : policy == SchedulePolicy::kPreferredOnly ? preferred_only
-          : slowdown > 0                             ? hybrid_speculating
-                                                     : hybrid;
-      for (const StageFaultPlan* plan :
-           {static_cast<const StageFaultPlan*>(nullptr), &empty_plan}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "policy " << static_cast<int>(policy) << " slowdown "
-                     << slowdown << (plan != nullptr ? " empty plan" : ""));
-        StageTimeline timeline;
-        const StageResult got =
-            sim.run_stage(tasks, policy,
-                          HybridOptions{.speculate_slowdown = slowdown},
-                          &timeline, plan);
-        EXPECT_EQ(got.makespan, want.makespan);
-        EXPECT_EQ(got.work, want.work);
-        EXPECT_EQ(got.migrations, want.migrations);
-        EXPECT_EQ(got.speculative_launched, want.speculative_launched);
-        EXPECT_EQ(got.speculative_wins, want.speculative_wins);
-        EXPECT_EQ(got.attempts, tasks.size());
-        EXPECT_EQ(got.failed_attempts, 0u);
-        EXPECT_EQ(got.max_attempts_seen, 1);
-        ASSERT_EQ(timeline.size(), want.timeline.size());
-        for (std::size_t i = 0; i < timeline.size(); ++i) {
-          SCOPED_TRACE(::testing::Message() << "placement " << i);
-          const TaskPlacement& g = timeline[i];
-          const TaskPlacement& w = want.timeline[i];
-          EXPECT_EQ(g.task, w.task);
-          EXPECT_EQ(g.machine, w.machine);
-          EXPECT_EQ(g.start, w.start);
-          EXPECT_EQ(g.end, w.end);
-          EXPECT_EQ(g.migrated, w.migrated);
-          EXPECT_EQ(g.speculative, w.speculative);
-          EXPECT_EQ(g.attempt, 0);
-          EXPECT_FALSE(g.failed);
-        }
+  for (const SchedulePolicy policy :
+       {SchedulePolicy::kFirstFree, SchedulePolicy::kPreferredOnly,
+        SchedulePolicy::kHybrid}) {
+    const Expected& want = policy == SchedulePolicy::kFirstFree ? first_free
+                           : policy == SchedulePolicy::kPreferredOnly
+                               ? preferred_only
+                               : hybrid;
+    for (const StageFaultPlan* plan :
+         {static_cast<const StageFaultPlan*>(nullptr), &empty_plan}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "policy " << static_cast<int>(policy)
+                   << (plan != nullptr ? " empty plan" : ""));
+      StageTimeline timeline;
+      const StageResult got =
+          sim.run_stage(tasks, policy, HybridOptions{}, &timeline, plan);
+      EXPECT_EQ(got.makespan, want.makespan);
+      EXPECT_EQ(got.work, want.work);
+      EXPECT_EQ(got.migrations, want.migrations);
+      EXPECT_EQ(got.attempts, tasks.size());
+      EXPECT_EQ(got.failed_attempts, 0u);
+      EXPECT_EQ(got.max_attempts_seen, 1);
+      ASSERT_EQ(timeline.size(), want.timeline.size());
+      for (std::size_t i = 0; i < timeline.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "placement " << i);
+        const TaskPlacement& g = timeline[i];
+        const TaskPlacement& w = want.timeline[i];
+        EXPECT_EQ(g.task, w.task);
+        EXPECT_EQ(g.machine, w.machine);
+        EXPECT_EQ(g.start, w.start);
+        EXPECT_EQ(g.end, w.end);
+        EXPECT_EQ(g.migrated, w.migrated);
+        EXPECT_EQ(g.attempt, 0);
+        EXPECT_FALSE(g.failed);
       }
     }
-  }
-}
-
-TEST(SchedulerFaults, FaultedStageLaunchesNoBackups) {
-  // Retries take the backup copy's role on a stage with faults: the seeded
-  // stage launches backups when failure-free (see above), but with a crash
-  // in its plan the speculation threshold changes nothing.
-  Cluster cluster(ClusterConfig{.num_machines = 4, .slots_per_machine = 2});
-  const std::vector<SimTask> tasks = seeded_stage(cluster);
-  StageSimulator sim(cluster);
-  StageFaultPlan plan;
-  plan.crashes.push_back({.machine = 0, .at = 1.0});
-  StageTimeline plain_timeline;
-  const StageResult plain = sim.run_stage(
-      tasks, SchedulePolicy::kHybrid, HybridOptions{}, &plain_timeline, &plan);
-  StageTimeline timeline;
-  const std::uint64_t before =
-      registry_counter("task.speculative_reexecutions");
-  const StageResult speculating = sim.run_stage(
-      tasks, SchedulePolicy::kHybrid,
-      HybridOptions{.speculate_slowdown = 2.0}, &timeline, &plan);
-  const std::uint64_t after =
-      registry_counter("task.speculative_reexecutions");
-
-  EXPECT_GT(speculating.failed_attempts, 0u) << "the crash must bite";
-  EXPECT_EQ(speculating.speculative_launched, 0u);
-  EXPECT_EQ(speculating.speculative_wins, 0u);
-  EXPECT_EQ(after, before);
-  EXPECT_EQ(speculating.makespan, plain.makespan);
-  EXPECT_EQ(speculating.work, plain.work);
-  ASSERT_EQ(timeline.size(), plain_timeline.size());
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    EXPECT_FALSE(timeline[i].speculative);
-    EXPECT_EQ(timeline[i].machine, plain_timeline[i].machine);
-    EXPECT_EQ(timeline[i].end, plain_timeline[i].end);
   }
 }
 

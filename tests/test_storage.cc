@@ -1,6 +1,6 @@
-// Unit tests for the storage layer: input store locality, memoization
-// tiers, replication-backed failure handling, garbage collection, and the
-// order in which per-tenant quotas pick their victims.
+// Unit tests for the storage layer: memoization tiers, replication-backed
+// failure handling, garbage collection, and the order in which the entry
+// budget and per-tenant quotas pick their victims.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "data/serde.h"
 #include "durability/durable_tier.h"
 #include "durability/fault_injector.h"
-#include "storage/input_store.h"
 #include "storage/memo_store.h"
 #include "tests/test_util.h"
 
@@ -41,19 +40,6 @@ struct StorageHarness {
 std::shared_ptr<const KVTable> table_of(std::initializer_list<Record> rows) {
   return std::make_shared<const KVTable>(
       KVTable::from_records(rows, sum_combiner()));
-}
-
-TEST(InputStore, AddGetRemove) {
-  Cluster cluster(ClusterConfig{.num_machines = 3, .slots_per_machine = 1});
-  InputStore store(cluster);
-  store.add(make_split(7, {{"k", "v"}}));
-  EXPECT_TRUE(store.contains(7));
-  ASSERT_TRUE(store.get(7).has_value());
-  EXPECT_EQ((*store.get(7))->records[0].key, "k");
-  EXPECT_EQ(store.home_of(7), cluster.place(7));
-  store.remove(7);
-  EXPECT_FALSE(store.contains(7));
-  EXPECT_FALSE(store.get(7).has_value());
 }
 
 TEST(MemoStore, PutThenLocalMemoryRead) {
@@ -391,98 +377,229 @@ std::shared_ptr<const KVTable> sized_table(NodeId id, std::size_t value_size) {
   return ::testing::AssertionSuccess();
 }
 
-// Three tenants interleave puts under entry and byte quotas. A reference
-// model keeps each tenant's entries in write order and predicts every
-// victim: the over-quota tenant's oldest entry that is not pinned. The
-// store must evict exactly those ids, put by put, and no other tenant's.
-TEST(MemoStoreQuotaVictims, EvictsOldestNonPinnedInWriteOrder) {
-  StorageHarness h;
+// Reference model of the whole-entry policies. Ids are handed out in write
+// order, so id order is age order. Like put(), a write runs the entry
+// budget over every owner first, then the writer's quota over its own
+// entries; each victim is the oldest entry the pins leave. The model
+// predicts every victim the store must pick.
+struct VictimModel {
   struct ModelEntry {
     NodeId id;
     std::uint64_t bytes;
   };
-  struct Model {
+  struct Owner {
     TenantQuota quota;
     std::deque<ModelEntry> entries;  // write order, oldest first
     std::uint64_t bytes = 0;
-    std::uint64_t evictions = 0;
+    std::uint64_t quota_evictions = 0;
+    std::uint64_t budget_evictions = 0;
     bool over() const {
       return (quota.max_entries != 0 && entries.size() > quota.max_entries) ||
              (quota.max_bytes != 0 && bytes > quota.max_bytes);
     }
   };
-  std::map<std::uint64_t, Model> model;
-  model[kTenantA].quota = TenantQuota{.max_entries = 3};
-  model[kTenantB].quota = TenantQuota{.max_bytes = 400};
-  model[kTenantC].quota = TenantQuota{.max_bytes = 600, .max_entries = 5};
-  for (const auto& [tenant, m] : model) {
-    h.memo.set_tenant_quota(tenant, m.quota);
+
+  std::map<std::uint64_t, Owner> owners;  // 0 = untenanted
+  std::unordered_set<NodeId> pinned;
+  std::size_t budget = 0;
+  std::vector<NodeId> dropped;  // victims since the last check
+  std::size_t pinned_skips = 0;  // victims picked past an older pinned id
+
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& [owner, o] : owners) n += o.entries.size();
+    return n;
   }
 
-  std::unordered_set<NodeId> pinned;
+  // Drops the oldest unpinned entry of `only` (every owner when null) and
+  // returns its owner; nullopt when the pins leave nothing.
+  std::optional<std::uint64_t> evict_oldest(const std::uint64_t* only) {
+    std::optional<std::pair<NodeId, std::uint64_t>> victim;  // (id, owner)
+    NodeId oldest_any = 0;
+    for (const auto& [owner, o] : owners) {
+      if (only != nullptr && owner != *only) continue;
+      for (const ModelEntry& e : o.entries) {
+        if (oldest_any == 0 || e.id < oldest_any) oldest_any = e.id;
+        if (pinned.count(e.id) != 0) continue;
+        if (!victim || e.id < victim->first) victim = std::pair(e.id, owner);
+        break;
+      }
+    }
+    if (!victim) return std::nullopt;
+    if (victim->first != oldest_any) ++pinned_skips;
+    Owner& o = owners[victim->second];
+    for (auto it = o.entries.begin(); it != o.entries.end(); ++it) {
+      if (it->id != victim->first) continue;
+      o.bytes -= it->bytes;
+      o.entries.erase(it);
+      break;
+    }
+    dropped.push_back(victim->first);
+    return victim->second;
+  }
+
+  void enforce_budget() {
+    while (budget != 0 && size() > budget) {
+      const auto owner = evict_oldest(nullptr);
+      if (!owner) break;
+      ++owners[*owner].budget_evictions;
+    }
+  }
+
+  void put(NodeId id, std::uint64_t bytes, std::uint64_t owner) {
+    Owner& o = owners[owner];
+    o.entries.push_back({id, bytes});
+    o.bytes += bytes;
+    enforce_budget();
+    while (owner != 0 && owners[owner].over()) {
+      if (!evict_oldest(&owner)) break;
+      ++owners[owner].quota_evictions;
+    }
+  }
+
+  // The predicted victims are gone, every modelled entry is present, and
+  // each owner's usage and write-order index agree with the model.
+  ::testing::AssertionResult matches(const MemoStore& memo) {
+    for (const NodeId id : dropped) {
+      if (memo.contains(id)) {
+        return ::testing::AssertionFailure() << "expected victim " << id;
+      }
+    }
+    dropped.clear();
+    std::uint64_t quota_evictions = 0;
+    std::uint64_t budget_evictions = 0;
+    for (const auto& [owner, o] : owners) {
+      for (const ModelEntry& e : o.entries) {
+        if (!memo.contains(e.id)) {
+          return ::testing::AssertionFailure()
+                 << "owner " << owner << " lost " << e.id;
+        }
+      }
+      const TenantUsage usage = memo.tenant_usage(owner);
+      if (usage.entries != o.entries.size() || usage.bytes != o.bytes ||
+          usage.quota_evictions != o.quota_evictions ||
+          memo.debug_tenant_index_size(owner) != o.entries.size()) {
+        return ::testing::AssertionFailure()
+               << "owner " << owner << ": " << usage.entries << " entries, "
+               << usage.bytes << " bytes, " << usage.quota_evictions
+               << " quota evictions, "
+               << memo.debug_tenant_index_size(owner) << " indexed; model "
+               << o.entries.size() << ", " << o.bytes << ", "
+               << o.quota_evictions;
+      }
+      quota_evictions += o.quota_evictions;
+      budget_evictions += o.budget_evictions;
+    }
+    if (memo.size() != size() ||
+        memo.stats().quota_evictions != quota_evictions ||
+        memo.stats().budget_evictions != budget_evictions) {
+      return ::testing::AssertionFailure()
+             << memo.size() << " entries, " << memo.stats().quota_evictions
+             << " quota and " << memo.stats().budget_evictions
+             << " budget evictions; model " << size() << ", "
+             << quota_evictions << ", " << budget_evictions;
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+// Three tenants interleave puts under entry and byte quotas. The store must
+// evict exactly the model's victims, put by put: the over-quota tenant's
+// oldest entry that is not pinned, and no other tenant's.
+TEST(MemoStoreQuotaVictims, EvictsOldestNonPinnedInWriteOrder) {
+  StorageHarness h;
+  VictimModel model;
+  model.owners[kTenantA].quota = TenantQuota{.max_entries = 3};
+  model.owners[kTenantB].quota = TenantQuota{.max_bytes = 400};
+  model.owners[kTenantC].quota = TenantQuota{.max_bytes = 600, .max_entries = 5};
+  for (const auto& [tenant, o] : model.owners) {
+    h.memo.set_tenant_quota(tenant, o.quota);
+  }
   const auto pin = [&](std::unordered_set<NodeId> ids) {
-    pinned = std::move(ids);
+    model.pinned = std::move(ids);
     h.memo.set_pinned_ids(
-        std::make_shared<const std::unordered_set<NodeId>>(pinned));
+        std::make_shared<const std::unordered_set<NodeId>>(model.pinned));
   };
 
   Rng rng(2014);
   const std::uint64_t order[] = {kTenantA, kTenantB, kTenantC};
-  NodeId next_id = 1;
-  std::size_t victims = 0;
-  std::size_t pinned_skips = 0;  // evictions that passed over a pinned id
   bool pinned_once = false;
-  for (int step = 0; step < 90; ++step) {
-    if (!pinned_once && !model[kTenantA].entries.empty() &&
-        !model[kTenantB].entries.empty()) {
+  for (NodeId id = 1; id <= 90; ++id) {
+    auto& a = model.owners[kTenantA].entries;
+    auto& b = model.owners[kTenantB].entries;
+    if (!pinned_once && !a.empty() && !b.empty()) {
       // Pin A's and B's oldest entries: later evictions must skip them.
-      pin({model[kTenantA].entries.front().id,
-           model[kTenantB].entries.front().id});
+      pin({a.front().id, b.front().id});
       pinned_once = true;
     }
-    if (step == 60) pin({});  // unpinned, they are the oldest again
+    if (id == 61) pin({});  // unpinned, they are the oldest again
     const std::uint64_t tenant = order[rng.next_below(3)];
-    const NodeId id = next_id++;
     const auto table = sized_table(id, 20 + rng.next_below(100));
     h.memo.put(id, table, tenant);
-
-    Model& m = model[tenant];
-    m.entries.push_back({id, serialize_table(*table).size()});
-    m.bytes += m.entries.back().bytes;
-    while (m.over()) {
-      auto victim = m.entries.begin();
-      while (victim != m.entries.end() && pinned.count(victim->id) != 0) {
-        ++victim;
-      }
-      if (victim == m.entries.end()) break;
-      if (victim != m.entries.begin()) ++pinned_skips;
-      ASSERT_FALSE(h.memo.contains(victim->id))
-          << "step " << step << ": expected victim " << victim->id;
-      m.bytes -= victim->bytes;
-      ++m.evictions;
-      ++victims;
-      m.entries.erase(victim);
-    }
-
-    // Nothing else left the store: not the tenant's newer entries, not a
-    // pinned one, not a neighbour's.
-    for (const auto& [owner, om] : model) {
-      for (const ModelEntry& e : om.entries) {
-        ASSERT_TRUE(h.memo.contains(e.id))
-            << "step " << step << ": tenant " << owner << " lost " << e.id;
-      }
-    }
-    for (const auto& [owner, om] : model) {
-      const TenantUsage usage = h.memo.tenant_usage(owner);
-      EXPECT_EQ(usage.entries, om.entries.size()) << "step " << step;
-      EXPECT_EQ(usage.bytes, om.bytes) << "step " << step;
-      EXPECT_EQ(usage.quota_evictions, om.evictions) << "step " << step;
-    }
+    model.put(id, serialize_table(*table).size(), tenant);
+    ASSERT_TRUE(model.matches(h.memo)) << "put " << id;
   }
-  for (const auto& [tenant, m] : model) EXPECT_GT(m.evictions, 0u) << tenant;
-  EXPECT_EQ(h.memo.stats().quota_evictions, victims);
-  EXPECT_GT(pinned_skips, 0u);
-  ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB, kTenantC}));
+  for (const auto& [tenant, o] : model.owners) {
+    EXPECT_GT(o.quota_evictions, 0u) << tenant;
+  }
+  EXPECT_GT(model.pinned_skips, 0u);
+}
+
+// Untenanted writes join the three tenants, and an entry budget arrives
+// mid-run and is then lowered. Every budget victim must be the oldest
+// unpinned entry across all owners, untenanted ones included, and each
+// quota still evicts only its own tenant's entries.
+TEST(MemoStoreQuotaVictims, BudgetEvictsOldestUnpinnedAcrossOwners) {
+  StorageHarness h;
+  VictimModel model;
+  model.owners[0];
+  model.owners[kTenantA].quota = TenantQuota{.max_entries = 4};
+  model.owners[kTenantB].quota = TenantQuota{.max_bytes = 500};
+  model.owners[kTenantC];
+  for (const auto& [tenant, o] : model.owners) {
+    h.memo.set_tenant_quota(tenant, o.quota);
+  }
+  const auto set_budget = [&](std::size_t budget) {
+    model.budget = budget;
+    h.memo.set_entry_budget(budget);
+    model.enforce_budget();
+  };
+  const auto pin = [&](std::unordered_set<NodeId> ids) {
+    model.pinned = std::move(ids);
+    h.memo.set_pinned_ids(
+        std::make_shared<const std::unordered_set<NodeId>>(model.pinned));
+  };
+
+  Rng rng(21);
+  const std::uint64_t order[] = {0, kTenantA, kTenantB, kTenantC};
+  for (NodeId id = 1; id <= 120; ++id) {
+    if (id == 9) {
+      // Pin the oldest untenanted and the oldest C entry: budget victims
+      // must pass over them.
+      ASSERT_FALSE(model.owners[0].entries.empty());
+      ASSERT_FALSE(model.owners[kTenantC].entries.empty());
+      pin({model.owners[0].entries.front().id,
+           model.owners[kTenantC].entries.front().id});
+    }
+    if (id == 31 || id == 71) {
+      // Set, then lowered: each call evicts at once, with no put.
+      set_budget(id == 31 ? 24 : 12);
+      ASSERT_TRUE(model.matches(h.memo)) << "budget set before put " << id;
+    }
+    if (id == 101) pin({});
+    const std::uint64_t owner = order[rng.next_below(4)];
+    const auto table = sized_table(id, 20 + rng.next_below(100));
+    h.memo.put(id, table, owner);
+    model.put(id, serialize_table(*table).size(), owner);
+    ASSERT_TRUE(model.matches(h.memo)) << "put " << id;
+    if (id > 31) ASSERT_LE(h.memo.size(), id > 71 ? 12u : 24u);
+  }
+  for (const auto& [owner, o] : model.owners) {
+    EXPECT_GT(o.budget_evictions, 0u) << owner;
+  }
+  EXPECT_GT(model.owners[kTenantA].quota_evictions, 0u);
+  EXPECT_GT(model.owners[kTenantB].quota_evictions, 0u);
+  EXPECT_GT(model.pinned_skips, 0u);
 }
 
 // An entry recovered from the durable log comes back untenanted; the first
@@ -521,6 +638,93 @@ TEST(MemoStoreQuotaVictims, AdoptedRecoveredEntryKeepsItsAge) {
   EXPECT_TRUE(memo2.contains(3));
   EXPECT_EQ(memo2.tenant_usage(kTenantA).quota_evictions, 2u);
   ASSERT_TRUE(index_matches_usage(memo2, {kTenantA}));
+}
+
+// Every index entry has exactly one owner, untenanted ones included:
+// restore installs into the untenanted cell, adoption moves an entry to its
+// tenant at its original age, and GC releases from whichever cell holds
+// it. The untenanted counters never underflow, so the owners' usage sums
+// to the store's.
+TEST(MemoStoreQuotaVictims, UntenantedCellTracksRestoreAdoptionAndGc) {
+  DurableHarness h;
+  for (NodeId id = 1; id <= 6; ++id) {
+    h.memo.put(id, sized_table(id, 16), id % 2 == 0 ? kTenantA : 0);
+  }
+  h.memo.flush_durable();
+
+  Cluster cluster2(ClusterConfig{.num_machines = 3, .slots_per_machine = 1});
+  CostModel cost2;
+  durability::DurableTier tier2(h.dir.string());
+  MemoStore memo2(cluster2, cost2);
+  memo2.attach_durable_tier(&tier2);
+  const auto owners_sum_to_store = [&]() -> ::testing::AssertionResult {
+    const TenantUsage untenanted = memo2.tenant_usage(0);
+    const TenantUsage a = memo2.tenant_usage(kTenantA);
+    if (untenanted.entries + a.entries != memo2.size() ||
+        untenanted.bytes + a.bytes != memo2.total_bytes()) {
+      return ::testing::AssertionFailure()
+             << untenanted.entries << " + " << a.entries << " entries, "
+             << untenanted.bytes << " + " << a.bytes << " bytes; store "
+             << memo2.size() << ", " << memo2.total_bytes();
+    }
+    return index_matches_usage(memo2, {0, kTenantA});
+  };
+
+  ASSERT_EQ(memo2.restore_from_durable(), 6u);
+  EXPECT_EQ(memo2.tenant_usage(0).entries, 6u);
+  EXPECT_EQ(memo2.tenant_usage(kTenantA).entries, 0u);
+  ASSERT_TRUE(owners_sum_to_store());
+
+  memo2.put(2, sized_table(2, 16), kTenantA);  // adopts recovered id 2
+  memo2.put(20, sized_table(20, 16));          // a new untenanted write
+  EXPECT_EQ(memo2.tenant_usage(0).entries, 6u);
+  EXPECT_EQ(memo2.tenant_usage(kTenantA).entries, 1u);
+  ASSERT_TRUE(owners_sum_to_store());
+
+  const std::vector<NodeId> released = {1, 2, 99};
+  EXPECT_EQ(memo2.erase_released(released), 2u);
+  ASSERT_TRUE(owners_sum_to_store());
+  memo2.retain_only({3, 20});
+  EXPECT_EQ(memo2.tenant_usage(0).entries, 2u);
+  EXPECT_EQ(memo2.tenant_usage(kTenantA).entries, 0u);
+  ASSERT_TRUE(owners_sum_to_store());
+
+  // The budget evicts the recovered entry first: it keeps its old age.
+  memo2.set_entry_budget(1);
+  EXPECT_FALSE(memo2.contains(3));
+  EXPECT_TRUE(memo2.contains(20));
+  ASSERT_TRUE(owners_sum_to_store());
+  memo2.erase(20);
+  EXPECT_EQ(memo2.tenant_usage(0).entries, 0u);
+  EXPECT_EQ(memo2.tenant_usage(0).bytes, 0u);
+  ASSERT_TRUE(owners_sum_to_store());
+}
+
+// A memory capacity together with a byte-capped tenant. The tenant's
+// overage evicts its own oldest whole entry before the memory tier's LRU
+// runs, and that makes room: the neighbour's memory copies, the least
+// recent of all, stay resident and the LRU drops nothing.
+TEST(MemoStoreQuotaVictims, QuotaMakesRoomBeforeTheMemoryLru) {
+  StorageHarness h;
+  std::uint64_t each = 0;
+  for (NodeId id = 10; id < 13; ++id) {
+    each = h.memo.put(id, sized_table(id, 100), kTenantB).bytes_written;
+  }
+  h.memo.set_tenant_quota(kTenantA, TenantQuota{.max_bytes = 3 * each});
+  h.memo.set_memory_capacity_bytes(6 * each);
+  for (NodeId id = 20; id < 24; ++id) {
+    ASSERT_EQ(h.memo.put(id, sized_table(id, 100), kTenantA).bytes_written,
+              each);
+  }
+  EXPECT_FALSE(h.memo.contains(20)) << "the tenant's oldest entry goes whole";
+  EXPECT_EQ(h.memo.tenant_usage(kTenantA).quota_evictions, 1u);
+  EXPECT_EQ(h.memo.stats().memory_evictions, 0u);
+  EXPECT_EQ(h.memo.memory_bytes(), 6 * each);
+  for (NodeId id = 10; id < 13; ++id) {
+    EXPECT_EQ(h.memo.get(id, h.memo.home_of(id)).tier,
+              ReadTier::kLocalMemory)
+        << "neighbour " << id << " lost its memory copy";
+  }
 }
 
 // Every path that drops an entry releases it from its tenant's index.
@@ -653,6 +857,58 @@ TEST(MemoStoreQuotaConcurrency, QuotaPutsRaceBatchErase) {
   EXPECT_EQ(usage_a.bytes + usage_b.bytes, h.memo.total_bytes());
   for (const NodeId id : released) EXPECT_FALSE(h.memo.contains(id)) << id;
   EXPECT_GT(usage_a.quota_evictions + usage_b.quota_evictions, 0u);
+}
+
+// Untenanted writers join two quota-capped tenants under an entry budget
+// while a GC thread batch-erases. Every write lands in one owner's
+// write-order index, untenanted ones in the untenanted cell, and the
+// budget picks across all of them; afterwards the counters and indexes
+// must agree exactly and sum to the store.
+TEST(MemoStoreQuotaConcurrency, UntenantedWritersRaceQuotasUnderBudget) {
+  StorageHarness h;
+  h.memo.set_tenant_quota(kTenantA, TenantQuota{.max_entries = 12});
+  h.memo.set_tenant_quota(kTenantB, TenantQuota{.max_bytes = 1500});
+  h.memo.set_entry_budget(40);
+  constexpr NodeId kPerWriter = 300;
+
+  std::atomic<bool> done{false};
+  const auto writer = [&](std::uint64_t tenant, NodeId base) {
+    for (NodeId i = 0; i < kPerWriter; ++i) {
+      h.memo.put(base + i, sized_table(base + i, 8 + i % 50), tenant);
+    }
+  };
+  std::vector<NodeId> released;
+  for (NodeId i = 0; i < kPerWriter; i += 4) {
+    released.push_back(1000 + i);
+    released.push_back(5000 + i);
+    released.push_back(9000 + i);
+  }
+  std::thread a(writer, kTenantA, 1000);
+  std::thread b(writer, kTenantB, 5000);
+  std::thread u1(writer, 0, 9000);
+  std::thread u2(writer, 0, 13000);
+  std::thread gc([&] {
+    while (!done.load()) h.memo.erase_released(released);
+  });
+  a.join();
+  b.join();
+  u1.join();
+  u2.join();
+  done.store(true);
+  gc.join();
+
+  ASSERT_TRUE(index_matches_usage(h.memo, {0, kTenantA, kTenantB}));
+  const TenantUsage usage_0 = h.memo.tenant_usage(0);
+  const TenantUsage usage_a = h.memo.tenant_usage(kTenantA);
+  const TenantUsage usage_b = h.memo.tenant_usage(kTenantB);
+  EXPECT_LE(h.memo.size(), 40u);
+  EXPECT_LE(usage_a.entries, 12u);
+  EXPECT_LE(usage_b.bytes, 1500u);
+  EXPECT_EQ(usage_0.entries + usage_a.entries + usage_b.entries,
+            h.memo.size());
+  EXPECT_EQ(usage_0.bytes + usage_a.bytes + usage_b.bytes,
+            h.memo.total_bytes());
+  EXPECT_GT(h.memo.stats().budget_evictions, 0u);
 }
 
 }  // namespace

@@ -491,8 +491,7 @@ TEST(IntrospectionEndpoint, ServesEveryRouteOverARealSocket) {
   EXPECT_NE(metrics.find("le=\"+Inf\""), std::string::npos);
   EXPECT_NE(metrics.find("slider_work_combiner_invocations_total{cause=\"initial_build\"}"),
             std::string::npos);
-  // Speculative backups run no tree work; the registry's
-  // task.speculative_reexecutions counts them, so no cause exports them.
+  // The scheduler runs no backup copies, so no cause exports one.
   EXPECT_EQ(metrics.find("cause=\"speculative_reexec\""), std::string::npos);
 
   const std::string ledger = http_get(port, "/ledger.json");
