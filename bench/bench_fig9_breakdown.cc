@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
@@ -194,6 +196,79 @@ void run_flat_tier(obs::RunReport& report) {
       .col("outputs_identical", identical ? 1.0 : 0.0);
 }
 
+// An overhead section's measurement: off/on pairs, the side that runs
+// first alternating from pair to pair, one overhead per pair. One figure
+// per side cannot tell an overhead of a few percent from run-to-run noise,
+// so the sections report the pairs' median with its quartiles, and call
+// the bar only when both quartiles sit on one side of it.
+struct PairedOverhead {
+  double off_ms = 0;  // median wall-clock, off
+  double on_ms = 0;   // median wall-clock, on
+  double q1_pct = 0;
+  double median_pct = 0;
+  double q3_pct = 0;
+  int pairs = 0;
+  double bar_pct = 0;
+  const char* verdict = "";  // "within bar", "over bar" or "unresolved"
+};
+
+// Linearly interpolated quantile `q` of `sorted`.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+PairedOverhead measure_overhead(double bar_pct,
+                                const std::function<double(bool on)>& run) {
+  constexpr int kPairs = 9;
+  std::vector<double> off, on, pct;
+  for (int i = 0; i < kPairs; ++i) {
+    double off_ms = 0, on_ms = 0;
+    if (i % 2 == 0) {
+      off_ms = run(false);
+      on_ms = run(true);
+    } else {
+      on_ms = run(true);
+      off_ms = run(false);
+    }
+    off.push_back(off_ms);
+    on.push_back(on_ms);
+    pct.push_back(off_ms > 0 ? 100.0 * (on_ms - off_ms) / off_ms : 0.0);
+  }
+  std::sort(off.begin(), off.end());
+  std::sort(on.begin(), on.end());
+  std::sort(pct.begin(), pct.end());
+  PairedOverhead m;
+  m.off_ms = quantile(off, 0.5);
+  m.on_ms = quantile(on, 0.5);
+  m.q1_pct = quantile(pct, 0.25);
+  m.median_pct = quantile(pct, 0.5);
+  m.q3_pct = quantile(pct, 0.75);
+  m.pairs = kPairs;
+  m.bar_pct = bar_pct;
+  m.verdict = m.q3_pct < bar_pct   ? "within bar"
+              : m.q1_pct > bar_pct ? "over bar"
+                                   : "unresolved";
+  return m;
+}
+
+// Prints the on line's overhead and adds the spread columns to `row`.
+void report_overhead(const PairedOverhead& m, obs::RunReport::Row& row,
+                     const std::string& prefix) {
+  std::printf("(overhead median %+.2f%% [Q1 %+.2f%%, Q3 %+.2f%%] over %d "
+              "pairs, bar <%.1f%%: %s)\n",
+              m.median_pct, m.q1_pct, m.q3_pct, m.pairs, m.bar_pct, m.verdict);
+  row.col(prefix + "_overhead_pct", m.median_pct)
+      .col(prefix + "_overhead_q1_pct", m.q1_pct)
+      .col(prefix + "_overhead_q3_pct", m.q3_pct)
+      .col("pairs", static_cast<double>(m.pairs))
+      .col("bar_pct", m.bar_pct)
+      .col("verdict", m.verdict);
+}
+
 // Wall-clock of the same steady-state scenario with per-slide TimeSeries
 // sampling on vs off. The samples feed /timeseries.json and the SLO
 // verdicts in /healthz; the acceptance bar is <1% overhead when enabled.
@@ -215,30 +290,20 @@ double timed_sampling_run(bool sample) {
 
 void run_observability_overhead(obs::RunReport& report) {
   print_title("Observability overhead: TimeSeries sampling on vs off");
-  // Best-of-N to damp host scheduling noise; the two configurations do
-  // bit-identical simulated work, so wall-clock is the only variable.
-  constexpr int kReps = 5;
-  double off_ms = 0, on_ms = 0;
-  for (int i = 0; i < kReps; ++i) {
-    const double off = timed_sampling_run(false);
-    const double on = timed_sampling_run(true);
-    off_ms = i == 0 ? off : std::min(off_ms, off);
-    on_ms = i == 0 ? on : std::min(on_ms, on);
-  }
+  // The two configurations do bit-identical simulated work, so wall-clock
+  // is the only variable.
+  const PairedOverhead m = measure_overhead(1.0, timed_sampling_run);
   obs::TimeSeries::global().reset();
-  const double overhead_pct =
-      off_ms > 0 ? 100.0 * (on_ms - off_ms) / off_ms : 0.0;
   std::printf("  k-means, variable-width, 120-split window, 8 slides, "
-              "best of %d\n", kReps);
-  std::printf("  sampling off: %8.1f ms\n", off_ms);
-  std::printf("  sampling on:  %8.1f ms   (overhead %+.2f%%)\n", on_ms,
-              overhead_pct);
-  report.add_row()
-      .col("section", "observability_overhead")
-      .col("app", "k-means")
-      .col("wall_ms_sampling_off", off_ms)
-      .col("wall_ms_sampling_on", on_ms)
-      .col("sampling_overhead_pct", overhead_pct);
+              "medians of %d off/on pairs\n", m.pairs);
+  std::printf("  sampling off: %8.1f ms\n", m.off_ms);
+  std::printf("  sampling on:  %8.1f ms   ", m.on_ms);
+  auto& row = report.add_row()
+                  .col("section", "observability_overhead")
+                  .col("app", "k-means")
+                  .col("wall_ms_sampling_off", m.off_ms)
+                  .col("wall_ms_sampling_on", m.on_ms);
+  report_overhead(m, row, "sampling");
 }
 
 // Wall-clock of the same steady-state scenario with per-slide lineage
@@ -264,27 +329,17 @@ double timed_provenance_run(bool armed) {
 
 void run_provenance_overhead(obs::RunReport& report) {
   print_title("Provenance overhead: lineage recording armed vs disarmed");
-  constexpr int kReps = 5;
-  double off_ms = 0, on_ms = 0;
-  for (int i = 0; i < kReps; ++i) {
-    const double off = timed_provenance_run(false);
-    const double on = timed_provenance_run(true);
-    off_ms = i == 0 ? off : std::min(off_ms, off);
-    on_ms = i == 0 ? on : std::min(on_ms, on);
-  }
-  const double overhead_pct =
-      off_ms > 0 ? 100.0 * (on_ms - off_ms) / off_ms : 0.0;
+  const PairedOverhead m = measure_overhead(1.5, timed_provenance_run);
   std::printf("  k-means, variable-width, 120-split window, 8 slides, "
-              "best of %d\n", kReps);
-  std::printf("  provenance off: %8.1f ms\n", off_ms);
-  std::printf("  provenance on:  %8.1f ms   (overhead %+.2f%%, bar <1.5%%)\n",
-              on_ms, overhead_pct);
-  report.add_row()
-      .col("section", "provenance_overhead")
-      .col("app", "k-means")
-      .col("wall_ms_provenance_off", off_ms)
-      .col("wall_ms_provenance_on", on_ms)
-      .col("provenance_overhead_pct", overhead_pct);
+              "medians of %d off/on pairs\n", m.pairs);
+  std::printf("  provenance off: %8.1f ms\n", m.off_ms);
+  std::printf("  provenance on:  %8.1f ms   ", m.on_ms);
+  auto& row = report.add_row()
+                  .col("section", "provenance_overhead")
+                  .col("app", "k-means")
+                  .col("wall_ms_provenance_off", m.off_ms)
+                  .col("wall_ms_provenance_on", m.on_ms);
+  report_overhead(m, row, "provenance");
 }
 
 // Wall-clock of the same steady-state scenario with the integrity
@@ -320,33 +375,26 @@ double timed_scrub_run(std::uint64_t budget,
 
 void run_scrub_overhead(obs::RunReport& report) {
   print_title("Scrub overhead: integrity scrubber armed vs disarmed");
-  constexpr int kReps = 5;
   constexpr std::uint64_t kBudget = 256;  // records re-verified per slide
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "slider_fig9_scrub";
-  double off_ms = 0, on_ms = 0;
-  for (int i = 0; i < kReps; ++i) {
-    const double off = timed_scrub_run(0, dir);
-    const double on = timed_scrub_run(kBudget, dir);
-    off_ms = i == 0 ? off : std::min(off_ms, off);
-    on_ms = i == 0 ? on : std::min(on_ms, on);
-  }
+  const PairedOverhead m = measure_overhead(2.0, [&](bool armed) {
+    return timed_scrub_run(armed ? kBudget : 0, dir);
+  });
   std::filesystem::remove_all(dir);
-  const double overhead_pct =
-      off_ms > 0 ? 100.0 * (on_ms - off_ms) / off_ms : 0.0;
   std::printf("  k-means, variable-width, 120-split window, 8 slides, "
-              "durable tier attached, best of %d\n", kReps);
-  std::printf("  scrub disarmed:         %8.1f ms\n", off_ms);
-  std::printf("  scrub armed (%llu/slide): %8.1f ms   (overhead %+.2f%%, "
-              "bar <2%%)\n",
-              static_cast<unsigned long long>(kBudget), on_ms, overhead_pct);
-  report.add_row()
-      .col("section", "scrub_overhead")
-      .col("app", "k-means")
-      .col("scrub_records_per_slide", static_cast<double>(kBudget))
-      .col("wall_ms_scrub_off", off_ms)
-      .col("wall_ms_scrub_on", on_ms)
-      .col("scrub_overhead_pct", overhead_pct);
+              "durable tier attached, medians of %d off/on pairs\n",
+              m.pairs);
+  std::printf("  scrub disarmed:         %8.1f ms\n", m.off_ms);
+  std::printf("  scrub armed (%llu/slide): %8.1f ms   ",
+              static_cast<unsigned long long>(kBudget), m.on_ms);
+  auto& row = report.add_row()
+                  .col("section", "scrub_overhead")
+                  .col("app", "k-means")
+                  .col("scrub_records_per_slide", static_cast<double>(kBudget))
+                  .col("wall_ms_scrub_off", m.off_ms)
+                  .col("wall_ms_scrub_on", m.on_ms);
+  report_overhead(m, row, "scrub");
 }
 
 }  // namespace

@@ -148,7 +148,7 @@ void FlatAggregator::rebuild_aggregate() {
   }
 }
 
-void FlatAggregator::maybe_compact(TreeUpdateStats* stats) {
+void FlatAggregator::reclaim_dead_keys(TreeUpdateStats* stats) {
   std::size_t dead = 0;
   for (const std::uint32_t c : counts_) dead += (c == 0) ? 1 : 0;
   if (dead <= kCompactionMinDead || dead * 2 <= keys_.size()) return;
@@ -300,7 +300,7 @@ void FlatAggregator::apply_delta(std::size_t remove_front,
     }
     add_element(std::move(e), stats);
   }
-  maybe_compact(stats);
+  reclaim_dead_keys(stats);
   rebuild_root(stats);
 }
 

@@ -107,7 +107,7 @@ class FlatAggregator : public ContractionTree {
   // Recomputes running_ from elements_ (restore, compaction). Uncharged.
   void rebuild_aggregate();
   // Drops directory slots with zero live occurrences once they dominate.
-  void maybe_compact(TreeUpdateStats* stats);
+  void reclaim_dead_keys(TreeUpdateStats* stats);
   void rebuild_root(TreeUpdateStats* stats);
   // Demote to the fallback tree over `leaves` (the full current window).
   void poison(std::vector<Leaf> leaves, TreeUpdateStats* stats);

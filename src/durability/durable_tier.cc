@@ -33,14 +33,9 @@ std::size_t DurableTier::tombstone(LogKey key, std::uint64_t seq) {
 std::size_t DurableTier::append(LogRecordType type, LogKey key,
                                 std::uint64_t seq, std::string_view payload) {
   std::size_t accepted = 0;
-  std::uint64_t record_bytes = 0;
   for (auto& log : logs_) {
-    const std::uint64_t appended_before = log->bytes_appended();
-    if (!log->append(type, seq, key, payload)) continue;
-    ++accepted;
-    record_bytes = log->bytes_appended() - appended_before;
+    if (log->append(type, seq, key, payload)) ++accepted;
   }
-  bytes_since_compact_ += record_bytes;
   return accepted;
 }
 
@@ -71,28 +66,14 @@ std::size_t DurableTier::reopen_failed() {
     log->reopen();
     if (!log->failed()) ++reopened;
   }
-  if (reopened > 0) ++mutation_epoch_;
   return reopened;
 }
 
-std::optional<SegmentLog::CompactionResult> DurableTier::maybe_compact(
-    const std::unordered_set<LogKey>& live) {
-  if (!compaction_due()) return std::nullopt;
-  return compact(live);
-}
-
-SegmentLog::CompactionResult DurableTier::compact(
-    const std::unordered_set<LogKey>& live) {
-  SegmentLog::CompactionResult total;
-  for (auto& log : logs_) {
-    const auto result = log->compact(live);
-    total.bytes_before += result.bytes_before;
-    total.bytes_after += result.bytes_after;
-    total.records_dropped += result.records_dropped;
-  }
-  bytes_since_compact_ = 0;
-  ++mutation_epoch_;
-  return total;
+void DurableTier::clean(std::uint64_t live_bytes,
+                        const SegmentLog::LivePredicate& live) {
+  const std::uint64_t max_bytes =
+      kCleanFactor * live_bytes + options_.log.segment_bytes;
+  for (auto& log : logs_) log->clean(max_bytes, live);
 }
 
 void DurableTier::set_fault_injector(std::size_t replica,

@@ -10,19 +10,18 @@
 // numbers are assigned by the caller (MemoStore owns the sequence space);
 // recovery merges replicas by highest seq per key (recovery.h).
 //
-// Compaction piggybacks on the memo GC: once compaction_due(), the store
-// hands its live-node set to compact(), which rewrites the logs down to it
-// (MemoStore::retain_only passes its live set to maybe_compact(); the
-// batch erase builds one from the store's index).
+// Every memo GC (MemoStore::erase_released, MemoStore::retain_only) runs
+// clean(): each replica's oldest segments are cleaned while the replica
+// holds more than kCleanFactor times the store's live payload bytes plus
+// one segment. Liveness comes from the store's index, so the tier keeps
+// no per-key state of its own.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "durability/recovery.h"
@@ -34,11 +33,12 @@ namespace slider::durability {
 // cost model; memo_store.cc checks at compile time that the two agree.
 inline constexpr std::size_t kDurableReplicas = 2;
 
+// clean() keeps each replica within this many times the live payload
+// bytes, plus one segment.
+inline constexpr std::uint64_t kCleanFactor = 2;
+
 struct DurableTierOptions {
   SegmentLogOptions log;
-  // Compaction is due (compaction_due()) once this many bytes were
-  // appended since the last one. 0 disables automatic compaction.
-  std::uint64_t compact_after_bytes = 256ull << 10;
 };
 
 class DurableTier {
@@ -76,19 +76,9 @@ class DurableTier {
   // clears, reopen and resume). Returns how many logs were reopened.
   std::size_t reopen_failed();
 
-  // True once compact_after_bytes of new records accumulated since the
-  // last compaction (never with automatic compaction disabled).
-  bool compaction_due() const {
-    return options_.compact_after_bytes != 0 &&
-           bytes_since_compact_ >= options_.compact_after_bytes;
-  }
-  // Compacts every replica down to `live` if compaction_due() (nullopt
-  // otherwise).
-  std::optional<SegmentLog::CompactionResult> maybe_compact(
-      const std::unordered_set<LogKey>& live);
-  // Unconditional compaction; result aggregates all replicas.
-  SegmentLog::CompactionResult compact(
-      const std::unordered_set<LogKey>& live);
+  // Cleans every healthy replica (SegmentLog::clean) while it holds more
+  // than kCleanFactor * `live_bytes` plus one segment.
+  void clean(std::uint64_t live_bytes, const SegmentLog::LivePredicate& live);
 
   // Fault injection on one replica's low-level writes. Not owned.
   void set_fault_injector(std::size_t replica, FaultInjector* injector);
@@ -99,12 +89,6 @@ class DurableTier {
   std::uint64_t bytes_on_disk() const;
   std::uint64_t records_appended() const;
 
-  // Bumped whenever segment files may have been replaced or removed
-  // (compaction, degraded-log reopen). The integrity scrubber snapshots
-  // this at pass start and abandons the pass when it moves — its per-pass
-  // file cursors would otherwise point at deleted segments.
-  std::uint64_t mutation_epoch() const { return mutation_epoch_; }
-
  private:
   // Mirrors one record into every replica; returns how many accepted it.
   std::size_t append(LogRecordType type, LogKey key, std::uint64_t seq,
@@ -113,8 +97,6 @@ class DurableTier {
   std::string root_;
   DurableTierOptions options_;
   std::vector<std::unique_ptr<SegmentLog>> logs_;
-  std::uint64_t bytes_since_compact_ = 0;
-  std::uint64_t mutation_epoch_ = 0;
 };
 
 }  // namespace slider::durability

@@ -15,31 +15,25 @@ std::string replica_dir(const std::string& root, std::size_t index) {
   return (fs::path(root) / ("replica-" + std::to_string(index))).string();
 }
 
-std::unordered_map<LogKey, LogRecord> newest_records(
-    const std::vector<std::string>& dirs, RecoveryStats& stats) {
-  std::unordered_map<LogKey, LogRecord> newest;
-  for (const auto& dir : dirs) {
-    ++stats.replicas_scanned;
-    stats.scan += SegmentLog::scan_dir(
-        dir,
-        [&](const LogRecord& record) {
-          const auto [it, inserted] = newest.try_emplace(record.key, record);
-          if (inserted) return;
-          ++stats.duplicate_records;
-          if (record.seq > it->second.seq) it->second = record;
-        },
-        /*repair_torn_tail=*/true);
-  }
-  return newest;
-}
-
 std::unordered_map<LogKey, RecoveredEntry> recover_replicas(
     const std::vector<std::string>& replica_dirs, RecoveryStats* stats) {
   SLIDER_TRACE_SPAN("durability", "durability.recover");
   const auto start = std::chrono::steady_clock::now();
 
   RecoveryStats local;
-  auto merged = newest_records(replica_dirs, local);
+  std::unordered_map<LogKey, LogRecord> merged;
+  for (const auto& dir : replica_dirs) {
+    ++local.replicas_scanned;
+    local.scan += SegmentLog::scan_dir(
+        dir,
+        [&](const LogRecord& record) {
+          const auto [it, inserted] = merged.try_emplace(record.key, record);
+          if (inserted) return;
+          ++local.duplicate_records;
+          if (record.seq > it->second.seq) it->second = record;
+        },
+        /*repair_torn_tail=*/true);
+  }
 
   std::unordered_map<LogKey, RecoveredEntry> recovered;
   recovered.reserve(merged.size());

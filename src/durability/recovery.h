@@ -13,6 +13,11 @@
 // both replicas carry every record, a record lost to corruption in one
 // replica is still served from the other — the property the bit-flip
 // fault-injection tests pin down.
+//
+// The segment cleaner (SegmentLog::clean) copies live puts forward with
+// their original seq before it deletes a segment, so the merge needs no
+// notion of cleaning: a crash at any point of a clean leaves either the
+// old record or its same-seq copy (or both) for the merge to find.
 #pragma once
 
 #include <cstdint>
@@ -41,15 +46,9 @@ struct RecoveryStats {
 // Path of replica `index` under a durable-tier root.
 std::string replica_dir(const std::string& root, std::size_t index);
 
-// The merge behind recovery and SegmentLog::compact: scans the segment
-// logs in `dirs` (repairing torn tails) and keeps the newest record of
-// every key — the highest seq, the first one scanned on a tie — tombstones
-// included. Fills `stats.scan`, `replicas_scanned` and `duplicate_records`.
-std::unordered_map<LogKey, LogRecord> newest_records(
-    const std::vector<std::string>& dirs, RecoveryStats& stats);
-
-// Merges the segment logs in `replica_dirs` into the per-key newest state.
-// Torn tails are physically repaired so a writer can reopen the logs.
+// Merges the segment logs in `replica_dirs` into the per-key newest state:
+// the highest seq wins, the first one scanned on a tie. Torn tails are
+// physically repaired so a writer can reopen the logs.
 // Counts land in the durability.* instruments and `stats` (if non-null).
 std::unordered_map<LogKey, RecoveredEntry> recover_replicas(
     const std::vector<std::string>& replica_dirs, RecoveryStats* stats);

@@ -21,8 +21,8 @@ void IntegrityScrubber::begin_pass() {
   // Flush active segments so every completed append is within the bounds
   // we are about to snapshot.
   tier_.flush();
-  pass_epoch_ = tier_.mutation_epoch();
   segments_.assign(tier_.replicas(), {});
+  lost_segment_.assign(tier_.replicas(), false);
   newest_.assign(tier_.replicas(), {});
   winners_.clear();
   survivors_.clear();
@@ -45,21 +45,20 @@ void IntegrityScrubber::begin_pass() {
   pass_active_ = any;
 }
 
-void IntegrityScrubber::abandon_pass() {
-  pass_active_ = false;
-  segments_.clear();
-  newest_.clear();
-  winners_.clear();
-  survivors_.clear();
-  ++stats_.passes_abandoned;
-}
-
 bool IntegrityScrubber::scan_segment_slice(ScrubStats& slice,
                                            std::uint64_t& budget) {
   const SegmentState& seg = segments_[replica_i_][segment_i_];
   // Reopened every slice: between slices the segment may be quarantined
-  // (renamed) or compacted away.
+  // (renamed) or cleaned away.
   SegmentCursor cursor(seg.path, offset_, seg.bound);
+  if (!cursor.is_open()) {
+    // Cleaned: its live records were copied past this pass's bounds, and
+    // whatever corruption it held went with it.
+    lost_segment_[replica_i_] = true;
+    segment_corrupt_ = false;
+    survivors_.clear();
+    return true;
+  }
   while (budget > 0) {
     const Step step = cursor.next();
     // Bit rot (a plausible length, so the cursor resyncs at the next frame
@@ -161,14 +160,17 @@ void IntegrityScrubber::finish_segment(ScrubStats& slice) {
 void IntegrityScrubber::cross_check(ScrubStats& slice) {
   for (const auto& [key, win] : winners_) {
     for (std::size_t r = 0; r < newest_.size(); ++r) {
-      if (r == win.replica) continue;
+      if (r == win.replica || lost_segment_[r]) continue;
       const auto it = newest_[r].find(key);
       if (it != newest_[r].end() && it->second >= win.seq) continue;
       // Replica r lags the winner for this key: anti-entropy repair by
       // re-appending the donor's copy (re-verified from disk; the donor
-      // segment may since have been quarantined, which only renamed it).
+      // segment may since have been quarantined, which only renamed it,
+      // or cleaned, which moved a live record where the next pass finds
+      // it).
       const SegmentState& donor_seg = segments_[win.replica][win.segment];
       SegmentCursor donor_cursor(donor_seg.path, win.offset);
+      if (!donor_cursor.is_open()) continue;
       const LogRecord& donor = donor_cursor.record();
       if (donor_cursor.next() != Step::kRecord || donor.key != key ||
           donor.seq != win.seq) {
@@ -203,10 +205,6 @@ void IntegrityScrubber::cross_check(ScrubStats& slice) {
 ScrubStats IntegrityScrubber::scrub_slice(std::uint64_t record_budget) {
   ScrubStats slice;
   if (record_budget == 0) return slice;
-  if (pass_active_ && tier_.mutation_epoch() != pass_epoch_) {
-    abandon_pass();
-    ++slice.passes_abandoned;
-  }
   if (!pass_active_) begin_pass();
   std::uint64_t budget = record_budget;
   while (pass_active_ && budget > 0) {
@@ -234,10 +232,7 @@ ScrubStats IntegrityScrubber::scrub_slice(std::uint64_t record_budget) {
   detected.add(slice.corruptions_detected);
   repairs.add(slice.repairs);
   quarantines.add(slice.quarantines);
-  // full_passes from the abandoned-pass bump above is already in slice.
-  ScrubStats lifetime_delta = slice;
-  lifetime_delta.passes_abandoned = 0;  // counted in abandon_pass()
-  stats_ += lifetime_delta;
+  stats_ += slice;
   return slice;
 }
 

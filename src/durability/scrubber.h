@@ -27,10 +27,13 @@
 //
 // Concurrency: the scrubber is NOT thread-safe and shares segment files
 // with the writer — MemoStore drives it under the same durable mutex that
-// serializes appends, compaction, and the degraded-mode drain. Compaction
-// or a degraded-log reopen replaces files mid-pass; the scrubber snapshots
-// DurableTier::mutation_epoch() at pass start and abandons the pass when
-// it moves.
+// serializes appends, cleaning, and the degraded-mode drain. Between
+// slices the segment cleaner may delete snapshot segments; it first copies
+// their live records past the snapshot bounds, where this pass does not
+// look. So a vanished segment counts as finished, a replica that lost one
+// before scanning it sits out the pass's cross-check (the next pass's
+// snapshot covers it), and a winner whose donor segment vanished was moved
+// by the cleaner, not lost.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +52,7 @@ struct ScrubStats {
   std::uint64_t repairs = 0;      // healed via re-append from a donor replica
   std::uint64_t quarantines = 0;  // corrupt segments renamed *.quarantine
   std::uint64_t repair_bytes_written = 0;
-  std::uint64_t full_passes = 0;       // completed walks of the whole tier
-  std::uint64_t passes_abandoned = 0;  // mutation epoch moved mid-pass
+  std::uint64_t full_passes = 0;  // completed walks of the whole tier
 
   // Every detection is resolved as exactly one repair or one quarantine.
   bool conserved() const {
@@ -65,7 +67,6 @@ struct ScrubStats {
     quarantines += o.quarantines;
     repair_bytes_written += o.repair_bytes_written;
     full_passes += o.full_passes;
-    passes_abandoned += o.passes_abandoned;
     return *this;
   }
 };
@@ -101,7 +102,6 @@ class IntegrityScrubber {
   };
 
   void begin_pass();
-  void abandon_pass();
   // Scans frames of the current segment until the budget runs out or the
   // segment is finished. Returns true when the segment is finished.
   bool scan_segment_slice(ScrubStats& slice, std::uint64_t& budget);
@@ -113,8 +113,10 @@ class IntegrityScrubber {
   ScrubStats stats_;
 
   bool pass_active_ = false;
-  std::uint64_t pass_epoch_ = 0;
   std::vector<std::vector<SegmentState>> segments_;  // per replica, oldest first
+  // Per replica: a snapshot segment vanished before the pass finished
+  // scanning it, so this pass's view of the replica is incomplete.
+  std::vector<bool> lost_segment_;
   std::size_t replica_i_ = 0;
   std::size_t segment_i_ = 0;
   std::uint64_t offset_ = 0;

@@ -6,11 +6,11 @@
 #include <cinttypes>
 #include <filesystem>
 #include <system_error>
+#include <unordered_set>
 
 #include "common/crc32c.h"
 #include "common/logging.h"
 #include "data/serde.h"
-#include "durability/recovery.h"
 #include "observability/stats.h"
 
 namespace slider::durability {
@@ -33,6 +33,7 @@ struct DurabilityInstruments {
   obs::Counter& segments_rotated;
   obs::Counter& segments_compacted;
   obs::Counter& compaction_bytes_reclaimed;
+  obs::Counter& bytes_copied_forward;
   obs::Counter& torn_records;
   obs::Counter& crc_failures;
 };
@@ -47,6 +48,7 @@ DurabilityInstruments& instruments() {
       reg.counter("durability.segments_rotated"),
       reg.counter("durability.segments_compacted"),
       reg.counter("durability.compaction_bytes_reclaimed"),
+      reg.counter("durability.bytes_copied_forward"),
       reg.counter("durability.torn_records"),
       reg.counter("durability.crc_failures"),
   };
@@ -309,56 +311,67 @@ void SegmentLog::close() {
   active_ = nullptr;
 }
 
-SegmentLog::CompactionResult SegmentLog::compact(
-    const std::unordered_set<LogKey>& live) {
-  CompactionResult result;
-  if (failed_) return result;
-  close();
+void SegmentLog::clean(std::uint64_t max_bytes, const LivePredicate& live) {
+  if (failed_) return;
+  // Sealed segments oldest first with their sizes; every append is
+  // flushed, so the active segment's size on disk is current too.
+  std::vector<std::pair<std::string, std::uint64_t>> sealed;
+  std::uint64_t on_disk = 0;
+  for (std::string& path : list_segments(dir_)) {
+    std::error_code ec;
+    const std::uint64_t size = fs::file_size(path, ec);
+    if (ec) continue;
+    on_disk += size;
+    if (path != active_path_) sealed.emplace_back(std::move(path), size);
+  }
 
-  result.bytes_before = dir_bytes(dir_);
-
-  // Newest record per key across the whole log — the recovery merge —
-  // rewritten in ascending key order.
-  RecoveryStats merge_stats;
-  const auto newest = newest_records({dir_}, merge_stats);
-  std::vector<const LogRecord*> survivors;
-  for (const auto& [key, record] : newest) {
-    if (record.type == LogRecordType::kPut && live.count(key) != 0) {
-      survivors.push_back(&record);
+  std::size_t cleaned = 0;
+  std::uint64_t cleaned_bytes = 0;
+  std::uint64_t copied = 0;
+  std::unordered_set<LogKey> dropped_puts;
+  while (cleaned < sealed.size() && on_disk > max_bytes && !failed_) {
+    const auto& [path, size] = sealed[cleaned++];
+    cleaned_bytes += size;
+    on_disk -= size;
+    SegmentCursor cursor(path);
+    for (;;) {
+      const SegmentCursor::Step step = cursor.next();
+      if (step == SegmentCursor::Step::kCrcMismatch) continue;
+      if (step != SegmentCursor::Step::kRecord) break;
+      const LogRecord& record = cursor.record();
+      bool keep;
+      if (record.type == LogRecordType::kPut) {
+        keep = live(record.key, record.seq);
+        if (!keep) dropped_puts.insert(record.key);
+      } else {
+        // Carried while a put it shadows sits in a segment this clean
+        // deletes; once those are gone, the next clean drops it.
+        keep = dropped_puts.count(record.key) != 0;
+      }
+      if (!keep) continue;
+      const std::string frame = encode_record(record.type, record.seq,
+                                              record.key, record.payload);
+      if (!write_raw(frame)) break;
+      copied += frame.size();
+      on_disk += frame.size();
+      if (active_bytes_ >= options_.segment_bytes) rotate();
     }
   }
-  std::sort(survivors.begin(), survivors.end(),
-            [](const LogRecord* a, const LogRecord* b) { return a->key < b->key; });
-
-  const auto old_segments = list_segments(dir_);
-
-  // Rewrite survivors into fresh segments (indices keep increasing, so the
-  // rewritten log sorts after nothing and before future appends).
-  open_fresh_segment();
-  std::uint64_t kept = 0;
-  for (const LogRecord* record : survivors) {
-    const std::string frame = encode_record(LogRecordType::kPut, record->seq,
-                                            record->key, record->payload);
-    if (!write_raw(frame)) break;
-    ++kept;
-    if (active_bytes_ >= options_.segment_bytes) rotate();
+  if (cleaned == 0 || failed_) return;  // a torn copy keeps them all
+  if (copied > 0) {
+    if (options_.fsync == FsyncPolicy::kNever) {
+      flush();
+    } else {
+      sync();
+    }
   }
-  flush();
-  if (options_.fsync != FsyncPolicy::kNever) sync();
-
-  if (!failed_) {
-    std::error_code ec;
-    for (const auto& path : old_segments) fs::remove(path, ec);
+  std::error_code ec;
+  for (std::size_t i = 0; i < cleaned; ++i) fs::remove(sealed[i].first, ec);
+  instruments().segments_compacted.add(cleaned);
+  instruments().bytes_copied_forward.add(copied);
+  if (cleaned_bytes > copied) {
+    instruments().compaction_bytes_reclaimed.add(cleaned_bytes - copied);
   }
-
-  result.bytes_after = dir_bytes(dir_);
-  result.records_dropped = merge_stats.scan.records_scanned - kept;
-  instruments().segments_compacted.add(old_segments.size());
-  if (result.bytes_before > result.bytes_after) {
-    instruments().compaction_bytes_reclaimed.add(result.bytes_before -
-                                                 result.bytes_after);
-  }
-  return result;
 }
 
 LogScanStats SegmentLog::scan_dir(const std::string& dir,

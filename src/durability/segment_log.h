@@ -13,7 +13,7 @@
 // The writer rotates to a fresh segment once the active one exceeds
 // `segment_bytes`, flushes after every record, and fsyncs per policy.
 // Every process (re)start opens a fresh segment — sealed segments are
-// immutable, which is what makes tail-scan recovery and compaction simple.
+// immutable, which is what makes tail-scan recovery and cleaning simple.
 //
 // SegmentCursor is the only reader of the framing: recovery scans, the
 // integrity scrubber and the chaos engine all walk frames through it.
@@ -26,9 +26,12 @@
 //     gives up on the segment if the length is implausible;
 //   * everything else is surfaced to the callback in append order.
 //
-// Compaction rewrites the log keeping only the newest record of each key
-// in a caller-provided live set — the GC hook: MemoStore::retain_only
-// already computes exactly that set.
+// Cleaning (the memo GC's log half, in the style of log-structured file
+// systems) walks sealed segments oldest first, copies each put the caller
+// still holds to the active segment with its original seq, and deletes
+// the cleaned segments once the copies are flushed. Oldest first is what
+// lets it drop tombstones: by the time a tombstone's segment is cleaned,
+// every older segment, and so every put it shadows, is gone.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +39,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "durability/fault_injector.h"
@@ -170,16 +172,20 @@ class SegmentLog {
   std::uint64_t records_appended() const { return records_appended_; }
   std::uint64_t segments_rotated() const { return segments_rotated_; }
 
-  struct CompactionResult {
-    std::uint64_t bytes_before = 0;
-    std::uint64_t bytes_after = 0;
-    std::uint64_t records_dropped = 0;  // dead/stale records rewritten away
-  };
+  // Whether a put is still its key's current record: the cleaner's
+  // liveness test, answered by the caller's index.
+  using LivePredicate = std::function<bool(LogKey key, std::uint64_t seq)>;
 
-  // Rewrites the whole log, keeping only the newest put of every key in
-  // `live`. Sealed and active segments are replaced; appends continue in
-  // a fresh segment afterwards. No-op on a failed log.
-  CompactionResult compact(const std::unordered_set<LogKey>& live);
+  // Cleans sealed segments oldest first while the segments on disk exceed
+  // `max_bytes`. Each put `live` accepts is appended to the active
+  // segment with its original seq and payload. A tombstone is carried
+  // forward only when this clean dropped an older put of its key, so the
+  // cleaned segments may vanish in any order; every other record is
+  // dropped. The cleaned segments are deleted only after the copies are
+  // flushed (and fsynced unless the policy is kNever); a torn copy keeps
+  // them all. A segment that vanished counts as cleaned. No-op on a
+  // failed log.
+  void clean(std::uint64_t max_bytes, const LivePredicate& live);
 
   // --- static scan interface (usable without opening for append) ------
 

@@ -639,21 +639,7 @@ std::size_t MemoStore::erase_released(std::span<const NodeId> ids) {
     ++collected;
   }
   stats_.gc_examined.fetch_add(ids.size(), std::memory_order_relaxed);
-  if (durable_ != nullptr) {
-    // No tombstones here either (see retain_only). Compaction needs the
-    // whole live set, which only the index holds: build it from there,
-    // and only when the tier says a compaction is due.
-    std::lock_guard<std::mutex> dlock(durable_mutex_);
-    if (durable_->compaction_due()) {
-      std::unordered_set<NodeId> live;
-      live.reserve(size());
-      for (Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (const auto& [id, entry] : shard.index) live.insert(id);
-      }
-      durable_->compact(live);
-    }
-  }
+  clean_durable();
   refresh_gauges();
   return collected;
 }
@@ -674,17 +660,26 @@ std::size_t MemoStore::retain_only(const std::unordered_set<NodeId>& live) {
     }
   }
   stats_.gc_examined.fetch_add(examined, std::memory_order_relaxed);
-  if (durable_ != nullptr) {
-    // GC does not tombstone (a tombstone per collected node would flood
-    // the log every slide); instead the live set drives log compaction.
-    // Consequence: recovery may resurrect entries the GC dropped — the
-    // first GC of a session restored over them sweeps them again
-    // (docs/durability.md).
-    std::lock_guard<std::mutex> dlock(durable_mutex_);
-    durable_->maybe_compact(live);
-  }
+  clean_durable();
   refresh_gauges();
   return collected;
+}
+
+void MemoStore::clean_durable() {
+  if (durable_ == nullptr) return;
+  // GC does not tombstone (a tombstone per collected node would flood the
+  // log every slide); the cleaner drops the collected puts instead.
+  // Consequence: recovery may resurrect entries the GC dropped whose
+  // segments were not cleaned yet — the first GC of a session restored
+  // over them sweeps them again (docs/durability.md).
+  std::lock_guard<std::mutex> dlock(durable_mutex_);
+  durable_->clean(total_bytes(), [this](durability::LogKey id,
+                                        std::uint64_t seq) {
+    const Shard& shard = shard_of(id);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.index.find(id);
+    return it != shard.index.end() && it->second.write_seq == seq;
+  });
 }
 
 void MemoStore::drop_memory_on_failed() {

@@ -9,7 +9,9 @@
 // A shim I/O layer serves reads from the cheapest live tier and charges the
 // simulated read cost accordingly; this tiering is exactly what Table 2
 // measures. A master-side index tracks every entry so the garbage
-// collector can free state that fell out of the window.
+// collector can free state that fell out of the window; with a durable
+// tier attached, each GC then runs the tier's segment cleaner, which asks
+// the same index whether a logged put is still live.
 //
 // Thread safety: the store is shared by every partition's contraction tree
 // and the parallel map stage, so all public methods are safe for
@@ -233,9 +235,8 @@ class MemoStore {
   // `ids` (absent ids are ignored) and returns how many it freed. The
   // trees report exactly the node ids a run released
   // (ContractionTree::take_released_ids), so the cost is O(|ids|), not
-  // O(index). Like retain_only it writes no tombstones; when the durable
-  // tier says compaction is due, the logs compact to the ids left in the
-  // index.
+  // O(index). Neither GC form writes tombstones; both then run the
+  // durable tier's segment cleaner (DurableTier::clean).
   std::size_t erase_released(std::span<const NodeId> ids);
 
   // Garbage collection, full-sweep form: frees every entry not in `live`
@@ -304,7 +305,7 @@ class MemoStore {
   // --- online integrity scrubbing (durability/scrubber.h) ---------------
   //
   // Drives one budgeted scrub slice over the attached durable tier. The
-  // scrubber shares segment files with appends, compaction, and the
+  // scrubber shares segment files with appends, cleaning, and the
   // degraded drain, so the slice runs under the durable mutex. No-op
   // without a tier or with a zero budget (the disarmed case costs one
   // branch). Returns the slice's delta; lifetime totals via scrub_stats().
@@ -481,7 +482,7 @@ class MemoStore {
   std::shared_ptr<const std::unordered_set<NodeId>> pinned_;
 
   // --- degraded durable mode --------------------------------------------
-  // All durable-tier I/O (put/tombstone/recover/compact/flush) serializes
+  // All durable-tier I/O (put/tombstone/recover/clean/flush) serializes
   // on durable_mutex_: SegmentLog is not thread-safe and puts arrive from
   // parallel partition workers. Lock order: durable_mutex_ may take shard
   // mutexes (to set the durable flag after a drain); no path takes a shard
@@ -492,6 +493,10 @@ class MemoStore {
     std::string payload;
     bool tombstone = false;
   };
+  // The log half of both GC forms: cleans the durable tier down to the
+  // store's live bytes, a put being live iff the index holds its id at its
+  // seq. Takes durable_mutex_, then each record's shard mutex.
+  void clean_durable();
   // Appends via the durable tier, entering/continuing degraded mode on
   // rejection. Returns true iff the record reached at least one replica
   // log now (callers then mark the entry durable).

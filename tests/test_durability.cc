@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -46,8 +47,10 @@ using durability::LogRecord;
 using durability::LogRecordType;
 using durability::LogScanStats;
 using durability::RecoveryStats;
+using durability::SegmentCursor;
 using durability::SegmentLog;
 using durability::SegmentLogOptions;
+using testing::live_set;
 
 // Fresh scratch directory per test, removed on teardown.
 class DurabilityTest : public ::testing::Test {
@@ -269,26 +272,77 @@ TEST_F(DurabilityTest, BitFlipIsSkippedAndScanResyncs) {
   EXPECT_EQ(stats.torn_records, 0u);
 }
 
-TEST_F(DurabilityTest, CompactionKeepsNewestLivePutOnly) {
+TEST_F(DurabilityTest, CleanerKeepsOnlyTheLivePutAtItsSeq) {
+  obs::Counter& cleaned =
+      obs::StatsRegistry::global().counter("durability.segments_compacted");
   SegmentLog log(path());
   ASSERT_TRUE(log.append(LogRecordType::kPut, 1, 100, "stale"));
   ASSERT_TRUE(log.append(LogRecordType::kPut, 2, 100, "fresh"));
   ASSERT_TRUE(log.append(LogRecordType::kPut, 3, 200, "dead"));
   ASSERT_TRUE(log.append(LogRecordType::kPut, 4, 300, "erased"));
   ASSERT_TRUE(log.append(LogRecordType::kTombstone, 5, 300, ""));
-  const auto result = log.compact({100});
-  EXPECT_LT(result.bytes_after, result.bytes_before);
-  EXPECT_EQ(result.records_dropped, 4u);
-  // The log keeps accepting appends after compaction.
-  ASSERT_TRUE(log.append(LogRecordType::kPut, 6, 400, "post-compact"));
-  log.close();
+  log.rotate_now();  // only sealed segments are cleaned
+  const std::string first = SegmentLog::list_segments(path()).front();
+  const std::uint64_t cleaned_before = cleaned.value();
+  log.clean(0, live_set({{100, 2}}));
+  EXPECT_EQ(cleaned.value() - cleaned_before, 1u);
+  EXPECT_FALSE(fs::exists(first));
+  // The log keeps accepting appends after cleaning.
+  ASSERT_TRUE(log.append(LogRecordType::kPut, 6, 400, "post-clean"));
+  log.flush();
 
-  const auto records = scan_all(path(), nullptr);
-  ASSERT_EQ(records.size(), 2u);
+  // The erased key's tombstone rides along while its put could still
+  // surface from a cleaned segment that a crash left behind...
+  auto records = scan_all(path(), nullptr);
+  ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].key, 100u);
-  EXPECT_EQ(records[0].payload, "fresh");
   EXPECT_EQ(records[0].seq, 2u);  // original seq preserved
-  EXPECT_EQ(records[1].payload, "post-compact");
+  EXPECT_EQ(records[0].payload, "fresh");
+  EXPECT_EQ(records[1].type, LogRecordType::kTombstone);
+  EXPECT_EQ(records[1].key, 300u);
+  EXPECT_EQ(records[2].payload, "post-clean");
+
+  // ...and the next clean of its segment drops it: only the live puts are
+  // left, each at its original seq.
+  log.rotate_now();
+  log.clean(0, live_set({{100, 2}, {400, 6}}));
+  log.close();
+  records = scan_all(path(), nullptr);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].type, LogRecordType::kPut);
+  EXPECT_EQ(records[0].key, 100u);
+  EXPECT_EQ(records[0].seq, 2u);
+  EXPECT_EQ(records[0].payload, "fresh");
+  EXPECT_EQ(records[1].key, 400u);
+  EXPECT_EQ(records[1].seq, 6u);
+}
+
+// Cleaning stops once the log fits its bound, oldest segment first, and
+// a failed log is left alone.
+TEST_F(DurabilityTest, CleanerStopsAtTheBoundAndSkipsAFailedLog) {
+  SegmentLogOptions options;
+  options.segment_bytes = 60;  // two 33-byte frames per segment
+  SegmentLog log(path(), options);
+  for (std::uint64_t k = 1; k <= 8; ++k) {
+    ASSERT_TRUE(log.append(LogRecordType::kPut, k, k, "pppppppp"));
+  }
+  const auto before = SegmentLog::list_segments(path());
+  ASSERT_EQ(before.size(), 5u);  // four sealed, one empty active
+  // Nothing live: each cleaned segment frees 66 bytes, and 264 on disk
+  // must come down to 140, so the two oldest go.
+  log.clean(140, live_set({}));
+  const auto after = SegmentLog::list_segments(path());
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after.front(), before[2]);
+  EXPECT_EQ(SegmentLog::dir_bytes(path()), 132u);
+
+  FileFaultInjector injector;
+  log.set_fault_injector(&injector);
+  injector.fail_after_bytes(0);
+  EXPECT_FALSE(log.append(LogRecordType::kPut, 9, 9, "pppppppp"));
+  ASSERT_TRUE(log.failed());
+  log.clean(0, live_set({}));
+  EXPECT_EQ(SegmentLog::list_segments(path()).size(), 3u);
 }
 
 // --- durable tier + replica-merge recovery ---------------------------------
@@ -321,7 +375,6 @@ TEST_F(DurabilityTest, FsyncPoliciesSyncOnScheduleAndRecoverTheSameRecords) {
     DurableTierOptions options;
     options.log.fsync = expected.policy;
     options.log.segment_bytes = 100;
-    options.compact_after_bytes = 0;
     {
       DurableTier tier(root, options);
       std::vector<std::uint64_t> per_append;
@@ -616,22 +669,48 @@ TEST_F(DurabilityTest, ScrubberSlicesResumeAcrossBudgets) {
   EXPECT_TRUE(scrubber.stats().conserved());
 }
 
-TEST_F(DurabilityTest, ScrubberAbandonsPassWhenTierMutates) {
-  DurableTier tier(path());
-  std::unordered_set<durability::LogKey> live;
-  for (std::uint64_t k = 1; k <= 10; ++k) {
+// A cleaning GC between slices deletes segments the pass snapshotted,
+// some scanned and some not. The pass carries on: it finishes, verifies
+// what is left, and finds nothing to repair, because the records the
+// cleaner moved sit past the pass's bounds in both replicas.
+TEST_F(DurabilityTest, ScrubPassCompletesAcrossACleaningGc) {
+  DurableTierOptions options;
+  options.log.segment_bytes = 100;  // four 33-byte frames per segment
+  DurableTier tier(path(), options);
+  std::vector<std::pair<durability::LogKey, std::uint64_t>> live;
+  for (std::uint64_t k = 1; k <= 20; ++k) {
     ASSERT_EQ(tier.put(k, k, "pppppppp"), 2u);
-    live.insert(k);
+    if (k % 2 == 0) live.emplace_back(k, k);
   }
+  const auto replica0 = SegmentLog::list_segments(tier.log(0).dir());
   IntegrityScrubber scrubber(tier);
-  scrubber.scrub_slice(2);  // pass now mid-flight
-  tier.compact(live);       // replaces segment files, bumps mutation_epoch
+  scrubber.scrub_slice(22);  // replica 0 done, replica 1 mid-flight
+
+  obs::Counter& cleaned =
+      obs::StatsRegistry::global().counter("durability.segments_compacted");
+  const std::uint64_t cleaned_before = cleaned.value();
+  tier.clean(live.size() * 8, live_set(live));
+  EXPECT_GE(cleaned.value() - cleaned_before, 6u);  // both replicas
+  EXPECT_FALSE(fs::exists(replica0.front()));
+
   const ScrubStats slice = scrubber.scrub_slice(1000);
-  EXPECT_EQ(slice.passes_abandoned, 1u);
-  EXPECT_EQ(slice.full_passes, 1u);  // restarted and completed post-compact
-  EXPECT_EQ(scrubber.stats().passes_abandoned, 1u);
+  EXPECT_EQ(slice.full_passes, 1u);  // the same pass, not a restart
+  EXPECT_EQ(scrubber.stats().full_passes, 1u);
+  EXPECT_LT(scrubber.stats().records_verified, 40u);
   EXPECT_EQ(scrubber.stats().corruptions_detected, 0u);
+  EXPECT_EQ(scrubber.stats().repairs, 0u);
   EXPECT_TRUE(scrubber.stats().conserved());
+
+  // The next pass sees the cleaned tier whole and agrees with it.
+  while (scrubber.stats().full_passes < 2) scrubber.scrub_slice(1000);
+  EXPECT_EQ(scrubber.stats().corruptions_detected, 0u);
+  tier.close();
+  std::vector<std::pair<durability::LogKey, std::uint64_t>> recovered;
+  for (const auto& [key, entry] : DurableTier(path()).recover()) {
+    recovered.emplace_back(key, entry.seq);
+  }
+  std::sort(recovered.begin(), recovered.end());
+  EXPECT_EQ(recovered, live);
 }
 
 // The Prometheus text format allows one TYPE line per family; a scraper
@@ -970,7 +1049,7 @@ INSTANTIATE_TEST_SUITE_P(
     session_case_name);
 
 // GC writes no tombstones, so restore_from_durable resurrects every entry
-// a pre-crash GC dropped and compaction had not yet rewritten away. Only
+// a pre-crash GC dropped whose segment was not cleaned yet. Only
 // the restored session's first GC — a one-time full sweep — prunes them;
 // every later GC erases released ids only.
 TEST_F(DurabilityTest, FirstGcAfterRestorePrunesResurrectedEntries) {
@@ -993,10 +1072,9 @@ TEST_F(DurabilityTest, FirstGcAfterRestorePrunesResurrectedEntries) {
   const std::string tier_dir = path("memo");
   SplitId next_id = 10;
   {
-    // No compaction: the log keeps every entry the GC dropped.
-    DurableTierOptions no_compaction;
-    no_compaction.compact_after_bytes = 0;
-    DurableTier tier(tier_dir, no_compaction);
+    // At 1 MiB segments this log stays under the cleaner's trigger (twice
+    // the live bytes plus a segment), so it keeps every entry GC dropped.
+    DurableTier tier(tier_dir);
     MemoStore memo(cluster, cost);
     memo.attach_durable_tier(&tier);
     SliderSession session(engine, memo, bench.job, config);
@@ -1025,6 +1103,384 @@ TEST_F(DurabilityTest, FirstGcAfterRestorePrunesResurrectedEntries) {
   restored.collect_live_ids(live);
   EXPECT_EQ(memo.size(), live.size());
   for (const NodeId id : live) EXPECT_TRUE(memo.contains(id)) << id;
+}
+
+// --- crash states of a cleaning GC ------------------------------------------
+
+// A replica directory's segment files, by name.
+using SegmentFiles = std::map<std::string, std::string>;
+
+SegmentFiles read_segments(const std::string& dir) {
+  SegmentFiles files;
+  for (const auto& segment : SegmentLog::list_segments(dir)) {
+    std::ifstream in(segment, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[fs::path(segment).filename().string()] = bytes.str();
+  }
+  return files;
+}
+
+void write_segments(const SegmentFiles& files, const fs::path& dir) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const auto& [name, bytes] : files) {
+    std::ofstream out(dir / name, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+}
+
+// Records replica files as they stand at each write the log makes: what a
+// process killed just before that write leaves on disk.
+class CrashPointRecorder final : public durability::FaultInjector {
+ public:
+  explicit CrashPointRecorder(std::string dir) : dir_(std::move(dir)) {}
+  std::size_t admit(std::size_t want) override {
+    states.push_back(read_segments(dir_));
+    return want;
+  }
+  std::vector<SegmentFiles> states;
+
+ private:
+  std::string dir_;
+};
+
+// The crash states of a GC that cleans segments, built from replica 0's
+// files before and after it:
+//   (a) the copy-forward torn at every frame boundary, and once mid-frame;
+//   (b) the copies flushed, nothing deleted;
+//   (c) (b) minus each proper subset of the cleaned segments;
+// plus the files as they stood at each write the cleaner made. In each, the
+// replica alone must recover every live entry at its seq with its payload,
+// bring back no id erased with a tombstone, and restore the checkpoint
+// taken before the GC to outputs equal to a from-scratch run.
+TEST_F(DurabilityTest, CleaningGcCrashStatesRecoverEveryLiveEntry) {
+  const auto bench = apps::make_microbenchmark(apps::MicroApp::kHct);
+  ClusterConfig cluster_config{.num_machines = 4, .slots_per_machine = 2};
+  CostModel cost;
+  Cluster cluster(cluster_config);
+  VanillaEngine engine(cluster, cost);
+  SliderConfig config;
+  config.mode = WindowMode::kVariableWidth;
+  config.tree_kind = TreeKind::kFolding;
+  const auto batch = [](std::size_t count, SplitId first_id) {
+    Rng rng(70 + first_id);
+    auto records = apps::generate_input(apps::MicroApp::kHct, count * 5, rng,
+                                        first_id * 1'000'000);
+    return make_splits(std::move(records), 5, first_id);
+  };
+  const auto filler = [](NodeId id) {
+    return std::make_shared<const KVTable>(KVTable::from_sorted_unique(
+        {{"filler", std::string(1000, static_cast<char>('a' + id % 26))}}));
+  };
+
+  DurableTierOptions options;
+  options.log.segment_bytes = 16 << 10;
+  DurableTier tier(path("tier"), options);
+  MemoStore memo(cluster, cost);
+  memo.attach_durable_tier(&tier);
+  SliderSession session(engine, memo, bench.job, config);
+  const std::vector<SplitPtr> window = batch(4, 0);
+  session.initial_run(window);
+
+  // A stale put: erased with a tombstone, then put again at a newer seq.
+  constexpr NodeId kReput = 0xF000'0000'0000'0000ull;
+  memo.put(kReput, filler(0));
+  memo.erase(kReput);
+  memo.put(kReput, filler(0));
+  // Filler for the GC to clean away: the even ids erased with tombstones
+  // 20 puts later (over a segment on, so the clean meets the put and
+  // then its tombstone), the odd ids dropped by the GC without one.
+  std::unordered_set<NodeId> tombstoned;
+  for (NodeId i = 1; i <= 120; ++i) {
+    memo.put(kReput + i, filler(i));
+    if (i > 20 && i % 2 == 0) {
+      memo.erase(kReput + i - 20);
+      tombstoned.insert(kReput + i - 20);
+    }
+  }
+  ASSERT_TRUE(session.checkpoint(path("ckpt")));
+  const std::string replica0 = tier.log(0).dir();
+  const SegmentFiles pre = read_segments(replica0);
+  const std::string active =
+      fs::path(tier.log(0).active_path()).filename().string();
+  write_segments(pre, path("pre"));
+  const auto pre_recovered =
+      durability::recover_replicas({path("pre")}, nullptr);
+
+  std::unordered_set<NodeId> live;
+  session.collect_live_ids(live);
+  live.insert(kReput);
+  CrashPointRecorder recorder(replica0);
+  tier.set_fault_injector(0, &recorder);
+  memo.retain_only(live);
+  tier.set_fault_injector(0, nullptr);
+  const SegmentFiles post = read_segments(replica0);
+
+  // Every live entry, at the seq and payload the log held before the GC.
+  std::map<NodeId, durability::RecoveredEntry> expected;
+  for (const NodeId id : live) {
+    const auto table = memo.peek(id);
+    ASSERT_NE(table, nullptr) << id;
+    const auto it = pre_recovered.find(id);
+    ASSERT_NE(it, pre_recovered.end()) << id;
+    EXPECT_EQ(it->second.payload, serialize_table(*table)) << id;
+    expected.emplace(id, it->second);
+  }
+
+  std::vector<std::string> cleaned;
+  for (const auto& [name, bytes] : pre) {
+    if (post.count(name) == 0) cleaned.push_back(name);
+  }
+  ASSERT_GE(cleaned.size(), 3u);
+  ASSERT_LE(cleaned.size(), 8u);  // keeps (c) to at most 255 states
+  // The copies went to the active segment and, past its rotations, to
+  // segments that did not exist before: one stream, oldest file first.
+  std::vector<std::string> copy_files = {active};
+  for (const auto& [name, bytes] : post) {
+    if (pre.count(name) == 0) copy_files.push_back(name);
+  }
+
+  // The copies are exactly the cleaned segments' live puts, each at its
+  // original seq, in log order, plus each tombstone whose put this GC
+  // dropped.
+  std::vector<std::tuple<LogRecordType, NodeId, std::uint64_t>> want_copies;
+  std::unordered_set<NodeId> dropped_puts;
+  for (const std::string& name : cleaned) {
+    SegmentCursor cursor(path("pre") + "/" + name);
+    while (cursor.next() == SegmentCursor::Step::kRecord) {
+      const LogRecord& r = cursor.record();
+      const auto it = expected.find(r.key);
+      if (r.type == LogRecordType::kPut) {
+        if (it != expected.end() && it->second.seq == r.seq) {
+          want_copies.emplace_back(r.type, r.key, r.seq);
+        } else {
+          dropped_puts.insert(r.key);
+        }
+      } else if (dropped_puts.count(r.key) != 0) {
+        want_copies.emplace_back(r.type, r.key, r.seq);
+      }
+    }
+  }
+  std::vector<std::tuple<LogRecordType, NodeId, std::uint64_t>> copies;
+  // Frame ends in the copy stream, as (index into copy_files, offset).
+  std::vector<std::pair<std::size_t, std::uint64_t>> boundaries;
+  write_segments(post, path("post"));
+  const std::uint64_t active_before = pre.at(active).size();
+  for (std::size_t f = 0; f < copy_files.size(); ++f) {
+    SegmentCursor cursor(path("post") + "/" + copy_files[f],
+                         f == 0 ? active_before : 0);
+    while (cursor.next() == SegmentCursor::Step::kRecord) {
+      const LogRecord& r = cursor.record();
+      copies.emplace_back(r.type, r.key, r.seq);
+      boundaries.emplace_back(f, cursor.offset());
+    }
+  }
+  EXPECT_EQ(copies, want_copies);
+  ASSERT_GE(boundaries.size(), 2u);
+
+  // Replica 0 with the copy stream cut `at` bytes into copy_files[file],
+  // every cleaned segment still present.
+  const auto torn = [&](std::size_t file, std::uint64_t at) {
+    SegmentFiles files = pre;
+    for (std::size_t f = 0; f < file; ++f) {
+      files[copy_files[f]] = post.at(copy_files[f]);
+    }
+    files[copy_files[file]] = post.at(copy_files[file]).substr(0, at);
+    return files;
+  };
+  std::vector<std::pair<std::string, SegmentFiles>> states;
+  for (const auto& [file, at] : boundaries) {  // (a)
+    states.emplace_back(
+        "torn at " + copy_files[file] + ":" + std::to_string(at),
+        torn(file, at));
+  }
+  {
+    const auto [file, end] = boundaries.back();
+    const auto [prev_file, prev_end] = boundaries[boundaries.size() - 2];
+    const std::uint64_t start =
+        prev_file == file ? prev_end : (file == 0 ? active_before : 0);
+    states.emplace_back("torn mid-frame",
+                        torn(file, start + (end - start) / 2));
+  }
+  const SegmentFiles flushed =  // (b)
+      torn(copy_files.size() - 1, post.at(copy_files.back()).size());
+  const std::size_t subsets = std::size_t{1} << cleaned.size();
+  for (std::size_t mask = 0; mask + 1 < subsets; ++mask) {  // (b), (c)
+    SegmentFiles partial = flushed;
+    for (std::size_t i = 0; i < cleaned.size(); ++i) {
+      if ((mask >> i) & 1) partial.erase(cleaned[i]);
+    }
+    states.emplace_back("deleted subset " + std::to_string(mask),
+                        std::move(partial));
+  }
+  states.emplace_back("after the GC", post);
+  ASSERT_GE(recorder.states.size(), copies.size());
+  for (std::size_t i = 0; i < recorder.states.size(); ++i) {
+    states.emplace_back("killed before write " + std::to_string(i),
+                        recorder.states[i]);
+  }
+
+  std::vector<SplitPtr> next_window(window.begin() + 2, window.end());
+  const std::vector<SplitPtr> added = batch(2, 100);
+  next_window.insert(next_window.end(), added.begin(), added.end());
+  const JobResult scratch = engine.run(bench.job, next_window);
+
+  for (const auto& [label, files] : states) {
+    SCOPED_TRACE(label);
+    const fs::path root = dir_ / "state";
+    fs::remove_all(root);
+    write_segments(files, root / "replica-0");
+    const auto recovered = durability::recover_replicas(
+        {(root / "replica-0").string()}, nullptr);
+    for (const auto& [id, want] : expected) {
+      const auto it = recovered.find(id);
+      ASSERT_NE(it, recovered.end()) << "lost live id " << id;
+      EXPECT_EQ(it->second.seq, want.seq) << id;
+      EXPECT_EQ(it->second.payload, want.payload) << id;
+    }
+    for (const auto& [id, entry] : recovered) {
+      EXPECT_EQ(tombstoned.count(id), 0u) << "erased id came back: " << id;
+      // Anything else was in the log before the GC and left the index
+      // without a tombstone: a GC release.
+      EXPECT_TRUE(pre_recovered.count(id) != 0) << id;
+    }
+
+    DurableTier state_tier(root.string());
+    MemoStore state_memo(cluster, cost);
+    state_memo.attach_durable_tier(&state_tier);
+    state_memo.restore_from_durable();
+    SliderSession restored(engine, state_memo, bench.job, config);
+    ASSERT_TRUE(restored.restore(path("ckpt")));
+    restored.slide(2, added);
+    ASSERT_EQ(restored.output().size(), scratch.partition_outputs.size());
+    for (std::size_t p = 0; p < scratch.partition_outputs.size(); ++p) {
+      EXPECT_EQ(restored.output()[p], scratch.partition_outputs[p])
+          << "partition " << p;
+    }
+  }
+}
+
+// Seeded property: a store over a small-segment tier takes puts, re-puts
+// after eviction, erases, quota evictions and both GC forms. After every
+// GC, each replica holds at most twice the live bytes plus two segments,
+// and recovery returns every live entry at its write seq with its payload
+// and nothing else but ids a GC released without a tombstone. A model
+// mirrors the store's write seqs: a new entry and each tombstone (erase or
+// quota eviction of a durable entry) take the next one.
+TEST_F(DurabilityTest, CleanerPropertyBoundsTheLogAndRecoversTheLiveEntries) {
+  ClusterConfig cluster_config{.num_machines = 4, .slots_per_machine = 2};
+  CostModel cost;
+  Cluster cluster(cluster_config);
+  constexpr std::uint64_t kSegment = 4 << 10;
+  constexpr std::uint64_t kTenant = 0xA1;  // even ids; odd ids untenanted
+  const auto table_for = [](NodeId id) {
+    return std::make_shared<const KVTable>(KVTable::from_sorted_unique(
+        {{"k" + std::to_string(id),
+          std::string(100 + id * 37 % 500,
+                      static_cast<char>('a' + id % 26))}}));
+  };
+  obs::Counter& cleaned =
+      obs::StatsRegistry::global().counter("durability.segments_compacted");
+  const std::uint64_t cleaned_before = cleaned.value();
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string root = path("seed" + std::to_string(seed));
+    DurableTierOptions options;
+    options.log.segment_bytes = kSegment;
+    DurableTier tier(root, options);
+    MemoStore memo(cluster, cost);
+    memo.attach_durable_tier(&tier);
+    memo.set_tenant_quota(kTenant, TenantQuota{.max_entries = 24});
+
+    std::map<NodeId, std::uint64_t> present;  // id -> write seq
+    std::unordered_set<NodeId> gc_released;   // left without a tombstone
+    std::vector<NodeId> removed;              // candidates for a re-put
+    std::uint64_t next_seq = 0;
+    NodeId next_id = 1;
+    const auto tombstone = [&](NodeId id) {
+      present.erase(id);
+      gc_released.erase(id);
+      removed.push_back(id);
+      ++next_seq;
+    };
+    const auto put = [&](NodeId id) {
+      const std::uint64_t tenant = id % 2 == 0 ? kTenant : 0;
+      const bool fresh = present.count(id) == 0;
+      memo.put(id, table_for(id), tenant);
+      if (!fresh) return;
+      present[id] = next_seq++;
+      gc_released.erase(id);
+      // Quota evictions tombstone the tenant's oldest entries, one seq each.
+      std::vector<NodeId> evicted;
+      for (const auto& [other, seq] : present) {
+        if (other % 2 == 0 && !memo.contains(other)) evicted.push_back(other);
+      }
+      for (const NodeId other : evicted) tombstone(other);
+    };
+    const auto check = [&](std::size_t step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      for (std::size_t r = 0; r < tier.replicas(); ++r) {
+        EXPECT_LE(SegmentLog::dir_bytes(tier.log(r).dir()),
+                  durability::kCleanFactor * memo.total_bytes() + 2 * kSegment)
+            << "replica " << r;
+      }
+      const auto recovered = tier.recover();
+      for (const auto& [id, seq] : present) {
+        const auto it = recovered.find(id);
+        ASSERT_NE(it, recovered.end()) << "lost live id " << id;
+        EXPECT_EQ(it->second.seq, seq) << id;
+        EXPECT_EQ(it->second.payload, serialize_table(*table_for(id))) << id;
+      }
+      for (const auto& [id, entry] : recovered) {
+        EXPECT_TRUE(present.count(id) != 0 || gc_released.count(id) != 0)
+            << "id " << id << " came back after a tombstone";
+      }
+    };
+
+    Rng rng(seed);
+    for (std::size_t step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 40) {
+        put(next_id++);
+      } else if (op < 55 && !removed.empty()) {
+        const std::size_t pick = rng.next_below(removed.size());
+        const NodeId id = removed[pick];
+        removed.erase(removed.begin() + static_cast<std::ptrdiff_t>(pick));
+        if (present.count(id) == 0) put(id);  // re-put after eviction
+      } else if (op < 70 && !present.empty()) {
+        auto it = present.begin();
+        std::advance(it, rng.next_below(present.size()));
+        const NodeId id = it->first;
+        memo.erase(id);
+        tombstone(id);
+      } else if (op < 90) {
+        std::vector<NodeId> released;
+        for (const auto& [id, seq] : present) {
+          if (rng.next_below(3) == 0) released.push_back(id);
+        }
+        if (op < 85) {
+          memo.erase_released(released);
+        } else {
+          std::unordered_set<NodeId> keep;
+          for (const auto& [id, seq] : present) keep.insert(id);
+          for (const NodeId id : released) keep.erase(id);
+          memo.retain_only(keep);
+        }
+        for (const NodeId id : released) {
+          present.erase(id);
+          gc_released.insert(id);
+          removed.push_back(id);
+        }
+        check(step);
+        if (::testing::Test::HasFatalFailure()) return;
+      } else {
+        put(next_id++);
+      }
+    }
+  }
+  EXPECT_GT(cleaned.value(), cleaned_before);
 }
 
 // A rotating-tree manifest whose pending install names bucket slot `slot`

@@ -1,5 +1,5 @@
 // Golden bytes of the on-disk formats: segment-log frames (as appended and
-// as compaction rewrites them), a checkpoint manifest and a post-mortem
+// as the cleaner copies them forward), a checkpoint manifest and a post-mortem
 // frame. Any change to how these files are laid out shows up here as an
 // edit of the expected hex, never as a silent drift between writer and
 // reader.
@@ -16,6 +16,7 @@
 #include "durability/checkpoint.h"
 #include "durability/segment_log.h"
 #include "observability/postmortem.h"
+#include "tests/test_util.h"
 
 namespace slider {
 namespace {
@@ -23,6 +24,7 @@ namespace {
 namespace fs = std::filesystem;
 using durability::LogRecordType;
 using durability::SegmentLog;
+using testing::live_set;
 
 class GoldenFormats : public ::testing::Test {
  protected:
@@ -78,7 +80,7 @@ constexpr char kPutThenTombstone[] =
     "68656c6c6f"
     // tombstone: body_len 17, crc, type 2, seq 2, key 0x07, no payload
     "11000000" "5e73897e" "02" "0200000000000000" "0700000000000000";
-// Compaction keeps only the put (the tombstoned key has no survivor).
+// Cleaning copies only the put forward (the tombstone shadows no put).
 constexpr char kPutCompacted[] =
     "16000000" "90d79b58" "01" "0100000000000000" "2a00000000000000"
     "68656c6c6f";
@@ -94,28 +96,30 @@ TEST_F(GoldenFormats, SegmentLogPutTombstoneAndCompaction) {
   ASSERT_EQ(segment_names(dir), std::vector<std::string>{"seg-000001.slog"});
   EXPECT_EQ(file_hex(dir + "/seg-000001.slog"), kPutThenTombstone);
 
-  const auto result = log.compact({0x2A, 0x07});
+  log.rotate_now();
+  log.clean(0, live_set({{0x2A, 1}}));
   log.close();
-  EXPECT_EQ(result.records_dropped, 1u);
   ASSERT_EQ(segment_names(dir), std::vector<std::string>{"seg-000002.slog"});
   EXPECT_EQ(file_hex(dir + "/seg-000002.slog"), kPutCompacted);
 }
 
-// Survivors are rewritten in ascending key order whatever the append
-// order, each with its newest seq; the stale put of key 3 and the put of
-// key 4 (not live) are dropped.
-constexpr char kCompactedAscending[] =
-    // key 3, seq 4, "three"
-    "16000000" "03000c52" "01" "0400000000000000" "0300000000000000"
-    "7468726565"
+// Live puts are copied forward in log order, each at its original seq; the
+// stale put of key 3 and the dead put of key 4 are dropped, and key 4's
+// tombstone rides along because this clean dropped the put it shadows.
+constexpr char kCopiedForwardInLogOrder[] =
+    // key 9, seq 1, "nine"
+    "15000000" "fc34c39e" "01" "0100000000000000" "0900000000000000"
+    "6e696e65"
     // key 5, seq 3, "five"
     "15000000" "e80d74ef" "01" "0300000000000000" "0500000000000000"
     "66697665"
-    // key 9, seq 1, "nine"
-    "15000000" "fc34c39e" "01" "0100000000000000" "0900000000000000"
-    "6e696e65";
+    // key 3, seq 4, "three"
+    "16000000" "03000c52" "01" "0400000000000000" "0300000000000000"
+    "7468726565"
+    // tombstone: key 4, seq 6
+    "11000000" "dc58c963" "02" "0600000000000000" "0400000000000000";
 
-TEST_F(GoldenFormats, CompactionRewritesSurvivorsInKeyOrder) {
+TEST_F(GoldenFormats, CleanerCopiesLivePutsForwardInLogOrder) {
   const std::string dir = path("log");
   SegmentLog log(dir);
   ASSERT_TRUE(log.append(LogRecordType::kPut, 1, 9, "nine"));
@@ -123,11 +127,12 @@ TEST_F(GoldenFormats, CompactionRewritesSurvivorsInKeyOrder) {
   ASSERT_TRUE(log.append(LogRecordType::kPut, 3, 5, "five"));
   ASSERT_TRUE(log.append(LogRecordType::kPut, 4, 3, "three"));
   ASSERT_TRUE(log.append(LogRecordType::kPut, 5, 4, "four"));
-  const auto result = log.compact({9, 3, 5});
+  ASSERT_TRUE(log.append(LogRecordType::kTombstone, 6, 4, {}));
+  log.rotate_now();
+  log.clean(0, live_set({{9, 1}, {5, 3}, {3, 4}}));
   log.close();
-  EXPECT_EQ(result.records_dropped, 2u);
   ASSERT_EQ(segment_names(dir), std::vector<std::string>{"seg-000002.slog"});
-  EXPECT_EQ(file_hex(dir + "/seg-000002.slog"), kCompactedAscending);
+  EXPECT_EQ(file_hex(dir + "/seg-000002.slog"), kCopiedForwardInLogOrder);
 }
 
 // "SLIDRCKP" [u32 version][u32 crc32c(blob)][u64 blob_size][blob], the

@@ -39,6 +39,7 @@
 #include "durability/durable_tier.h"
 #include "serving/session_manager.h"
 #include "slider/session.h"
+#include "tests/test_util.h"
 
 namespace slider {
 namespace {
@@ -396,9 +397,9 @@ TEST(SessionManagerIdleHydrate, ColdSessionRehydratesTransparently) {
 
 // Fleet GC erases the ids the tenants' sessions released, including those
 // a napper's session released before its idle checkpoint destroyed it,
-// under quota eviction and durable compaction. After every GC a full sweep
-// over the store must find nothing left to collect, and no uncapped tenant
-// may have lost a live id.
+// under quota eviction and durable segment cleaning. After every GC a full
+// sweep over the store must find nothing left to collect, and no uncapped
+// tenant may have lost a live id.
 TEST(SessionManagerGc, ReleasedIdsLeaveExactlyTheLiveAndPinnedSets) {
   Harness h;
   const fs::path tier_dir =
@@ -407,8 +408,10 @@ TEST(SessionManagerGc, ReleasedIdsLeaveExactlyTheLiveAndPinnedSets) {
   fs::remove_all(tier_dir);
   fs::create_directories(tier_dir);
   durability::DurableTierOptions tier_options;
-  tier_options.compact_after_bytes = 16 << 10;  // compact every few rounds
+  tier_options.log.segment_bytes = 16 << 10;  // GCs clean segments
   durability::DurableTier tier(tier_dir.string(), tier_options);
+  const std::uint64_t cleaned_before =
+      testing::registry_counter("durability.segments_compacted");
   h.memo.attach_durable_tier(&tier);
 
   SessionManagerOptions options;
@@ -491,6 +494,8 @@ TEST(SessionManagerGc, ReleasedIdsLeaveExactlyTheLiveAndPinnedSets) {
   EXPECT_GT(checkpoints, 0u);
   EXPECT_GT(manager.status("napper").counters.hydrations, 0u);
   EXPECT_GT(h.memo.tenant_usage(hash_string("capped")).quota_evictions, 0u);
+  EXPECT_GT(testing::registry_counter("durability.segments_compacted"),
+            cleaned_before);
   fs::remove_all(tier_dir);
 }
 

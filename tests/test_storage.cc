@@ -911,5 +911,72 @@ TEST(MemoStoreQuotaConcurrency, UntenantedWritersRaceQuotasUnderBudget) {
   EXPECT_GT(h.memo.stats().budget_evictions, 0u);
 }
 
+// Tenanted durable puts (their quota evictions append tombstones) race a
+// GC thread whose batch erases run the segment cleaner over a tier with
+// small segments. The cleaner reads the index under the durable mutex,
+// one shard at a time; afterwards every entry the store holds must
+// recover from the logs with its payload.
+TEST(MemoStoreQuotaConcurrency, TenantedDurablePutsRaceCleaningGcs) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("slider_test_cleaning_race_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const std::uint64_t cleaned_before =
+      testing::registry_counter("durability.segments_compacted");
+  {
+    durability::DurableTierOptions options;
+    options.log.segment_bytes = 4 << 10;
+    durability::DurableTier tier(dir.string(), options);
+    StorageHarness h;
+    h.memo.attach_durable_tier(&tier);
+    h.memo.set_tenant_quota(kTenantA, TenantQuota{.max_entries = 12});
+    h.memo.set_tenant_quota(kTenantB, TenantQuota{.max_bytes = 1500});
+    constexpr NodeId kPerTenant = 300;
+
+    std::atomic<bool> done{false};
+    const auto writer = [&](std::uint64_t tenant, NodeId base) {
+      for (NodeId i = 0; i < kPerTenant; ++i) {
+        h.memo.put(base + i, sized_table(base + i, 8 + i % 50), tenant);
+      }
+    };
+    std::vector<NodeId> released;
+    for (NodeId i = 0; i < kPerTenant; i += 4) {
+      released.push_back(1000 + i);
+      released.push_back(5000 + i);
+    }
+    std::thread a(writer, kTenantA, 1000);
+    std::thread b(writer, kTenantB, 5000);
+    std::thread gc([&] {
+      while (!done.load()) h.memo.erase_released(released);
+    });
+    a.join();
+    b.join();
+    done.store(true);
+    gc.join();
+    h.memo.erase_released(released);
+
+    ASSERT_TRUE(index_matches_usage(h.memo, {kTenantA, kTenantB}));
+    EXPECT_GT(h.memo.tenant_usage(kTenantA).quota_evictions, 0u);
+    h.memo.flush_durable();
+    const auto recovered = tier.recover();
+    std::size_t held = 0;
+    for (const NodeId base : {NodeId{1000}, NodeId{5000}}) {
+      for (NodeId i = 0; i < kPerTenant; ++i) {
+        const NodeId id = base + i;
+        const auto table = h.memo.peek(id);
+        if (table == nullptr) continue;
+        ++held;
+        const auto it = recovered.find(id);
+        ASSERT_NE(it, recovered.end()) << "lost live id " << id;
+        EXPECT_EQ(it->second.payload, serialize_table(*table)) << id;
+      }
+    }
+    EXPECT_EQ(held, h.memo.size());
+  }
+  EXPECT_GT(testing::registry_counter("durability.segments_compacted"),
+            cleaned_before);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace slider

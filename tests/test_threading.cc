@@ -460,7 +460,7 @@ TEST(ScrubberConcurrency, ScrubSlicesRaceWithParallelWriters) {
     // verify clean, and the conservation invariant must hold over the
     // whole racy history.
     const auto final_slice = h.memo.scrub_durable(1u << 20);
-    EXPECT_GE(final_slice.full_passes + final_slice.passes_abandoned, 1u);
+    EXPECT_GE(final_slice.full_passes, 1u);
     const auto totals = h.memo.scrub_stats();
     EXPECT_EQ(totals.corruptions_detected, 0u);
     EXPECT_TRUE(totals.conserved());

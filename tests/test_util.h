@@ -1,10 +1,12 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,9 +14,20 @@
 #include "contraction/tree.h"
 #include "data/record.h"
 #include "data/split.h"
+#include "durability/segment_log.h"
 #include "observability/stats.h"
 
 namespace slider::testing {
+
+// The segment cleaner's liveness test over a fixed set: a put is live iff
+// its (key, seq) is one of `live`.
+inline durability::SegmentLog::LivePredicate live_set(
+    std::vector<std::pair<durability::LogKey, std::uint64_t>> live) {
+  return [live = std::move(live)](durability::LogKey key, std::uint64_t seq) {
+    return std::find(live.begin(), live.end(), std::pair{key, seq}) !=
+           live.end();
+  };
+}
 
 // Current value of a process-wide StatsRegistry counter. Tests compare
 // deltas: every gtest case runs in its own ctest process, but a direct run

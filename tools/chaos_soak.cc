@@ -30,7 +30,10 @@
 // the scrubber armed (SliderConfig::scrub_records_per_slide) and memo
 // checksum verification on, and after every run the scrub conservation
 // invariant (corruptions_detected == repairs + quarantines) must hold on
-// top of the byte-identity checks. The mode finishes with a SIGKILL
+// top of the byte-identity checks. Its tier runs on 4 KiB segments, so
+// the GC's segment cleaner runs under the rot and the scrubber, and the
+// soak fails unless segments were cleaned and scrub passes completed.
+// The mode finishes with a SIGKILL
 // mid-repair experiment: a forked victim corrupts a replica, starts the
 // scrub, and dies from inside the repair append; the parent recovers the
 // store from the surviving replicas, completes the interrupted repair,
@@ -189,6 +192,13 @@ ControlTrace run_control(const Variant& v, const Options& opt,
   return trace;
 }
 
+// Segments the durable tier's cleaner has deleted in this process.
+std::uint64_t segments_cleaned() {
+  return obs::StatsRegistry::global()
+      .counter("durability.segments_compacted")
+      .value();
+}
+
 struct ChaosOutcome {
   bool ok = true;
   std::string failure;  // first mismatch, for the log
@@ -209,7 +219,11 @@ ChaosOutcome run_chaos(const Variant& v, const Options& opt,
   Cluster cluster(ClusterConfig{.num_machines = opt.machines,
                                 .slots_per_machine = 2});
   VanillaEngine engine(cluster, cost);
-  durability::DurableTier tier(dir.string());
+  // The bit-rot tier runs on 4 KiB segments, so the GC's segment cleaner
+  // deletes segments under the scrubber's passes and the injected rot.
+  durability::DurableTierOptions tier_options;
+  if (opt.bitrot) tier_options.log.segment_bytes = 4 << 10;
+  durability::DurableTier tier(dir.string(), tier_options);
   MemoStore memo(cluster, cost);
   memo.attach_durable_tier(&tier);
 
@@ -856,6 +870,16 @@ int main(int argc, char** argv) {
                    "never detected any\n");
       ++failures;
     }
+    // On 4 KiB segments the GC's cleaner deletes segments under the rot,
+    // and scrub passes must still complete around it.
+    if (segments_cleaned() == 0 || grand_scrub.full_passes == 0) {
+      std::fprintf(stderr,
+                   "FAIL bitrot soak: segments cleaned=%llu, scrub full "
+                   "passes=%llu (both must be nonzero)\n",
+                   static_cast<unsigned long long>(segments_cleaned()),
+                   static_cast<unsigned long long>(grand_scrub.full_passes));
+      ++failures;
+    }
     // SIGKILL mid-repair + recovery: the capstone scenario.
     failures += run_bitrot_crash_scenario(argv[0], opt);
   }
@@ -932,7 +956,8 @@ int main(int argc, char** argv) {
     if (opt.bitrot) {
       std::printf("bitrot soak: OK (%llu bit flips + %llu divergences "
                   "injected; scrub verified=%llu detected=%llu repairs=%llu "
-                  "quarantines=%llu, conserved)\n",
+                  "quarantines=%llu full_passes=%llu, conserved; %llu "
+                  "segments cleaned)\n",
                   static_cast<unsigned long long>(grand_bit_rots),
                   static_cast<unsigned long long>(grand_divergences),
                   static_cast<unsigned long long>(
@@ -940,7 +965,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(
                       grand_scrub.corruptions_detected),
                   static_cast<unsigned long long>(grand_scrub.repairs),
-                  static_cast<unsigned long long>(grand_scrub.quarantines));
+                  static_cast<unsigned long long>(grand_scrub.quarantines),
+                  static_cast<unsigned long long>(grand_scrub.full_passes),
+                  static_cast<unsigned long long>(segments_cleaned()));
     }
     return 0;
   }
