@@ -6,6 +6,8 @@
 // phase as a percentage of Hadoop's Reduce work — exactly the
 // normalization the paper's stacked bars use.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -377,7 +379,8 @@ void run_scrub_overhead(obs::RunReport& report) {
   print_title("Scrub overhead: integrity scrubber armed vs disarmed");
   constexpr std::uint64_t kBudget = 256;  // records re-verified per slide
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "slider_fig9_scrub";
+      std::filesystem::temp_directory_path() /
+      ("slider_fig9_scrub_" + std::to_string(::getpid()));
   const PairedOverhead m = measure_overhead(2.0, [&](bool armed) {
     return timed_scrub_run(armed ? kBudget : 0, dir);
   });

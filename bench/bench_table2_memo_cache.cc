@@ -8,6 +8,8 @@
 // measures actual wall-clock recovery — the §6 claim that a restarted
 // Slider resumes incrementally instead of recomputing.
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "bench/bench_util.h"
@@ -49,9 +51,11 @@ DurableResult durable_run(const apps::MicroBenchmark& bench) {
   params.change_fraction = 0.05;
   params.records_per_split = records_per_split_for(bench);
 
+  // The pid keeps two runs at once (two trees compared side by side) out
+  // of each other's logs.
   const std::filesystem::path root =
       std::filesystem::temp_directory_path() /
-      ("slider_bench_table2_" + bench.name);
+      ("slider_bench_table2_" + bench.name + "_" + std::to_string(::getpid()));
   std::filesystem::remove_all(root);
 
   DurableResult result;

@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "apps/codecs.h"
+#include "apps/microbench.h"
 #include "common/thread_pool.h"
 #include "contraction/coalescing_tree.h"
 #include "contraction/flat_aggregator.h"
@@ -16,6 +17,7 @@
 #include "contraction/rotating_tree.h"
 #include "contraction/strawman_tree.h"
 #include "contraction/tree.h"
+#include "mapreduce/map_runner.h"
 #include "tests/test_util.h"
 
 namespace slider {
@@ -322,6 +324,48 @@ void BM_CoalescingAppend(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoalescingAppend)->Arg(64)->Arg(1024);
+
+// --- map tasks ----------------------------------------------------------
+//
+// One map task (map, in-mapper fold, per-partition sort) over a generated
+// 60-record split, as a session runs one for each new split. subStr and
+// Matrix declare a flat kernel, so their values fold as 64-bit lanes; HCT
+// declares none and folds through its combiner. The counters give each
+// app's emits and distinct keys per split and the share of emits that
+// fold into a key already seen, which is what the lane fold pays off on.
+void BM_MapTask(benchmark::State& state) {
+  const apps::MicroBenchmark mb =
+      apps::make_microbenchmark(static_cast<apps::MicroApp>(state.range(0)));
+  constexpr SplitId kSplits = 16;
+  constexpr std::size_t kRecordsPerSplit = 60;
+  Rng rng(11);
+  std::vector<SplitPtr> splits;
+  double emitted = 0;
+  double distinct = 0;
+  for (SplitId id = 0; id < kSplits; ++id) {
+    splits.push_back(make_split(
+        id, apps::generate_input(mb.app, kRecordsPerSplit, rng,
+                                 id * kRecordsPerSplit)));
+    Emitter raw;
+    for (const Record& r : splits.back()->records) mb.job.mapper->map(r, raw);
+    emitted += static_cast<double>(raw.size());
+    distinct += static_cast<double>(
+        run_map_task(mb.job, *splits.back()).records_out);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_map_task(mb.job, *splits[i++ % kSplits]));
+  }
+  state.SetLabel(mb.name);
+  state.counters["emitted"] = emitted / kSplits;
+  state.counters["distinct"] = distinct / kSplits;
+  state.counters["fold_share"] = 1.0 - distinct / emitted;
+}
+BENCHMARK(BM_MapTask)
+    ->Arg(static_cast<int>(apps::MicroApp::kSubStr))
+    ->Arg(static_cast<int>(apps::MicroApp::kHct))
+    ->Arg(static_cast<int>(apps::MicroApp::kMatrix))
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace slider

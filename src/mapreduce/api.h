@@ -35,7 +35,18 @@ class Emitter {
   // KeyIndex. A repeated key folds as acc = combiner(key, acc, value), so
   // each key's values fold left to right in emission order.
   // take_partitions() returns the folded rows.
-  Emitter(CombineFn combiner, int num_partitions);
+  //
+  // With a flat kernel (run_map_task passes the job's when its traits are
+  // flat_eligible(), kNone otherwise), a key folds as a 64-bit lane
+  // instead of through the combiner. A key emitted once keeps its emitted
+  // string and is never decoded. On a key's first fold both values go
+  // through the strict flat::decode_value, later values add into the lane
+  // with the kernel's wrapping add, and take_partitions() encodes the lane
+  // once. A value that fails the strict decode (the flat tier's poison
+  // case, "007" say) sends its key through the combiner from then on,
+  // starting from the lane's encoding if it has folded. Every flat kernel
+  // is a wrapping sum, so the rows equal the combiner's left-to-right fold.
+  Emitter(CombineFn combiner, int num_partitions, FlatKernel kernel);
 
   void emit(std::string key, std::string value);
 
@@ -46,18 +57,32 @@ class Emitter {
   std::vector<Record> take() { return std::move(records_); }
 
   // Folding Emitter: per partition, one row per distinct key, in order of
-  // each key's first emission (not sorted).
-  std::vector<std::vector<Record>> take_partitions() {
-    return std::move(partitions_);
-  }
+  // each key's first emission (run_map_task sorts them by key prefix).
+  std::vector<std::vector<Record>> take_partitions();
 
  private:
+  // How a folding Emitter holds a key's value.
+  enum class Fold : std::uint8_t {
+    kOnce,     // emitted once: the row's value as emitted, not yet decoded
+    kLane,     // `lane` holds the fold; the row's value is stale
+    kCombine,  // the combiner folds into the row's value
+  };
+  struct RowFold {
+    flat::Lane lane = 0;
+    Fold fold = Fold::kOnce;
+  };
+
+  void fold(Record& row, RowFold& acc, const std::string& value);
+
   std::size_t emitted_ = 0;
   std::vector<Record> records_;  // collecting Emitter
   // Folding Emitter; partitions_ is empty in a collecting one. index_
-  // maps each key to its row in partitions_[hash % partitions_.size()].
+  // maps each key to its row in partitions_[hash % partitions_.size()],
+  // and folds_ holds each row's fold state at the same position.
   CombineFn combiner_;
+  FlatKernel kernel_ = FlatKernel::kNone;
   std::vector<std::vector<Record>> partitions_;
+  std::vector<std::vector<RowFold>> folds_;
   KeyIndex index_;
 };
 

@@ -3,6 +3,13 @@
 // folds each record into a hash table as it is emitted (in-mapper
 // combining, see Emitter); the simulator still charges Hadoop's sort-based
 // combiner-at-the-mapper on the emitted record count.
+//
+// A flat_eligible() job hands its kernel to the Emitter, which then folds
+// its values as 64-bit lanes (see Emitter). Each partition's rows are
+// sorted as (8-byte big-endian key prefix, row) pairs, the full key
+// compare breaking prefix ties, and copied in that order into an
+// exact-size table. The output is byte-identical to a sort-and-fold of the
+// emitted records (KVTable::from_records).
 #pragma once
 
 #include <memory>

@@ -231,21 +231,74 @@ TEST(MapRunnerFold, FoldsEachKeyInEmissionOrder) {
   expect_matches_sort_and_fold(job, *split);
 }
 
+TEST(MapRunnerFold, FoldsFlatKernelLanesAndPoisonedKeys) {
+  // A kSumU64 job whose combiner, unlike the strict lane decode, accepts
+  // leading zeros. Each record's value lists the values its key (the
+  // record's key) emits, in order. "007" fails the strict decode, so its
+  // key must fold through the combiner from there on, whether it comes
+  // first, in the middle, last or alone; the last two keys wrap.
+  JobSpec job;
+  job.name = "lanes-and-poison";
+  job.mapper = std::make_shared<query::LambdaMapper>(
+      [](const Record& r, Emitter& out) {
+        for (const auto value : split_view(r.value, ' ')) {
+          out.emit(r.key, std::string(value));
+        }
+      });
+  job.combiner = testing::sum_combiner();
+  job.traits.commutative = true;
+  job.traits.exactly_associative = true;
+  job.traits.flat_kernel = FlatKernel::kSumU64;
+  ASSERT_TRUE(job.traits.flat_eligible());
+  job.num_partitions = 3;
+  const auto split = make_split(
+      0, {{"ones", "1 1 1 1"},
+          {"once", "1"},
+          {"poison-first", "007 1 1"},
+          {"poison-middle", "1 1 007 1 1"},
+          {"poison-last", "1 1 007"},
+          {"poison-alone", "007"},
+          {"wraps", "18446744073709551615 1"},
+          {"wraps-then-poison", "18446744073709551615 1 1 007"}});
+  expect_matches_sort_and_fold(job, *split);
+
+  std::map<std::string, std::string> got;
+  for (const auto& table : run_map_task(job, *split).partitions) {
+    for (const Record& row : table->rows()) got[row.key] = row.value;
+  }
+  const std::map<std::string, std::string> expected = {
+      {"ones", "4"},          {"once", "1"},
+      {"poison-first", "9"},  {"poison-middle", "11"},
+      {"poison-last", "9"},   {"poison-alone", "007"},
+      {"wraps", "0"},         {"wraps-then-poison", "8"}};
+  EXPECT_EQ(got, expected);
+}
+
 TEST(MapRunnerFold, GrowsAndProbesOverManyDistinctKeys) {
   // Each split record emits one key: the empty key for an empty record
   // value, otherwise the key of the decimal id it holds. Ids cycle through
-  // short keys, keys with an embedded NUL, keys with high bytes and keys
-  // past the small-string buffer.
+  // short keys, keys with an embedded NUL, keys with high bytes, keys past
+  // the small-string buffer, and keys whose 8-byte sort prefixes tie: keys
+  // sharing their first 8 bytes, "ab1" and "ab1\0" (which zero-pad to the
+  // same prefix) and "ab1", a prefix of "ab12". Ids below 7 give the bare
+  // "a-key-lo", "ab" and "ab\0".
   const auto key_of = [](std::uint64_t id) {
-    switch (id % 4) {
+    const std::string n = id < 7 ? "" : std::to_string(id / 7);
+    switch (id % 7) {
       case 0:
         return std::to_string(id);
       case 1:
         return std::string("\0k", 2) + std::to_string(id);
       case 2:
         return std::string("\xff\x80") + std::to_string(id);
-      default:
+      case 3:
         return "a-key-longer-than-fifteen-bytes/" + std::to_string(id);
+      case 4:
+        return "a-key-lo" + n;
+      case 5:
+        return "ab" + n;
+      default:
+        return "ab" + n + std::string(1, '\0');
     }
   };
   JobSpec job;

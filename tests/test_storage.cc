@@ -592,7 +592,9 @@ TEST(MemoStoreQuotaVictims, BudgetEvictsOldestUnpinnedAcrossOwners) {
     h.memo.put(id, table, owner);
     model.put(id, serialize_table(*table).size(), owner);
     ASSERT_TRUE(model.matches(h.memo)) << "put " << id;
-    if (id > 31) ASSERT_LE(h.memo.size(), id > 71 ? 12u : 24u);
+    if (id > 31) {
+      ASSERT_LE(h.memo.size(), id > 71 ? 12u : 24u);
+    }
   }
   for (const auto& [owner, o] : model.owners) {
     EXPECT_GT(o.budget_evictions, 0u) << owner;

@@ -544,14 +544,16 @@ TEST(IntrospectionEndpoint, FallsBackToEphemeralWhenPortBusy) {
   const int taken = first.port();
 
   obs::IntrospectionServer second(
-      {.port = taken, .fallback_to_ephemeral = true});
+      {.port = static_cast<std::uint16_t>(taken),
+       .fallback_to_ephemeral = true});
   ASSERT_TRUE(second.start());
   EXPECT_NE(second.port(), taken);
   EXPECT_GT(second.port(), 0);
 
   // Without fallback, binding the same port must fail cleanly.
   obs::IntrospectionServer third(
-      {.port = taken, .fallback_to_ephemeral = false});
+      {.port = static_cast<std::uint16_t>(taken),
+       .fallback_to_ephemeral = false});
   EXPECT_FALSE(third.start());
 
   second.stop();
