@@ -13,10 +13,6 @@ void Cluster::set_straggler(MachineId id, double factor) {
   machines_[static_cast<std::size_t>(id)].straggler_factor = factor;
 }
 
-void Cluster::clear_stragglers() {
-  for (MachineState& m : machines_) m.straggler_factor = 1.0;
-}
-
 void Cluster::fail_machine(MachineId id) {
   machines_[static_cast<std::size_t>(id)].failed = true;
 }

@@ -49,7 +49,6 @@ class Cluster {
   }
 
   void set_straggler(MachineId id, double factor);
-  void clear_stragglers();
 
   // Marks a machine failed. The storage layer observes failures through
   // this flag and drops the machine's in-memory cache contents.

@@ -1,7 +1,6 @@
 #include "common/string_util.h"
 
 #include <charconv>
-#include <cstdio>
 
 namespace slider {
 
@@ -33,18 +32,6 @@ bool parse_u64(std::string_view text, std::uint64_t* out) {
   if (ec != std::errc() || ptr != end) return false;
   *out = value;
   return true;
-}
-
-std::string format_percent(double fraction, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", decimals, fraction * 100.0);
-  return buf;
-}
-
-std::string format_double(double value, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
 }
 
 }  // namespace slider

@@ -18,8 +18,4 @@ std::string zero_pad(std::uint64_t value, int width);
 // allowed); returns false on any other input, including an empty one.
 bool parse_u64(std::string_view text, std::uint64_t* out);
 
-// "12.3%"-style formatting used by the bench table printers.
-std::string format_percent(double fraction, int decimals = 1);
-std::string format_double(double value, int decimals = 2);
-
 }  // namespace slider

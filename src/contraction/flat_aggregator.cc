@@ -72,6 +72,17 @@ NodeId FlatAggregator::element_id(const Element& e) const {
   return e.id != 0 ? e.id : leaf_node_id(ctx_, e.split_id, *e.table);
 }
 
+NodeId FlatAggregator::root_id(std::vector<NodeId>* children) const {
+  NodeId id = hash_combine(ctx_.job_hash,
+                           static_cast<std::uint64_t>(ctx_.partition));
+  children->reserve(elements_.size());
+  for (const Element& e : elements_) {
+    children->push_back(element_id(e));
+    id = hash_combine(id, children->back());
+  }
+  return id;
+}
+
 const std::vector<flat::Lane>& FlatAggregator::stage(const Element& element) {
   scratch_.assign(element.dense_width, 0);
   for (std::size_t j = 0; j < element.key_idx.size(); ++j) {
@@ -100,19 +111,17 @@ void FlatAggregator::add_element(Element element, TreeUpdateStats* stats) {
     }
   }
 
+  // One invocation per inserted element: the lane update is the flat
+  // tier's analogue of a leaf-level combine over the element's rows.
   stats->charge_visits(1);
-  stats->charge_invocation(element.table->size());
-  const SimDuration write_before = stats->memo_write_cost;
-  memoize_payload(ctx_, element.id, element.table, stats);
+  charge_node(stats,
+              {.id = element.id,
+               .op = obs::LineageOp::kLeaf,
+               .invocations = 1,
+               .rows_scanned = element.table->size(),
+               .write = memo_put(ctx_, element.id, element.table)},
+              *element.table);
   held_.hold(element.id);
-  if (stats->record_lineage) {
-    // One invocation per inserted element: the lane update is the flat
-    // tier's analogue of a leaf-level combine over the element's rows.
-    record_lineage_node(ctx_, stats, element.id, obs::LineageOp::kLeaf,
-                        stats->cause, 1, *element.table,
-                        element.table->size(),
-                        stats->memo_write_cost - write_before, {});
-  }
   elements_.push_back(std::move(element));
 }
 
@@ -127,13 +136,14 @@ void FlatAggregator::evict_front(TreeUpdateStats* stats) {
     }
   }
   stats->charge_visits(1);
-  stats->charge_passthrough_invocation(e.table->size());
-  if (stats->record_lineage) {
-    const NodeId kids[] = {e.id};
-    record_lineage_node(ctx_, stats, e.id, obs::LineageOp::kPassthrough,
-                        stats->passthrough_cause, 1, *e.table,
-                        e.table->size(), 0, kids);
-  }
+  const NodeId kids[] = {e.id};
+  charge_node(stats,
+              {.id = e.id,
+               .op = obs::LineageOp::kPassthrough,
+               .children = kids,
+               .invocations = 1,
+               .rows_scanned = e.table->size()},
+              *e.table);
   for (const std::uint32_t k : e.key_idx) {
     if (--counts_[k] == 0) root_order_dirty_ = true;
   }
@@ -202,27 +212,19 @@ void FlatAggregator::rebuild_root(TreeUpdateStats* stats) {
   }
   root_ = std::make_shared<const KVTable>(
       KVTable::from_sorted_unique(std::move(rows)));
-  if (stats != nullptr) {
-    // The output materialization is the tier's one per-run combine pass —
-    // the flat analogue of a tree's root recomputation.
-    stats->charge_visits(1);
-    stats->charge_invocation(root_->size());
-    if (stats->record_lineage) {
-      // Root id mirrors describe(): the context seed folded with every
-      // live element id, so the lineage, /tree, and dot views agree.
-      NodeId rid = hash_combine(ctx_.job_hash,
-                                static_cast<std::uint64_t>(ctx_.partition));
-      std::vector<NodeId> kids;
-      kids.reserve(elements_.size());
-      for (const Element& e : elements_) {
-        rid = hash_combine(rid, e.id);
-        kids.push_back(e.id);
-      }
-      record_lineage_node(ctx_, stats, rid, obs::LineageOp::kMerge,
-                          stats->cause, 1, *root_, root_->size(), 0, kids);
-      last_root_id_ = rid;
-    }
-  }
+  if (stats == nullptr) return;
+  // The output materialization is the tier's one per-run combine pass —
+  // the flat analogue of a tree's root recomputation. Only a lineage
+  // record needs the root's id and children.
+  stats->charge_visits(1);
+  std::vector<NodeId> kids;
+  if (stats->record_lineage) last_root_id_ = root_id(&kids);
+  charge_node(stats,
+              {.id = last_root_id_,
+               .children = kids,
+               .invocations = 1,
+               .rows_scanned = root_->size()},
+              *root_);
 }
 
 std::vector<Leaf> FlatAggregator::live_leaves() const {
@@ -280,13 +282,8 @@ void FlatAggregator::apply_delta(std::size_t remove_front,
   // The surviving window rides on the standing aggregate — the flat
   // tier's analogue of a memoized-subtree hit.
   if (!elements_.empty()) {
-    stats->charge_reuse();
-    if (stats->record_lineage) {
-      const KVTable& standing =
-          root_ != nullptr ? *root_ : *elements_.front().table;
-      record_lineage_node(ctx_, stats, last_root_id_, obs::LineageOp::kReuse,
-                          stats->cause, 0, standing, 0, 0, {});
-    }
+    charge_node(stats, {.id = last_root_id_, .op = obs::LineageOp::kReuse},
+                root_ != nullptr ? *root_ : *elements_.front().table);
   }
   for (std::size_t i = 0; i < added.size(); ++i) {
     Element e;
@@ -326,26 +323,22 @@ TreeDescription FlatAggregator::describe() const {
   d.kind = "flat";
   d.height = 1;
   d.leaf_count = elements_.size();
-  NodeId root_id = hash_combine(ctx_.job_hash,
-                                static_cast<std::uint64_t>(ctx_.partition));
   std::vector<NodeId> children;
-  std::uint64_t index = 0;
-  for (const Element& e : elements_) {
-    const NodeId id = element_id(e);
+  d.root_id = root_id(&children);
+  for (std::size_t i = 0; i < elements_.size(); ++i) {
+    const Element& e = elements_[i];
     TreeNodeDescription leaf;
-    leaf.id = id;
+    leaf.id = children[i];
     leaf.level = 0;
-    leaf.index = index++;
+    leaf.index = i;
     leaf.rows = e.table->size();
     leaf.bytes = e.table->byte_size();
     leaf.materialized = true;
     leaf.role = "leaf";
     d.nodes.push_back(std::move(leaf));
-    children.push_back(id);
-    root_id = hash_combine(root_id, id);
   }
   TreeNodeDescription root;
-  root.id = root_id;
+  root.id = d.root_id;
   root.level = 1;
   root.index = 0;
   root.children = std::move(children);
@@ -356,7 +349,6 @@ TreeDescription FlatAggregator::describe() const {
   }
   root.role = "root";
   d.nodes.push_back(std::move(root));
-  d.root_id = root_id;
   return d;
 }
 

@@ -17,11 +17,12 @@
 //     with zero live occurrences filtered out.
 //
 // Composition with the rest of the stack:
-//   * charges flow through TreeUpdateStats' charge_* helpers only, so the
-//     causal work ledger's conservation property holds with the tier
-//     engaged (inserts bill to the window_add cause, evictions to
-//     window_remove, the standing aggregate's reuse shows up in the memo
-//     hit-rate gauges);
+//   * each insert, eviction, standing-aggregate reuse and root fold is one
+//     charge_node() call, so the causal work ledger's conservation
+//     property and lineage-equals-ledger hold with the tier engaged
+//     (inserts bill to the window_add cause, evictions to window_remove,
+//     the standing aggregate's reuse shows up in the memo hit-rate
+//     gauges);
 //   * element payloads are memoized under their leaf node ids, so GC,
 //     by-ref checkpointing, and the durable tier see the same ids a tree
 //     would produce;
@@ -99,6 +100,10 @@ class FlatAggregator : public ContractionTree {
   // The element's leaf node id; computed on demand when insert skipped it
   // (no memo store attached).
   NodeId element_id(const Element& e) const;
+  // The root's id: the context seed folded with every element id in window
+  // order, so the lineage, /tree and dot views agree. Appends the element
+  // ids to `children`.
+  NodeId root_id(std::vector<NodeId>* children) const;
   // Scatters an element into the dense scratch buffer (zero-filled to
   // `element.dense_width`) and returns it.
   const std::vector<flat::Lane>& stage(const Element& element);

@@ -129,12 +129,9 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
       if (it != memo_.end() && !member_changed) {
         parent.table = it->second;
         parent.recomputed = false;
-        if (group_stats != nullptr) {
-          group_stats->charge_reuse();
-          record_lineage_node(ctx_, group_stats, parent.id,
-                              obs::LineageOp::kReuse, group_stats->cause, 0,
-                              *parent.table, 0, 0, {});
-        }
+        charge_node(group_stats,
+                    {.id = parent.id, .op = obs::LineageOp::kReuse},
+                    *parent.table);
       } else if (members.size() == 1) {
         // Singleton group: a passthrough combiner re-execution when its
         // member changed (see recompute_paths).
@@ -194,28 +191,13 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
                          ? members[m].table
                          : fetch_reused(ctx_, members[m].id, members[m].table,
                                         group_stats);
-          MergeStats merge_stats;
-          acc = std::make_shared<const KVTable>(
-              KVTable::merge(*acc, *rhs, combiner_, &merge_stats));
           const NodeId prev_id = chain_id;
           chain_id = internal_node_id(ctx_, chain_id, members[m].id);
-          if (group_stats != nullptr) {
-            group_stats->charge_invocation(merge_stats.rows_scanned);
-          }
           // Memoize the partial chain too, so a future run whose group
           // extends this one restarts from here. Partials stay live until
           // their group dissolves.
-          const SimDuration write_before =
-              group_stats != nullptr ? group_stats->memo_write_cost : 0;
-          memoize_payload(ctx_, chain_id, acc, group_stats);
-          if (group_stats != nullptr && group_stats->record_lineage) {
-            const NodeId kids[] = {prev_id, members[m].id};
-            record_lineage_node(ctx_, group_stats, chain_id,
-                                obs::LineageOp::kMerge, group_stats->cause, 1,
-                                *acc, merge_stats.rows_scanned,
-                                group_stats->memo_write_cost - write_before,
-                                kids);
-          }
+          acc = combine_and_memoize(ctx_, combiner_, chain_id, *acc, *rhs,
+                                    group_stats, prev_id, members[m].id);
           result.inserts.emplace_back(chain_id, acc);
         }
         SLIDER_CHECK(chain_id == parent.id) << "group chain id mismatch";

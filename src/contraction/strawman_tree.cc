@@ -46,11 +46,8 @@ StrawmanTree::Built StrawmanTree::build_range(std::size_t lo, std::size_t hi,
     const auto it = memo_.find(built.id);
     if (it != memo_.end()) {
       built.table = it->second;
-      if (stats != nullptr) {
-        stats->charge_reuse();
-        record_lineage_node(ctx_, stats, built.id, obs::LineageOp::kReuse,
-                            stats->cause, 0, *built.table, 0, 0, {});
-      }
+      charge_node(stats, {.id = built.id, .op = obs::LineageOp::kReuse},
+                  *built.table);
     } else {
       built.table = leaf.table;
       built.recomputed = true;  // fresh leaf: map output newly memoized
@@ -74,11 +71,8 @@ StrawmanTree::Built StrawmanTree::build_range(std::size_t lo, std::size_t hi,
   const auto it = memo_.find(built.id);
   if (it != memo_.end() && !left.recomputed && !right.recomputed) {
     built.table = it->second;
-    if (stats != nullptr) {
-      stats->charge_reuse();
-      record_lineage_node(ctx_, stats, built.id, obs::LineageOp::kReuse,
-                          stats->cause, 0, *built.table, 0, 0, {});
-    }
+    charge_node(stats, {.id = built.id, .op = obs::LineageOp::kReuse},
+                *built.table);
     live_.insert(built.id);
     return built;
   }

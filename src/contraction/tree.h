@@ -43,11 +43,13 @@ struct Leaf {
 // Accounting for one tree operation (initial build, delta, background).
 //
 // Besides the aggregate counters, every charge is attributed to its
-// WorkCause and tree level (the causal work ledger). The charge_* helpers
-// update aggregate and attributed cells in lockstep, so the conservation
-// property "Σ per-cause combiner invocations == combiner_invocations"
-// holds by construction; tree code must charge through them, never by
-// incrementing the counters directly.
+// WorkCause and tree level (the causal work ledger). Trees charge a node
+// with one charge_node() call (contraction/tree_common.h), which bills the
+// aggregates, the node's (cause, level) cell and, when armed, its lineage
+// record from the same fields, so "Σ per-cause combiner invocations ==
+// combiner_invocations" and "lineage == ledger" hold by construction.
+// Node visits, which need not be charged nodes, go through charge_visits.
+// Tree code never increments the counters directly.
 //
 // `cause` / `passthrough_cause` / `level` form the *charge context*: the
 // session sets the causes before calling into a tree (window_add vs
@@ -74,14 +76,14 @@ struct TreeUpdateStats {
   std::uint16_t level = 0;
   // Lineage arming (observability/provenance.h): set by the session when a
   // ProvenanceRecorder is attached. Part of the charge context — copied by
-  // at_level() — and every record site is guarded on it, so disarmed runs
-  // never touch the lineage vector.
+  // at_level() — and charge_node() checks it, so disarmed runs never touch
+  // the lineage vector.
   bool record_lineage = false;
 
-  // Per-(cause, level) attribution, kept in lockstep with the aggregates.
+  // Per-(cause, level) attribution of the aggregates.
   obs::AttributedWork attributed;
 
-  // Per-node lineage records mirroring the charges (armed sessions only).
+  // Per-node lineage records, one per charge_node (armed sessions only).
   // Appended children-before-parents by the trees; merged in deterministic
   // index order by the same folds as the counters, so record order is
   // thread-count-invariant.
@@ -98,36 +100,9 @@ struct TreeUpdateStats {
     return s;
   }
 
-  void charge_invocation_as(obs::WorkCause as, std::uint64_t rows) {
-    ++combiner_invocations;
-    rows_scanned += rows;
-    obs::CauseWork& cell = attributed.cell(as, level);
-    ++cell.combiner_invocations;
-    cell.rows_scanned += rows;
-  }
-  void charge_invocation(std::uint64_t rows) {
-    charge_invocation_as(cause, rows);
-  }
-  // Passthrough re-executions (one-void-child nodes) are removal-driven:
-  // they bill to passthrough_cause (window_remove during slides).
-  void charge_passthrough_invocation(std::uint64_t rows) {
-    charge_invocation_as(passthrough_cause, rows);
-  }
-  void charge_reuse() {
-    ++combiner_reused;
-    ++attributed.cell(cause, level).combiner_reused;
-  }
   void charge_visits(std::uint64_t count = 1) {
     nodes_visited += count;
     attributed.cell(cause, level).nodes_visited += count;
-  }
-  void charge_memo_bytes_read(std::uint64_t bytes) {
-    memo_bytes_read += bytes;
-    attributed.cell(cause, level).memo_bytes_read += bytes;
-  }
-  void charge_memo_bytes_written(std::uint64_t bytes) {
-    memo_bytes_written += bytes;
-    attributed.cell(cause, level).memo_bytes_written += bytes;
   }
 
   // Folds in `o`'s counters and attributed cells, but not its lineage.

@@ -33,33 +33,48 @@ NodeId internal_node_id(const MemoContext& ctx, NodeId left, NodeId right) {
                       hash_combine(0x1357, right));
 }
 
-void record_lineage_node(const MemoContext& ctx, TreeUpdateStats* stats,
-                         NodeId id, obs::LineageOp op, obs::WorkCause cause,
-                         std::uint32_t invocations, const KVTable& table,
-                         std::uint64_t rows_scanned, double memo_cost,
-                         std::span<const NodeId> children) {
-  (void)ctx;
-  if (stats == nullptr || !stats->record_lineage) return;
+void charge_node(TreeUpdateStats* stats, const NodeCharge& charge,
+                 const KVTable& table) {
+  if (stats == nullptr) return;
+  const obs::WorkCause cause = charge.cause.value_or(
+      charge.op == obs::LineageOp::kPassthrough ? stats->passthrough_cause
+                                                : stats->cause);
+  const std::uint64_t reused = charge.op == obs::LineageOp::kReuse ? 1 : 0;
+  stats->combiner_invocations += charge.invocations;
+  stats->combiner_reused += reused;
+  stats->rows_scanned += charge.rows_scanned;
+  stats->memo_read_cost += charge.memo_read_cost;
+  stats->memo_bytes_read += charge.memo_bytes_read;
+  stats->memo_bytes_written += charge.write.bytes_written;
+  stats->memo_write_cost += charge.write.cost;
+  obs::CauseWork& cell = stats->attributed.cell(cause, stats->level);
+  cell.combiner_invocations += charge.invocations;
+  cell.combiner_reused += reused;
+  cell.rows_scanned += charge.rows_scanned;
+  cell.memo_bytes_read += charge.memo_bytes_read;
+  cell.memo_bytes_written += charge.write.bytes_written;
+  if (!stats->record_lineage) return;
+
   obs::NodeLineage rec;
-  rec.id = id;
-  rec.op = op;
+  rec.id = charge.id;
+  rec.op = charge.op;
   rec.cause = cause;
   rec.level = stats->level;
-  rec.invocations = invocations;
+  rec.invocations = charge.invocations;
   rec.rows = table.size();
-  rec.rows_scanned = rows_scanned;
-  rec.memo_cost = memo_cost;
+  rec.rows_scanned = charge.rows_scanned;
+  rec.memo_cost = charge.memo_read_cost + charge.write.cost;
 
   obs::SketchCache& cache = obs::SketchCache::global();
-  if (id == 0) {
+  if (charge.id == 0) {
     rec.sketch = obs::sketch_of_table(table);
-  } else if (!cache.lookup(id, &rec.sketch)) {
+  } else if (!cache.lookup(charge.id, &rec.sketch)) {
     // A node's key set is the union of its children's key sets (merges
     // union keys; passthroughs copy them), so cached child sketches make
     // this O(children) instead of O(rows).
-    bool from_children = !children.empty();
+    bool from_children = !charge.children.empty();
     obs::KeySketch merged;
-    for (const NodeId child : children) {
+    for (const NodeId child : charge.children) {
       obs::KeySketch child_sketch;
       if (child == 0 || !cache.lookup(child, &child_sketch)) {
         from_children = false;
@@ -68,10 +83,10 @@ void record_lineage_node(const MemoContext& ctx, TreeUpdateStats* stats,
       merged.merge(child_sketch);
     }
     rec.sketch = from_children ? merged : obs::sketch_of_table(table);
-    cache.store(id, rec.sketch);
+    cache.store(charge.id, rec.sketch);
   }
 
-  for (const NodeId child : children) {
+  for (const NodeId child : charge.children) {
     if (child == 0) continue;
     if (rec.children.size() >= obs::kLineageChildCap) {
       rec.children_truncated = true;
@@ -82,6 +97,12 @@ void record_lineage_node(const MemoContext& ctx, TreeUpdateStats* stats,
   stats->lineage.push_back(std::move(rec));
 }
 
+MemoWriteResult memo_put(const MemoContext& ctx, NodeId id,
+                         const std::shared_ptr<const KVTable>& table) {
+  if (ctx.store == nullptr) return {};
+  return ctx.store->put(id, table, ctx.tenant_salt);
+}
+
 std::shared_ptr<const KVTable> combine_and_memoize(
     const MemoContext& ctx, const CombineFn& combiner, NodeId id,
     const KVTable& left, const KVTable& right, TreeUpdateStats* stats,
@@ -89,96 +110,75 @@ std::shared_ptr<const KVTable> combine_and_memoize(
   MergeStats merge_stats;
   auto combined = std::make_shared<const KVTable>(
       KVTable::merge(left, right, combiner, &merge_stats));
-  if (stats != nullptr) {
-    stats->charge_invocation(merge_stats.rows_scanned);
-  }
   // Dirty-path recompute: one event per executed combiner merge.
   SLIDER_TRACE_EVENT(
       "tree", "tree.merge",
       {{"partition", static_cast<double>(ctx.partition)},
        {"rows", static_cast<double>(merge_stats.rows_scanned)}});
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx, id, combined, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    const NodeId kids[] = {left_id, right_id};
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kMerge, stats->cause,
-                        1, *combined, merge_stats.rows_scanned,
-                        stats->memo_write_cost - write_before, kids);
-  }
+  const NodeId kids[] = {left_id, right_id};
+  charge_node(stats,
+              {.id = id,
+               .children = kids,
+               .invocations = 1,
+               .rows_scanned = merge_stats.rows_scanned,
+               .write = memo_put(ctx, id, combined)},
+              *combined);
   return combined;
 }
 
 void charge_passthrough(const MemoContext& ctx, const KVTable& table,
                         TreeUpdateStats* stats, NodeId id, NodeId child_id) {
   if (stats == nullptr) return;
-  // Voided-path re-execution: billed to the removal that voided the
-  // sibling (passthrough_cause; see tree.h).
-  stats->charge_passthrough_invocation(table.size());
   SLIDER_TRACE_EVENT("tree", "tree.passthrough",
                      {{"partition", static_cast<double>(ctx.partition)},
                       {"rows", static_cast<double>(table.size())}});
-  SimDuration write_cost = 0;
+  // Voided-path re-execution: billed to the removal that voided the
+  // sibling (passthrough_cause; see tree.h). It writes its level output
+  // but creates no memo entry, so only the write's cost is charged.
+  MemoWriteResult write;
   if (ctx.store != nullptr) {
-    write_cost = ctx.store->estimate_write_cost(table.byte_size());
-    stats->memo_write_cost += write_cost;
+    write.cost = ctx.store->estimate_write_cost(table.byte_size());
   }
-  if (stats->record_lineage) {
-    const NodeId kids[] = {child_id};
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kPassthrough,
-                        stats->passthrough_cause, 1, table, table.size(),
-                        write_cost, kids);
-  }
-}
-
-void memoize_payload(const MemoContext& ctx, NodeId id,
-                     const std::shared_ptr<const KVTable>& table,
-                     TreeUpdateStats* stats) {
-  if (ctx.store == nullptr) return;
-  const MemoWriteResult write = ctx.store->put(id, table, ctx.tenant_salt);
-  if (stats != nullptr) {
-    stats->charge_memo_bytes_written(write.bytes_written);
-    stats->memo_write_cost += write.cost;
-  }
+  const NodeId kids[] = {child_id};
+  charge_node(stats,
+              {.id = id,
+               .op = obs::LineageOp::kPassthrough,
+               .children = kids,
+               .invocations = 1,
+               .rows_scanned = table.size(),
+               .write = write},
+              table);
 }
 
 void memoize_leaf(const MemoContext& ctx, NodeId id,
                   const std::shared_ptr<const KVTable>& table,
                   TreeUpdateStats* stats) {
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx, id, table, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kLeaf, stats->cause,
-                        0, *table, 0, stats->memo_write_cost - write_before,
-                        {});
-  }
+  charge_node(stats,
+              {.id = id,
+               .op = obs::LineageOp::kLeaf,
+               .write = memo_put(ctx, id, table)},
+              *table);
 }
 
 std::shared_ptr<const KVTable> fetch_reused(
     const MemoContext& ctx, NodeId id,
     const std::shared_ptr<const KVTable>& fallback, TreeUpdateStats* stats) {
   SLIDER_CHECK(fallback != nullptr) << "reused node without in-tree payload";
-  if (stats != nullptr) stats->charge_reuse();
   // Memoized sub-computation reused as-is (the paper's memo hit).
   SLIDER_TRACE_EVENT("tree", "tree.reuse",
                      {{"partition", static_cast<double>(ctx.partition)}});
   if (ctx.store == nullptr) {
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kReuse,
-                        stats != nullptr ? stats->cause
-                                         : obs::WorkCause::kInitialBuild,
-                        0, *fallback, 0, 0, {});
+    charge_node(stats, {.id = id, .op = obs::LineageOp::kReuse}, *fallback);
     return fallback;
   }
 
   const MemoReadResult read = ctx.store->get(id, ctx.reduce_home);
-  if (stats != nullptr) {
-    stats->memo_read_cost += read.cost;
-    if (read.found) stats->charge_memo_bytes_read(read.table->byte_size());
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kReuse, stats->cause,
-                        0, read.found ? *read.table : *fallback, 0, read.cost,
-                        {});
-  }
+  charge_node(stats,
+              {.id = id,
+               .op = obs::LineageOp::kReuse,
+               .memo_bytes_read = read.found ? read.table->byte_size() : 0,
+               .memo_read_cost = read.cost},
+              read.found ? *read.table : *fallback);
   if (read.found) return read.table;
 
   // Total loss (all replicas down, a budget eviction, or GC raced the
@@ -186,25 +186,19 @@ std::shared_ptr<const KVTable> fetch_reused(
   // would produce; we charge the recompute as a fresh merge over the
   // payload's rows, attributed to the layer that lost it — failure_reexec
   // when a machine failure destroyed every intact copy (§6 fault
-  // tolerance), memo_eviction_recompute otherwise. Either way the output
-  // is unchanged: the store losing state can never change an answer.
-  const obs::WorkCause miss_cause =
-      read.failure_miss ? obs::WorkCause::kFailureReexec
-                        : obs::WorkCause::kMemoEvictionRecompute;
-  if (stats != nullptr) {
-    stats->charge_invocation_as(miss_cause, fallback->size() * 2);
-  }
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx, id, fallback, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    // The reuse fell through to a recompute: record the executed work too,
-    // under the cause that lost the payload (both records share the id;
-    // explain() lets the executed one shadow the reuse).
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kMerge, miss_cause, 1,
-                        *fallback, fallback->size() * 2,
-                        stats->memo_write_cost - write_before, {});
-  }
+  // tolerance), memo_eviction_recompute otherwise — and re-memoize it
+  // under the same cause. Either way the output is unchanged: the store
+  // losing state can never change an answer. The lineage record shares
+  // the reuse's id; explain() lets the executed one shadow the reuse.
+  charge_node(stats,
+              {.id = id,
+               .invocations = 1,
+               .rows_scanned = fallback->size() * 2,
+               .write = memo_put(ctx, id, fallback),
+               .cause = read.failure_miss
+                            ? obs::WorkCause::kFailureReexec
+                            : obs::WorkCause::kMemoEvictionRecompute},
+              *fallback);
   return fallback;
 }
 
@@ -410,24 +404,17 @@ MemoNode fold_batch(const MemoContext& ctx, const CombineFn& combiner,
     MergeStats merge_stats;
     queue.push_back(std::make_shared<const KVTable>(
         KVTable::merge(*a, *b, combiner, &merge_stats)));
-    if (stats != nullptr) {
-      stats->charge_invocation(merge_stats.rows_scanned);
-      fold_rows += merge_stats.rows_scanned;
-    }
+    fold_rows += merge_stats.rows_scanned;
   }
   node.table = std::move(queue.front());
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx, node.id, node.table, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    record_lineage_node(ctx, stats, node.id,
-                        leaves.size() > 1 ? obs::LineageOp::kMerge
-                                          : obs::LineageOp::kLeaf,
-                        stats->cause,
-                        static_cast<std::uint32_t>(leaves.size() - 1),
-                        *node.table, fold_rows,
-                        stats->memo_write_cost - write_before, {});
-  }
+  charge_node(stats,
+              {.id = node.id,
+               .op = leaves.size() > 1 ? obs::LineageOp::kMerge
+                                       : obs::LineageOp::kLeaf,
+               .invocations = static_cast<std::uint32_t>(leaves.size() - 1),
+               .rows_scanned = fold_rows,
+               .write = memo_put(ctx, node.id, node.table)},
+              *node.table);
   return node;
 }
 

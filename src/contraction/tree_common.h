@@ -1,7 +1,8 @@
 // Shared plumbing for contraction-tree implementations: stable node ids,
-// priced merge execution, priced reuse of memoized payloads, and the
-// mechanisms several trees share — release tracking, the level-array path
-// recompute, the batch fold and the tree-local memo-map checkpoint codec.
+// the one-call node charge, priced merge execution, priced reuse of
+// memoized payloads, and the mechanisms several trees share — release
+// tracking, the level-array path recompute, the batch fold and the
+// tree-local memo-map checkpoint codec.
 #pragma once
 
 #include <memory_resource>
@@ -29,8 +30,40 @@ NodeId leaf_node_id(const MemoContext& ctx, SplitId split,
 // Identity of an internal node from its children's identities.
 NodeId internal_node_id(const MemoContext& ctx, NodeId left, NodeId right);
 
-// Executes combine(left, right), charges the merge to `stats`, and
-// memoizes the result under `id`. Returns the combined payload.
+// One charged tree node. charge_node() bills every field once: to the
+// aggregates, to the node's (cause, level) ledger cell and, when armed, to
+// its lineage record, so lineage equals the ledger by construction.
+struct NodeCharge {
+  NodeId id = 0;
+  obs::LineageOp op = obs::LineageOp::kMerge;
+  // Input node ids, for lineage only; 0 entries (unknown) are skipped.
+  std::span<const NodeId> children = {};
+  std::uint32_t invocations = 0;
+  std::uint64_t rows_scanned = 0;
+  std::uint64_t memo_bytes_read = 0;
+  SimDuration memo_read_cost = 0;
+  MemoWriteResult write = {};
+  // Unset: a passthrough bills to stats->passthrough_cause, any other op
+  // to stats->cause.
+  std::optional<obs::WorkCause> cause = std::nullopt;
+};
+
+// Charges one node to `stats` (a no-op when null) at stats->level. A
+// kReuse op counts one reused node. `table` is the node's payload; the
+// lineage record takes its row count and key sketch, the sketch resolving
+// through the global SketchCache: by id, else as the union of all cached
+// child sketches, else by hashing `table`'s keys; the result is cached.
+void charge_node(TreeUpdateStats* stats, const NodeCharge& charge,
+                 const KVTable& table);
+
+// Writes `table` to the memo layer under `id` and returns what the write
+// cost (nothing without a store). Uncharged: the caller's NodeCharge
+// carries the write.
+MemoWriteResult memo_put(const MemoContext& ctx, NodeId id,
+                         const std::shared_ptr<const KVTable>& table);
+
+// Executes combine(left, right), memoizes the result under `id`, and
+// charges both as one merge node. Returns the combined payload.
 //
 // `left_id` / `right_id` are the children's node ids, used only for
 // lineage recording (armed sessions); 0 means "unknown" and records an
@@ -51,35 +84,18 @@ void charge_passthrough(const MemoContext& ctx, const KVTable& table,
                         TreeUpdateStats* stats, NodeId id = 0,
                         NodeId child_id = 0);
 
-// Memoizes a payload that was produced without a merge (leaves).
-void memoize_payload(const MemoContext& ctx, NodeId id,
-                     const std::shared_ptr<const KVTable>& table,
-                     TreeUpdateStats* stats);
-
-// memoize_payload plus a leaf lineage record (op=leaf, zero combiner
-// invocations — leaf payloads are map-side work). Trees call this at the
-// sites where fresh leaf payloads enter the tree.
+// Memoizes a fresh leaf payload (map-side work) and charges it as a leaf
+// node with zero combiner invocations.
 void memoize_leaf(const MemoContext& ctx, NodeId id,
                   const std::shared_ptr<const KVTable>& table,
                   TreeUpdateStats* stats);
-
-// Appends one lineage record mirroring charges the caller just made (a
-// no-op unless stats->record_lineage). The payload's key sketch resolves
-// through the global SketchCache: by id, else as the union of all cached
-// child sketches, else by hashing `table`'s keys; the result is cached.
-// The helpers above call this internally; trees call it directly only for
-// charge sites with no helper (direct charge_reuse hits, queue folds).
-void record_lineage_node(const MemoContext& ctx, TreeUpdateStats* stats,
-                         NodeId id, obs::LineageOp op, obs::WorkCause cause,
-                         std::uint32_t invocations, const KVTable& table,
-                         std::uint64_t rows_scanned, double memo_cost,
-                         std::span<const NodeId> children);
 
 // Charges the read of a reused node's payload from the memo layer and
 // returns it. `fallback` is the in-tree copy: it is returned (and the
 // entry re-installed) when the store lost the payload on every tier, which
 // models "recompute after total loss" at the cost level while keeping the
-// output deterministic.
+// output deterministic. The recompute and its re-memoized bytes are one
+// more merge node, billed to the cause that lost the payload.
 std::shared_ptr<const KVTable> fetch_reused(
     const MemoContext& ctx, NodeId id,
     const std::shared_ptr<const KVTable>& fallback, TreeUpdateStats* stats);

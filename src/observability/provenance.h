@@ -1,12 +1,13 @@
 // Per-slide lineage recording and explain drill-downs.
 //
 // A contraction tree is literally a dependence graph, so provenance falls
-// out of instrumentation rather than new algorithms: every charge_* site
-// in the trees also appends a NodeLineage record when the session is
-// armed (SliderConfig::record_provenance), capturing the causal DAG of
-// the run — which memo nodes were reused, which were recomputed and why
-// (the WorkCause taxonomy), what each one cost in sim time, and a key
-// sketch of the rows it covers.
+// out of instrumentation rather than new algorithms: every node charge in
+// the trees (charge_node, contraction/tree_common.h) also appends a
+// NodeLineage record when the session is armed
+// (SliderConfig::record_provenance), capturing the causal DAG of the run
+// — which memo nodes were reused, which were recomputed and why (the
+// WorkCause taxonomy), what each one cost in sim time, and a key sketch
+// of the rows it covers.
 //
 // On top of the raw DAG this module provides:
 //
@@ -96,7 +97,7 @@ struct NodeLineage {
   std::uint32_t invocations = 0;  // combiner invocations charged here
   std::uint64_t rows = 0;         // payload rows at this node
   std::uint64_t rows_scanned = 0; // merge input rows (cost-model units)
-  double memo_cost = 0;           // sim-time memo read/write cost
+  double memo_cost = 0;           // this node's memo read + write cost
   KeySketch sketch;
   bool children_truncated = false;
   std::vector<std::uint64_t> children;

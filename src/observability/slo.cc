@@ -53,7 +53,7 @@ double window_metric(const std::vector<SlideSample>& raw, std::size_t count,
       std::uint64_t invoked = 0;
       std::uint64_t reused = 0;
       for (std::size_t i = begin; i < raw.size(); ++i) {
-        invoked += raw[i].combiner_invocations;
+        invoked += raw[i].combiner_invocations();
         reused += raw[i].combiner_reused;
       }
       const std::uint64_t touched = invoked + reused;

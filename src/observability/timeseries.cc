@@ -19,7 +19,6 @@ void AggregateSample::fold(const SlideSample& s) {
   for (std::size_t c = 0; c < kWorkCauseCount; ++c) {
     cause_invocations[c] += s.cause_invocations[c];
   }
-  combiner_invocations += s.combiner_invocations;
   combiner_reused += s.combiner_reused;
   nodes_visited += s.nodes_visited;
   task_retries += s.task_retries;
@@ -94,7 +93,7 @@ std::string TimeSeries::timeseries_to_json(const TimeSeriesSnapshot& snapshot) {
     json.key("wall_latency_us_sum").value(a.wall_latency_us_sum);
     json.key("wall_latency_us_max").value(a.wall_latency_us_max);
     write_cause_array(json, "cause_invocations", a.cause_invocations);
-    json.key("combiner_invocations").value(a.combiner_invocations);
+    json.key("combiner_invocations").value(a.combiner_invocations());
     json.key("combiner_reused").value(a.combiner_reused);
     json.key("nodes_visited").value(a.nodes_visited);
     json.key("task_retries").value(a.task_retries);
@@ -116,7 +115,7 @@ std::string TimeSeries::timeseries_to_json(const TimeSeriesSnapshot& snapshot) {
     json.key("removed").value(s.removed);
     json.key("added").value(s.added);
     write_cause_array(json, "cause_invocations", s.cause_invocations);
-    json.key("combiner_invocations").value(s.combiner_invocations);
+    json.key("combiner_invocations").value(s.combiner_invocations());
     json.key("combiner_reused").value(s.combiner_reused);
     json.key("nodes_visited").value(s.nodes_visited);
     json.key("memo_hit_rate").value(s.memo_hit_rate());

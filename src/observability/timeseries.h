@@ -26,6 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,17 +60,22 @@ struct SlideSample {
   std::uint64_t added = 0;
   // Combiner invocations attributed per ledger cause for this run only.
   std::array<std::uint64_t, kWorkCauseCount> cause_invocations{};
-  std::uint64_t combiner_invocations = 0;
   std::uint64_t combiner_reused = 0;
   std::uint64_t nodes_visited = 0;
   std::uint64_t task_retries = 0;
   std::uint64_t failed_attempts = 0;
   bool durable_degraded = false;  // store was degraded at the boundary
 
+  // Every invocation is billed to exactly one cause.
+  std::uint64_t combiner_invocations() const {
+    return std::accumulate(cause_invocations.begin(), cause_invocations.end(),
+                           std::uint64_t{0});
+  }
+
   // Fraction of combiner executions answered by the memo layer; 0 when the
   // run touched no combiners at all (pure-reuse slides score 1).
   double memo_hit_rate() const {
-    const std::uint64_t touched = combiner_invocations + combiner_reused;
+    const std::uint64_t touched = combiner_invocations() + combiner_reused;
     if (touched == 0) return 0;
     return static_cast<double>(combiner_reused) / static_cast<double>(touched);
   }
@@ -85,13 +91,16 @@ struct AggregateSample {
   double wall_latency_us_sum = 0;
   double wall_latency_us_max = 0;
   std::array<std::uint64_t, kWorkCauseCount> cause_invocations{};
-  std::uint64_t combiner_invocations = 0;
   std::uint64_t combiner_reused = 0;
   std::uint64_t nodes_visited = 0;
   std::uint64_t task_retries = 0;
   std::uint64_t failed_attempts = 0;
   std::uint64_t degraded_samples = 0;  // samples folded while degraded
 
+  std::uint64_t combiner_invocations() const {
+    return std::accumulate(cause_invocations.begin(), cause_invocations.end(),
+                           std::uint64_t{0});
+  }
   void fold(const SlideSample& s);
 };
 

@@ -123,19 +123,6 @@ void TraceCollector::sim_span(const char* category, const char* name,
   record(event);
 }
 
-void TraceCollector::sim_counter(const char* category, const char* name,
-                                 double ts_sec, double value) {
-  if (!enabled()) return;
-  TraceEvent event;
-  event.category = category;
-  event.name = name;
-  event.phase = 'C';
-  event.domain = TraceClockDomain::kSimulated;
-  event.ts_us = ts_sec * 1e6;
-  event.counter_value = value;
-  record(event);
-}
-
 std::vector<TraceEvent> TraceCollector::snapshot() const {
   std::lock_guard<std::mutex> lock(maintenance_mutex_);
   const std::uint64_t committed = next_seq_.load(std::memory_order_relaxed);

@@ -4,8 +4,7 @@
 // breakdowns (Fig 9), work-vs-time (Fig 7/8), memo-cache behaviour
 // (Table 2), straggler timelines (Table 1). This subsystem records those
 // quantities as trace events that export to Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing) and to a human-readable
-// summary (trace_export.h).
+// (loadable in Perfetto / chrome://tracing; trace_export.h).
 //
 // Two clock domains:
 //   * wall  — real microseconds on the host (std::steady_clock), used for
@@ -111,9 +110,6 @@ class TraceCollector {
   void sim_span(const char* category, const char* name, double start_sec,
                 double dur_sec, std::uint32_t track = 0,
                 std::initializer_list<TraceArg> args = {});
-  // Simulated-domain counter sample at `ts_sec`.
-  void sim_counter(const char* category, const char* name, double ts_sec,
-                   double value);
 
   // Committed events in seq order (oldest surviving first). Takes the
   // maintenance mutex; call between runs, not concurrently with writers.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <tuple>
 #include <vector>
 
@@ -102,89 +101,6 @@ bool write_chrome_trace(const std::string& path,
     return false;
   }
   return true;
-}
-
-std::string trace_summary(std::span<const TraceEvent> events,
-                          std::uint64_t dropped_events) {
-  struct SpanAgg {
-    std::uint64_t count = 0;
-    double total_us = 0;
-    double max_us = 0;
-  };
-  // Keyed by (domain tag, category, name); std::map gives sorted output.
-  std::map<std::tuple<int, std::string, std::string>, SpanAgg> spans;
-  std::map<std::tuple<int, std::string, std::string>, double> counters;
-  std::map<std::tuple<int, std::string, std::string>, std::uint64_t> instants;
-
-  for (const TraceEvent& event : events) {
-    const auto key = std::make_tuple(pid_of(event), std::string(event.category),
-                                     std::string(event.name));
-    switch (event.phase) {
-      case 'X': {
-        SpanAgg& agg = spans[key];
-        ++agg.count;
-        agg.total_us += event.dur_us;
-        agg.max_us = std::max(agg.max_us, event.dur_us);
-        break;
-      }
-      case 'C':
-        counters[key] = event.counter_value;  // last sample wins
-        break;
-      case 'i':
-        ++instants[key];
-        break;
-      default:
-        break;
-    }
-  }
-
-  std::string out;
-  char line[192];
-  auto domain_tag = [](int pid) { return pid == kWallPid ? "wall" : "sim"; };
-
-  std::snprintf(line, sizeof(line), "%-5s %-14s %-28s %10s %14s %14s\n",
-                "clock", "category", "span", "count", "total(ms)", "max(ms)");
-  out += line;
-  for (const auto& [key, agg] : spans) {
-    std::snprintf(line, sizeof(line),
-                  "%-5s %-14s %-28s %10llu %14.3f %14.3f\n",
-                  domain_tag(std::get<0>(key)), std::get<1>(key).c_str(),
-                  std::get<2>(key).c_str(),
-                  static_cast<unsigned long long>(agg.count),
-                  agg.total_us / 1e3, agg.max_us / 1e3);
-    out += line;
-  }
-  if (!counters.empty()) {
-    std::snprintf(line, sizeof(line), "%-5s %-14s %-28s %25s\n", "clock",
-                  "category", "counter", "last value");
-    out += line;
-    for (const auto& [key, value] : counters) {
-      std::snprintf(line, sizeof(line), "%-5s %-14s %-28s %25.3f\n",
-                    domain_tag(std::get<0>(key)), std::get<1>(key).c_str(),
-                    std::get<2>(key).c_str(), value);
-      out += line;
-    }
-  }
-  if (!instants.empty()) {
-    std::snprintf(line, sizeof(line), "%-5s %-14s %-28s %25s\n", "clock",
-                  "category", "event", "count");
-    out += line;
-    for (const auto& [key, count] : instants) {
-      std::snprintf(line, sizeof(line), "%-5s %-14s %-28s %25llu\n",
-                    domain_tag(std::get<0>(key)), std::get<1>(key).c_str(),
-                    std::get<2>(key).c_str(),
-                    static_cast<unsigned long long>(count));
-      out += line;
-    }
-  }
-  if (dropped_events != 0) {
-    std::snprintf(line, sizeof(line),
-                  "WARNING: %llu events dropped (ring wrap-around); "
-                  "totals above under-count\n",
-                  static_cast<unsigned long long>(dropped_events));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace slider::obs

@@ -1,12 +1,9 @@
-// Exporters for collected trace events:
-//   * Chrome trace-event JSON (the "JSON Array with metadata" flavour) —
-//     drag the file into https://ui.perfetto.dev or chrome://tracing.
-//     Wall-clock events appear under pid 1 ("slider wall-clock"),
-//     simulated-time events under pid 2 ("slider simulated cluster"),
-//     with the simulated lanes (machine ids, phase lanes) as threads.
-//   * A human-readable summary table aggregating spans per
-//     (domain, category, name) and reporting the last value of every
-//     counter series.
+// Exporter for collected trace events: Chrome trace-event JSON (the "JSON
+// Array with metadata" flavour) — drag the file into
+// https://ui.perfetto.dev or chrome://tracing. Wall-clock events appear
+// under pid 1 ("slider wall-clock"), simulated-time events under pid 2
+// ("slider simulated cluster"), with the simulated lanes (machine ids,
+// phase lanes) as threads.
 #pragma once
 
 #include <span>
@@ -35,11 +32,5 @@ std::string to_chrome_trace_json(std::span<const TraceEvent> events,
 bool write_chrome_trace(const std::string& path,
                         std::span<const TraceEvent> events,
                         std::uint64_t dropped_events = 0);
-
-// Aggregated per-span statistics and final counter values, formatted as a
-// fixed-width text table for terminal consumption. A non-zero
-// `dropped_events` is called out in a trailing warning line.
-std::string trace_summary(std::span<const TraceEvent> events,
-                          std::uint64_t dropped_events = 0);
 
 }  // namespace slider::obs

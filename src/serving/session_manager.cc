@@ -164,7 +164,6 @@ void SessionManager::execute_locked(TenantState& state, Request request) {
   ++state.counters.executed;
   state.idle_rounds = 0;
   state.window_splits = state.session->window().size();
-  state.outputs = serialize_outputs(*state.session);
   total_pending_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -186,6 +185,7 @@ bool SessionManager::hydrate_locked(TenantState& state) {
   fresh->end_recovery_replay();
   state.session = std::move(fresh);
   state.cold = false;
+  state.outputs.clear();
   ++state.counters.hydrations;
   {
     std::lock_guard<std::mutex> cold(cold_mutex_);
@@ -209,6 +209,7 @@ void SessionManager::checkpoint_locked(TenantState& state) {
     refresh_pinned_locked();
   }
   state.session->take_released_ids(state.released);
+  state.outputs = serialize_outputs(*state.session);
   state.session.reset();
   state.cold = true;
   state.idle_rounds = 0;
@@ -350,7 +351,9 @@ std::vector<std::string> SessionManager::last_outputs(
   const auto it = tenants_.find(name);
   if (it == tenants_.end()) return {};
   std::lock_guard<std::mutex> lock(it->second->mutex);
-  return it->second->outputs;
+  const TenantState& state = *it->second;
+  return state.session != nullptr ? serialize_outputs(*state.session)
+                                  : state.outputs;
 }
 
 obs::TimeSeriesSnapshot SessionManager::tenant_series(

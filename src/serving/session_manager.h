@@ -241,7 +241,9 @@ class SessionManager {
     std::size_t idle_rounds = 0;
     std::size_t window_splits = 0;
     TenantCounters counters;
-    std::vector<std::string> outputs;  // serialized, as of last run
+    // Serialized outputs, captured when checkpoint_locked spools the
+    // session out; last_outputs() serializes a live session on call.
+    std::vector<std::string> outputs;
     // Ids the session released before checkpoint_locked destroyed it; the
     // next garbage_collect() erases them.
     std::vector<NodeId> released;

@@ -696,7 +696,6 @@ void SliderSession::observe_run(
       sample.cause_invocations[static_cast<std::size_t>(cell.cause)] +=
           cell.work.combiner_invocations;
     }
-    sample.combiner_invocations = totals.combiner_invocations;
     sample.combiner_reused = totals.combiner_reused;
     sample.nodes_visited = totals.nodes_visited;
     sample.task_retries = metrics.task_retries;

@@ -198,11 +198,6 @@ TEST(StringUtil, ParseU64) {
   EXPECT_EQ(v, UINT64_MAX);
 }
 
-TEST(StringUtil, Formatting) {
-  EXPECT_EQ(format_percent(0.1234), "12.3%");
-  EXPECT_EQ(format_double(3.14159, 2), "3.14");
-}
-
 TEST(RunMetrics, AccumulatesAllFields) {
   RunMetrics a;
   a.map_work = 1;

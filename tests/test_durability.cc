@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -57,18 +58,15 @@ class DurabilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("slider_durability_") + info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    temp_.emplace(std::string("slider_durability_") + info->name());
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override { temp_.reset(); }
 
   std::string path(const std::string& sub = "") const {
-    return sub.empty() ? dir_.string() : (dir_ / sub).string();
+    return sub.empty() ? temp_->path.string() : (temp_->path / sub).string();
   }
 
-  fs::path dir_;
+  std::optional<testing::TempDir> temp_;
 };
 
 std::vector<LogRecord> scan_all(const std::string& dir, LogScanStats* stats,
@@ -910,18 +908,13 @@ class SessionCheckpointRestore
     : public ::testing::TestWithParam<SessionCase> {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("slider_ckpt_") +
-            session_case_name(::testing::TestParamInfo<SessionCase>(
-                GetParam(), 0)) +
-            "_" + info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    temp_.emplace("slider_ckpt_" +
+                  session_case_name(
+                      ::testing::TestParamInfo<SessionCase>(GetParam(), 0)));
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override { temp_.reset(); }
 
-  fs::path dir_;
+  std::optional<testing::TempDir> temp_;
 };
 
 TEST_P(SessionCheckpointRestore, ByteIdenticalOutputAndIncrementalSlide) {
@@ -957,8 +950,8 @@ TEST_P(SessionCheckpointRestore, ByteIdenticalOutputAndIncrementalSlide) {
   MemoStore control_memo(cluster, cost);
   SliderSession control(engine, control_memo, bench.job, config);
 
-  const std::string ckpt_dir = (dir_ / "checkpoint").string();
-  const std::string tier_dir = (dir_ / "memo").string();
+  const std::string ckpt_dir = (temp_->path / "checkpoint").string();
+  const std::string tier_dir = (temp_->path / "memo").string();
   RunMetrics control_final;
   std::vector<KVTable> checkpoint_output;
   SimDuration checkpoint_clock = 0;
@@ -1328,7 +1321,7 @@ TEST_F(DurabilityTest, CleaningGcCrashStatesRecoverEveryLiveEntry) {
 
   for (const auto& [label, files] : states) {
     SCOPED_TRACE(label);
-    const fs::path root = dir_ / "state";
+    const fs::path root = temp_->path / "state";
     fs::remove_all(root);
     write_segments(files, root / "replica-0");
     const auto recovered = durability::recover_replicas(

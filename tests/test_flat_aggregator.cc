@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,7 +25,6 @@
 namespace slider {
 namespace {
 
-namespace fs = std::filesystem;
 using testing::fold_leaves;
 using testing::make_leaf;
 using testing::random_leaf;
@@ -250,19 +248,17 @@ class FlatAggregatorCheckpoint : public ::testing::Test {
  protected:
   void SetUp() override {
     // Unique per test: ctest runs these in parallel processes.
-    dir_ = fs::temp_directory_path() /
-           (std::string("slider_flat_ckpt_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    temp_.emplace(
+        std::string("slider_flat_ckpt_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override { temp_.reset(); }
 
   // Writes `writer` as a manifest and restores a fresh sum-kernel tier
   // from it; null when restore() rejects the blob.
   std::unique_ptr<FlatAggregator> restore_from(
       const durability::CheckpointWriter& writer) {
-    const std::string path = (dir_ / "flat.slckpt").string();
+    const std::string path = (temp_->path / "flat.slckpt").string();
     EXPECT_TRUE(writer.write_manifest(path));
     auto reader = durability::CheckpointReader::open(path, {});
     EXPECT_NE(reader, nullptr);
@@ -275,7 +271,7 @@ class FlatAggregatorCheckpoint : public ::testing::Test {
     return restored;
   }
 
-  fs::path dir_;
+  std::optional<testing::TempDir> temp_;
 };
 
 TEST_F(FlatAggregatorCheckpoint, SumKernelRoundTrips) {

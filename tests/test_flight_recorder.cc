@@ -32,6 +32,7 @@
 #include "observability/trace.h"
 #include "robustness/chaos.h"
 #include "slider/session.h"
+#include "tests/test_util.h"
 
 namespace slider {
 namespace {
@@ -46,6 +47,7 @@ using obs::SloKind;
 using obs::SloSpec;
 using obs::SloVerdict;
 using obs::TimeSeries;
+using testing::TempDir;
 
 struct Harness {
   Harness()
@@ -74,27 +76,13 @@ SlideSample sample_with(double sim_latency, std::uint64_t invoked,
   SlideSample s;
   s.kind = RunKind::kSlide;
   s.sim_latency = sim_latency;
-  s.combiner_invocations = invoked;
+  s.cause_invocations[static_cast<std::size_t>(obs::WorkCause::kWindowAdd)] =
+      invoked;
   s.combiner_reused = reused;
   s.task_retries = retries;
   s.durable_degraded = degraded;
   return s;
 }
-
-// Scoped temp dir, removed on destruction.
-struct TempDir {
-  explicit TempDir(const std::string& tag)
-      : path(fs::temp_directory_path() /
-             (tag + "_" + std::to_string(::getpid()))) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  fs::path path;
-};
 
 std::vector<std::string> pm_files(const fs::path& dir) {
   std::vector<std::string> out;
@@ -145,7 +133,7 @@ TEST(TimeSeries, EvictedRawSamplesFoldIntoAggregateBuckets) {
   std::uint64_t folded = 0;
   for (const obs::AggregateSample& a : snap.aggregates) {
     EXPECT_EQ(a.count, 2u);
-    EXPECT_EQ(a.combiner_invocations, 14u);  // 2 samples x 7
+    EXPECT_EQ(a.combiner_invocations(), 14u);  // 2 samples x 7
     EXPECT_DOUBLE_EQ(a.sim_latency_max, 1.0);
     folded += a.count;
   }
@@ -172,10 +160,7 @@ TEST(TimeSeries, JsonRoundTripsThroughTheStrictParser) {
                                         .aggregate_width = 2,
                                         .aggregate_capacity = 4});
   for (int i = 0; i < 7; ++i) {
-    SlideSample s = sample_with(0.5, 9, 1);
-    s.cause_invocations[static_cast<std::size_t>(
-        obs::WorkCause::kWindowAdd)] = 9;
-    series.record(s);
+    series.record(sample_with(0.5, 9, 1));
   }
   const std::string json = series.to_json();
   const auto parsed = obs::parse_json(json);
@@ -212,11 +197,11 @@ TEST(TimeSeries, SessionsRecordIntoTheGlobalSeriesPerRun) {
   EXPECT_EQ(slide.removed, 2u);
   EXPECT_EQ(slide.added, 2u);
   EXPECT_EQ(slide.window_splits, 8u);
-  EXPECT_GT(initial.combiner_invocations, 0u);
+  EXPECT_GT(initial.combiner_invocations(), 0u);
   EXPECT_GT(slide.wall_latency_us, 0.0);
   EXPECT_GE(slide.sim_start, initial.sim_start + initial.sim_latency - 1e-12);
   // A slide on the self-adjusting default tree reuses most of the window.
-  EXPECT_LT(slide.combiner_invocations, initial.combiner_invocations);
+  EXPECT_LT(slide.combiner_invocations(), initial.combiner_invocations());
 }
 
 TEST(TimeSeries, SamplingCanBeDisabledPerSession) {

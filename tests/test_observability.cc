@@ -16,6 +16,7 @@
 #include "observability/trace.h"
 #include "observability/trace_export.h"
 #include "slider/session.h"
+#include "tests/test_util.h"
 
 namespace slider {
 namespace {
@@ -202,7 +203,7 @@ TEST(TraceExport, ChromeJsonIsStructurallySound) {
   collector.sim_span("sched", "reduce.task", 0.5, 0.25, 7,
                      {{"partition", 2.0}, {"migrated", 1.0}});
   collector.instant("phase", "marker");
-  collector.sim_counter("memo", "memo.entries", 1.0, 17.0);
+  collector.counter("memo", "memo.entries", 17.0);
   const auto events = collector.snapshot();
   const std::string doc = obs::to_chrome_trace_json(events);
 
@@ -234,23 +235,6 @@ TEST(TraceExport, ChromeJsonIsStructurallySound) {
     last_pid = event.pid;
     last_ts = event.ts;
   }
-}
-
-TEST(TraceExport, SummaryAggregatesSpansAndCounters) {
-  TraceCollector collector(64);
-  collector.set_enabled(true);
-  collector.complete_span("phase", "map", 0, 1000);
-  collector.complete_span("phase", "map", 1000, 3000);
-  collector.counter("memo", "memo.entries", 5.0);
-  collector.counter("memo", "memo.entries", 9.0);
-  collector.instant("tree", "tree.reuse");
-  const std::string summary = obs::trace_summary(collector.snapshot());
-  EXPECT_NE(summary.find("map"), std::string::npos);
-  EXPECT_NE(summary.find("memo.entries"), std::string::npos);
-  EXPECT_NE(summary.find("tree.reuse"), std::string::npos);
-  // Last counter sample wins.
-  EXPECT_NE(summary.find("9.000"), std::string::npos);
-  EXPECT_EQ(summary.find("5.000"), std::string::npos);
 }
 
 // --- histograms & stats ------------------------------------------------------
@@ -402,17 +386,14 @@ TEST(RunReport, JsonCarriesParamsRowsAndNotes) {
 }
 
 TEST(RunReport, WriteProducesReadableFile) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "slider_report_test";
-  std::filesystem::create_directories(dir);
+  const testing::TempDir dir("slider_report_test");
   obs::RunReport report("write_test");
   report.add_row().col("k", 1.0);
-  const std::string path = report.write(dir.string());
+  const std::string path = report.write(dir.path.string());
   ASSERT_FALSE(path.empty());
   std::FILE* file = std::fopen(path.c_str(), "r");
   ASSERT_NE(file, nullptr);
   std::fclose(file);
-  std::filesystem::remove_all(dir);
 }
 
 // --- end-to-end: a traced Slider session ------------------------------------

@@ -147,9 +147,8 @@ TEST(ChaosSchedule, AtRestCorruptionDrawsAppendWithoutDisturbingLegacySeeds) {
 }
 
 TEST(ChaosController, BitRotFlipsDiskBitAndDivergenceTruncatesOneReplica) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "slider_chaos_bitrot_unit";
-  std::filesystem::remove_all(dir);
+  const testing::TempDir temp("slider_chaos_bitrot_unit");
+  const std::filesystem::path& dir = temp.path;
   durability::DurableTier tier(dir.string());
   for (std::uint64_t k = 1; k <= 12; ++k) {
     ASSERT_EQ(tier.put(k, k, std::string(16, static_cast<char>('a' + k))),
@@ -199,7 +198,6 @@ TEST(ChaosController, BitRotFlipsDiskBitAndDivergenceTruncatesOneReplica) {
   const std::uint64_t after1 = bytes_of(segments_of(1));
   EXPECT_EQ(std::max(after0, after1), before0);
   EXPECT_LT(std::min(after0, after1), before0);
-  std::filesystem::remove_all(dir);
 }
 
 // --- controller --------------------------------------------------------------
@@ -320,9 +318,8 @@ TEST(ChaosController, MemoLossDropsMemoryWithoutFailingTheMachine) {
 
 TEST(ChaosController, DurableErrorWindowDegradesAndDrains) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "slider_chaos_durable_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::TempDir temp("slider_chaos_durable_test");
+  const fs::path& dir = temp.path;
 
   CostModel cost;
   Cluster cluster(ClusterConfig{.num_machines = 3, .slots_per_machine = 1});
@@ -371,7 +368,6 @@ TEST(ChaosController, DurableErrorWindowDegradesAndDrains) {
   EXPECT_EQ(registry_counter("durability.degraded_intervals") -
                 intervals_before,
             stats.degraded_intervals);
-  fs::remove_all(dir);
 }
 
 // --- end-to-end: chaos run == failure-free control ---------------------------

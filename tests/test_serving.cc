@@ -340,11 +340,8 @@ TEST(SessionManagerIdleHydrate, ColdSessionRehydratesTransparently) {
   const auto control = run_control(MicroApp::kHct, kRuns);
 
   Harness h;
-  const fs::path tier_dir =
-      fs::temp_directory_path() / "slider_test_serving_idle_tier";
-  fs::remove_all(tier_dir);
-  fs::create_directories(tier_dir);
-  durability::DurableTier tier(tier_dir.string());
+  const testing::TempDir tier_dir("slider_test_serving_idle_tier");
+  durability::DurableTier tier(tier_dir.path.string());
   h.memo.attach_durable_tier(&tier);
 
   SessionManagerOptions options;
@@ -507,10 +504,8 @@ TEST(SessionManagerGc, ReleasedIdsLeaveExactlyTheLiveAndPinnedSets) {
 TEST(SessionManagerCheckpointIdentity, CrossTenantRestoreIsRejected) {
   Harness h;
   const auto bench = apps::make_microbenchmark(MicroApp::kHct);
-  const fs::path dir =
-      fs::temp_directory_path() / "slider_test_serving_identity";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::TempDir temp("slider_test_serving_identity");
+  const fs::path& dir = temp.path;
 
   SliderConfig config_a = base_config();
   config_a.tenant = "tenant-a";
@@ -528,8 +523,6 @@ TEST(SessionManagerCheckpointIdentity, CrossTenantRestoreIsRejected) {
   SliderSession a2(h.engine, h.memo, bench.job, config_a2);
   EXPECT_TRUE(a2.restore(dir.string()));  // right tenant
   EXPECT_EQ(output_bytes(a2), output_bytes(a));
-
-  fs::remove_all(dir);
 }
 
 // --- concurrent checkpoint/restore over a shared store ----------------------
@@ -552,10 +545,8 @@ TEST(SessionManagerConcurrent, CheckpointRestoreSharedStoreStaysByteIdentical) {
   };
 
   Harness h;
-  const fs::path root =
-      fs::temp_directory_path() / "slider_test_serving_concurrent";
-  fs::remove_all(root);
-  fs::create_directories(root);
+  const testing::TempDir temp("slider_test_serving_concurrent");
+  const fs::path& root = temp.path;
   durability::DurableTier tier((root / "tier").string());
   h.memo.attach_durable_tier(&tier);
 
@@ -658,8 +649,6 @@ TEST(SessionManagerConcurrent, CheckpointRestoreSharedStoreStaysByteIdentical) {
     EXPECT_EQ(output_bytes(*restored[i]), control_of(i)[kWarmRuns])
         << names[i] << " post-restore slide diverged";
   }
-
-  fs::remove_all(root);
 }
 
 // --- fleet endpoints --------------------------------------------------------

@@ -431,13 +431,9 @@ TEST(MemoStoreConcurrency, ConcurrentRePutOfSameIdIsIdempotent) {
 // state-level race between scrub slices and the put/get hot path.
 TEST(ScrubberConcurrency, ScrubSlicesRaceWithParallelWriters) {
   GlobalThreadsGuard guard(8);
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "slider_scrubber_concurrency";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::TempDir dir("slider_scrubber_concurrency");
   {
-    durability::DurableTier tier(dir.string());
+    durability::DurableTier tier(dir.path.string());
     StorageHarness h;
     h.memo.attach_durable_tier(&tier);
 
@@ -465,7 +461,6 @@ TEST(ScrubberConcurrency, ScrubSlicesRaceWithParallelWriters) {
     EXPECT_EQ(totals.corruptions_detected, 0u);
     EXPECT_TRUE(totals.conserved());
   }
-  fs::remove_all(dir);
 }
 
 // --- satellite regressions --------------------------------------------------

@@ -3,11 +3,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -18,6 +22,26 @@
 #include "observability/stats.h"
 
 namespace slider::testing {
+
+// Scoped scratch directory `<tmp>/<tag>_<pid>`, created empty and removed
+// with everything in it on destruction. The pid keeps two suites running
+// at once (say, a default and a sanitizer build) out of each other's way.
+struct TempDir {
+  explicit TempDir(const std::string& tag)
+      : path(std::filesystem::temp_directory_path() /
+             (tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::filesystem::path path;
+};
 
 // The segment cleaner's liveness test over a fixed set: a put is live iff
 // its (key, seq) is one of `live`.

@@ -294,6 +294,11 @@ TEST(WorkLedgerCauses, MemoBudgetEvictionsSurfaceAsEvictionRecompute) {
   EXPECT_GT(
       after.total_for(WorkCause::kMemoEvictionRecompute).combiner_invocations,
       before.total_for(WorkCause::kMemoEvictionRecompute).combiner_invocations);
+  // The recompute re-memoizes what it rebuilt: those bytes bill to the
+  // same cause as its invocation.
+  EXPECT_GT(
+      after.total_for(WorkCause::kMemoEvictionRecompute).memo_bytes_written,
+      before.total_for(WorkCause::kMemoEvictionRecompute).memo_bytes_written);
 
   // Each eviction and each miss it forces counts once: the process-wide
   // counters move by exactly the store's own tallies.
@@ -314,10 +319,8 @@ TEST(WorkLedgerCauses, MemoBudgetEvictionsSurfaceAsEvictionRecompute) {
 
 TEST(WorkLedgerCauses, PostRestoreSlidesBillToRecoveryReplay) {
   const auto bench = apps::make_microbenchmark(MicroApp::kHct);
-  const fs::path dir =
-      fs::temp_directory_path() / "slider_ledger_recovery_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const testing::TempDir temp("slider_ledger_recovery_test");
+  const fs::path& dir = temp.path;
   const std::string ckpt_dir = (dir / "checkpoint").string();
   const std::string tier_dir = (dir / "memo").string();
 
@@ -385,8 +388,6 @@ TEST(WorkLedgerCauses, PostRestoreSlidesBillToRecoveryReplay) {
             mid.total_for(WorkCause::kRecoveryReplay).combiner_invocations);
   EXPECT_GT(after.total_for(WorkCause::kWindowAdd).combiner_invocations,
             mid.total_for(WorkCause::kWindowAdd).combiner_invocations);
-
-  fs::remove_all(dir);
 }
 
 // --- introspection endpoint ---------------------------------------------------
