@@ -9,7 +9,6 @@
 
 #include "apps/codecs.h"
 #include "apps/microbench.h"
-#include "common/thread_pool.h"
 #include "contraction/coalescing_tree.h"
 #include "contraction/flat_aggregator.h"
 #include "contraction/folding_tree.h"
@@ -157,60 +156,6 @@ void BM_RotatingSlide(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RotatingSlide)->Arg(64)->Arg(256)->Arg(1024);
-
-// --- host parallelism ---------------------------------------------------
-//
-// The same builds with a `threads` knob (second arg): the per-level merge
-// loops run on the shared ThreadPool, so wall-clock time should drop as
-// threads grow while producing bit-identical trees. Leaves are heavier
-// than above so merge CPU dominates the fork/join overhead — this is the
-// configuration behind the ">1.5x at window >= 256" acceptance check.
-
-std::vector<Leaf> heavy_leaves(std::size_t count, SplitId first = 0) {
-  Rng rng(first * 1000 + 5);
-  std::vector<Leaf> leaves;
-  leaves.reserve(count);
-  const CombineFn combiner = sum_combiner();
-  for (std::size_t i = 0; i < count; ++i) {
-    leaves.push_back(
-        random_leaf(first + i, rng, combiner, /*keys_per_leaf=*/300,
-                    /*key_space=*/4000));
-  }
-  return leaves;
-}
-
-template <typename TreeT>
-void threaded_build_bench(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(1));
-  ThreadPool::set_global_threads(threads);
-  const CombineFn combiner = sum_combiner();
-  auto leaves = heavy_leaves(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    TreeT tree(bench_ctx(), combiner);
-    TreeUpdateStats stats;
-    auto copy = leaves;
-    tree.initial_build(std::move(copy), &stats);
-    benchmark::DoNotOptimize(tree.root());
-  }
-  state.counters["threads"] = threads;
-  ThreadPool::set_global_threads(0);
-}
-
-void BM_FoldingBuildThreaded(benchmark::State& state) {
-  threaded_build_bench<FoldingTree>(state);
-}
-BENCHMARK(BM_FoldingBuildThreaded)
-    ->ArgsProduct({{256, 1024}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_RandomizedBuildThreaded(benchmark::State& state) {
-  threaded_build_bench<RandomizedFoldingTree>(state);
-}
-BENCHMARK(BM_RandomizedBuildThreaded)
-    ->ArgsProduct({{256, 1024}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // --- flat tier vs folding tree head-to-head -----------------------------
 //

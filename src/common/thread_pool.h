@@ -4,9 +4,10 @@
 // The paper's claim that update work spreads across the cluster (§2.2, §6)
 // was previously only *simulated*: every map task, per-partition tree
 // update, contraction merge, and reduce ran in one serial loop. This pool
-// makes the per-level combiner invocations and per-partition stages
-// actually run in parallel on the host, while keeping results bit-identical
-// to the serial run (see docs/threading.md for the determinism contract).
+// makes map tasks, per-partition stages and fleet shards actually run in
+// parallel on the host, while keeping results bit-identical to the serial
+// run (see docs/threading.md for the determinism contract). A partition is
+// the smallest unit: trees run serially on the thread that calls them.
 //
 // Design:
 //   * one process-wide pool (ThreadPool::global()), sized by the
@@ -16,8 +17,8 @@
 //     calling thread participates, and the call blocks until every index
 //     completed — a fork/join barrier;
 //   * nested parallel_for from inside a worker runs inline (serially) on
-//     the calling worker, so trees parallelizing their levels underneath a
-//     parallel per-partition loop can never deadlock the pool;
+//     the calling worker, so a session's per-partition loop underneath the
+//     fleet's per-shard loop can never deadlock the pool;
 //   * determinism is the *caller's* job: fn(i) must write only to
 //     index-i-owned slots; ordered reductions fold the slots afterwards.
 #pragma once

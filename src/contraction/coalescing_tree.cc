@@ -5,10 +5,6 @@
 
 namespace slider {
 
-// Deliberately serial: the coalescing tree's work per run is one batch
-// fold over the freshly appended leaves plus a single spine merge — a
-// dependency chain, not a level of independent nodes. Parallelism comes
-// from the session's per-partition loop (see docs/threading.md).
 void CoalescingTree::initial_build(std::vector<Leaf> leaves,
                                    TreeUpdateStats* stats) {
   held_.drop_all();

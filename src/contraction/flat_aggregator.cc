@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "contraction/simd_kernels.h"
 #include "data/serde.h"
 
 namespace slider {
@@ -63,7 +62,6 @@ bool FlatAggregator::decode_element(
     e.key_idx.push_back(intern_key(row.key));
     e.values.push_back(lane);
   }
-  e.dense_width = keys_.size();
   *out = std::move(e);
   return true;
 }
@@ -83,32 +81,15 @@ NodeId FlatAggregator::root_id(std::vector<NodeId>* children) const {
   return id;
 }
 
-const std::vector<flat::Lane>& FlatAggregator::stage(const Element& element) {
-  scratch_.assign(element.dense_width, 0);
-  for (std::size_t j = 0; j < element.key_idx.size(); ++j) {
-    scratch_[element.key_idx[j]] = element.values[j];
-  }
-  return scratch_;
-}
-
 void FlatAggregator::add_element(Element element, TreeUpdateStats* stats) {
   counts_.resize(keys_.size(), 0);
   for (const std::uint32_t k : element.key_idx) {
     if (counts_[k]++ == 0) root_order_dirty_ = true;
   }
 
-  // Hybrid update: sparse elements touch their own lanes directly; dense
-  // ones stage into the scratch buffer and use the bulk SIMD kernels.
-  // Wrapping adds commute, so the threshold can never change the aggregate
-  // bytes.
   running_.resize(keys_.size(), 0);
-  if (element.key_idx.size() * 2 >= element.dense_width) {
-    simd::bulk_add_u64(running_.data(), stage(element).data(),
-                       element.dense_width);
-  } else {
-    for (std::size_t j = 0; j < element.key_idx.size(); ++j) {
-      running_[element.key_idx[j]] += element.values[j];
-    }
+  for (std::size_t j = 0; j < element.key_idx.size(); ++j) {
+    running_[element.key_idx[j]] += element.values[j];
   }
 
   // One invocation per inserted element: the lane update is the flat
@@ -128,12 +109,8 @@ void FlatAggregator::add_element(Element element, TreeUpdateStats* stats) {
 void FlatAggregator::evict_front(TreeUpdateStats* stats) {
   SLIDER_CHECK(!elements_.empty());
   const Element& e = elements_.front();
-  if (e.key_idx.size() * 2 >= e.dense_width) {
-    simd::bulk_sub_u64(running_.data(), stage(e).data(), e.dense_width);
-  } else {
-    for (std::size_t j = 0; j < e.key_idx.size(); ++j) {
-      running_[e.key_idx[j]] -= e.values[j];
-    }
+  for (std::size_t j = 0; j < e.key_idx.size(); ++j) {
+    running_[e.key_idx[j]] -= e.values[j];
   }
   stats->charge_visits(1);
   const NodeId kids[] = {e.id};
@@ -154,7 +131,9 @@ void FlatAggregator::evict_front(TreeUpdateStats* stats) {
 void FlatAggregator::rebuild_aggregate() {
   running_.assign(keys_.size(), 0);
   for (const Element& e : elements_) {
-    simd::bulk_add_u64(running_.data(), stage(e).data(), e.dense_width);
+    for (std::size_t j = 0; j < e.key_idx.size(); ++j) {
+      running_[e.key_idx[j]] += e.values[j];
+    }
   }
 }
 
@@ -183,7 +162,6 @@ void FlatAggregator::reclaim_dead_keys(TreeUpdateStats* stats) {
   }
   for (Element& e : elements_) {
     for (std::uint32_t& k : e.key_idx) k = remap[k];
-    e.dense_width = keys_.size();
   }
   rebuild_aggregate();
   root_order_dirty_ = true;  // directory indices just moved
@@ -418,10 +396,6 @@ bool FlatAggregator::restore(durability::CheckpointReader& reader) {
     e.split_id = split_id;
     e.id = id;
     e.table = table;
-    // Lane widths only bound how many identity lanes the bulk ops touch —
-    // full width is exact, so per-element insert-time widths need not be
-    // checkpointed.
-    e.dense_width = keys_.size();
     for (const Record& row : table->rows()) {
       const std::uint32_t idx = find_key(row.key);
       if (idx == KeyIndex::kAbsent) return false;

@@ -10,9 +10,9 @@
 //     each window element is a sparse {directory index, lane} list decoded
 //     once at insert;
 //   * every flat kernel is a wrapping sum, so one dense running aggregate
-//     covers the window: insert = SIMD bulk add, evict = SIMD bulk
-//     subtract, both exact under two's-complement wraparound: O(1) per
-//     slide per element;
+//     covers the window: insert adds an element's values into the lanes
+//     of its own keys, evict subtracts them, both exact under two's-
+//     complement wraparound: O(rows) per element, whatever the window;
 //   * the per-window output table is rebuilt from the dense lanes, keys
 //     with zero live occurrences filtered out.
 //
@@ -83,9 +83,6 @@ class FlatAggregator : public ContractionTree {
     std::shared_ptr<const KVTable> table;
     std::vector<std::uint32_t> key_idx;
     std::vector<flat::Lane> values;
-    // Directory size right after this element's keys were interned; lanes
-    // at indices >= dense_width are 0 for this element.
-    std::size_t dense_width = 0;
   };
 
   // Directory index of `key`, interning it when absent.
@@ -104,9 +101,6 @@ class FlatAggregator : public ContractionTree {
   // order, so the lineage, /tree and dot views agree. Appends the element
   // ids to `children`.
   NodeId root_id(std::vector<NodeId>* children) const;
-  // Scatters an element into the dense scratch buffer (zero-filled to
-  // `element.dense_width`) and returns it.
-  const std::vector<flat::Lane>& stage(const Element& element);
   void add_element(Element element, TreeUpdateStats* stats);
   void evict_front(TreeUpdateStats* stats);
   // Recomputes running_ from elements_ (restore, compaction). Uncharged.
@@ -140,7 +134,6 @@ class FlatAggregator : public ContractionTree {
   // slot.
   std::vector<flat::Lane> running_;
 
-  std::vector<flat::Lane> scratch_;
   std::shared_ptr<const KVTable> root_;
   // Lineage id of the last recorded root fold; the standing-aggregate
   // reuse record of the next slide points at it (armed sessions only).

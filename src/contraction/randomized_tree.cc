@@ -1,7 +1,6 @@
 #include "contraction/randomized_tree.h"
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "data/serde.h"
 
 namespace slider {
@@ -73,49 +72,19 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
     return;
   }
 
+  const std::uint16_t caller_level = stats != nullptr ? stats->level : 0;
   while (level.size() > 1) {
     ++height_;
-    // Phase 1 (serial): scan the deterministic boundary coins to split the
-    // level into groups. Cheap — no merges, no memo traffic.
-    struct Group {
-      std::size_t begin = 0;
-      std::size_t end = 0;  // half-open [begin, end)
-    };
-    std::vector<Group> groups;
+    if (stats != nullptr) stats->level = static_cast<std::uint16_t>(height_);
+    std::vector<Entry> next;
     std::size_t group_start = 0;
     for (std::size_t i = 0; i < level.size(); ++i) {
       const bool at_end = i + 1 == level.size();
       if (!closes_group(level[i].id, height_) && !at_end) continue;
-      groups.push_back(Group{group_start, i + 1});
+      std::span<const Entry> members(level.data() + group_start,
+                                     i + 1 - group_start);
       group_start = i + 1;
-    }
-
-    // Phase 2 (parallel): process groups on the shared pool. Every memo_
-    // lookup a group performs resolves against the pre-level snapshot: a
-    // group's chain ids are derived from its own members' ids, so they are
-    // disjoint from the ids any *other* group inserts this level — reads
-    // need no lock as long as writes are deferred. Inserts into memo_ /
-    // live_ and per-group stats are buffered and applied in group order in
-    // phase 3, making the result identical to the serial left-to-right run
-    // for any thread count.
-    struct GroupResult {
-      Entry parent;
-      std::vector<std::pair<NodeId, std::shared_ptr<const KVTable>>> inserts;
-      TreeUpdateStats stats;
-    };
-    std::vector<GroupResult> results(groups.size());
-    auto process = [&](std::size_t g) {
-      const Group& group = groups[g];
-      GroupResult& result = results[g];
-      TreeUpdateStats* group_stats = stats != nullptr ? &result.stats : nullptr;
-      if (group_stats != nullptr) {
-        // Seed the per-group partial with the caller's charge context at
-        // this level (folded in group order in phase 3).
-        *group_stats = stats->at_level(static_cast<std::uint16_t>(height_));
-      }
-      std::span<Entry> members(level.data() + group.begin,
-                               group.end - group.begin);
-      if (group_stats != nullptr) group_stats->charge_visits(members.size());
+      if (stats != nullptr) stats->charge_visits(members.size());
       NodeId group_id = members[0].id;
       for (std::size_t m = 1; m < members.size(); ++m) {
         group_id = internal_node_id(ctx_, group_id, members[m].id);
@@ -129,19 +98,19 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
       if (it != memo_.end() && !member_changed) {
         parent.table = it->second;
         parent.recomputed = false;
-        charge_node(group_stats,
-                    {.id = parent.id, .op = obs::LineageOp::kReuse},
+        charge_node(stats, {.id = parent.id, .op = obs::LineageOp::kReuse},
                     *parent.table);
       } else if (members.size() == 1) {
         // Singleton group: a passthrough combiner re-execution when its
         // member changed (see recompute_paths).
         if (members[0].recomputed) {
-          charge_passthrough(ctx_, *members[0].table, group_stats,
-                             members[0].id, members[0].id);
+          charge_passthrough(ctx_, *members[0].table, stats, members[0].id,
+                             members[0].id);
         }
         parent.table = members[0].table;
         parent.recomputed = members[0].recomputed;
-        result.inserts.emplace_back(parent.id, parent.table);
+        memo_[parent.id] = parent.table;
+        live_.insert(parent.id);
       } else {
         // Execute the group's combines left to right, restarting from the
         // longest unchanged prefix whose chain node is memoized — groups
@@ -170,10 +139,8 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
         std::shared_ptr<const KVTable> acc;
         NodeId chain_id = members[0].id;
         if (best_prefix_len > 0) {
-          // find(), not operator[]: lookups must never mutate the shared
-          // map while other groups are reading it.
-          acc = fetch_reused(ctx_, best_prefix_id,
-                             memo_.find(best_prefix_id)->second, group_stats);
+          acc = fetch_reused(ctx_, best_prefix_id, memo_.at(best_prefix_id),
+                             stats);
           for (std::size_t m = 1; m < best_prefix_len; ++m) {
             chain_id = internal_node_id(ctx_, chain_id, members[m].id);
           }
@@ -182,7 +149,7 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
           acc = members[0].recomputed
                     ? members[0].table
                     : fetch_reused(ctx_, members[0].id, members[0].table,
-                                   group_stats);
+                                   stats);
           start = 1;
         }
 
@@ -190,43 +157,27 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
           auto rhs = members[m].recomputed
                          ? members[m].table
                          : fetch_reused(ctx_, members[m].id, members[m].table,
-                                        group_stats);
+                                        stats);
           const NodeId prev_id = chain_id;
           chain_id = internal_node_id(ctx_, chain_id, members[m].id);
           // Memoize the partial chain too, so a future run whose group
           // extends this one restarts from here. Partials stay live until
           // their group dissolves.
           acc = combine_and_memoize(ctx_, combiner_, chain_id, *acc, *rhs,
-                                    group_stats, prev_id, members[m].id);
-          result.inserts.emplace_back(chain_id, acc);
+                                    stats, prev_id, members[m].id);
+          memo_[chain_id] = acc;
+          live_.insert(chain_id);
         }
         SLIDER_CHECK(chain_id == parent.id) << "group chain id mismatch";
         parent.table = acc;
         parent.recomputed = true;
       }
-      result.parent = std::move(parent);
-    };
-    if (groups.size() >= kParallelLevelThreshold) {
-      parallel_for(groups.size(), process);
-    } else {
-      for (std::size_t g = 0; g < groups.size(); ++g) process(g);
-    }
-
-    // Phase 3 (serial): apply buffered memo/live inserts and fold stats in
-    // group order.
-    std::vector<Entry> next;
-    next.reserve(groups.size());
-    for (GroupResult& result : results) {
-      for (auto& [id, table] : result.inserts) {
-        memo_[id] = std::move(table);
-        live_.insert(id);
-      }
-      live_.insert(result.parent.id);
-      if (stats != nullptr) *stats += result.stats;
-      next.push_back(std::move(result.parent));
+      live_.insert(parent.id);
+      next.push_back(std::move(parent));
     }
     level = std::move(next);
   }
+  if (stats != nullptr) stats->level = caller_level;
 
   root_ = level[0].table;
   root_id_ = level[0].id;

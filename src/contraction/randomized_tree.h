@@ -51,6 +51,7 @@ class RandomizedFoldingTree final : public ContractionTree {
 
   // (Re)derives all levels from the current leaf sequence, reusing
   // memoized group nodes wherever the member-id sequence is unchanged.
+  // Charges each group at its level; stats->level is restored on return.
   void contract(std::vector<Entry> level, TreeUpdateStats* stats);
 
   MemoContext ctx_;

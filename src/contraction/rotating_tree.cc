@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "data/serde.h"
 
 namespace slider {
@@ -41,40 +40,21 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
   }
   bucket_splits_.assign(capacity, 0);
 
-  // Buckets are independent (each reads its own leaf span and writes its
-  // own leaf slot): fold them on the shared pool. Per-bucket stats are
-  // folded in bucket order below for thread-count-invariant totals.
-  std::vector<std::size_t> offsets(buckets_);
+  std::vector<std::size_t> dirty(buckets_);
   std::size_t offset = 0;
   for (std::size_t b = 0; b < buckets_; ++b) {
-    offsets[b] = offset;
+    MemoNode bucket = fold_batch(
+        ctx_, combiner_, std::span<const Leaf>(leaves).subspan(offset, sizes[b]),
+        stats);
     offset += sizes[b];
-  }
-  std::vector<TreeUpdateStats> bucket_stats(
-      stats != nullptr ? buckets_ : 0,
-      stats != nullptr ? stats->at_level(0) : TreeUpdateStats{});
-  std::vector<std::size_t> dirty(buckets_);
-  auto build_one = [&](std::size_t b) {
-    MemoNode bucket =
-        fold_batch(ctx_, combiner_,
-                   std::span<const Leaf>(leaves).subspan(offsets[b], sizes[b]),
-                   stats != nullptr ? &bucket_stats[b] : nullptr);
     LevelSlot& slot = levels_[0][b];
     slot.id = bucket.id;
     slot.table = std::move(bucket.table);
     slot.recomputed_this_run = true;
+    held_.hold(slot.id);
     bucket_splits_[b] = sizes[b];
     dirty[b] = b;
-  };
-  if (buckets_ >= kParallelLevelThreshold) {
-    parallel_for(buckets_, build_one);
-  } else {
-    for (std::size_t b = 0; b < buckets_; ++b) build_one(b);
   }
-  if (stats != nullptr) {
-    for (const TreeUpdateStats& bs : bucket_stats) *stats += bs;
-  }
-  for (std::size_t b = 0; b < buckets_; ++b) held_.hold(levels_[0][b].id);
   recompute_paths(ctx_, combiner_, levels_, std::move(dirty), held_, stats);
 }
 

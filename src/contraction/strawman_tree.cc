@@ -25,16 +25,9 @@ void StrawmanTree::apply_delta(std::size_t remove_front,
   rebuild(stats);
 }
 
-// Deliberately serial: the strawman's recursive rebuild mutates the
-// tree-local memo_ map on every node visit (the linear-with-small-constant
-// behaviour the paper contrasts against), so there is no race-free level
-// of independent nodes to hand to the thread pool. Sessions still run
-// strawman partitions concurrently — the partition loop above it is
-// parallel (see docs/threading.md).
 StrawmanTree::Built StrawmanTree::build_range(std::size_t lo, std::size_t hi,
                                               TreeUpdateStats* stats) {
-  // Charge context level: subtree height (leaves are level 0). The
-  // recursion is serial, so mutating the shared stats' level is safe.
+  // Charge context level: subtree height (leaves are level 0).
   if (stats != nullptr) {
     stats->level = static_cast<std::uint16_t>(std::bit_width(hi - lo - 1));
     stats->charge_visits();

@@ -55,8 +55,9 @@ struct Leaf {
 // session sets the causes before calling into a tree (window_add vs
 // recovery_replay vs background_preprocess, with passthrough work — the
 // voided-path re-executions of Fig 2 — attributed to window_remove); the
-// tree maintains `level` as it walks. at_level() derives the per-node
-// partial-stats objects the parallel level loops fold in index order.
+// tree maintains `level` as it walks. A tree runs serially on the thread
+// that calls it (partitions are the unit of host parallelism), so it
+// charges the caller's stats object directly.
 struct TreeUpdateStats {
   std::uint64_t combiner_invocations = 0;  // merges actually executed
   std::uint64_t combiner_reused = 0;       // memoized nodes reused as-is
@@ -75,30 +76,16 @@ struct TreeUpdateStats {
   obs::WorkCause passthrough_cause = obs::WorkCause::kInitialBuild;
   std::uint16_t level = 0;
   // Lineage arming (observability/provenance.h): set by the session when a
-  // ProvenanceRecorder is attached. Part of the charge context — copied by
-  // at_level() — and charge_node() checks it, so disarmed runs never touch
-  // the lineage vector.
+  // ProvenanceRecorder is attached. Part of the charge context; charge_node()
+  // checks it, so disarmed runs never touch the lineage vector.
   bool record_lineage = false;
 
   // Per-(cause, level) attribution of the aggregates.
   obs::AttributedWork attributed;
 
-  // Per-node lineage records, one per charge_node (armed sessions only).
-  // Appended children-before-parents by the trees; merged in deterministic
-  // index order by the same folds as the counters, so record order is
-  // thread-count-invariant.
+  // Per-node lineage records, one per charge_node (armed sessions only),
+  // in charge order: children before parents.
   std::vector<obs::NodeLineage> lineage;
-
-  // Fresh stats object carrying this object's charge context at `level`
-  // and zeroed counters — the seed for per-node partials in level loops.
-  TreeUpdateStats at_level(std::uint16_t lvl) const {
-    TreeUpdateStats s;
-    s.cause = cause;
-    s.passthrough_cause = passthrough_cause;
-    s.level = lvl;
-    s.record_lineage = record_lineage;
-    return s;
-  }
 
   void charge_visits(std::uint64_t count = 1) {
     nodes_visited += count;

@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "data/serde.h"
 #include "observability/trace.h"
 
@@ -242,34 +241,22 @@ void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
   dirty_leaves.erase(std::unique(dirty_leaves.begin(), dirty_leaves.end()),
                      dirty_leaves.end());
 
+  const std::uint16_t caller_level = stats != nullptr ? stats->level : 0;
   std::vector<std::size_t> dirty = std::move(dirty_leaves);
-  std::vector<NodeId> old_ids;
   for (std::size_t k = 1; k < levels.size(); ++k) {
+    if (stats != nullptr) stats->level = static_cast<std::uint16_t>(k);
     std::vector<std::size_t> next;
     next.reserve(dirty.size() / 2 + 1);
     for (std::size_t i = 0; i < dirty.size(); ++i) {
       const std::size_t parent = dirty[i] / 2;
       if (next.empty() || next.back() != parent) next.push_back(parent);
     }
-    old_ids.resize(next.size());
-    // Nodes within a level are independent: node j reads only its two
-    // children (levels[k-1][2j], [2j+1], untouched at this level) and
-    // writes only levels[k][j]. Run them on the shared pool. Per-node
-    // stats land in `local[idx]` (seeded with the caller's charge context
-    // at this level) and are folded in `next` order below, so the
-    // accumulated totals are bit-identical for any thread count.
-    std::vector<TreeUpdateStats> local(
-        stats != nullptr ? next.size() : 0,
-        stats != nullptr ? stats->at_level(static_cast<std::uint16_t>(k))
-                         : TreeUpdateStats{});
-    auto process = [&](std::size_t idx) {
-      const std::size_t j = next[idx];
-      TreeUpdateStats* node_stats = stats != nullptr ? &local[idx] : nullptr;
-      if (node_stats != nullptr) node_stats->charge_visits();
-      LevelSlot& left = levels[k - 1][2 * j];
-      LevelSlot& right = levels[k - 1][2 * j + 1];
+    for (const std::size_t j : next) {
+      if (stats != nullptr) stats->charge_visits();
+      const LevelSlot& left = levels[k - 1][2 * j];
+      const LevelSlot& right = levels[k - 1][2 * j + 1];
       LevelSlot& node = levels[k][j];
-      old_ids[idx] = node.id;
+      const NodeId old_id = node.id;
       if (left.table == nullptr && right.table == nullptr) {
         node = LevelSlot{};
       } else if (left.table == nullptr || right.table == nullptr) {
@@ -279,7 +266,7 @@ void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
         // extra and motivates §3.2's randomized variant.
         const LevelSlot& live = left.table != nullptr ? left : right;
         if (node.id != live.id) {
-          charge_passthrough(ctx, *live.table, node_stats, live.id, live.id);
+          charge_passthrough(ctx, *live.table, stats, live.id, live.id);
         }
         node.id = live.id;
         node.table = live.table;
@@ -290,36 +277,26 @@ void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
           // Content unchanged (e.g. dirt from a sibling void that was
           // already void): nothing to do.
           node.recomputed_this_run = false;
-          return;
+          continue;
         }
         auto left_table =
             left.recomputed_this_run
                 ? left.table
-                : fetch_reused(ctx, left.id, left.table, node_stats);
+                : fetch_reused(ctx, left.id, left.table, stats);
         auto right_table =
             right.recomputed_this_run
                 ? right.table
-                : fetch_reused(ctx, right.id, right.table, node_stats);
+                : fetch_reused(ctx, right.id, right.table, stats);
         node.id = id;
         node.table = combine_and_memoize(ctx, combiner, id, *left_table,
-                                         *right_table, node_stats, left.id,
+                                         *right_table, stats, left.id,
                                          right.id);
         node.recomputed_this_run = true;
       }
-    };
-    if (next.size() >= kParallelLevelThreshold) {
-      parallel_for(next.size(), process);
-    } else {
-      for (std::size_t idx = 0; idx < next.size(); ++idx) process(idx);
-    }
-    if (stats != nullptr) {
-      for (const TreeUpdateStats& node_stats : local) *stats += node_stats;
-    }
-    for (std::size_t idx = 0; idx < next.size(); ++idx) {
-      const NodeId id = levels[k][next[idx]].id;
-      if (id == old_ids[idx]) continue;
-      held.drop(old_ids[idx]);
-      held.hold(id);
+      if (node.id != old_id) {
+        held.drop(old_id);
+        held.hold(node.id);
+      }
     }
     // This level was the last reader of its children's marks.
     for (const std::size_t i : dirty) {
@@ -330,6 +307,7 @@ void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
   for (const std::size_t i : dirty) {
     levels.back()[i].recomputed_this_run = false;
   }
+  if (stats != nullptr) stats->level = caller_level;
 }
 
 TreeDescription describe_levels(const ContractionTree& tree,

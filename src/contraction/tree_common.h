@@ -16,12 +16,6 @@
 
 namespace slider {
 
-// Minimum number of independent same-level nodes before a tree hands the
-// level to the shared thread pool; below this the fork/join overhead beats
-// the win. The per-node stats fold is structured identically either way,
-// so the threshold never affects results.
-inline constexpr std::size_t kParallelLevelThreshold = 4;
-
 // Stable identity of a leaf node. Content-hashed so that identical map
 // output re-appearing (e.g. re-run after failure) maps to the same entry.
 NodeId leaf_node_id(const MemoContext& ctx, SplitId split,
@@ -146,7 +140,8 @@ using Levels = std::vector<std::vector<LevelSlot>>;
 // ids are unchanged keeps its payload. Every internal slot it rewrites
 // drops its old id and holds its new one in `held` (callers do the same
 // for the leaves they set). Callers mark fresh leaves recomputed_this_run;
-// every mark is cleared on return, in O(path) — no level is swept.
+// every mark is cleared on return, in O(path) — no level is swept. Nodes
+// are charged at their level; stats->level is restored on return.
 void recompute_paths(const MemoContext& ctx, const CombineFn& combiner,
                      Levels& levels, std::vector<std::size_t> dirty_leaves,
                      HeldIds& held, TreeUpdateStats* stats);

@@ -4,9 +4,8 @@
 // `CombineFn` type can promise. Many app combiners are much stronger —
 // commutative integer sums over counts or fixed-point micro-units — and
 // those properties unlock a far cheaper execution tier: a flat circular
-// buffer of elements with one running sum that SIMD bulk adds insert into
-// and bulk subtracts evict from (HammerSlide) instead of a pointer-chasing
-// tree.
+// buffer of elements with one running sum that inserts add into and
+// evictions subtract from (HammerSlide) instead of a pointer-chasing tree.
 //
 // Apps declare what their combiner guarantees via `CombinerTraits` on the
 // JobSpec. A combiner is *flat-eligible* when it is associative,

@@ -27,8 +27,8 @@
 //
 // Accounting discipline (same as docs/threading.md): the hot paths never
 // touch a shared ledger. Tree work accumulates into caller-owned
-// TreeUpdateStats cells (per partition / per node, folded deterministically
-// in index order) and is committed to the process-wide WorkLedger once per
+// TreeUpdateStats cells (one per partition, folded deterministically in
+// partition order) and is committed to the process-wide WorkLedger once per
 // run at the slide boundary, under one cold mutex. The ledger attributes
 // work; it counts no events. Storage, durability, scheduler and chaos
 // events (evictions, restores, retries, injected failures, scrub outcomes)
@@ -98,7 +98,7 @@ struct AttributedCell {
 // handful of (cause, level) pairs — at most a few causes times the tree
 // height — so a small vector with linear lookup beats any map here, and
 // the whole structure copies/merges trivially for the deterministic
-// index-order folds the trees already perform.
+// partition-order folds the session performs.
 class AttributedWork {
  public:
   CauseWork& cell(WorkCause cause, std::uint16_t level) {

@@ -95,10 +95,8 @@ bool SessionManager::add_tenant(TenantSpec spec,
   state->config = std::move(spec.config);
   state->config.tenant = state->name;
   state->config.timeseries = &state->series;
-  if (options_.record_provenance || state->config.record_provenance) {
-    state->provenance =
-        std::make_unique<obs::ProvenanceRecorder>(options_.provenance_options);
-    state->config.record_provenance = true;
+  if (state->config.record_provenance) {
+    state->provenance = std::make_unique<obs::ProvenanceRecorder>();
     state->config.provenance = state->provenance.get();
   }
   // GC over a shared store is the fleet's (garbage_collect()): a session
@@ -486,7 +484,7 @@ bool SessionManager::start_introspection() {
     return route(it->second->provenance.get());
   };
   static constexpr std::string_view kOption =
-      "SessionManagerOptions::record_provenance";
+      "SliderConfig::record_provenance";
   server->add_route("/explain", [with_recorder](
                                     const obs::HttpRequest& request) {
     return with_recorder(request, [&](const obs::ProvenanceRecorder* recorder) {

@@ -106,16 +106,6 @@ struct SessionManagerOptions {
   // fine for dozens, ruinous for a 10k-session fleet; scale drivers
   // shrink this.
   obs::TimeSeries::Options series_options;
-  // Arm per-tenant lineage recording (SliderConfig::record_provenance).
-  // Each tenant gets a private ProvenanceRecorder owned by the manager,
-  // so lineage history survives idle checkpoint / re-hydration cycles;
-  // the fleet endpoint serves it via /explain?tenant=NAME&key=... and
-  // /criticalpath.json?tenant=NAME. A tenant whose spec already sets
-  // config.record_provenance is armed even when this is false.
-  bool record_provenance = false;
-  // Ring geometry of every armed tenant's lineage recorder. The defaults
-  // (32 raw DAGs) are sized for one session; large fleets shrink this.
-  obs::ProvenanceRecorder::Options provenance_options;
 };
 
 struct TenantCounters {

@@ -100,17 +100,6 @@ void commit_ledger_run(obs::RunKind kind, std::size_t window_splits,
                                        partitions, tenant);
 }
 
-std::string_view tree_kind_name(TreeKind kind) {
-  switch (kind) {
-    case TreeKind::kStrawman: return "strawman";
-    case TreeKind::kFolding: return "folding";
-    case TreeKind::kRandomizedFolding: return "randomized_folding";
-    case TreeKind::kRotating: return "rotating";
-    case TreeKind::kCoalescing: return "coalescing";
-  }
-  return "unknown";
-}
-
 // Per-run critical-path histogram (armed provenance sessions only):
 // exported as slider_critical_path_seconds on /metrics. Exponential
 // buckets spanning microsecond slides to minute-scale initial builds.
@@ -207,11 +196,11 @@ SliderSession::SliderSession(const VanillaEngine& engine, MemoStore& memo,
   }
   output_.resize(static_cast<std::size_t>(job_.num_partitions));
 
-  // Build-identity label for /metrics' slider_build_info gauge: last
-  // session constructed wins, which is the one a scraper is watching.
-  obs::set_build_label("tree_variant",
-                       flat_routed ? std::string("flat")
-                                   : std::string(tree_kind_name(kind)));
+  // Every partition starts on the same variant; its kind() labels the
+  // session in /metrics' slider_build_info gauge (last session constructed
+  // wins, which is the one a scraper is watching) and in every dump.
+  if (!partitions_.empty()) tree_label_ = partitions_[0].tree->kind();
+  obs::set_build_label("tree_variant", tree_label_);
   if (!config_.postmortem_dir.empty()) {
     obs::FlightRecorder::Options recorder;
     recorder.directory = config_.postmortem_dir;
@@ -731,11 +720,8 @@ void SliderSession::observe_run(
   // so a pending dump (chaos, degraded entry, SLO breach) is safe to
   // materialize now.
   obs::FlightRecorder::DumpContext ctx;
-  const std::string_view kind_name = tree_kind_name(
-      config_.tree_kind.value_or(default_tree_for(config_.mode)));
-  ctx.session = config_.tenant.empty()
-                    ? std::string(kind_name)
-                    : config_.tenant + "/" + std::string(kind_name);
+  ctx.session = config_.tenant.empty() ? tree_label_
+                                       : config_.tenant + "/" + tree_label_;
   ctx.sim_time = sim_clock_;
   std::vector<obs::SloVerdict> verdict_copy;
   if (have_verdicts) {

@@ -292,6 +292,8 @@ class SliderSession {
   SliderConfig config_;
   std::uint64_t tenant_salt_ = 0;  // hash_string(config_.tenant), 0 if empty
   std::vector<PartitionState> partitions_;
+  // The partitions' tree kind at construction ("flat" when flat-routed).
+  std::string tree_label_;
   std::deque<SplitPtr> window_;
   std::vector<KVTable> output_;
   bool initialized_ = false;

@@ -3,7 +3,7 @@
 // — across kernels (unsigned sum, signed fixed-point sum), plus
 // checkpoint/restore parity and malformed-checkpoint rejection,
 // poison-fallback on non-canonical values, directory compaction, strict
-// codec rules, the SIMD/scalar kernel equivalence, and session routing.
+// codec rules, and session routing.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "apps/microbench.h"
 #include "contraction/flat_aggregator.h"
-#include "contraction/simd_kernels.h"
 #include "contraction/tree.h"
 #include "data/combiner_traits.h"
 #include "data/serde.h"
@@ -400,37 +399,6 @@ TEST(FlatKernelCodec, EligibilityRequiresFullAlgebra) {
   t = traits_for(FlatKernel::kSumU64);
   t.exactly_associative = false;  // e.g. raw IEEE doubles
   EXPECT_FALSE(t.flat_eligible());
-}
-
-// --- SIMD dispatch ----------------------------------------------------------
-
-// Whatever backend the dispatcher picked must agree exactly with the
-// plain scalar semantics (under -DSLIDER_DISABLE_SIMD this degenerates to
-// scalar-vs-scalar, which keeps the CI fallback leg meaningful).
-TEST(FlatSimdKernels, BackendMatchesScalarSemantics) {
-  const char* backend = simd::active_backend();
-  EXPECT_TRUE(std::string(backend) == "avx2" ||
-              std::string(backend) == "scalar");
-
-  Rng rng(404);
-  // Deliberately not a multiple of 4, so the AVX2 path exercises its tail.
-  constexpr std::size_t kLanes = 1027;
-  std::vector<std::uint64_t> dst(kLanes);
-  std::vector<std::uint64_t> src(kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    // Full-range values, so adds wrap.
-    dst[i] = rng.next_u64();
-    src[i] = rng.next_u64();
-  }
-
-  auto expect_add = dst;
-  for (std::size_t i = 0; i < kLanes; ++i) expect_add[i] += src[i];
-  auto got = dst;
-  simd::bulk_add_u64(got.data(), src.data(), kLanes);
-  EXPECT_EQ(got, expect_add);
-
-  simd::bulk_sub_u64(got.data(), src.data(), kLanes);
-  EXPECT_EQ(got, dst) << "sub must invert add exactly";
 }
 
 // --- session routing --------------------------------------------------------

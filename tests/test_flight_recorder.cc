@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -509,6 +510,42 @@ TEST(FlightRecorder, ChaosSessionProducesAttributedDump) {
   }
   EXPECT_TRUE(crash_noted);
   EXPECT_GT(file->root["timeseries"]["total_recorded"].as_u64(), 0u);
+  FlightRecorder::global().reset();
+}
+
+// A session's dumps name the variant its partitions run, spelled as the
+// tree's kind() (and /metrics' tree_variant label) spells it: a
+// flat-routed session is "flat", not the tree it would otherwise build.
+TEST(FlightRecorder, SessionDumpsNameTheVariantThePartitionsRun) {
+  struct Case {
+    MicroApp app;
+    std::optional<TreeKind> tree_kind;
+    const char* label;
+  };
+  for (const Case& c :
+       {Case{MicroApp::kSubStr, std::nullopt, "flat"},
+        Case{MicroApp::kHct, TreeKind::kRandomizedFolding,
+             "randomized-folding"}}) {
+    SCOPED_TRACE(c.label);
+    TempDir dir("slider_pm_label");
+    FlightRecorder::global().reset();
+    Harness h;
+    SliderConfig config;
+    config.postmortem_dir = dir.path.string();
+    config.tree_kind = c.tree_kind;
+    const auto bench = apps::make_microbenchmark(c.app);
+    SliderSession session(h.engine, h.memo, bench.job, config);
+    Rng rng(3);
+    session.initial_run(make_app_splits(c.app, rng, 6, 10, 0));
+    FlightRecorder::global().note_fault("synthetic_fault", "label check");
+    session.slide(1, make_app_splits(c.app, rng, 1, 10, 6));
+
+    const std::vector<std::string> dumps = pm_files(dir.path);
+    ASSERT_EQ(dumps.size(), 1u);
+    const auto file = obs::read_postmortem(dumps[0]);
+    ASSERT_TRUE(file.has_value());
+    EXPECT_EQ(file->root["session"].as_string(), c.label);
+  }
   FlightRecorder::global().reset();
 }
 

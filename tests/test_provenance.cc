@@ -650,17 +650,18 @@ TEST(ServingProvenance, PerTenantRecordersAndRoutedExplain) {
   SessionHarness h;
   serving::SessionManagerOptions options;
   options.introspect_port = 0;
-  options.record_provenance = true;
   serving::SessionManager manager(h.engine, h.memo, options);
 
   serving::TenantSpec alpha;
   alpha.name = "alpha";
   alpha.job = identity_job("prov-tenant-a", false, 1);
+  alpha.config.record_provenance = true;
   ASSERT_TRUE(manager.add_tenant(std::move(alpha),
                                  {keyed_split(0, {{"akey", "1"}})}));
   serving::TenantSpec beta;
   beta.name = "beta";
   beta.job = identity_job("prov-tenant-b", false, 1);
+  beta.config.record_provenance = true;
   ASSERT_TRUE(manager.add_tenant(std::move(beta),
                                  {keyed_split(0, {{"bkey", "1"}})}));
   manager.run_pending();

@@ -1,7 +1,8 @@
 // Threading tests: ThreadPool semantics, serial-vs-parallel determinism of
-// whole sessions, MemoStore thread safety, and regression tests for the
-// satellite fixes (gauge freshness, re-put LRU recency, failed-home
-// re-put, per-partition contraction breadth).
+// whole sessions, trees running on their caller's thread, MemoStore thread
+// safety, and regression tests for the satellite fixes (gauge freshness,
+// re-put LRU recency, failed-home re-put, per-partition contraction
+// breadth).
 //
 // Suite names are matched by the tsan CTest preset filter
 // (ThreadPool|Determinism|Concurrency) — keep them stable.
@@ -13,7 +14,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -282,7 +285,7 @@ TEST(ParallelDeterminism, FlatTierMatchesSerial) {
 // bit-identical across thread counts AND across the flat-vs-tree routing
 // split is "no float folds at all": each sample is pinned to fixed-point
 // micro-units (i64) at the map boundary, and every later fold — per-slot
-// partials, tree merges, flat bulk adds — is exact integer arithmetic.
+// partials, tree merges, flat lane adds — is exact integer arithmetic.
 JobSpec make_double_sum_job() {
   JobSpec job;
   job.name = "double-sum-micro";
@@ -366,6 +369,121 @@ TEST(ParallelDeterminism, FlatTierDoubleSumFixedPointBitIdentical) {
   ASSERT_EQ(serial.outputs.size(), tree.outputs.size());
   for (std::size_t p = 0; p < serial.outputs.size(); ++p) {
     EXPECT_EQ(serial.outputs[p], tree.outputs[p]) << "partition " << p;
+  }
+}
+
+// --- trees run on their caller's thread --------------------------------------
+
+// One tree driven directly: the threads its combiner ran on, the charges
+// of each op and the final root.
+struct DirectTreeRun {
+  std::set<std::thread::id> combiner_threads;
+  std::vector<TreeUpdateStats> ops;  // the build, then one per slide
+  std::shared_ptr<const KVTable> root;
+};
+
+DirectTreeRun drive_tree_directly(TreeKind kind, MemoStore* store) {
+  constexpr SplitId kLeaves = 256;
+  constexpr SplitId kSlide = 4;
+  DirectTreeRun run;
+  std::mutex threads_mutex;
+  const CombineFn sum = sum_combiner();
+  const CombineFn combiner = [&](const std::string& key, const std::string& a,
+                                 const std::string& b) {
+    {
+      std::lock_guard<std::mutex> lock(threads_mutex);
+      run.combiner_threads.insert(std::this_thread::get_id());
+    }
+    return sum(key, a, b);
+  };
+  const auto make_leaves = [&](SplitId first, SplitId count) {
+    Rng rng(first + 1);
+    std::vector<Leaf> leaves;
+    for (SplitId id = first; id < first + count; ++id) {
+      leaves.push_back(testing::random_leaf(id, rng, sum, /*keys_per_leaf=*/50,
+                                            /*key_space=*/1000));
+    }
+    return leaves;
+  };
+
+  TreeOptions options;
+  options.kind = kind;
+  options.bucket_width = kSlide;
+  MemoContext ctx;
+  ctx.store = store;
+  ctx.job_hash = 0x7EAD;
+  auto tree = make_tree(options, ctx, combiner);
+  run.ops.emplace_back();
+  tree->initial_build(make_leaves(0, kLeaves), &run.ops.back());
+  for (SplitId next = kLeaves; next < kLeaves + 4 * kSlide; next += kSlide) {
+    run.ops.emplace_back();
+    tree->apply_delta(kSlide, make_leaves(next, kSlide), &run.ops.back());
+  }
+  run.root = tree->root();
+  return run;
+}
+
+void expect_charges_identical(const TreeUpdateStats& a,
+                              const TreeUpdateStats& b) {
+  EXPECT_EQ(a.combiner_invocations, b.combiner_invocations);
+  EXPECT_EQ(a.combiner_reused, b.combiner_reused);
+  EXPECT_EQ(a.nodes_visited, b.nodes_visited);
+  EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+  EXPECT_EQ(a.memo_read_cost, b.memo_read_cost);
+  EXPECT_EQ(a.memo_bytes_read, b.memo_bytes_read);
+  EXPECT_EQ(a.memo_bytes_written, b.memo_bytes_written);
+  EXPECT_EQ(a.memo_write_cost, b.memo_write_cost);
+  const auto& cells_a = a.attributed.cells();
+  const auto& cells_b = b.attributed.cells();
+  ASSERT_EQ(cells_a.size(), cells_b.size());
+  for (std::size_t i = 0; i < cells_a.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_EQ(cells_a[i].cause, cells_b[i].cause);
+    EXPECT_EQ(cells_a[i].level, cells_b[i].level);
+    const obs::CauseWork& x = cells_a[i].work;
+    const obs::CauseWork& y = cells_b[i].work;
+    EXPECT_EQ(x.combiner_invocations, y.combiner_invocations);
+    EXPECT_EQ(x.combiner_reused, y.combiner_reused);
+    EXPECT_EQ(x.nodes_visited, y.nodes_visited);
+    EXPECT_EQ(x.rows_scanned, y.rows_scanned);
+    EXPECT_EQ(x.memo_bytes_read, y.memo_bytes_read);
+    EXPECT_EQ(x.memo_bytes_written, y.memo_bytes_written);
+  }
+}
+
+// Partitions are the only unit of host parallelism: a tree called directly
+// with a pool of 4 still runs every combiner on the calling thread. So a
+// store under an entry budget sees its puts in one order, and which nodes
+// it evicts (hence every later miss and charge) repeats run to run.
+TEST(ParallelDeterminism, TreesRunOnTheCallersThread) {
+  GlobalThreadsGuard guard(4);
+  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+  const std::pair<TreeKind, const char*> kinds[] = {
+      {TreeKind::kFolding, "folding"},
+      {TreeKind::kRandomizedFolding, "randomized-folding"},
+      {TreeKind::kRotating, "rotating"}};
+  for (const auto& [kind, name] : kinds) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(drive_tree_directly(kind, nullptr).combiner_threads, caller);
+
+    std::optional<DirectTreeRun> first;
+    for (int rep = 0; rep < 3; ++rep) {
+      Harness h;
+      h.memo.set_entry_budget(6);
+      DirectTreeRun run = drive_tree_directly(kind, &h.memo);
+      EXPECT_EQ(run.combiner_threads, caller);
+      if (!first.has_value()) {
+        first = std::move(run);
+        continue;
+      }
+      SCOPED_TRACE("rep " + std::to_string(rep));
+      EXPECT_EQ(*run.root, *first->root);
+      ASSERT_EQ(run.ops.size(), first->ops.size());
+      for (std::size_t op = 0; op < run.ops.size(); ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        expect_charges_identical(run.ops[op], first->ops[op]);
+      }
+    }
   }
 }
 

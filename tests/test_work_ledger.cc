@@ -235,7 +235,7 @@ TEST_P(WorkLedgerFlatTier, ConservationAndGaugesWithTierToggled) {
             foreground_invocations);
 
   // Per-cause cells: builds bill to initial_build, inserts to window_add,
-  // evictions (bulk subtracts) to window_remove.
+  // evictions (lane subtracts) to window_remove.
   EXPECT_GT(after.total_for(WorkCause::kInitialBuild).combiner_invocations -
                 before.total_for(WorkCause::kInitialBuild).combiner_invocations,
             0u);
