@@ -74,8 +74,10 @@ int main() {
 
   std::printf("\nper-server median minimum RTT (current window):\n");
   for (const KVTable& table : session.output()) {
-    for (const Record& r : table.rows()) {
-      std::printf("  %-6s %s\n", r.key.c_str(), r.value.c_str());
+    for (const RowView r : table.rows()) {
+      std::printf("  %-6.*s %.*s\n", static_cast<int>(r.key.size()),
+                  r.key.data(), static_cast<int>(r.value.size()),
+                  r.value.data());
     }
   }
   return 0;

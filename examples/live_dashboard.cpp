@@ -245,7 +245,7 @@ int main() {
     // Explain a key the window is guaranteed to contain: pull one straight
     // from the current reduce output.
     const auto& out = session.output()[0];
-    if (!out.rows().empty()) {
+    if (!out.empty()) {
       const std::string key(out.rows().front().key);
       const std::string explain =
           body_of(http_get(port, "/explain?key=" + key + "&partition=0"));

@@ -78,7 +78,7 @@ int main() {
   std::size_t flagged = 0;
   std::size_t total = 0;
   for (const KVTable& table : session.output()) {
-    for (const Record& r : table.rows()) {
+    for (const RowView r : table.rows()) {
       ++total;
       if (r.value.rfind("flagged", 0) == 0) ++flagged;
     }

@@ -57,8 +57,9 @@ int main() {
 
   std::printf("\ntop pages by views:\n");
   for (const KVTable& table : pipeline.output()) {
-    for (const Record& r : table.rows()) {
-      std::printf("  %s\n", r.value.c_str());
+    for (const RowView r : table.rows()) {
+      std::printf("  %.*s\n", static_cast<int>(r.value.size()),
+                  r.value.data());
     }
   }
   return 0;

@@ -74,8 +74,9 @@ int main() {
 
   std::printf("\ntop segments by revenue:\n");
   for (const KVTable& table : pipeline.output()) {
-    for (const Record& r : table.rows()) {
-      std::printf("  %s\n", r.value.c_str());
+    for (const RowView r : table.rows()) {
+      std::printf("  %.*s\n", static_cast<int>(r.value.size()),
+                  r.value.data());
     }
   }
   return 0;

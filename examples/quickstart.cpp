@@ -102,9 +102,11 @@ int main() {
   std::printf("\nsample word counts:\n");
   int shown = 0;
   for (const KVTable& table : session.output()) {
-    for (const Record& r : table.rows()) {
+    for (const RowView r : table.rows()) {
       if (shown++ >= 8) break;
-      std::printf("  %-8s %s\n", r.key.c_str(), r.value.c_str());
+      std::printf("  %-8.*s %.*s\n", static_cast<int>(r.key.size()),
+                  r.key.data(), static_cast<int>(r.value.size()),
+                  r.value.data());
     }
     if (shown >= 8) break;
   }

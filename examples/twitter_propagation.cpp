@@ -68,13 +68,14 @@ int main() {
   };
   std::vector<UrlStat> top;
   for (const KVTable& table : session.output()) {
-    for (const Record& r : table.rows()) {
+    for (const RowView r : table.rows()) {
       std::uint64_t nodes = 0;
-      const auto pos = r.value.find("nodes=");
+      const std::string value(r.value);
+      const auto pos = value.find("nodes=");
       if (pos != std::string::npos) {
-        nodes = std::strtoull(r.value.c_str() + pos + 6, nullptr, 10);
+        nodes = std::strtoull(value.c_str() + pos + 6, nullptr, 10);
       }
-      top.push_back({r.key, r.value, nodes});
+      top.push_back({std::string(r.key), value, nodes});
     }
   }
   std::sort(top.begin(), top.end(),

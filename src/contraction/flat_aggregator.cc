@@ -28,15 +28,15 @@ FlatAggregator::FlatAggregator(MemoContext ctx, CombineFn combiner,
   SLIDER_CHECK(traits_.flat_eligible());
 }
 
-std::uint32_t FlatAggregator::intern_key(const std::string& key) {
+std::uint32_t FlatAggregator::intern_key(std::string_view key) {
   const auto next = static_cast<std::uint32_t>(keys_.size());
   const std::uint32_t idx = index_.insert(
       hash_string(key), next, [&](std::uint32_t k) { return keys_[k] == key; });
-  if (idx == next) keys_.push_back(key);
+  if (idx == next) keys_.emplace_back(key);
   return idx;
 }
 
-std::uint32_t FlatAggregator::find_key(const std::string& key) const {
+std::uint32_t FlatAggregator::find_key(std::string_view key) const {
   return index_.find(hash_string(key),
                      [&](std::uint32_t k) { return keys_[k] == key; });
 }
@@ -54,7 +54,7 @@ bool FlatAggregator::decode_element(
   e.table = table;
   e.key_idx.reserve(table->size());
   e.values.reserve(table->size());
-  for (const Record& row : table->rows()) {
+  for (const RowView row : table->rows()) {
     flat::Lane lane = 0;
     if (!flat::decode_value(traits_.flat_kernel, row.value, &lane)) {
       return false;
@@ -182,14 +182,13 @@ void FlatAggregator::rebuild_root(TreeUpdateStats* stats) {
               });
     root_order_dirty_ = false;
   }
-  std::vector<Record> rows;
-  rows.reserve(root_order_.size());
+  // The previous root's size is a close hint for this one's.
+  KVTable::Builder rows(root_order_.size(),
+                        root_ != nullptr ? root_->byte_size() : 0);
   for (const std::uint32_t k : root_order_) {
-    rows.push_back(
-        {keys_[k], flat::encode_value(traits_.flat_kernel, running_[k])});
+    rows.add(keys_[k], flat::encode_value(traits_.flat_kernel, running_[k]));
   }
-  root_ = std::make_shared<const KVTable>(
-      KVTable::from_sorted_unique(std::move(rows)));
+  root_ = std::make_shared<const KVTable>(std::move(rows).finish());
   if (stats == nullptr) return;
   // The output materialization is the tier's one per-run combine pass —
   // the flat analogue of a tree's root recomputation. Only a lineage
@@ -396,7 +395,7 @@ bool FlatAggregator::restore(durability::CheckpointReader& reader) {
     e.split_id = split_id;
     e.id = id;
     e.table = table;
-    for (const Record& row : table->rows()) {
+    for (const RowView row : table->rows()) {
       const std::uint32_t idx = find_key(row.key);
       if (idx == KeyIndex::kAbsent) return false;
       flat::Lane lane = 0;

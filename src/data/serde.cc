@@ -90,13 +90,6 @@ std::string file_frame_header(const FileFrame& format,
   return header;
 }
 
-bool get_raw(std::string_view& in, std::uint32_t len, std::string* out) {
-  if (in.size() < len) return false;
-  out->assign(in.data(), len);
-  in.remove_prefix(len);
-  return true;
-}
-
 }  // namespace
 
 std::string encode_file_frame(const FileFrame& format,
@@ -183,46 +176,37 @@ std::optional<std::string> read_file_frame(const std::string& path,
   return payload;
 }
 
-std::string serialize_table(const KVTable& table) {
-  std::string out;
-  out.reserve(table.byte_size() + 4);
-  wire::put_u32(out, static_cast<std::uint32_t>(table.size()));
-  for (const Record& r : table.rows()) {
-    wire::put_u32(out, static_cast<std::uint32_t>(r.key.size()));
-    out.append(r.key);
-    wire::put_u32(out, static_cast<std::uint32_t>(r.value.size()));
-    out.append(r.value);
-  }
-  return out;
+const std::string& serialize_table(const KVTable& table) {
+  return table.bytes();
 }
 
-std::optional<KVTable> deserialize_table(std::string_view bytes) {
+std::optional<KVTable> deserialize_table(std::string bytes) {
+  std::string_view in = bytes;
   std::uint32_t count = 0;
-  if (!wire::get_u32(bytes, &count)) return std::nullopt;
-  std::vector<Record> rows;
+  if (!wire::get_u32(in, &count)) return std::nullopt;
   // A corrupt header must not drive allocation: each record occupies at
   // least 8 framing bytes, so a count beyond bytes/8 is provably invalid.
-  if (count > bytes.size() / 8) return std::nullopt;
-  rows.reserve(count);
+  if (count > in.size() / 8) return std::nullopt;
+  std::vector<std::uint32_t> offsets;
+  offsets.reserve(count);
+  std::string_view previous_key;
   for (std::uint32_t i = 0; i < count; ++i) {
+    const auto offset = static_cast<std::uint32_t>(bytes.size() - in.size());
     std::uint32_t len = 0;
-    Record r;
-    if (!wire::get_u32(bytes, &len) || !get_raw(bytes, len, &r.key)) {
-      return std::nullopt;
-    }
-    if (!wire::get_u32(bytes, &len) || !get_raw(bytes, len, &r.value)) {
-      return std::nullopt;
-    }
-    rows.push_back(std::move(r));
+    if (!wire::get_u32(in, &len) || in.size() < len) return std::nullopt;
+    const std::string_view key = in.substr(0, len);
+    in.remove_prefix(len);
+    if (!wire::get_u32(in, &len) || in.size() < len) return std::nullopt;
+    in.remove_prefix(len);
+    // Rows were serialized from a sorted, unique, already-combined table.
+    // Keys out of order or repeated indicate corruption, which we surface
+    // as a parse failure.
+    if (i > 0 && previous_key >= key) return std::nullopt;
+    previous_key = key;
+    offsets.push_back(offset);
   }
-  if (!bytes.empty()) return std::nullopt;  // trailing garbage
-  // Rows were serialized from a sorted, unique, already-combined table.
-  // Keys out of order or repeated indicate corruption, which we surface as
-  // a parse failure.
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i - 1].key >= rows[i].key) return std::nullopt;
-  }
-  return KVTable::from_sorted_unique(std::move(rows));
+  if (!in.empty()) return std::nullopt;  // trailing garbage
+  return KVTable(std::move(bytes), std::move(offsets));
 }
 
 }  // namespace slider

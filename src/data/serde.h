@@ -1,14 +1,15 @@
-// Serialization of KVTables for the persistent memoization tier.
+// The KVTable wire format, and the primitives and file frame built on it.
 //
-// Format: u32 row count, then per row (u32 key length, key bytes, u32 value
-// length, value bytes). Little-endian, length-prefixed — simple, and the
-// per-record framing matches KVTable::byte_size() so cost-model bytes and
-// real bytes agree.
+// Table format: u32 row count, then per row (u32 key length, key bytes,
+// u32 value length, value bytes). Little-endian, length-prefixed. A
+// KVTable holds exactly these bytes (data/record.h), so serializing is
+// returning its buffer, and the per-record framing matches
+// KVTable::byte_size() so cost-model bytes and real bytes agree.
 //
-// The `wire` namespace exposes the little-endian primitives the table
-// format is built from. The durability subsystem (segment-log records and
-// session checkpoints, src/durability/) uses the same primitives, so the
-// on-disk formats and the memo wire format can never drift apart.
+// The `wire` namespace exposes the little-endian primitives of that
+// format. The durability subsystem (segment-log records and session
+// checkpoints, src/durability/) uses the same primitives, so the on-disk
+// formats and the memo wire format can never drift apart.
 //
 // Whole files that must be published atomically and checked on read —
 // checkpoint manifests and post-mortem dumps — share one CRC frame:
@@ -74,9 +75,12 @@ bool write_file_frame(const std::string& path, const FileFrame& format,
 std::optional<std::string> read_file_frame(const std::string& path,
                                            const FileFrame& format);
 
-std::string serialize_table(const KVTable& table);
+// The table's buffer: its serialized form, with no copy made.
+const std::string& serialize_table(const KVTable& table);
 
-// Returns nullopt on malformed input (truncated buffer, overlong lengths).
-std::optional<KVTable> deserialize_table(std::string_view bytes);
+// Validates `bytes` and adopts them as the table's buffer. Returns nullopt
+// on malformed input: a truncated buffer, a row count above bytes/8,
+// trailing bytes, or keys out of order or repeated.
+std::optional<KVTable> deserialize_table(std::string bytes);
 
 }  // namespace slider

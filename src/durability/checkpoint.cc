@@ -35,7 +35,7 @@ void CheckpointWriter::put_node(std::uint64_t id, const KVTable* table) {
     return;
   }
   wire::put_u8(blob_, kInline);
-  wire::put_bytes(blob_, serialize_table(*table));
+  wire::put_bytes(blob_, table->bytes());
   if (id != 0) inlined_.insert(id);
 }
 
@@ -113,7 +113,7 @@ bool CheckpointReader::get_node(std::uint64_t* id,
     case kInline: {
       std::string bytes;
       if (!get_bytes(&bytes)) return false;
-      auto decoded = deserialize_table(bytes);
+      auto decoded = deserialize_table(std::move(bytes));
       if (!decoded.has_value()) return false;
       auto shared = std::make_shared<const KVTable>(*std::move(decoded));
       if (*id != 0) cache_.emplace(*id, shared);

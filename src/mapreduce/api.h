@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cost_model.h"
@@ -111,7 +112,7 @@ struct JobSpec {
   std::uint64_t job_hash() const { return hash_string(name); }
 };
 
-inline int partition_of(const std::string& key, int num_partitions) {
+inline int partition_of(std::string_view key, int num_partitions) {
   return static_cast<int>(hash_string(key) %
                           static_cast<std::uint64_t>(num_partitions));
 }

@@ -120,15 +120,17 @@ MapOutput run_map_task(const JobSpec& job, const InputSplit& split) {
       if (a.first != b.first) return a.first < b.first;
       return rows[a.second].key < rows[b.second].key;
     });
-    // The table outlives the task as a memoized leaf, so adopt an exact-size
-    // copy. Copying also lays each heap-allocated key and value out in key
-    // order, the order the tree's merges scan them; the fold allocated them
-    // in emission order, and moving them would keep that scatter.
-    std::vector<Record> sorted;
-    sorted.reserve(rows.size());
-    for (const auto& [prefix, i] : order) sorted.push_back(rows[i]);
-    auto table = std::make_shared<const KVTable>(
-        KVTable::from_sorted_unique(std::move(sorted)));
+    // The table outlives the task as a memoized leaf, so its buffer is
+    // sized exactly, and the rows land in it in key order.
+    std::size_t bytes = 0;
+    for (const Record& r : rows) {
+      bytes += r.key.size() + r.value.size() + KVTable::kRowFraming;
+    }
+    KVTable::Builder builder(rows.size(), bytes);
+    for (const auto& [prefix, i] : order) {
+      builder.add(rows[i].key, rows[i].value);
+    }
+    auto table = std::make_shared<const KVTable>(std::move(builder).finish());
     out.records_out += table->size();
     out.bytes_out += table->byte_size();
     out.partitions.push_back(std::move(table));

@@ -29,18 +29,20 @@ std::shared_ptr<const KVTable> merge_tables(
 ReduceOutput run_reduce(const JobSpec& job, const KVTable& combined) {
   ReduceOutput out;
   out.keys_in = combined.size();
-  std::vector<Record> rows;
-  rows.reserve(combined.size());
-  for (const Record& r : combined.rows()) {
-    if (auto final_value = job.reducer(r.key, r.value)) {
-      rows.push_back({r.key, *std::move(final_value)});
+  // Rows drawn in order from a sorted table stay sorted. The reducer takes
+  // std::strings: hand it each row through two strings reused across rows.
+  KVTable::Builder rows(combined.size(), combined.byte_size());
+  std::string key;
+  std::string value;
+  for (const RowView r : combined.rows()) {
+    key.assign(r.key);
+    value.assign(r.value);
+    if (auto final_value = job.reducer(key, value)) {
+      rows.add(r.key, *final_value);
     }
   }
   out.keys_out = rows.size();
-  // The reducer may drop keys; the table lives on, so drop the spare
-  // capacity before adopting rows drawn in order from a sorted table.
-  rows.shrink_to_fit();
-  out.table = KVTable::from_sorted_unique(std::move(rows));
+  out.table = std::move(rows).finish();
   out.cpu_cost =
       job.costs.reduce_cpu_per_row * static_cast<double>(out.keys_in);
   return out;

@@ -98,7 +98,7 @@ bool KeySketch::may_contain_hash(std::uint64_t h) const {
 
 KeySketch sketch_of_table(const KVTable& table) {
   KeySketch sketch;
-  for (const Record& row : table.rows()) {
+  for (const RowView row : table.rows()) {
     sketch.add_hash(hash_string(row.key));
   }
   return sketch;

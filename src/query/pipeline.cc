@@ -10,8 +10,9 @@ std::vector<std::vector<Record>> chunk_rows(const std::vector<KVTable>& input,
                                             std::size_t chunks) {
   std::vector<std::vector<Record>> out(chunks);
   for (const KVTable& table : input) {
-    for (const Record& r : table.rows()) {
-      out[hash_string(r.key) % chunks].push_back(r);
+    for (const RowView r : table.rows()) {
+      out[hash_string(r.key) % chunks].push_back(
+          {std::string(r.key), std::string(r.value)});
     }
   }
   return out;

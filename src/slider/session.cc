@@ -868,7 +868,7 @@ bool SliderSession::checkpoint(const std::string& dir) const {
   // Reduced outputs are plain tables (not memo nodes): inline them.
   wire::put_u32(blob, static_cast<std::uint32_t>(output_.size()));
   for (const KVTable& table : output_) {
-    wire::put_bytes(blob, serialize_table(table));
+    wire::put_bytes(blob, table.bytes());
   }
 
   for (const PartitionState& p : partitions_) {
@@ -933,7 +933,7 @@ bool SliderSession::restore(const std::string& dir) {
   for (std::uint32_t i = 0; i < output_count; ++i) {
     std::string bytes;
     if (!reader->get_bytes(&bytes)) return false;
-    std::optional<KVTable> table = deserialize_table(bytes);
+    std::optional<KVTable> table = deserialize_table(std::move(bytes));
     if (!table.has_value()) return false;
     output.push_back(std::move(*table));
   }

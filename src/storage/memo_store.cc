@@ -274,7 +274,7 @@ void MemoStore::evict_whole_entries(TenantCell* quota,
     // so a restart does not resurrect entries a policy discarded.
     for (const NodeId id : durable_victims) {
       durable_append(id, next_write_seq_.fetch_add(1, std::memory_order_relaxed),
-                     std::string(), /*tombstone=*/true);
+                     nullptr);
     }
   }
   refresh_gauges();
@@ -387,8 +387,7 @@ MemoWriteResult MemoStore::put(NodeId id, std::shared_ptr<const KVTable> table,
   SLIDER_TRACE_SPAN("memo", "memo.write");
   MemoWriteResult result;
   bool installed_memory = false;
-  bool do_durable = false;
-  std::string durable_payload;
+  std::shared_ptr<const KVTable> durable_table;
   std::uint64_t durable_seq = 0;
   {
     Shard& shard = shard_of(id);
@@ -423,9 +422,9 @@ MemoWriteResult MemoStore::put(NodeId id, std::shared_ptr<const KVTable> table,
       }
     } else {
       shard.evicted.erase(id);  // re-memoized: no longer an eviction hole
-      entry.persistent = serialize_table(*table);
-      entry.payload_crc = crc32c(entry.persistent);
-      entry.bytes = entry.persistent.size();
+      entry.persistent = table;
+      entry.payload_crc = crc32c(table->bytes());
+      entry.bytes = table->bytes().size();
       entry.tenant = tenant;
       entry.home = home_of(id);
       entry.write_seq = next_write_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -449,18 +448,15 @@ MemoWriteResult MemoStore::put(NodeId id, std::shared_ptr<const KVTable> table,
       memo_instruments().replica_writes.add(kReplicas);
 
       if (durable_ != nullptr) {
-        // Copy what the log needs; the actual file I/O happens after the
-        // shard mutex is released (locking discipline: durable I/O never
-        // runs under a shard lock).
-        do_durable = true;
-        durable_payload = entry.persistent;
+        // The file I/O happens after the shard mutex is released (locking
+        // discipline: durable I/O never runs under a shard lock).
+        durable_table = entry.persistent;
         durable_seq = entry.write_seq;
       }
     }
   }
-  if (do_durable) {
-    if (durable_append(id, durable_seq, std::move(durable_payload),
-                       /*tombstone=*/false)) {
+  if (durable_table != nullptr) {
+    if (durable_append(id, durable_seq, std::move(durable_table))) {
       Shard& shard = shard_of(id);
       std::lock_guard<std::mutex> lock(shard.mutex);
       const auto it = shard.index.find(id);
@@ -503,8 +499,7 @@ MemoReadResult MemoStore::get(NodeId id, MachineId reader) {
 
     const bool home_alive = !cluster_->machine(entry.home).failed;
     if (memory_cache_enabled() && entry.memory != nullptr && home_alive) {
-      if (verify_checksums_.load(std::memory_order_relaxed) &&
-          crc32c(serialize_table(*entry.memory)) != entry.payload_crc) {
+      if (crc32c(entry.memory->bytes()) != entry.payload_crc) {
         // Silent in-memory corruption: drop the poisoned copy and fall
         // through to the persistent tier (itself verified below) — the
         // worst case is a recompute, never a wrong answer.
@@ -560,15 +555,10 @@ MemoReadResult MemoStore::get(NodeId id, MachineId reader) {
       return result;
     }
 
-    std::optional<KVTable> table;
-    if (crc32c(entry.persistent) == entry.payload_crc) {
-      table = deserialize_table(entry.persistent);
-    }
-    if (!table.has_value()) {
-      // Corrupt persistent copy (stored checksum mismatch, or bytes that
-      // no longer decode): degrade to a failure-forced miss so the caller
-      // recomputes — §6's Δ-proportional cost — instead of crashing or
-      // propagating a wrong table.
+    if (crc32c(entry.persistent->bytes()) != entry.payload_crc) {
+      // Corrupt persistent copy (stored checksum mismatch): degrade to a
+      // failure-forced miss so the caller recomputes — §6's Δ-proportional
+      // cost — instead of crashing or propagating a wrong table.
       stats_.misses.fetch_add(1, std::memory_order_relaxed);
       result.failure_miss = true;
       stats_.failure_forced_misses.fetch_add(1, std::memory_order_relaxed);
@@ -584,7 +574,7 @@ MemoReadResult MemoStore::get(NodeId id, MachineId reader) {
       return result;
     }
     result.found = true;
-    result.table = std::make_shared<const KVTable>(*std::move(table));
+    result.table = entry.persistent;
     result.cost = cost_->disk_read(entry.bytes);
     if (source != reader) {
       result.cost += cost_->net_transfer(entry.bytes);
@@ -623,7 +613,7 @@ void MemoStore::erase(NodeId id) {
   }
   if (was_durable && durable_ != nullptr) {
     durable_append(id, next_write_seq_.fetch_add(1, std::memory_order_relaxed),
-                   std::string(), /*tombstone=*/true);
+                   nullptr);
   }
   refresh_gauges();
 }
@@ -715,8 +705,9 @@ std::size_t MemoStore::restore_from_durable(
   std::uint64_t installed_bytes = 0;
   std::uint64_t max_seq = 0;
   for (const auto& [seq, id] : order) {
-    auto& payload = recovered.at(id).payload;
-    if (!deserialize_table(payload).has_value()) {
+    std::optional<KVTable> table =
+        deserialize_table(std::move(recovered.at(id).payload));
+    if (!table.has_value()) {
       // Both replicas of this record decayed (or a stale-format log):
       // recovery serves what it can and recomputation covers the rest.
       SLIDER_LOG(Warning) << "memo restore: dropping undecodable entry "
@@ -729,9 +720,9 @@ std::size_t MemoStore::restore_from_durable(
     auto [it, inserted] = shard.index.try_emplace(id);
     if (!inserted) continue;  // already re-put by this process
     Entry& entry = it->second;
-    entry.persistent = std::move(payload);
-    entry.payload_crc = crc32c(entry.persistent);
-    entry.bytes = entry.persistent.size();
+    entry.persistent = std::make_shared<const KVTable>(*std::move(table));
+    entry.payload_crc = crc32c(entry.persistent->bytes());
+    entry.bytes = entry.persistent->bytes().size();
     entry.home = home_of(id);
     for (int r = 0; r < kReplicas; ++r) {
       entry.replica_homes[r] = static_cast<MachineId>(
@@ -767,10 +758,10 @@ std::shared_ptr<const KVTable> MemoStore::peek(NodeId id) const {
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(id);
   if (it == shard.index.end()) return nullptr;
-  if (it->second.memory != nullptr) return it->second.memory;
-  auto table = deserialize_table(it->second.persistent);
-  if (!table.has_value()) return nullptr;
-  return std::make_shared<const KVTable>(*std::move(table));
+  const Entry& entry = it->second;
+  if (entry.memory != nullptr) return entry.memory;
+  if (crc32c(entry.persistent->bytes()) != entry.payload_crc) return nullptr;
+  return entry.persistent;
 }
 
 bool MemoStore::persisted_durably(NodeId id) const {
@@ -813,15 +804,26 @@ bool MemoStore::poll_durable_recovery() {
   return !durable_degraded_.load(std::memory_order_relaxed);
 }
 
+std::size_t MemoStore::append_locked(const PendingDurableWrite& write) {
+  if (write.table == nullptr) return durable_->tombstone(write.id, write.seq);
+  const std::string& bytes = write.table->bytes();
+  const std::size_t accepted = durable_->put(write.id, write.seq, bytes);
+  if (accepted > 0) {
+    stats_.persistent_writes.fetch_add(1, std::memory_order_relaxed);
+    stats_.bytes_persisted.fetch_add(bytes.size(), std::memory_order_relaxed);
+  }
+  return accepted;
+}
+
 bool MemoStore::durable_append(NodeId id, std::uint64_t seq,
-                               std::string payload, bool tombstone) {
+                               std::shared_ptr<const KVTable> table) {
   if (durable_ == nullptr) return false;
   std::lock_guard<std::mutex> dlock(durable_mutex_);
+  PendingDurableWrite write{id, seq, std::move(table)};
   if (durable_degraded_.load(std::memory_order_relaxed)) {
     // Already degraded: preserve append order by buffering behind the
     // backlog, then maybe attempt a drain per the backoff countdown.
-    degraded_pending_.push_back(
-        PendingDurableWrite{id, seq, std::move(payload), tombstone});
+    degraded_pending_.push_back(std::move(write));
     stats_.degraded_writes_buffered.fetch_add(1, std::memory_order_relaxed);
     memo_instruments().degraded_backlog.set(
         static_cast<double>(degraded_pending_.size()));
@@ -831,24 +833,14 @@ bool MemoStore::durable_append(NodeId id, std::uint64_t seq,
     // managed by the drain path; report "not durable yet" here.
     return false;
   }
-  const std::size_t accepted =
-      tombstone ? durable_->tombstone(id, seq) : durable_->put(id, seq, payload);
-  if (accepted > 0) {
-    if (!tombstone) {
-      stats_.persistent_writes.fetch_add(1, std::memory_order_relaxed);
-      stats_.bytes_persisted.fetch_add(payload.size(),
-                                       std::memory_order_relaxed);
-    }
-    return true;
-  }
+  if (append_locked(write) > 0) return true;
   // Every replica rejected the record: enter degraded mode. The write is
   // buffered (not lost) and will be replayed once the tier heals; until
   // then the entry stays durable=false so checkpoints inline it.
   durable_degraded_.store(true, std::memory_order_relaxed);
   degraded_backoff_ = 1;
   degraded_retry_countdown_ = 1;
-  degraded_pending_.push_back(
-      PendingDurableWrite{id, seq, std::move(payload), tombstone});
+  degraded_pending_.push_back(std::move(write));
   stats_.degraded_writes_buffered.fetch_add(1, std::memory_order_relaxed);
   stats_.degraded_intervals.fetch_add(1, std::memory_order_relaxed);
   memo_instruments().degraded_intervals.add();
@@ -871,17 +863,9 @@ void MemoStore::drain_degraded_locked() {
   durable_->reopen_failed();
   std::vector<NodeId> drained_puts;
   while (!degraded_pending_.empty()) {
-    PendingDurableWrite& write = degraded_pending_.front();
-    const std::size_t accepted =
-        write.tombstone ? durable_->tombstone(write.id, write.seq)
-                        : durable_->put(write.id, write.seq, write.payload);
-    if (accepted == 0) break;  // still erroring; keep the rest buffered
-    if (!write.tombstone) {
-      stats_.persistent_writes.fetch_add(1, std::memory_order_relaxed);
-      stats_.bytes_persisted.fetch_add(write.payload.size(),
-                                       std::memory_order_relaxed);
-      drained_puts.push_back(write.id);
-    }
+    const PendingDurableWrite& write = degraded_pending_.front();
+    if (append_locked(write) == 0) break;  // still erroring; keep the rest
+    if (write.table != nullptr) drained_puts.push_back(write.id);
     degraded_pending_.pop_front();
   }
   memo_instruments().degraded_backlog.set(
@@ -928,8 +912,10 @@ bool MemoStore::debug_corrupt_persistent(NodeId id) {
   Shard& shard = shard_of(id);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(id);
-  if (it == shard.index.end() || it->second.persistent.empty()) return false;
-  it->second.persistent[it->second.persistent.size() / 2] ^= 0x10;
+  if (it == shard.index.end()) return false;
+  const KVTable& table = *it->second.persistent;
+  it->second.persistent = std::make_shared<const KVTable>(
+      table.debug_flip_bits(table.bytes().size() / 2, 0x10));
   return true;
 }
 

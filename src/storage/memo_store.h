@@ -252,7 +252,8 @@ class MemoStore {
   // --- real on-disk durability (src/durability, paper §6 made real) ----
   //
   // Without a durable tier the "persistent" copies above are simulated
-  // (serialized bytes held in process memory, costs charged by the model).
+  // (the put's table held in process memory, whose buffer is its
+  // serialized form; costs charged by the model).
   // Attaching a DurableTier additionally mirrors every new entry into its
   // replicated segment logs, so a *process* restart can rebuild the store
   // with restore_from_durable(). Attach before the first put; entries
@@ -270,7 +271,8 @@ class MemoStore {
       durability::RecoveryStats* recovery = nullptr);
 
   // Uncharged, side-effect-free read used by checkpoint resolution: no
-  // cost accounting, no LRU touch, no memory-tier install.
+  // cost accounting, no LRU touch, no memory-tier install. Serves the
+  // memory copy, else the persistent one if it passes its checksum.
   std::shared_ptr<const KVTable> peek(NodeId id) const;
 
   // True when `id` is currently backed by the durable log (i.e. a
@@ -312,22 +314,12 @@ class MemoStore {
   durability::ScrubStats scrub_durable(std::uint64_t record_budget);
   durability::ScrubStats scrub_stats() const;
 
-  // When enabled, get() re-serializes memory-tier hits and verifies them
-  // against the payload checksum stored at put() time, so a silently
-  // corrupted in-memory copy degrades to the persistent tier (itself
-  // always checksum-verified) instead of returning a wrong answer. Off by
-  // default: the re-serialize is O(entry bytes) per memory hit.
-  void set_verify_checksums(bool enabled) {
-    verify_checksums_.store(enabled, std::memory_order_relaxed);
-  }
-  bool verify_checksums() const {
-    return verify_checksums_.load(std::memory_order_relaxed);
-  }
-
-  // Test hooks simulating silent corruption: flip a bit in the stored
-  // persistent payload / swap the in-memory copy for an arbitrary (wrong)
-  // table, both leaving the stored checksum stale. Return false when the
-  // entry (or the targeted copy) does not exist.
+  // Test hooks simulating silent corruption, both leaving the stored
+  // checksum stale: replace the persistent copy with one that has a bit
+  // flipped / swap the in-memory copy for an arbitrary (wrong) table. Each
+  // replaces only its own tier's pointer, so the hooks stay independent
+  // even though a put stores one table in both tiers. Return false when
+  // the entry (or the targeted copy) does not exist.
   bool debug_corrupt_persistent(NodeId id);
   bool debug_swap_memory(NodeId id, std::shared_ptr<const KVTable> table);
 
@@ -353,15 +345,19 @@ class MemoStore {
  private:
   static constexpr std::size_t kShards = 16;  // power of two
 
+  // A put stores one table in both tiers: the table's buffer is its
+  // serialized form (data/record.h), so the simulated replicas share the
+  // memory copy's table.
   struct Entry {
     std::shared_ptr<const KVTable> memory;  // null if evicted / lost
-    std::string persistent;                 // serialized form
+    // The simulated replicas' copy; never null for an indexed entry.
+    std::shared_ptr<const KVTable> persistent;
     MachineId home = 0;
     MachineId replica_homes[kReplicas] = {0, 0};
-    std::uint64_t bytes = 0;
-    // crc32c of `persistent` at write time; reads verify against it so
-    // silent corruption of either copy degrades to a miss (see
-    // set_verify_checksums for the memory tier).
+    std::uint64_t bytes = 0;  // bytes().size() of the table
+    // crc32c of the table's bytes at write time. Every read checks the
+    // copy it serves against it, memory hits included, so silent
+    // corruption of either copy degrades to a miss.
     std::uint32_t payload_crc = 0;
     std::uint64_t tenant = 0;     // owner salt (0 = untenanted)
     std::uint64_t write_seq = 0;  // insertion order (whole-entry victims)
@@ -469,7 +465,6 @@ class MemoStore {
   std::atomic<std::uint64_t> next_touch_seq_{0};
   std::mutex evict_mutex_;  // serializes the eviction policies
   durability::DurableTier* durable_ = nullptr;  // optional; not owned
-  std::atomic<bool> verify_checksums_{false};
   // Created lazily by the first armed scrub_durable(); guarded by
   // durable_mutex_ like all other durable-tier I/O.
   std::unique_ptr<durability::IntegrityScrubber> scrubber_;
@@ -487,21 +482,25 @@ class MemoStore {
   // parallel partition workers. Lock order: durable_mutex_ may take shard
   // mutexes (to set the durable flag after a drain); no path takes a shard
   // mutex and then durable_mutex_.
+  // A buffered durable write; a null table is a tombstone.
   struct PendingDurableWrite {
     NodeId id = 0;
     std::uint64_t seq = 0;
-    std::string payload;
-    bool tombstone = false;
+    std::shared_ptr<const KVTable> table;
   };
   // The log half of both GC forms: cleans the durable tier down to the
   // store's live bytes, a put being live iff the index holds its id at its
   // seq. Takes durable_mutex_, then each record's shard mutex.
   void clean_durable();
-  // Appends via the durable tier, entering/continuing degraded mode on
-  // rejection. Returns true iff the record reached at least one replica
-  // log now (callers then mark the entry durable).
-  bool durable_append(NodeId id, std::uint64_t seq, std::string payload,
-                      bool tombstone);
+  // Appends `table`'s bytes (a tombstone when null) via the durable tier,
+  // entering/continuing degraded mode on rejection. Returns true iff the
+  // record reached at least one replica log now (callers then mark the
+  // entry durable).
+  bool durable_append(NodeId id, std::uint64_t seq,
+                      std::shared_ptr<const KVTable> table);
+  // Writes one buffered or new record to the tier; returns the replicas
+  // that accepted it. Requires durable_mutex_ held.
+  std::size_t append_locked(const PendingDurableWrite& write);
   // Attempts to reopen failed replica logs and replay the buffer in order.
   // Requires durable_mutex_ held.
   void drain_degraded_locked();

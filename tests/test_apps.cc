@@ -285,7 +285,7 @@ TEST(MicroApps, KMeansProducesCentroids) {
   EXPECT_GT(centroids, 0u);
   EXPECT_LE(centroids, 16u);  // at most K clusters
   for (const KVTable& t : result.partition_outputs) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       EXPECT_NE(r.value.find("#n="), std::string::npos);
     }
   }
@@ -299,9 +299,9 @@ TEST(MicroApps, KnnKeepsAtMostKNeighbors) {
   const JobResult result = h.engine.run(bench.job, splits);
   std::size_t queries = 0;
   for (const KVTable& t : result.partition_outputs) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       ++queries;
-      EXPECT_LE(decode_topk(r.value).size(), 8u);
+      EXPECT_LE(decode_topk(std::string(r.value)).size(), 8u);
     }
   }
   EXPECT_EQ(queries, 24u);  // one row per query point
@@ -314,8 +314,8 @@ TEST(MicroApps, SubstrDropsInfrequentNgrams) {
   auto splits = make_splits(generate_input(MicroApp::kSubStr, 80, rng), 20, 0);
   const JobResult result = h.engine.run(bench.job, splits);
   for (const KVTable& t : result.partition_outputs) {
-    for (const Record& r : t.rows()) {
-      EXPECT_GE(decode_count(r.value), 5u) << r.key;
+    for (const RowView r : t.rows()) {
+      EXPECT_GE(decode_count(std::string(r.value)), 5u) << r.key;
     }
   }
 }
@@ -328,7 +328,7 @@ TEST(MicroApps, MatrixCellsAreCanonical) {
   const JobResult result = h.engine.run(bench.job, splits);
   std::size_t cells = 0;
   for (const KVTable& t : result.partition_outputs) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       ++cells;
       const auto colon = r.key.find(':');
       ASSERT_NE(colon, std::string::npos);
@@ -350,7 +350,7 @@ TEST(TwitterCaseStudy, BuildsPropagationTrees) {
   std::size_t urls = 0;
   bool some_depth = false;
   for (const KVTable& t : result.partition_outputs) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       ++urls;
       EXPECT_EQ(r.key.rfind("url", 0), 0u);
       EXPECT_NE(r.value.find("nodes="), std::string::npos);
@@ -380,7 +380,7 @@ TEST(GlasnostCaseStudy, MedianTracksServerDistance) {
 
   std::size_t servers = 0;
   for (const KVTable& t : result.partition_outputs) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       ++servers;
       EXPECT_EQ(r.key.rfind("srv", 0), 0u);
       EXPECT_NE(r.value.find("median_min_rtt_ms="), std::string::npos);
@@ -425,7 +425,7 @@ TEST(NetSessionCaseStudy, FlagsViolatorsOnly) {
   std::size_t flagged = 0;
   std::size_t ok = 0;
   for (const KVTable& t : result.partition_outputs) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       if (r.value.rfind("flagged", 0) == 0) {
         ++flagged;
         EXPECT_EQ(r.value.find("violations=0,"), std::string::npos);

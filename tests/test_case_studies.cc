@@ -68,10 +68,11 @@ TEST(CaseStudies, TwitterPropagationStatsAreConsistent) {
   auto splits = make_splits(gen.next_batch(800), 100, 0);
   const JobResult result = h.engine.run(job, splits);
   for (const KVTable& t : result.partition_outputs) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       int nodes = 0;
       int depth = -1;
-      std::sscanf(r.value.c_str(), "nodes=%d,depth=%d", &nodes, &depth);
+      std::sscanf(std::string(r.value).c_str(), "nodes=%d,depth=%d", &nodes,
+                  &depth);
       ASSERT_GE(nodes, 1) << r.key << " " << r.value;
       ASSERT_GE(depth, 0) << r.value;
       ASSERT_LT(depth, nodes) << r.value;
@@ -121,9 +122,10 @@ TEST(CaseStudies, GlasnostFixedWidthWithUnevenMonths) {
   // The median of the synthetic traces reflects per-server base RTTs:
   // every server reports a sane value.
   for (const KVTable& t : session.output()) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       double median = 0;
-      ASSERT_EQ(std::sscanf(r.value.c_str(), "median_min_rtt_ms=%lf", &median),
+      ASSERT_EQ(std::sscanf(std::string(r.value).c_str(),
+                            "median_min_rtt_ms=%lf", &median),
                 1);
       ASSERT_GT(median, 0.0);
       ASSERT_LT(median, 300.0);
@@ -191,7 +193,7 @@ TEST(CaseStudies, NetSessionAuditDetectsInjectedViolations) {
   auto clean_splits = make_splits(clean_gen.next_week(1.0), 100, 0);
   const JobResult clean_result = h.engine.run(job, clean_splits);
   for (const KVTable& t : clean_result.partition_outputs) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       EXPECT_EQ(r.value.rfind("ok", 0), 0u) << r.key << " " << r.value;
     }
   }
@@ -203,7 +205,7 @@ TEST(CaseStudies, NetSessionAuditDetectsInjectedViolations) {
   const JobResult dirty_result = h.engine.run(job, dirty_splits);
   std::size_t flagged = 0;
   for (const KVTable& t : dirty_result.partition_outputs) {
-    for (const Record& r : t.rows()) {
+    for (const RowView r : t.rows()) {
       if (r.value.rfind("flagged", 0) == 0) ++flagged;
     }
   }

@@ -32,10 +32,10 @@ TEST(KVTable, MergeCombinesEqualKeys) {
   MergeStats stats;
   const KVTable m = KVTable::merge(a, b, sum_combiner(), &stats);
   ASSERT_EQ(m.size(), 3u);
-  EXPECT_EQ(*m.find("a"), "1");
-  EXPECT_EQ(*m.find("b"), "5");
-  EXPECT_EQ(*m.find("c"), "9");
-  EXPECT_EQ(m.find("d"), nullptr);
+  EXPECT_EQ(m.find("a")->value, "1");
+  EXPECT_EQ(m.find("b")->value, "5");
+  EXPECT_EQ(m.find("c")->value, "9");
+  EXPECT_FALSE(m.find("d").has_value());
   EXPECT_EQ(stats.rows_scanned, 4u);
   EXPECT_EQ(stats.combines_applied, 1u);
 }

@@ -55,7 +55,7 @@ TEST(MapRunner, PartitionsAndLocallyCombines) {
   // Each word landed in exactly its hash partition with combined counts.
   std::map<std::string, std::string> flat;
   for (const auto& table : out.partitions) {
-    for (const Record& r : table->rows()) flat[r.key] = r.value;
+    for (const RowView r : table->rows()) flat[std::string(r.key)] = r.value;
   }
   EXPECT_EQ(flat["a"], "2");
   EXPECT_EQ(flat["b"], "2");
@@ -220,10 +220,10 @@ TEST(MapRunnerFold, FoldsEachKeyInEmissionOrder) {
   std::map<std::string, std::string> got;
   for (std::size_t p = 0; p < out.partitions.size(); ++p) {
     nonempty += out.partitions[p]->empty() ? 0 : 1;
-    for (const Record& row : out.partitions[p]->rows()) {
+    for (const RowView row : out.partitions[p]->rows()) {
       EXPECT_EQ(partition_of(row.key, job.num_partitions),
                 static_cast<int>(p));
-      got[row.key] = row.value;
+      got[std::string(row.key)] = row.value;
     }
   }
   EXPECT_GE(nonempty, 2u);
@@ -264,7 +264,7 @@ TEST(MapRunnerFold, FoldsFlatKernelLanesAndPoisonedKeys) {
 
   std::map<std::string, std::string> got;
   for (const auto& table : run_map_task(job, *split).partitions) {
-    for (const Record& row : table->rows()) got[row.key] = row.value;
+    for (const RowView row : table->rows()) got[std::string(row.key)] = row.value;
   }
   const std::map<std::string, std::string> expected = {
       {"ones", "4"},          {"once", "1"},
@@ -328,7 +328,7 @@ TEST(MapRunnerFold, GrowsAndProbesOverManyDistinctKeys) {
   EXPECT_GE(out.records_out, 50'000u);
   const std::size_t empty_key = static_cast<std::size_t>(
       partition_of("", job.num_partitions));
-  ASSERT_NE(out.partitions[empty_key]->find(""), nullptr);
+  ASSERT_TRUE(out.partitions[empty_key]->find("").has_value());
 }
 
 TEST(MapRunnerFold, KeysSharingAHashTagStayInTheirPartitions) {
@@ -364,13 +364,15 @@ TEST(MapRunnerFold, KeysSharingAHashTagStayInTheirPartitions) {
   expect_matches_sort_and_fold(job, *split);
   const MapOutput out = run_map_task(job, *split);
   EXPECT_EQ(
-      *out.partitions[static_cast<std::size_t>(partition_of(first, kPartitions))]
-           ->find(first),
+      out.partitions[static_cast<std::size_t>(partition_of(first, kPartitions))]
+          ->find(first)
+          ->value,
       "2");
-  EXPECT_EQ(*out.partitions[static_cast<std::size_t>(
-                                partition_of(second, kPartitions))]
-                 ->find(second),
-            "2");
+  EXPECT_EQ(
+      out.partitions[static_cast<std::size_t>(partition_of(second, kPartitions))]
+          ->find(second)
+          ->value,
+      "2");
 }
 
 TEST(ReduceRunner, MergeTablesBalances) {
@@ -382,7 +384,7 @@ TEST(ReduceRunner, MergeTablesBalances) {
   }
   MergeCost cost;
   const auto merged = merge_tables(tables, combiner, &cost);
-  EXPECT_EQ(*merged->find("k"), "8");
+  EXPECT_EQ(merged->find("k")->value, "8");
   EXPECT_EQ(cost.merges, 7u);
 }
 
@@ -398,7 +400,7 @@ TEST(ReduceRunner, ReduceAppliesAndFilters) {
   const ReduceOutput out = run_reduce(job, combined);
   EXPECT_EQ(out.keys_in, 2u);
   EXPECT_EQ(out.keys_out, 1u);
-  EXPECT_EQ(*out.table.find("keep"), "[5]");
+  EXPECT_EQ(out.table.find("keep")->value, "[5]");
 }
 
 TEST(VanillaEngine, EndToEndWordCount) {
@@ -415,7 +417,7 @@ TEST(VanillaEngine, EndToEndWordCount) {
 
   std::map<std::string, std::string> flat;
   for (const KVTable& table : result.partition_outputs) {
-    for (const Record& r : table.rows()) flat[r.key] = r.value;
+    for (const RowView r : table.rows()) flat[std::string(r.key)] = r.value;
   }
   EXPECT_EQ(flat["x"], "2");
   EXPECT_EQ(flat["y"], "3");

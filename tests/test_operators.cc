@@ -26,7 +26,7 @@ std::map<std::string, std::string> run_flat(const VanillaEngine& engine,
   const JobResult result = engine.run(job, splits);
   std::map<std::string, std::string> flat;
   for (const KVTable& t : result.partition_outputs) {
-    for (const Record& r : t.rows()) flat[r.key] = r.value;
+    for (const RowView r : t.rows()) flat[std::string(r.key)] = r.value;
   }
   return flat;
 }

@@ -119,7 +119,7 @@ TEST(PigCompiler, JoinAgainstRegisteredTable) {
       vanilla_pipeline_run(h.engine, q.stages, splits);
   std::map<std::string, std::string> flat;
   for (const KVTable& t : result.output) {
-    for (const Record& r : t.rows()) flat[r.key] = r.value;
+    for (const RowView r : t.rows()) flat[std::string(r.key)] = r.value;
   }
   EXPECT_EQ(flat["segA"], "15");
   EXPECT_EQ(flat["segB"], "7");
@@ -187,7 +187,7 @@ TEST(PigCompiler, NumericComparisonInFilter) {
       vanilla_pipeline_run(h.engine, q.stages, splits);
   std::map<std::string, std::string> flat;
   for (const KVTable& t : result.output) {
-    for (const Record& r : t.rows()) flat[r.key] = r.value;
+    for (const RowView r : t.rows()) flat[std::string(r.key)] = r.value;
   }
   EXPECT_EQ(flat["pg1"], "160");
 }

@@ -96,6 +96,14 @@ struct Options {
   std::uint64_t scrub_budget = 48;  // records scrubbed per slide when armed
 };
 
+// A scratch dir under the temp root, suffixed with the pid: each run
+// starts by remove_all'ing its dirs, so two soaks at once (two build trees,
+// or a default and a sanitizer ctest) must not share one.
+std::filesystem::path scratch_dir(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         (name + "_" + std::to_string(::getpid()));
+}
+
 struct Variant {
   const char* name;
   WindowMode mode;
@@ -248,10 +256,7 @@ ChaosOutcome run_chaos(const Variant& v, const Options& opt,
 
   SliderConfig config = variant_config(v, opt);
   config.fault_provider = &controller;
-  if (opt.bitrot) {
-    config.scrub_records_per_slide = opt.scrub_budget;
-    memo.set_verify_checksums(true);
-  }
+  if (opt.bitrot) config.scrub_records_per_slide = opt.scrub_budget;
   SliderSession session(engine, memo, bench.job, config);
 
   std::size_t run_index = 0;
@@ -410,9 +415,7 @@ int run_bitrot_victim(const Options& opt, const std::string& dir) {
 // reproduce a failure-free control byte for byte. Returns the number of
 // failures (0 on success).
 int run_bitrot_crash_scenario(const char* argv0, const Options& opt) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "slider_bitrot_crash")
-          .string();
+  const std::string dir = scratch_dir("slider_bitrot_crash").string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
@@ -454,7 +457,6 @@ int run_bitrot_crash_scenario(const char* argv0, const Options& opt) {
   memo.attach_durable_tier(&tier);
   durability::RecoveryStats recovery;
   const std::size_t recovered = memo.restore_from_durable(&recovery);
-  memo.set_verify_checksums(true);
 
   // Finish the interrupted repair: scrub to at least one complete pass.
   for (int i = 0; i < 10'000 && memo.scrub_stats().full_passes < 1; ++i) {
@@ -542,10 +544,9 @@ int run_postmortem_scenario(const Options& opt, const std::string& pm_dir) {
   VanillaEngine engine(cluster, cost);
   // Distinct roots per mode: ctest runs the plain and --bitrot postmortem
   // fixtures concurrently, and they must not remove_all each other's tier.
-  const std::filesystem::path tier_dir =
-      std::filesystem::temp_directory_path() /
-      (opt.bitrot ? "slider_chaos_soak_pm_tier_bitrot"
-                  : "slider_chaos_soak_pm_tier");
+  const std::filesystem::path tier_dir = scratch_dir(
+      opt.bitrot ? "slider_chaos_soak_pm_tier_bitrot"
+                 : "slider_chaos_soak_pm_tier");
   std::filesystem::remove_all(tier_dir);
   std::filesystem::create_directories(tier_dir);
   durability::DurableTier tier(tier_dir.string());
@@ -576,10 +577,7 @@ int run_postmortem_scenario(const Options& opt, const std::string& pm_dir) {
   SliderConfig config = variant_config(v, opt);
   config.fault_provider = &controller;
   config.postmortem_dir = pm_dir;
-  if (opt.bitrot) {
-    config.scrub_records_per_slide = opt.scrub_budget;
-    memo.set_verify_checksums(true);
-  }
+  if (opt.bitrot) config.scrub_records_per_slide = opt.scrub_budget;
   obs::SloSpec strict;
   strict.name = "no_retries";
   strict.kind = obs::SloKind::kRetryRateCeiling;
@@ -679,8 +677,7 @@ int main(int argc, char** argv) {
   // Distinct roots per mode: ctest runs tools_chaos_soak and
   // tools_chaos_soak_bitrot concurrently, and each remove_all's its base.
   const std::filesystem::path base =
-      std::filesystem::temp_directory_path() /
-      (opt.bitrot ? "slider_chaos_soak_bitrot" : "slider_chaos_soak");
+      scratch_dir(opt.bitrot ? "slider_chaos_soak_bitrot" : "slider_chaos_soak");
   std::filesystem::remove_all(base);
 
   const auto hct_bench = apps::make_microbenchmark(apps::MicroApp::kHct);
