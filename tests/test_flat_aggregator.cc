@@ -339,25 +339,27 @@ void put_unpoisoned_blob(durability::CheckpointWriter& writer,
 
 TEST_F(FlatAggregatorCheckpoint, AcceptsWellFormedHandBuiltBlob) {
   durability::CheckpointWriter writer;
-  put_unpoisoned_blob(writer, {"a", "b"},
-                      KVTable::from_sorted_unique({{"a", "1"}, {"b", "2"}}));
+  const KVTable root =
+      KVTable::from_records({{"a", "1"}, {"b", "2"}}, sum_combiner());
+  put_unpoisoned_blob(writer, {"a", "b"}, root);
   const std::unique_ptr<FlatAggregator> restored = restore_from(writer);
   ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(*restored->root(),
-            KVTable::from_sorted_unique({{"a", "1"}, {"b", "2"}}));
+  EXPECT_EQ(*restored->root(), root);
 }
 
 TEST_F(FlatAggregatorCheckpoint, RejectsDuplicatedDirectoryKey) {
   durability::CheckpointWriter writer;
-  put_unpoisoned_blob(writer, {"a", "b", "a"},
-                      KVTable::from_sorted_unique({{"a", "1"}, {"b", "2"}}));
+  put_unpoisoned_blob(
+      writer, {"a", "b", "a"},
+      KVTable::from_records({{"a", "1"}, {"b", "2"}}, sum_combiner()));
   EXPECT_EQ(restore_from(writer), nullptr);
 }
 
 TEST_F(FlatAggregatorCheckpoint, RejectsRowKeyMissingFromDirectory) {
   durability::CheckpointWriter writer;
-  put_unpoisoned_blob(writer, {"a", "b"},
-                      KVTable::from_sorted_unique({{"a", "1"}, {"c", "2"}}));
+  put_unpoisoned_blob(
+      writer, {"a", "b"},
+      KVTable::from_records({{"a", "1"}, {"c", "2"}}, sum_combiner()));
   EXPECT_EQ(restore_from(writer), nullptr);
 }
 

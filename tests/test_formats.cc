@@ -25,6 +25,7 @@ namespace fs = std::filesystem;
 using durability::LogRecordType;
 using durability::SegmentLog;
 using testing::live_set;
+using testing::sum_combiner;
 
 class GoldenFormats : public ::testing::Test {
  protected:
@@ -152,7 +153,8 @@ constexpr char kManifest[] =
 TEST_F(GoldenFormats, CheckpointManifest) {
   durability::CheckpointWriter writer;
   wire::put_u64(writer.blob(), 0x0123456789ABCDEFull);
-  const KVTable table = KVTable::from_sorted_unique({{"a", "1"}, {"b", "22"}});
+  const KVTable table =
+      KVTable::from_records({{"a", "1"}, {"b", "22"}}, sum_combiner());
   writer.put_node(5, &table);
   writer.put_node(6, nullptr);
   const std::string manifest = path("golden.slckpt");
